@@ -38,6 +38,8 @@ class SumTree:
         return int(self.values[self._index(h, j)])
 
     def add_report(self, h, t, u):
+        if not 1 <= h <= self.levels:  # before h sizes a shift below
+            raise MalformedReportError(f"level {h} outside [1, {self.levels}]")
         if not (1 <= t <= self.d):
             raise MalformedReportError(f"timestep {t} outside [1, {self.d}]")
         if t % (1 << (h - 1)) != 0:

@@ -47,8 +47,12 @@ def _validate(epsilon0, n, delta):
 
 
 def per_step_epsilon(epsilon0, n):
-    """Per-step budget 2 e^(2 eps0) (e^(eps0) - 1) / n of the swapped protocol."""
-    return 2.0 * math.exp(2.0 * epsilon0) * math.expm1(epsilon0) / n
+    """Per-step budget 2 e^(2 eps0) (e^(eps0) - 1) / n of the swapped protocol;
+    inf once e^(2 eps0) overflows, where every bound built on it is vacuous."""
+    try:
+        return 2.0 * math.exp(2.0 * epsilon0) * math.expm1(epsilon0) / n
+    except OverflowError:
+        return math.inf
 
 
 def _general_bound(eps1, n, delta):
@@ -58,9 +62,12 @@ def _general_bound(eps1, n, delta):
 
 
 def _moderate_bound(epsilon0, n, delta):
-    lead = math.exp(2.0 * epsilon0) * math.expm1(epsilon0)
-    return lead * math.sqrt(8.0 * math.log(1.0 / delta) / n) \
-        + 6.0 * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / n
+    try:
+        lead = math.exp(2.0 * epsilon0) * math.expm1(epsilon0)
+        return lead * math.sqrt(8.0 * math.log(1.0 / delta) / n) \
+            + 6.0 * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / n
+    except OverflowError:  # vacuous long before e^(4 eps0) overflows
+        return math.inf
 
 
 def _simplified_bound(epsilon0, n, delta):
@@ -132,14 +139,18 @@ def amplify_group(epsilon0, group_size, delta):
 
 def rdp_bound(epsilon0, n, alpha):
     """Renyi-DP budget 2 alpha e^(4 eps0) (e^(eps0) - 1)^2 / n of the
-    shuffled protocol at order alpha; linear in alpha, decreasing in n."""
+    shuffled protocol at order alpha; linear in alpha, decreasing in n.
+    inf once e^(4 eps0) overflows."""
     if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
         raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise InvalidParameterError(f"need at least two reports, got n={n}")
     if not alpha >= 1.0:
         raise InvalidParameterError(f"order must be >= 1, got {alpha}")
-    return 2.0 * alpha * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / int(n)
+    try:
+        return 2.0 * alpha * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / int(n)
+    except OverflowError:
+        return math.inf
 
 
 def binary_case_bound(epsilon0, n, delta):

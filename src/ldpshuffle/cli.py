@@ -16,9 +16,9 @@ import numpy as np
 
 from .aggregator import accumulate_arrays, dyadic_cover, estimate_marginals
 from .amplification import amplify_group, amplify_shuffle, rdp_bound
-from .client import read_reports
+from .client import open_input, read_reports
 from .divergence import certify_amplification
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ParseError
 from .harness import SimulationConfig, results_to_json, simulate, summarize, write_results
 
 EXIT_OK = 0
@@ -33,7 +33,6 @@ def _cmd_simulate(args):
         shuffle_mode=args.shuffle_mode, output_path=args.output,
         step_time=args.step_time, input_path=args.input_path,
         reports_path=args.reports_path, allow_large=args.allow_large,
-        backend=args.backend,
     )
     results = simulate(config)
     if args.output:
@@ -73,11 +72,18 @@ def _cmd_bound(args):
 
 def _verify_points(args):
     if args.grid:
-        with open(args.grid, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+        with open_input(args.grid) as fh:
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].strip().startswith("#"):
                     continue
-                yield int(row[0]), float(row[1]), float(row[2])
+                try:
+                    n, eps0, delta = row
+                    point = int(n), float(eps0), float(delta)
+                except ValueError as exc:
+                    raise ParseError("expected a row n,eps0,delta with an integer n",
+                                     reader.line_num) from exc
+                yield point
     else:
         if args.n is None or args.eps0 is None or args.delta is None:
             raise InvalidParameterError("need --n, --eps0 and --delta (or --grid)")
@@ -87,7 +93,7 @@ def _verify_points(args):
 def _cmd_verify(args):
     all_passed = True
     for n, eps0, delta in _verify_points(args):
-        record = certify_amplification(n, eps0, delta, backend=args.backend)
+        record = certify_amplification(n, eps0, delta)
         print(json.dumps(record.to_json_dict(), sort_keys=True))
         all_passed = all_passed and record.passed
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
@@ -99,17 +105,28 @@ def _cmd_cover(args):
     return EXIT_OK
 
 
+def _read_truth(path, d):
+    """True counts, one integer per line; blank lines and # comments skip."""
+    values = []
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                values.append(int(line))
+            except ValueError as exc:
+                raise ParseError(f"expected one integer count, got {line!r}", lineno) from exc
+    if len(values) != d:
+        raise InvalidParameterError(f"truth file has {len(values)} rows, expected {d}")
+    return np.array(values, dtype=np.int64)
+
+
 def _cmd_estimate(args):
     h, t, u = read_reports(args.reports)
     tree = accumulate_arrays(h, t, u, args.d)
     estimates = estimate_marginals(tree, args.epsilon, args.k, args.d)
-    truth = None
-    if args.truth:
-        truth = np.loadtxt(args.truth, dtype=np.int64, ndmin=1)
-        if len(truth) != args.d:
-            raise InvalidParameterError(
-                f"truth file has {len(truth)} rows, expected {args.d}"
-            )
+    truth = _read_truth(args.truth, args.d) if args.truth else None
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if truth is None:
@@ -151,7 +168,6 @@ def build_parser():
     p.add_argument("--reports-path", default=None, help="dump the trial-0 report stream here")
     p.add_argument("--output", default=None, help="results file (.csv for CSV, else JSON)")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--backend", default=None, choices=["numba", "numpy"])
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("bound", help="closed-form amplification calculator")
@@ -168,7 +184,6 @@ def build_parser():
     p.add_argument("--eps0", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", default=None, help="CSV of n,eps0,delta triples")
-    p.add_argument("--backend", default=None, choices=["numba", "numpy"])
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("cover", help="print the dyadic cover of a prefix")

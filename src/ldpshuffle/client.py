@@ -21,7 +21,8 @@ from .randomizer import binary_rr, uniform_sign
 
 
 def is_power_of_two(n):
-    return isinstance(n, (int, np.integer)) and n >= 1 and (n & (n - 1)) == 0
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= 1 and (n & (n - 1)) == 0)
 
 
 def next_power_of_two(n):
@@ -273,55 +274,64 @@ def max_transcript_ratio(d, k, epsilon):
 # Report serialization: JSON lines, one object per report.
 # ---------------------------------------------------------------------------
 
-def write_reports(path, reports, client_ids=None):
-    """Write reports as JSON lines with integer fields h, t, u.
-
-    The anonymized stream carries no client identifier. Passing client_ids
-    attaches one per row for debugging only; never feed such a stream to an
-    anonymity-sensitive pipeline.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, r in enumerate(reports):
-            row = {"h": int(r.level), "t": int(r.t), "u": int(r.u)}
-            if client_ids is not None:
-                row["client"] = int(client_ids[i])
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+INT64_MAX = 2 ** 63 - 1
 
 
-def write_report_arrays(path, h, t, u, client_ids=None):
-    """Array-based variant of `write_reports` for bulk simulation output."""
+def write_report_arrays(path, h, t, u):
+    """Write reports held as parallel arrays as JSON lines with integer
+    fields h, t, u; the anonymized stream carries no client identifier."""
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(len(h)):
             row = {"h": int(h[i]), "t": int(t[i]), "u": int(u[i])}
-            if client_ids is not None:
-                row["client"] = int(client_ids[i])
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_reports(path):
-    """Read a JSON-lines report stream into (h, t, u) arrays.
+def open_input(path):
+    """Open a text input file; one that cannot be opened raises
+    InvalidParameterError, and undecodable bytes read as U+FFFD."""
+    try:
+        return open(path, "r", encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc.strerror}") from exc
 
-    Raises ParseError with the 1-based line number on the first bad row.
-    """
-    hs, ts, us = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
+
+def read_json_lines(path):
+    """Yield (1-based line number, decoded value) for each non-blank line;
+    a line that is not JSON raises ParseError with its line number."""
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            try:
-                h, t, u = int(row["h"]), int(row["t"]), int(row["u"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError("expected integer fields h, t, u", lineno) from exc
-            if u not in (-1, 1):
-                raise ParseError(f"report value must be -1 or +1, got {u}", lineno)
-            hs.append(h)
-            ts.append(t)
-            us.append(u)
+            yield lineno, value
+
+
+def read_reports(path):
+    """Read a JSON-lines report stream into (h, t, u) arrays.
+
+    Every row must be an object whose h and t are positive integers and
+    whose u is -1 or +1; floats, booleans and strings are refused. Raises
+    ParseError with the 1-based line number on the first bad row.
+    """
+    hs, ts, us = [], [], []
+    for lineno, row in read_json_lines(path):
+        try:
+            h, t, u = row["h"], row["t"], row["u"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError("expected an object with fields h, t, u", lineno) from exc
+        if type(h) is not int or type(t) is not int or type(u) is not int:
+            raise ParseError("expected integer fields h, t, u", lineno)
+        if not (0 < h <= INT64_MAX and 0 < t <= INT64_MAX):
+            raise ParseError(f"h and t must be positive integers, got h={h}, t={t}", lineno)
+        if u != 1 and u != -1:
+            raise ParseError(f"report value must be -1 or +1, got {u}", lineno)
+        hs.append(h)
+        ts.append(t)
+        us.append(u)
     return (np.array(hs, dtype=np.int64),
             np.array(ts, dtype=np.int64),
             np.array(us, dtype=np.int64))

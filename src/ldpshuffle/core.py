@@ -130,7 +130,12 @@ def hockey_stick_delta(p, q, epsilon):
         raise InvalidParameterError(
             f"support mismatch: {p.shape[0]} vs {q.shape[0]} entries"
         )
-    e_eps = math.exp(epsilon)
+    return hockey_stick_sum(p, q, math.exp(epsilon))
+
+
+def hockey_stick_sum(p, q, e_eps):
+    """The sum behind `hockey_stick_delta`, with e^eps given and no input
+    checks: p and q must already be probability vectors of equal length."""
     forward = float(np.maximum(p - e_eps * q, 0.0).sum())
     backward = float(np.maximum(q - e_eps * p, 0.0).sum())
     return max(forward, backward)

@@ -7,8 +7,7 @@ distributions, scans every adjacent pair for the worst hockey-stick
 divergence, and checks the closed-form accountant against the result.
 
 The scan is O(n^3) overall, so the oracle is capped at n <= 10000; a full
-certification at n = 5000 is a few seconds jitted and well under a minute
-in pure numpy.
+certification at n = 5000 is well under a minute.
 """
 
 import math
@@ -18,10 +17,33 @@ import numpy as np
 from scipy.special import gammaln
 
 from .amplification import amplify_shuffle
+from .core import PROB_TOLERANCE, hockey_stick_sum
 from .errors import InvalidParameterError
-from .kernels import divergence_scan
 
 ORACLE_MAX_N = 10_000
+
+
+def _pmf_terms(n, epsilon0):
+    """Log truth and lie probabilities plus the table lgam[i] = log(i!),
+    shared by every count distribution over n reports."""
+    truth = 1.0 / (1.0 + math.exp(-epsilon0))
+    lgam = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    return math.log(truth), math.log1p(-truth), lgam
+
+
+def _count_pmf(n, m, log_p, log_1mp, lgam):
+    j = np.arange(m + 1)
+    ones = np.exp(lgam[m] - lgam[j] - lgam[m - j] + j * log_p + (m - j) * log_1mp)
+    i = np.arange(n - m + 1)
+    zeros = np.exp(lgam[n - m] - lgam[i] - lgam[n - m - i]
+                   + i * log_1mp + (n - m - i) * log_p)
+    probs = np.convolve(ones, zeros)
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= PROB_TOLERANCE:  # also catches nan
+        raise ArithmeticError(
+            f"count distribution sums to {total!r}, outside tolerance {PROB_TOLERANCE}"
+        )
+    return probs / total
 
 
 def shuffled_rr_count_distribution(n, m, epsilon0):
@@ -41,27 +63,34 @@ def shuffled_rr_count_distribution(n, m, epsilon0):
         raise InvalidParameterError(f"ones count must be in [0, {n}], got {m}")
     if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
         raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    n, m = int(n), int(m)
-    truth = 1.0 / (1.0 + math.exp(-epsilon0))
-    log_p = math.log(truth)
-    log_1mp = math.log1p(-truth)
-    lgam = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)  # lgam[i] = log(i!)
-
-    j = np.arange(m + 1)
-    ones = np.exp(lgam[m] - lgam[j] - lgam[m - j] + j * log_p + (m - j) * log_1mp)
-    i = np.arange(n - m + 1)
-    zeros = np.exp(lgam[n - m] - lgam[i] - lgam[n - m - i]
-                   + i * log_1mp + (n - m - i) * log_p)
-    probs = np.convolve(ones, zeros)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ArithmeticError(
-            f"count distribution sums to {total!r}, outside tolerance 1e-9"
-        )
-    return probs / total
+    n = int(n)
+    return _count_pmf(n, int(m), *_pmf_terms(n, epsilon0))
 
 
-def worst_case_divergence(n, epsilon0, epsilon, backend=None, return_scan=False):
+def divergence_scan(n, epsilon0, epsilon):
+    """Hockey-stick divergence between the m and m+1 count distributions,
+    for every m in [0, n-1]; returns the length-n array of deltas."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise InvalidParameterError(f"need n >= 2, got {n}")
+    if n > ORACLE_MAX_N:
+        raise InvalidParameterError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
+    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
+        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    n = int(n)
+    terms = _pmf_terms(n, epsilon0)
+    e_eps = math.exp(epsilon)
+    deltas = np.empty(n)
+    prev = _count_pmf(n, 0, *terms)
+    for m in range(n):
+        cur = _count_pmf(n, m + 1, *terms)
+        deltas[m] = hockey_stick_sum(prev, cur, e_eps)
+        prev = cur
+    return deltas
+
+
+def worst_case_divergence(n, epsilon0, epsilon, return_scan=False):
     """Exact smallest delta for which the shuffled one-bit protocol is
     (epsilon, delta)-DP: the max over all adjacent input pairs.
 
@@ -69,11 +98,7 @@ def worst_case_divergence(n, epsilon0, epsilon, backend=None, return_scan=False)
     is assumed, every m in [0, n-1] is scanned. Set return_scan to also get
     the per-m divergence array.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    if n > ORACLE_MAX_N:
-        raise InvalidParameterError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    deltas = divergence_scan(int(n), epsilon0, epsilon, backend=backend)
+    deltas = divergence_scan(n, epsilon0, epsilon)
     worst = float(deltas.max())
     if return_scan:
         return worst, deltas
@@ -106,7 +131,7 @@ class CertificationRecord:
         }
 
 
-def certify_amplification(n, epsilon0, delta_target, backend=None):
+def certify_amplification(n, epsilon0, delta_target):
     """Check that the accountant's epsilon really delivers the target delta.
 
     Asks `amplify_shuffle` for its epsilon at the target delta, then
@@ -115,7 +140,7 @@ def certify_amplification(n, epsilon0, delta_target, backend=None):
     quantifies how loose the closed form is.
     """
     claim = amplify_shuffle(epsilon0, n, delta_target)
-    exact = worst_case_divergence(n, epsilon0, claim.epsilon_central, backend=backend)
+    exact = worst_case_divergence(n, epsilon0, claim.epsilon_central)
     return CertificationRecord(
         n=int(n),
         epsilon0=float(epsilon0),

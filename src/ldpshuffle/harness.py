@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregator import accumulate_arrays, estimate_marginals
-from .client import (clip_changes, is_power_of_two, level_count,
+from .client import (clip_changes, is_power_of_two, level_count, read_json_lines,
                      write_report_arrays)
 from .core import rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
-from .kernels import emit_reports, resolve_backend
+from .kernels import emit_reports
 from .randomizer import RandomnessStream
 
 INPUT_MODELS = ("worst-case-sparse", "random-changes", "step-function", "file")
@@ -31,6 +31,11 @@ SHUFFLE_MODES = ("none", "post-shuffle")
 
 # refuse accidental huge runs; override with allow_large
 RESOURCE_GUARD_CELLS = 10 ** 9
+
+
+def _is_count(value):
+    """True for Python and numpy integers; False for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -49,20 +54,19 @@ class SimulationConfig:
     input_path: str = None         # file model: JSON-lines change vectors
     reports_path: str = None       # dump the trial-0 report stream here
     allow_large: bool = False
-    backend: str = None
 
     def validate(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_count(self.n) and self.n >= 1):
             raise InvalidParameterError(f"need n >= 1 clients, got {self.n}")
         if not is_power_of_two(self.d):
             raise InvalidParameterError(f"horizon must be a power of two, got {self.d}")
-        if not (isinstance(self.k, int) and self.k >= 1):
+        if not (_is_count(self.k) and self.k >= 1):
             raise InvalidParameterError(f"change budget must be >= 1, got {self.k}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InvalidParameterError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 < self.beta < 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1), got {self.beta}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_is_count(self.trials) and self.trials >= 1):
             raise InvalidParameterError(f"need trials >= 1, got {self.trials}")
         if self.input_model not in INPUT_MODELS:
             raise InvalidParameterError(
@@ -74,12 +78,12 @@ class SimulationConfig:
             )
         if self.input_model == "file" and not self.input_path:
             raise InvalidParameterError("file input model needs input_path")
-        if self.n * self.d > RESOURCE_GUARD_CELLS and not self.allow_large:
+        cells = int(self.n) * int(self.d)
+        if cells > RESOURCE_GUARD_CELLS and not self.allow_large:
             raise InvalidParameterError(
-                f"n*d = {self.n * self.d} exceeds the resource guard; "
+                f"n*d = {cells} exceeds the resource guard; "
                 "set allow_large to override"
             )
-        resolve_backend(self.backend)
 
     def to_json_dict(self):
         out = dataclasses.asdict(self)
@@ -116,27 +120,19 @@ def read_change_vectors(path, n, d, k):
     """
     rows = []
     clipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(row, dict) or "x" not in row:
-                raise ParseError('expected an object with an "x" array', lineno)
-            x = row["x"]
-            if not isinstance(x, list) or len(x) != d:
-                raise ParseError(f'"x" must be a list of length {d}', lineno)
-            if any(v not in (-1, 0, 1) for v in x):
-                raise ParseError('"x" entries must be in {-1, 0, 1}', lineno)
-            x = np.asarray(x, dtype=np.int8)
-            if np.count_nonzero(x) > k:
-                x = clip_changes(x, k)
-                clipped += 1
-            rows.append(x)
+    for lineno, row in read_json_lines(path):
+        if not isinstance(row, dict) or "x" not in row:
+            raise ParseError('expected an object with an "x" array', lineno)
+        x = row["x"]
+        if not isinstance(x, list) or len(x) != d:
+            raise ParseError(f'"x" must be a list of length {d}', lineno)
+        if any(type(v) is not int or v not in (-1, 0, 1) for v in x):
+            raise ParseError('"x" entries must be integers in {-1, 0, 1}', lineno)
+        x = np.asarray(x, dtype=np.int8)
+        if np.count_nonzero(x) > k:
+            x = clip_changes(x, k)
+            clipped += 1
+        rows.append(x)
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}")
     return np.vstack(rows), clipped
@@ -216,8 +212,7 @@ def run_trial(config, trial):
 
     coins = stream.uniform(size=(config.n, config.d))
     h, t, u = emit_reports(signal_t, signal_v, levels, coins,
-                           rr_probability(config.epsilon), config.d,
-                           backend=config.backend)
+                           rr_probability(config.epsilon), config.d)
     if config.shuffle_mode == "post-shuffle":
         perm = stream.permutation(len(h))
         h, t, u = h[perm], t[perm], u[perm]
@@ -296,6 +291,8 @@ def results_to_json(config, results):
     }
 
     def encode(obj):
+        if isinstance(obj, np.integer):
+            return int(obj)
         if isinstance(obj, float):
             return float(_fmt(obj))
         if isinstance(obj, dict):

@@ -1,105 +1,51 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Bulk report emission for a whole client population.
 
-The two inner loops that dominate runtime live here: bulk report emission
-for a whole client population, and the adjacent-count divergence scan of
-the count-statistic oracle. Each has a numba-jitted kernel and a pure-numpy
-fallback producing bit-identical results.
-
-Backend resolution, in order: an explicit ``backend=`` argument, the
-``LDPSHUFFLE_BACKEND`` environment variable ("numba" or "numpy"), then
-numba whenever it imports. ``LDPSHUFFLE_THREADS`` caps the numba thread
-count for the parallel scan.
+This is the inner loop that dominates a simulation trial, vectorized in
+numpy one tree level at a time. `client.client_update` is its scalar
+reference: fed the same coins, it emits the same reports.
 """
-
-import math
-import os
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-try:
-    import numba
-    from numba import njit, prange
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+def resolve_backend():
+    """Name of the numeric backend, always "numpy": it is the only one.
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-    prange = range
-
-BACKEND_ENV = "LDPSHUFFLE_BACKEND"
-THREADS_ENV = "LDPSHUFFLE_THREADS"
+    `perfbench/run.py` records this value in the environment block of
+    every benchmark run.
+    """
+    return "numpy"
 
 
-def available_backends():
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+def emit_reports(signal_t, signal_v, levels, coins, truth_prob, d):
+    """Emit every report of a client population as (h, t, u) arrays.
 
-
-def resolve_backend(backend=None):
-    """Pick the backend to run: argument, then env var, then best available."""
-    choice = backend if backend is not None else os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice in ("", None):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise InvalidParameterError("numba backend requested but numba is not installed")
-    if choice not in ("numba", "numpy"):
-        raise InvalidParameterError(f"unknown backend {choice!r}; use 'numba' or 'numpy'")
-    return choice
-
-
-def _apply_thread_cap():
-    cap = os.environ.get(THREADS_ENV, "").strip()
-    if cap and HAVE_NUMBA:
-        numba.set_num_threads(max(1, min(int(cap), numba.config.NUMBA_NUM_THREADS)))
-
-
-# ---------------------------------------------------------------------------
-# Population report emission.
-#
-# Inputs per client i: the sampled level, the timestep of the one change it
-# reports on (0 when none), that change's value, and one pre-drawn uniform
-# per timestep (coins[i, t-1] is consumed iff a report is emitted at t). A
-# report goes out at every multiple of the level period; the first one at or
-# after the signal timestep carries randomized response, all others are fair
-# signs. Output order is client-major, report-time ascending, in both
-# backends.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _emit_reports_numba(signal_t, signal_v, levels, coins, truth_prob, d,
-                        offsets, out_h, out_t, out_u):
+    Inputs per client i: the sampled level, the timestep of the one change
+    it reports on (0 when none), that change's value, and one pre-drawn
+    uniform per timestep (coins[i, t-1] is consumed iff a report is emitted
+    at t). A report goes out at every multiple of the level period; the
+    first one at or after the signal timestep carries randomized response,
+    all others are fair signs. Output order is client-major, report time
+    ascending.
+    """
+    signal_t = np.ascontiguousarray(signal_t, dtype=np.int64)
+    signal_v = np.ascontiguousarray(signal_v, dtype=np.int64)
+    levels = np.ascontiguousarray(levels, dtype=np.int64)
+    coins = np.ascontiguousarray(coins, dtype=np.float64)
     n = levels.shape[0]
-    for i in range(n):
-        period = 1 << (levels[i] - 1)
-        base = offsets[i]
-        r_sig = 0
-        if signal_t[i] > 0:
-            r_sig = ((signal_t[i] + period - 1) // period) * period
-        pos = 0
-        t = period
-        while t <= d:
-            if t == r_sig:
-                b = 1 if coins[i, t - 1] < truth_prob else -1
-                u = b * signal_v[i]
-            else:
-                u = 1 if coins[i, t - 1] < 0.5 else -1
-            out_h[base + pos] = levels[i]
-            out_t[base + pos] = t
-            out_u[base + pos] = u
-            pos += 1
-            t += period
-    return out_h
+    if coins.shape != (n, d):
+        raise InvalidParameterError(
+            f"coins must have shape (n, d) = ({n}, {d}), got {coins.shape}"
+        )
+    counts = d >> (levels - 1)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+    total = int(counts.sum())
+    out_h = np.empty(total, dtype=np.int64)
+    out_t = np.empty(total, dtype=np.int64)
+    out_u = np.empty(total, dtype=np.int64)
 
-
-def _emit_reports_numpy(signal_t, signal_v, levels, coins, truth_prob, d,
-                        offsets, out_h, out_t, out_u):
-    n = levels.shape[0]
     max_level = int(levels.max()) if n else 0
     for h in range(1, max_level + 1):
         rows = np.flatnonzero(levels == h)
@@ -119,177 +65,9 @@ def _emit_reports_numpy(signal_t, signal_v, levels, coins, truth_prob, d,
             b = np.where(block[src, col] < truth_prob, 1, -1)
             u[src, col] = b * signal_v[rows][has]
 
-        # scatter into client-major order so both backends emit identically
+        # scatter the level's block back into client-major order
         dest = offsets[rows][:, None] + np.arange(len(times))[None, :]
         out_h[dest] = h
         out_t[dest] = times[None, :]
         out_u[dest] = u
-    return out_h
-
-
-def emit_reports(signal_t, signal_v, levels, coins, truth_prob, d, backend=None):
-    """Emit every report of a client population as (h, t, u) arrays."""
-    signal_t = np.ascontiguousarray(signal_t, dtype=np.int64)
-    signal_v = np.ascontiguousarray(signal_v, dtype=np.int64)
-    levels = np.ascontiguousarray(levels, dtype=np.int64)
-    coins = np.ascontiguousarray(coins, dtype=np.float64)
-    n = levels.shape[0]
-    if coins.shape != (n, d):
-        raise InvalidParameterError(
-            f"coins must have shape (n, d) = ({n}, {d}), got {coins.shape}"
-        )
-    counts = d >> (levels - 1)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    total = int(counts.sum())
-    out_h = np.empty(total, dtype=np.int64)
-    out_t = np.empty(total, dtype=np.int64)
-    out_u = np.empty(total, dtype=np.int64)
-    fn = _emit_reports_numba if resolve_backend(backend) == "numba" else _emit_reports_numpy
-    fn(signal_t, signal_v, levels, coins, float(truth_prob), int(d),
-       offsets, out_h, out_t, out_u)
     return out_h, out_t, out_u
-
-
-# ---------------------------------------------------------------------------
-# Divergence scan for the count-statistic oracle.
-#
-# For each m, builds the exact distribution of the number of 1-responses
-# when m of n inputs are 1 (convolution of two binomials, terms computed in
-# log space against a shared log-gamma table, accumulated with compensated
-# summation) and takes the symmetric hockey-stick divergence against the
-# m+1 distribution. The scan over m is embarrassingly parallel.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _conv_pmf_terms_numba(n, m, log_p, log_1mp, lgam, out):
-    # per-cell products share a sign, so BLAS dots are accurate enough here
-    # (relative error ~n*ulp); the verified compensated total lives in
-    # _normalize_checked_numba
-    a = np.empty(m + 1)
-    la = lgam[m]
-    for j in range(m + 1):
-        a[j] = math.exp(la - lgam[j] - lgam[m - j] + j * log_p + (m - j) * log_1mp)
-    nm = n - m
-    br = np.empty(nm + 1)  # zeros-side pmf, reversed for forward dots
-    lb = lgam[nm]
-    for i in range(nm + 1):
-        br[nm - i] = math.exp(lb - lgam[i] - lgam[nm - i] + i * log_1mp + (nm - i) * log_p)
-    for c in range(n + 1):
-        lo = c - nm
-        if lo < 0:
-            lo = 0
-        hi = m if m < c else c
-        off = nm - c
-        out[c] = np.dot(a[lo:hi + 1], br[off + lo:off + hi + 1])
-
-
-@njit(cache=True)
-def _normalize_checked_numba(out):
-    total = 0.0
-    comp = 0.0
-    for c in range(out.shape[0]):
-        y = out[c] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if not abs(total - 1.0) <= 1e-9:  # also catches nan
-        raise ValueError("count distribution drifted outside normalization tolerance")
-    for c in range(out.shape[0]):
-        out[c] /= total
-
-
-@njit(cache=True)
-def _count_pmf_numba(n, m, log_p, log_1mp, lgam, out):
-    _conv_pmf_terms_numba(n, m, log_p, log_1mp, lgam, out)
-    _normalize_checked_numba(out)
-
-
-@njit(cache=True)
-def _hockey_stick_numba(p, q, e_eps):
-    fwd = 0.0
-    comp_f = 0.0
-    bwd = 0.0
-    comp_b = 0.0
-    for i in range(p.shape[0]):
-        v = p[i] - e_eps * q[i]
-        if v > 0.0:
-            y = v - comp_f
-            t = fwd + y
-            comp_f = (t - fwd) - y
-            fwd = t
-        w = q[i] - e_eps * p[i]
-        if w > 0.0:
-            y = w - comp_b
-            t = bwd + y
-            comp_b = (t - bwd) - y
-            bwd = t
-    return fwd if fwd > bwd else bwd
-
-
-@njit(cache=True, parallel=True)
-def _divergence_scan_numba(n, log_p, log_1mp, lgam, e_eps):
-    deltas = np.empty(n)
-    for m in prange(n):
-        p = np.empty(n + 1)
-        q = np.empty(n + 1)
-        _count_pmf_numba(n, m, log_p, log_1mp, lgam, p)
-        _count_pmf_numba(n, m + 1, log_p, log_1mp, lgam, q)
-        deltas[m] = _hockey_stick_numba(p, q, e_eps)
-    return deltas
-
-
-def _count_pmf_numpy(n, m, log_p, log_1mp, lgam):
-    j = np.arange(m + 1)
-    a = np.exp(lgam[m] - lgam[j] - lgam[m - j] + j * log_p + (m - j) * log_1mp)
-    i = np.arange(n - m + 1)
-    b = np.exp(lgam[n - m] - lgam[i] - lgam[n - m - i] + i * log_1mp + (n - m - i) * log_p)
-    out = np.convolve(a, b)
-    total = float(out.sum())
-    if not abs(total - 1.0) <= 1e-9:  # also catches nan
-        raise ValueError("count distribution drifted outside normalization tolerance")
-    return out / total
-
-
-def _divergence_scan_numpy(n, log_p, log_1mp, lgam, e_eps):
-    deltas = np.empty(n)
-    prev = _count_pmf_numpy(n, 0, log_p, log_1mp, lgam)
-    for m in range(n):
-        cur = _count_pmf_numpy(n, m + 1, log_p, log_1mp, lgam)
-        fwd = float(np.maximum(prev - e_eps * cur, 0.0).sum())
-        bwd = float(np.maximum(cur - e_eps * prev, 0.0).sum())
-        deltas[m] = max(fwd, bwd)
-        prev = cur
-    return deltas
-
-
-def divergence_scan(n, epsilon0, epsilon, backend=None):
-    """Hockey-stick divergence between the m and m+1 count distributions,
-    for every m in [0, n-1]; returns the length-n array of deltas."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
-        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    n = int(n)
-    truth = 1.0 / (1.0 + math.exp(-epsilon0))
-    log_p = math.log(truth)
-    log_1mp = math.log1p(-truth)
-    from scipy.special import gammaln
-
-    # lgam[i] = log(i!), shared across the whole m-scan
-    lgam = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
-    e_eps = math.exp(epsilon)
-    if resolve_backend(backend) == "numba":
-        _apply_thread_cap()
-        return _divergence_scan_numba(n, log_p, log_1mp, lgam, e_eps)
-    return _divergence_scan_numpy(n, log_p, log_1mp, lgam, e_eps)
-
-
-def warm_up():
-    """Trigger jit compilation of both kernels on trivial inputs."""
-    if not HAVE_NUMBA:
-        return
-    emit_reports(np.array([1]), np.array([1]), np.array([1]),
-                 np.full((1, 2), 0.25), 0.7, 2, backend="numba")
-    divergence_scan(2, 0.5, 0.1, backend="numba")

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from ldpshuffle.randomizer import LocalRandomizer
 
@@ -59,10 +58,3 @@ class ScriptedStream:
     def exhausted(self):
         return not self._uniforms and not self._ints
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # jit compilation happens once here so timed tests measure compute only
-    from ldpshuffle.kernels import warm_up
-
-    warm_up()

@@ -48,6 +48,10 @@ class TestSumTree:
         with pytest.raises(MalformedReportError):
             tree.add_report(1, 5, 1)  # beyond horizon
 
+    def test_level_zero_rejected_before_shift(self):
+        with pytest.raises(MalformedReportError, match="level 0"):
+            SumTree(4).add_report(0, 1, 1)
+
     def test_array_accumulate_matches_object_path(self):
         rng = RandomnessStream(21, 0)
         h, t, u = _random_reports(rng, 16, 500)

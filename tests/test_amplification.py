@@ -13,6 +13,9 @@ class TestPerStepEpsilon:
         assert per_step_epsilon(0.4, 10 ** 6) == pytest.approx(2.18915198848816e-06, rel=1e-12)
         assert per_step_epsilon(0.1, 10 ** 4) == pytest.approx(2.5691209883166655e-05, rel=1e-12)
 
+    def test_overflow_is_infinite(self):
+        assert per_step_epsilon(400.0, 1000) == math.inf
+
 
 class TestAmplifyShuffle:
     def test_simplified_regime_is_an_upper_bound(self):
@@ -46,6 +49,13 @@ class TestAmplifyShuffle:
             for n in (2, 10, 1000, 10 ** 5):
                 for delta in (1e-3, 1e-8):
                     assert amplify_shuffle(eps0, n, delta).epsilon_central <= eps0
+
+    @pytest.mark.parametrize("eps0,n,delta", [(400.0, 1000, 1e-6),
+                                              (200.0, 10 ** 300, 0.5)])
+    def test_overflowing_budget_falls_back_to_eps0(self, eps0, n, delta):
+        res = amplify_shuffle(eps0, n, delta)
+        assert res.regime == "no-amplification"
+        assert res.epsilon_central == eps0
 
     def test_monotone_in_n(self):
         a = amplify_shuffle(0.4, 10 ** 4, 1e-8).epsilon_central
@@ -112,6 +122,9 @@ class TestRdpBound:
     def test_inverse_n_scaling(self):
         assert rdp_bound(0.5, 2 * 10 ** 4, 2.0) == pytest.approx(
             rdp_bound(0.5, 10 ** 4, 2.0) / 2.0, rel=1e-15)
+
+    def test_overflow_is_infinite(self):
+        assert rdp_bound(400.0, 1000, 2.0) == math.inf
 
     def test_rejects_small_order(self):
         with pytest.raises(InvalidParameterError):

@@ -40,6 +40,14 @@ class TestBound:
         assert payload["rdp"]["epsilon"] > 0
         assert payload["group"]["epsilon_central"] > 0
 
+    def test_overflowing_eps0_falls_back(self, capsys):
+        code, out, _ = _run(capsys, ["bound", "--eps0", "400", "--n", "1000",
+                                     "--delta", "1e-6"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "no-amplification"
+        assert payload["epsilon_central"] == 400.0
+
     def test_out_of_regime_group_exits_2(self, capsys):
         code, _, err = _run(capsys, ["bound", "--eps0", "0.6", "--n", "10000",
                                      "--delta", "1e-8", "--group", "2000"])
@@ -64,6 +72,21 @@ class TestVerifyAmplification:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 2
         assert all(r["passed"] for r in records)
+
+    @pytest.mark.parametrize("bad_row", ["100,0.25", "100,abc,1e-4", "1e2,0.25,1e-4",
+                                         "100,0.25,1e-4,7"])
+    def test_bad_grid_row_names_line(self, capsys, tmp_path, bad_row):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"# n,eps0,delta\n{bad_row}\n")
+        code, _, err = _run(capsys, ["verify-amplification", "--grid", str(grid)])
+        assert code == 2
+        assert "line 2" in err
+
+    def test_missing_grid_exits_2(self, capsys, tmp_path):
+        code, _, err = _run(capsys, ["verify-amplification", "--grid",
+                                     str(tmp_path / "missing.csv")])
+        assert code == 2
+        assert "cannot read" in err
 
     def test_failure_exits_3(self, capsys, monkeypatch):
         failing = CertificationRecord(n=10, epsilon0=0.5, delta_target=1e-4,
@@ -130,3 +153,40 @@ class TestSimulateAndEstimate:
         ])
         assert code == 2
         assert "power of two" in err
+
+
+class TestEstimateBadInput:
+    def _estimate(self, capsys, reports, truth=None):
+        argv = ["estimate", "--reports", str(reports), "--d", "4",
+                "--epsilon", "1.0", "--k", "1"]
+        if truth is not None:
+            argv += ["--truth", str(truth)]
+        return _run(capsys, argv)
+
+    def test_missing_reports_file(self, capsys, tmp_path):
+        code, _, err = self._estimate(capsys, tmp_path / "missing.jsonl")
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_float_field_names_line(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n{"h": 1.7, "t": true, "u": 1}\n')
+        code, _, err = self._estimate(capsys, reports)
+        assert code == 2
+        assert "line 2" in err
+
+    def test_non_numeric_truth_names_line(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\nabc\n1\n1\n")
+        code, _, err = self._estimate(capsys, reports, truth)
+        assert code == 2
+        assert "line 2" in err
+
+    def test_missing_truth_file(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        code, _, err = self._estimate(capsys, reports, tmp_path / "missing.txt")
+        assert code == 2
+        assert "cannot read" in err

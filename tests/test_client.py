@@ -11,9 +11,10 @@ from ldpshuffle.client import (ClientState, Report, changes_to_states, client_se
                                client_update, clip_changes, enumerate_change_sequences,
                                exact_transcript_distribution, max_transcript_ratio,
                                next_power_of_two, pad_to_power_of_two, read_reports,
-                               run_client, write_report_arrays, write_reports)
+                               run_client, write_report_arrays)
 from ldpshuffle.core import rr_probability
 from ldpshuffle.errors import InvalidParameterError, ParseError, ProtocolError
+from ldpshuffle.harness import read_change_vectors
 from ldpshuffle.randomizer import RandomnessStream
 
 from conftest import ScriptedStream
@@ -183,6 +184,11 @@ class TestHelpers:
         nz = np.flatnonzero(np.array(x))[:k]
         assert np.array_equal(clipped[nz], np.array(x)[nz])
 
+    def test_power_of_two_rejects_bools(self):
+        assert client_mod.is_power_of_two(np.int64(8))
+        assert not client_mod.is_power_of_two(True)
+        assert not client_mod.is_power_of_two(False)
+
     def test_next_power_of_two(self):
         assert [next_power_of_two(v) for v in (1, 2, 3, 5, 8, 9)] == [1, 2, 4, 8, 8, 16]
 
@@ -244,20 +250,13 @@ class TestTranscriptEnumeration:
 class TestReportIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "reports.jsonl"
-        reports = [Report(1, 3, -1), Report(2, 4, 1)]
-        write_reports(path, reports)
+        write_report_arrays(path, [1, 2], [3, 4], [-1, 1])
         h, t, u = read_reports(path)
         assert np.array_equal(h, [1, 2])
         assert np.array_equal(t, [3, 4])
         assert np.array_equal(u, [-1, 1])
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert all(set(row) == {"h", "t", "u"} for row in rows)
-
-    def test_debug_ids_are_explicit(self, tmp_path):
-        path = tmp_path / "debug.jsonl"
-        write_report_arrays(path, [1], [2], [1], client_ids=[7])
-        row = json.loads(path.read_text())
-        assert row["client"] == 7
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -272,3 +271,69 @@ class TestReportIo:
         path.write_text('{"h": 1, "t": 1, "u": 3}\n')
         with pytest.raises(ParseError):
             read_reports(path)
+
+    @pytest.mark.parametrize("row", [
+        '{"h": 1.7, "t": 1, "u": 1}',
+        '{"h": 1, "t": true, "u": 1}',
+        '{"h": "1", "t": 1, "u": 1}',
+        '{"h": 1, "t": 1, "u": 1.0}',
+        '{"h": 0, "t": 1, "u": 1}',
+        '{"h": 1, "t": 0, "u": 1}',
+        '{"h": 1, "t": 1, "u": 0}',
+        '{"h": 9223372036854775808, "t": 1, "u": 1}',
+        '[1, 1, 1]',
+    ])
+    def test_non_integer_or_non_positive_fields_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"h": 1, "t": 1, "u": 1}\n\n' + row + "\n")
+        with pytest.raises(ParseError) as err:
+            read_reports(path)
+        assert err.value.line_number == 3
+
+    def test_missing_file_is_invalid_parameter(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="cannot read"):
+            read_reports(tmp_path / "missing.jsonl")
+
+
+# JSON values of the kinds a corrupt line can hold. Rows are drawn as report
+# rows, change-vector rows and arbitrary objects, so that the field checks
+# past the JSON decode are reached too.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 3) | st.integers()
+                 | st.floats() | st.text(max_size=2))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+# near the int64 edge too, since the readers hand their values to numpy
+_FIELDS = st.sampled_from([-1, 0, 1]) | st.integers(2 ** 63 - 2, 2 ** 64) | _JSON_SCALARS
+_OBJECTS = st.dictionaries(st.text(max_size=2), _JSON_VALUES, max_size=3)
+_REPORT_ROWS = st.fixed_dictionaries({"h": _FIELDS, "t": _FIELDS, "u": _FIELDS}) | _OBJECTS
+_CHANGE_ROWS = st.fixed_dictionaries({"x": st.lists(_FIELDS, min_size=3, max_size=5)}) \
+    | _OBJECTS
+
+
+class TestReaderFuzz:
+    @staticmethod
+    def _check(path, read):
+        try:
+            result = read(path)
+        except ParseError as exc:
+            assert isinstance(exc.line_number, int) and exc.line_number >= 1
+            return
+        assert isinstance(result[0], np.ndarray)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_REPORT_ROWS, min_size=1, max_size=3))
+    def test_read_reports_arrays_or_parse_error(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "reports.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        self._check(path, read_reports)  # (h, t, u)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_CHANGE_ROWS, min_size=1, max_size=3))
+    def test_read_change_vectors_arrays_or_parse_error(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "changes.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        self._check(path, lambda p: read_change_vectors(p, len(rows), 4, 2))  # (x, clipped)

@@ -9,7 +9,6 @@ from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
                                 results_to_csv, results_to_json, run_trial, simulate,
                                 theorem_error_bound, write_results)
-from ldpshuffle.kernels import HAVE_NUMBA
 from ldpshuffle.randomizer import RandomnessStream
 
 
@@ -152,14 +151,6 @@ class TestSimulate:
         assert np.array_equal(offline, estimates)
         assert results[0].max_abs_error == float(np.abs(truth - offline).max())
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_backends_agree_end_to_end(self):
-        a = simulate(self._config(backend="numba"))
-        b = simulate(self._config(backend="numpy"))
-        for ra, rb in zip(a, b):
-            assert ra.max_abs_error == rb.max_abs_error
-            assert np.array_equal(ra.errors, rb.errors)
-
     def test_wall_time_never_serialized(self):
         cfg = self._config(trials=1)
         results = simulate(cfg)
@@ -173,6 +164,18 @@ class TestSimulate:
         row = results_to_csv(cfg, results).splitlines()[1]
         err_field = row.split(",")[9]
         assert float(err_field) == results[0].max_abs_error
+
+    def test_numpy_integer_counts_accepted(self):
+        plain = self._config(trials=1)
+        wide = self._config(n=np.int64(plain.n), k=np.int64(plain.k),
+                            trials=np.int64(1))
+        assert results_to_json(wide, simulate(wide)) == \
+            results_to_json(plain, simulate(plain))
+
+    @pytest.mark.parametrize("field", ["n", "k", "trials"])
+    def test_bool_counts_rejected(self, field):
+        with pytest.raises(InvalidParameterError):
+            simulate(self._config(**{field: True}))
 
     def test_validation_errors(self):
         with pytest.raises(InvalidParameterError):

@@ -1,19 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from ldpshuffle.client import ClientState, client_update, level_count
 from ldpshuffle.core import rr_probability
-from ldpshuffle.divergence import shuffled_rr_count_distribution
+from ldpshuffle.divergence import divergence_scan, shuffled_rr_count_distribution
 from ldpshuffle.errors import InvalidParameterError
-from ldpshuffle.kernels import (HAVE_NUMBA, divergence_scan, emit_reports,
-                                resolve_backend)
+from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
 from conftest import ScriptedStream
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
 
 def _random_population(seed, n, d, k):
@@ -35,45 +30,13 @@ def _random_population(seed, n, d, k):
     return x, target, levels, sig_t, sig_v, coins
 
 
-class TestBackendResolution:
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("LDPSHUFFLE_BACKEND", "numpy")
-        assert resolve_backend() == "numpy"
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("LDPSHUFFLE_BACKEND", "numpy")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_backend("fortran")
-
-    def test_default_prefers_numba_when_present(self, monkeypatch):
-        monkeypatch.delenv("LDPSHUFFLE_BACKEND", raising=False)
-        assert resolve_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-
 class TestEmitReports:
-    @pytest.mark.parametrize("d,k", [(1, 1), (8, 3), (64, 5)])
-    @needs_numba
-    def test_backends_bit_identical(self, d, k):
-        _, _, levels, sig_t, sig_v, coins = _random_population(101 + d, 300, d, k)
-        p = rr_probability(1.0)
-        a = emit_reports(sig_t, sig_v, levels, coins, p, d, backend="numba")
-        b = emit_reports(sig_t, sig_v, levels, coins, p, d, backend="numpy")
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_matches_sequential_client(self, backend):
+    def test_matches_sequential_client(self):
         # feed the reference state machine the same coins the kernel reads,
         # in the order it consumes them; outputs must agree exactly
-        if backend == "numba" and not HAVE_NUMBA:
-            pytest.skip("numba not installed")
         d, k, eps = 16, 3, 1.3
         x, target, levels, sig_t, sig_v, coins = _random_population(7, 120, d, k)
-        h, t, u = emit_reports(sig_t, sig_v, levels, coins, rr_probability(eps), d,
-                               backend=backend)
+        h, t, u = emit_reports(sig_t, sig_v, levels, coins, rr_probability(eps), d)
         pos = 0
         for i in range(len(levels)):
             state = ClientState(d, k, int(target[i]), int(levels[i]))
@@ -91,7 +54,7 @@ class TestEmitReports:
     def test_report_counts_follow_levels(self):
         d = 8
         _, _, levels, sig_t, sig_v, coins = _random_population(11, 50, d, 2)
-        h, t, u = emit_reports(sig_t, sig_v, levels, coins, 0.7, d, backend="numpy")
+        h, t, u = emit_reports(sig_t, sig_v, levels, coins, 0.7, d)
         expected = int((d >> (levels - 1)).sum())
         assert len(h) == expected
         assert np.all(t % (1 << (h - 1)) == 0)
@@ -100,24 +63,15 @@ class TestEmitReports:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             emit_reports(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-                         np.ones(3, dtype=np.int64), np.zeros((3, 5)), 0.7, 4,
-                         backend="numpy")
+                         np.ones(3, dtype=np.int64), np.zeros((3, 5)), 0.7, 4)
 
 
 class TestDivergenceScan:
-    @needs_numba
-    def test_backends_agree(self):
-        for eps0, eps in [(0.5, 0.1), (1.0, 0.0), (0.25, 0.4)]:
-            a = divergence_scan(60, eps0, eps, backend="numba")
-            b = divergence_scan(60, eps0, eps, backend="numpy")
-            scale = np.maximum(np.maximum(a, b), 1e-30)
-            assert float(np.max(np.abs(a - b) / scale)) < 1e-9
-
     def test_matches_direct_hockey_stick(self):
         from ldpshuffle.core import hockey_stick_delta
 
         n, eps0, eps = 24, 0.8, 0.3
-        scan = divergence_scan(n, eps0, eps, backend="numpy")
+        scan = divergence_scan(n, eps0, eps)
         for m in (0, 7, 12, 23):
             p = shuffled_rr_count_distribution(n, m, eps0)
             q = shuffled_rr_count_distribution(n, m + 1, eps0)
