@@ -10,13 +10,14 @@ parameters, 3 a verification check failed.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from .aggregator import accumulate_arrays, dyadic_cover, estimate_marginals
 from .amplification import amplify_group, amplify_shuffle, rdp_bound
-from .client import open_input, read_reports
+from .client import open_input, open_output, read_reports
 from .divergence import certify_amplification
 from .errors import InvalidParameterError, ParseError
 from .harness import SimulationConfig, results_to_json, simulate, summarize, write_results
@@ -24,6 +25,18 @@ from .harness import SimulationConfig, results_to_json, simulate, summarize, wri
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
+
+
+def _print_json(value):
+    """Print strict JSON: a non-finite float (an overflowed bound) prints as
+    null, and NaN or Infinity can never reach the output."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        return v
+    print(json.dumps(finite(value), sort_keys=True, allow_nan=False))
 
 
 def _cmd_simulate(args):
@@ -66,7 +79,7 @@ def _cmd_bound(args):
         group = amplify_group(args.eps0, args.group, args.delta)
         payload["group"] = {"size": args.group,
                             "epsilon_central": group.epsilon_central}
-    print(json.dumps(payload, sort_keys=True))
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -94,14 +107,14 @@ def _cmd_verify(args):
     all_passed = True
     for n, eps0, delta in _verify_points(args):
         record = certify_amplification(n, eps0, delta)
-        print(json.dumps(record.to_json_dict(), sort_keys=True))
+        _print_json(record.to_json_dict())
         all_passed = all_passed and record.passed
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_cover(args):
     nodes = dyadic_cover(args.t, args.d)
-    print(json.dumps([[h, j] for h, j in nodes]))
+    _print_json([[h, j] for h, j in nodes])
     return EXIT_OK
 
 
@@ -123,11 +136,11 @@ def _read_truth(path, d):
 
 
 def _cmd_estimate(args):
-    h, t, u = read_reports(args.reports)
+    h, t, u = read_reports(args.reports, args.d)
     tree = accumulate_arrays(h, t, u, args.d)
     estimates = estimate_marginals(tree, args.epsilon, args.k, args.d)
     truth = _read_truth(args.truth, args.d) if args.truth else None
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    out = open_output(args.output) if args.output else sys.stdout
     try:
         if truth is None:
             out.write("t,f_tilde\n")

@@ -280,7 +280,7 @@ INT64_MAX = 2 ** 63 - 1
 def write_report_arrays(path, h, t, u):
     """Write reports held as parallel arrays as JSON lines with integer
     fields h, t, u; the anonymized stream carries no client identifier."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for i in range(len(h)):
             row = {"h": int(h[i]), "t": int(t[i]), "u": int(u[i])}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -293,6 +293,15 @@ def open_input(path):
         return open(path, "r", encoding="utf-8", errors="replace")
     except OSError as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def open_output(path):
+    """Open a text output file for writing; one that cannot be created
+    raises InvalidParameterError naming the path."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def read_json_lines(path):
@@ -310,13 +319,16 @@ def read_json_lines(path):
             yield lineno, value
 
 
-def read_reports(path):
+def read_reports(path, d=None):
     """Read a JSON-lines report stream into (h, t, u) arrays.
 
     Every row must be an object whose h and t are positive integers and
-    whose u is -1 or +1; floats, booleans and strings are refused. Raises
-    ParseError with the 1-based line number on the first bad row.
+    whose u is -1 or +1; floats, booleans and strings are refused. Given the
+    horizon d, a row must also address a node of its tree: h <= log2(d) + 1
+    and t <= d. Raises ParseError with the 1-based line number on the first
+    bad row.
     """
+    levels = None if d is None else level_count(d)
     hs, ts, us = [], [], []
     for lineno, row in read_json_lines(path):
         try:
@@ -327,6 +339,9 @@ def read_reports(path):
             raise ParseError("expected integer fields h, t, u", lineno)
         if not (0 < h <= INT64_MAX and 0 < t <= INT64_MAX):
             raise ParseError(f"h and t must be positive integers, got h={h}, t={t}", lineno)
+        if levels is not None and (h > levels or t > d):
+            raise ParseError(f"report (h={h}, t={t}) outside the tree over horizon {d}",
+                             lineno)
         if u != 1 and u != -1:
             raise ParseError(f"report value must be -1 or +1, got {u}", lineno)
         hs.append(h)

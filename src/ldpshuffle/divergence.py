@@ -6,8 +6,20 @@ exact convolution of two binomials. This module computes those
 distributions, scans every adjacent pair for the worst hockey-stick
 divergence, and checks the closed-form accountant against the result.
 
-The scan is O(n^3) overall, so the oracle is capped at n <= 10000; a full
-certification at n = 5000 is well under a minute.
+The scan is O(n^2). With p = e^e0/(1+e^e0), q = 1-p and R_m the count pmf of
+n-1 reports holding m ones, the pair (m, m+1) is P_m = p R_m(x) + q R_m(x-1)
+against P_{m+1} = q R_m(x) + p R_m(x-1). Its forward sum
+sum_x max(a R_m(x) - b R_m(x-1), 0), with a = p - e^eps q and
+b = e^eps p - q, is positive only where R_m rises, so only the prefix up to
+floor(mean) + 1 is summed. The backward sum of pair m is the forward sum of
+pair n-1-m by bit-flip symmetry. R_{m+1} follows from P_{m+1} by solving the
+two-tap system p R(x) + q R(x-1) = P(x) left to right: on the rising side an
+error carried from x-1 shrinks by (q/p) R(x-1)/R(x) < e^-e0, and rounding
+junk in the far right tail never flows left. Every 256 steps, and at the
+last m, R_m is recomputed exactly; a recurrence that drifted past 1e-9
+relative on the summed prefix raises ArithmeticError. At eps >= e0
+every delta is exactly zero, since P_m/P_{m+1} <= p/q = e^e0. The oracle is
+capped at n <= 10000.
 """
 
 import math
@@ -17,18 +29,29 @@ import numpy as np
 from scipy.special import gammaln
 
 from .amplification import amplify_shuffle
-from .core import PROB_TOLERANCE, hockey_stick_sum
+from .core import PROB_TOLERANCE
 from .errors import InvalidParameterError
 
 ORACLE_MAX_N = 10_000
 
+# The two-tap solve multiplies BLOCK-wide slices by one Toeplitz matrix and
+# carries between blocks with one small matrix; R_m is recomputed exactly
+# every RESYNC_STEPS steps and must agree with the recurrence to
+# RESYNC_RTOL wherever the exact value is at least RESYNC_FLOOR.
+BLOCK = 64
+RESYNC_STEPS = 256
+RESYNC_RTOL = 1e-9
+RESYNC_FLOOR = 1e-290
+
 
 def _pmf_terms(n, epsilon0):
     """Log truth and lie probabilities plus the table lgam[i] = log(i!),
-    shared by every count distribution over n reports."""
-    truth = 1.0 / (1.0 + math.exp(-epsilon0))
+    shared by every count distribution over n reports. Both logs come from
+    e^-e0, so a truth probability that rounds to 1 still has a finite lie
+    log-probability."""
+    log_norm = math.log1p(math.exp(-epsilon0))
     lgam = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
-    return math.log(truth), math.log1p(-truth), lgam
+    return -log_norm, -epsilon0 - log_norm, lgam
 
 
 def _count_pmf(n, m, log_p, log_1mp, lgam):
@@ -67,6 +90,30 @@ def shuffled_rr_count_distribution(n, m, epsilon0):
     return _count_pmf(n, int(m), *_pmf_terms(n, epsilon0))
 
 
+def _two_tap_solver(n, p, q):
+    """Return solve(f): the length-n y with p y[x] + q y[x-1] = f[x] and
+    y[-1] = 0. Each BLOCK-wide slice is one product with the Toeplitz
+    inverse of the two-tap filter; the slices' last entries are then chained
+    by one lower-triangular matrix over the blocks."""
+    blocks = -(-n // BLOCK)
+    powers = (-q / p) ** np.arange(BLOCK + 1)
+    lag = np.arange(BLOCK) - np.arange(BLOCK)[:, None]
+    within = np.where(lag >= 0, powers[np.maximum(lag, 0)] / p, 0.0)
+    carry = powers[1:]
+    block_lag = np.arange(blocks)[:, None] - np.arange(blocks)
+    across = np.where(block_lag >= 0, powers[BLOCK] ** np.maximum(block_lag, 0), 0.0)
+    padded = np.zeros(blocks * BLOCK)
+
+    def solve(f):
+        padded[:n] = f
+        y = padded.reshape(blocks, BLOCK) @ within
+        ends = across @ y[:, -1]
+        y[1:] += np.outer(ends[:-1], carry)
+        return y.ravel()[:n]
+
+    return solve
+
+
 def divergence_scan(n, epsilon0, epsilon):
     """Hockey-stick divergence between the m and m+1 count distributions,
     for every m in [0, n-1]; returns the length-n array of deltas."""
@@ -79,15 +126,36 @@ def divergence_scan(n, epsilon0, epsilon):
     if not (epsilon >= 0.0 and math.isfinite(epsilon)):
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     n = int(n)
-    terms = _pmf_terms(n, epsilon0)
-    e_eps = math.exp(epsilon)
-    deltas = np.empty(n)
-    prev = _count_pmf(n, 0, *terms)
+    forward = np.zeros(n)
+    if epsilon >= epsilon0:
+        return forward
+    log_p, log_q, lgam = _pmf_terms(n - 1, epsilon0)
+    p, q = math.exp(log_p), math.exp(log_q)
+    a = -p * math.expm1(epsilon - epsilon0)          # p - e^eps q
+    b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0)  # e^eps p - q
+    solve = _two_tap_solver(n, p, q)
+    r = _count_pmf(n - 1, 0, log_p, log_q, lgam)
     for m in range(n):
-        cur = _count_pmf(n, m + 1, *terms)
-        deltas[m] = hockey_stick_sum(prev, cur, e_eps)
-        prev = cur
-    return deltas
+        top = min(math.floor(m * p + (n - 1 - m) * q) + 1, n - 1)
+        if m:
+            pmf = q * r
+            pmf[1:] += p * r[:-1]
+            r = solve(pmf)
+            if m % RESYNC_STEPS == 0 or m == n - 1:
+                exact = _count_pmf(n - 1, m, log_p, log_q, lgam)
+                known = exact[:top + 1]
+                seen = known >= RESYNC_FLOOR
+                drift = float(np.max(np.abs(r[:top + 1][seen] - known[seen]) / known[seen]))
+                if not drift <= RESYNC_RTOL:  # also catches nan
+                    raise ArithmeticError(
+                        f"count recurrence drifted {drift!r} from the exact pmf at "
+                        f"m={m}, past tolerance {RESYNC_RTOL}")
+                r = exact
+        head = r[:top + 1]
+        terms = a * head
+        terms[1:] -= b * head[:-1]
+        forward[m] = np.maximum(terms, 0.0).sum()
+    return np.maximum(forward, forward[::-1])
 
 
 def worst_case_divergence(n, epsilon0, epsilon, return_scan=False):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregator import accumulate_arrays, estimate_marginals
-from .client import (clip_changes, is_power_of_two, level_count, read_json_lines,
-                     write_report_arrays)
+from .client import (clip_changes, is_power_of_two, level_count, open_output,
+                     read_json_lines, write_report_arrays)
 from .core import rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
@@ -324,5 +324,5 @@ def write_results(config, results, path):
     """Write results to path: CSV when it ends in .csv, JSON otherwise."""
     text = results_to_csv(config, results) if str(path).endswith(".csv") \
         else results_to_json(config, results)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(text)

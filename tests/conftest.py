@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 
+from ldpshuffle.core import hockey_stick_sum
+from ldpshuffle.divergence import _count_pmf, _pmf_terms
 from ldpshuffle.randomizer import LocalRandomizer
 
 
@@ -58,3 +60,17 @@ class ScriptedStream:
     def exhausted(self):
         return not self._uniforms and not self._ints
 
+
+
+def reference_divergence_scan(n, epsilon0, epsilon):
+    """O(n^3) reference for `divergence.divergence_scan`: a fresh count pmf
+    for every m and the full two-sided hockey-stick sum of each pair."""
+    terms = _pmf_terms(n, epsilon0)
+    e_eps = math.exp(epsilon)
+    deltas = np.empty(n)
+    prev = _count_pmf(n, 0, *terms)
+    for m in range(n):
+        cur = _count_pmf(n, m + 1, *terms)
+        deltas[m] = hockey_stick_sum(prev, cur, e_eps)
+        prev = cur
+    return deltas

@@ -8,6 +8,13 @@ from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.divergence import CertificationRecord
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -44,9 +51,11 @@ class TestBound:
         code, out, _ = _run(capsys, ["bound", "--eps0", "400", "--n", "1000",
                                      "--delta", "1e-6"])
         assert code == 0
-        payload = json.loads(out)
+        payload = _strict_json(out)
         assert payload["regime"] == "no-amplification"
         assert payload["epsilon_central"] == 400.0
+        assert payload["epsilon_1"] is None
+        assert payload["bounds"] == {"general": None}
 
     def test_out_of_regime_group_exits_2(self, capsys):
         code, _, err = _run(capsys, ["bound", "--eps0", "0.6", "--n", "10000",
@@ -63,6 +72,15 @@ class TestVerifyAmplification:
         record = json.loads(out)
         assert record["passed"] is True
         assert record["exact_delta"] <= 1e-4
+
+    @pytest.mark.parametrize("eps0", ["40", "800"])
+    def test_huge_local_budget_certifies_exactly(self, capsys, eps0):
+        code, out, _ = _run(capsys, ["verify-amplification", "--n", "100",
+                                     "--eps0", eps0, "--delta", "1e-4"])
+        assert code == 0
+        record = _strict_json(out)
+        assert record["exact_delta"] == 0.0
+        assert record["passed"] is True
 
     def test_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
@@ -147,6 +165,16 @@ class TestSimulateAndEstimate:
         assert int(fields[0]) == 3 and int(fields[2]) == 500
         assert abs(float(fields[1]) - 500) == pytest.approx(float(fields[3]))
 
+    @pytest.mark.parametrize("flag", ["--output", "--reports-path"])
+    def test_simulate_unwritable_path_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "out.json"
+        code, _, err = _run(capsys, [
+            "simulate", "--n", "20", "--d", "4", "--k", "1", "--epsilon", "1.0",
+            flag, str(path),
+        ])
+        assert code == 2
+        assert f"cannot write {path}" in err
+
     def test_simulate_invalid_params_exit_2(self, capsys):
         code, _, err = _run(capsys, [
             "simulate", "--n", "10", "--d", "6", "--k", "1", "--epsilon", "1.0",
@@ -174,6 +202,22 @@ class TestEstimateBadInput:
         code, _, err = self._estimate(capsys, reports)
         assert code == 2
         assert "line 2" in err
+
+    def test_row_outside_tree_names_line(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n{"h": 9, "t": 256, "u": 1}\n')
+        code, _, err = self._estimate(capsys, reports)
+        assert code == 2
+        assert "line 2" in err
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        path = tmp_path / "missing" / "x.csv"
+        code, _, err = _run(capsys, ["estimate", "--reports", str(reports), "--d", "4",
+                                     "--epsilon", "1.0", "--k", "1", "--output", str(path)])
+        assert code == 2
+        assert f"cannot write {path}" in err
 
     def test_non_numeric_truth_names_line(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"

@@ -290,9 +290,24 @@ class TestReportIo:
             read_reports(path)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("row", ['{"h": 4, "t": 4, "u": 1}', '{"h": 1, "t": 5, "u": 1}',
+                                     '{"h": 9, "t": 256, "u": 1}'])
+    def test_rows_outside_the_tree_rejected_given_horizon(self, tmp_path, row):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"h": 3, "t": 4, "u": 1}\n' + row + "\n")
+        assert len(read_reports(path)[0]) == 2  # without a horizon nothing bounds h, t
+        with pytest.raises(ParseError) as err:
+            read_reports(path, 4)
+        assert err.value.line_number == 2
+
     def test_missing_file_is_invalid_parameter(self, tmp_path):
         with pytest.raises(InvalidParameterError, match="cannot read"):
             read_reports(tmp_path / "missing.jsonl")
+
+    def test_unwritable_path_is_invalid_parameter(self, tmp_path):
+        path = tmp_path / "missing" / "reports.jsonl"
+        with pytest.raises(InvalidParameterError, match="cannot write .*reports.jsonl"):
+            write_report_arrays(path, [1], [1], [1])
 
 
 # JSON values of the kinds a corrupt line can hold. Rows are drawn as report

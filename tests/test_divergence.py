@@ -35,6 +35,15 @@ class TestCountDistribution:
             assert abs(float(probs.sum()) - 1.0) <= 1e-9
             assert np.all(probs >= 0.0)
 
+    def test_huge_local_budget(self):
+        # the truth probability rounds to 1; the lie probability must not
+        probs = shuffled_rr_count_distribution(5, 2, 40.0)
+        assert np.all(np.isfinite(probs))
+        assert probs[2] == pytest.approx(1.0, abs=1e-15)
+        # one of the two ones lies, or one of the three zeros does
+        assert probs[1] == pytest.approx(2 * math.exp(-40.0), rel=1e-12, abs=0.0)
+        assert probs[3] == pytest.approx(3 * math.exp(-40.0), rel=1e-12, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             shuffled_rr_count_distribution(5, 6, 1.0)
@@ -76,8 +85,9 @@ class TestWorstCaseDivergence:
 
     def test_pure_dp_at_local_budget(self):
         # the pointwise likelihood ratio never exceeds e^eps0, so the exact
-        # slack at eps = eps0 is zero up to float rounding
-        assert worst_case_divergence(40, 0.5, 0.5) <= 1e-15
+        # slack at eps >= eps0 is zero, and the scan returns it without rounding
+        assert worst_case_divergence(40, 0.5, 0.5) == 0.0
+        assert worst_case_divergence(40, 0.5, 0.7) == 0.0
 
     def test_monotone_in_epsilon(self):
         values = [worst_case_divergence(30, 0.8, e) for e in np.linspace(0.0, 1.2, 13)]

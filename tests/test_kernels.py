@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ldpshuffle.divergence as divergence
+from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.client import ClientState, client_update, level_count
 from ldpshuffle.core import rr_probability
 from ldpshuffle.divergence import divergence_scan, shuffled_rr_count_distribution
@@ -8,7 +14,7 @@ from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
-from conftest import ScriptedStream
+from conftest import ScriptedStream, reference_divergence_scan
 
 
 def _random_population(seed, n, d, k):
@@ -84,3 +90,83 @@ class TestDivergenceScan:
             divergence_scan(10, 0.0, 0.1)
         with pytest.raises(InvalidParameterError):
             divergence_scan(10, 0.5, -0.1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(2, 80), eps0=st.floats(0.05, 3.0),
+           eps_share=st.floats(0.0, 1.2))
+    def test_matches_reference_scan(self, n, eps0, eps_share):
+        eps = eps_share * eps0
+        scan = divergence_scan(n, eps0, eps)
+        ref = reference_divergence_scan(n, eps0, eps)
+        # the reference forms P - e^eps Q directly and so loses about
+        # 1/(1 - e^(eps - e0)) in relative precision as eps nears e0; the
+        # high-precision test below checks the scan itself at such a point
+        rtol = 1e-9 + 1e-13 / max(-math.expm1(eps - eps0), 1e-13)
+        large = ref >= 1e-12
+        assert np.all(np.abs(scan - ref)[large] <= rtol * ref[large])
+        assert np.all(np.abs(scan - ref)[~large] <= 1e-14)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_worst_pair_matches_reference_at_scale(self, n):
+        claimed = amplify_shuffle(0.5, n, 1e-4).epsilon_central
+        for eps in (0.05, claimed):
+            scan = divergence_scan(n, 0.5, eps)
+            ref = reference_divergence_scan(n, 0.5, eps)
+            assert scan.max() == pytest.approx(ref.max(), rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("n,eps0,eps", [(300, 0.25, None), (28, 1.0, 0.99999)])
+    def test_closer_than_reference_to_high_precision_truth(self, n, eps0, eps):
+        # eps None is the accountant's claim; 0.99999 e0 is where the
+        # reference's cancellation is worst
+        mpmath = pytest.importorskip("mpmath")
+        if eps is None:
+            eps = amplify_shuffle(eps0, n, 1e-4).epsilon_central
+        scan = divergence_scan(n, eps0, eps)
+        ref = reference_divergence_scan(n, eps0, eps)
+        with mpmath.workdps(60):
+            p = mpmath.e ** eps0 / (1 + mpmath.e ** eps0)
+            q = 1 - p
+            e_eps = mpmath.e ** mpmath.mpf(eps)
+
+            def pmf(m):
+                ones = [mpmath.binomial(m, j) * p ** j * q ** (m - j) for j in range(m + 1)]
+                zeros = [mpmath.binomial(n - m, i) * q ** i * p ** (n - m - i)
+                         for i in range(n - m + 1)]
+                out = [mpmath.mpf(0)] * (n + 1)
+                for j, a in enumerate(ones):
+                    for i, b in enumerate(zeros):
+                        out[i + j] += a * b
+                return out
+
+            pmfs = [pmf(m) for m in range(4)]
+            for m in (0, 1, 2):
+                pairs = list(zip(pmfs[m], pmfs[m + 1]))
+                truth = max(sum(max(x - e_eps * y, 0) for x, y in pairs),
+                            sum(max(y - e_eps * x, 0) for x, y in pairs))
+                scan_err = float(abs(scan[m] - truth) / truth)
+                ref_err = float(abs(ref[m] - truth) / truth)
+                assert scan_err <= 1e-9
+                assert scan_err <= ref_err
+
+    def test_self_check_catches_drift(self, monkeypatch):
+        # a recurrence that drifts 1e-6 relative must fail the exact resync
+        solver = divergence._two_tap_solver
+
+        def drifting(n, p, q):
+            solve = solver(n, p, q)
+            return lambda f: solve(f) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(divergence, "_two_tap_solver", drifting)
+        with pytest.raises(ArithmeticError):
+            divergence_scan(300, 0.5, 0.05)
+
+    def test_self_check_tolerance_is_enforced(self, monkeypatch):
+        # with no tolerance, ordinary rounding in the recurrence counts as drift
+        monkeypatch.setattr(divergence, "RESYNC_RTOL", 0.0)
+        with pytest.raises(ArithmeticError):
+            divergence_scan(300, 0.5, 0.05)
+
+    def test_large_local_budget_is_deterministic_count(self):
+        # at e0 = 800 the lie probability underflows to 0, so the count is the
+        # number of ones and adjacent pairs are disjoint point masses
+        assert divergence_scan(20, 800.0, 1.0) == pytest.approx(np.ones(20), abs=0.0)
