@@ -79,16 +79,20 @@ def accumulate_arrays(h, t, u, d):
     tree = SumTree(d)
     if len(h) == 0:
         return tree
-    if np.any((h < 1) | (h > tree.levels)):
+    if h.min() < 1 or h.max() > tree.levels:
         raise MalformedReportError("report level outside the tree")
-    if np.any((t < 1) | (t > tree.d)):
+    if t.min() < 1 or t.max() > tree.d:
         raise MalformedReportError("report timestep outside the horizon")
-    if np.any(t % (1 << (h - 1)) != 0):
+    shift = h - 1
+    if np.any(t & ((1 << shift) - 1)):
         raise MalformedReportError("report timestep not divisible by its level period")
-    if np.any((u != 1) & (u != -1)):
+    if u.min() < -1 or u.max() > 1 or not u.all():
         raise MalformedReportError("report values must be -1 or +1")
-    idx = tree._offsets[h - 1] + (t >> (h - 1)) - 1
-    np.add.at(tree.values, idx, u)
+    # count every node's -1 and +1 reports in one integer bincount over
+    # (node, sign) cells; the node sum is their difference
+    signed = 2 * (tree._offsets[shift] + (t >> shift) - 1) + (u > 0)
+    counts = np.bincount(signed, minlength=2 * len(tree.values)).reshape(-1, 2)
+    tree.values += counts[:, 1] - counts[:, 0]
     return tree
 
 
@@ -168,10 +172,11 @@ def estimate_marginals(tree, epsilon, k, d):
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidParameterError(f"change budget must be a positive integer, got {k}")
     weight = scale_factor(epsilon) * int(k) * level_count(d)
-    estimates = np.empty(d, dtype=np.float64)
-    for t in range(1, d + 1):
-        total = 0
-        for h, j in dyadic_cover(t, d):
-            total += tree.values[tree._index(h, j)]
-        estimates[t - 1] = weight * total
-    return estimates
+    # the prefix cover of t holds the level-h node t >> (h-1) exactly when
+    # bit h-1 of t is set (see dyadic_cover)
+    t = np.arange(1, d + 1, dtype=np.int64)
+    total = np.zeros(d, dtype=np.int64)
+    for h in range(1, tree.levels + 1):
+        j = t >> (h - 1)
+        total += np.where(j & 1, tree.level(h)[np.maximum(j, 1) - 1], 0)
+    return weight * total

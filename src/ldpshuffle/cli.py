@@ -47,6 +47,11 @@ def _cmd_simulate(args):
         step_time=args.step_time, input_path=args.input_path,
         reports_path=args.reports_path, allow_large=args.allow_large,
     )
+    config.validate()
+    # an unwritable output path fails before any trial runs
+    for path in (args.output, args.reports_path):
+        if path:
+            open_output(path).close()
     results = simulate(config)
     if args.output:
         write_results(config, results, args.output)

@@ -42,6 +42,8 @@ BLOCK = 64
 RESYNC_STEPS = 256
 RESYNC_RTOL = 1e-9
 RESYNC_FLOOR = 1e-290
+# Above this epsilon the scan never forms e^eps (it overflows past ~709.78).
+EXP_SAFE = 700.0
 
 
 def _pmf_terms(n, epsilon0):
@@ -132,7 +134,12 @@ def divergence_scan(n, epsilon0, epsilon):
     log_p, log_q, lgam = _pmf_terms(n - 1, epsilon0)
     p, q = math.exp(log_p), math.exp(log_q)
     a = -p * math.expm1(epsilon - epsilon0)          # p - e^eps q
-    b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0)  # e^eps p - q
+    if epsilon <= EXP_SAFE:
+        b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0)  # e^eps p - q
+    else:
+        # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as
+        # its log and only its products with R, which are small, are formed
+        log_b = epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
     solve = _two_tap_solver(n, p, q)
     r = _count_pmf(n - 1, 0, log_p, log_q, lgam)
     for m in range(n):
@@ -153,7 +160,11 @@ def divergence_scan(n, epsilon0, epsilon):
                 r = exact
         head = r[:top + 1]
         terms = a * head
-        terms[1:] -= b * head[:-1]
+        if epsilon <= EXP_SAFE:
+            terms[1:] -= b * head[:-1]
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                terms[1:] -= np.exp(log_b + np.log(np.maximum(head[:-1], 0.0)))
         forward[m] = np.maximum(terms, 0.0).sum()
     return np.maximum(forward, forward[::-1])
 

@@ -3,11 +3,14 @@ client -> (optional shuffle) -> server pipeline, measured against the
 closed-form error bound.
 
 Reproducibility contract: every trial draws from its own counter-based
-stream keyed by (seed, trial), consumed in a fixed order (input generation,
-per-client change/level draws, the report-coin matrix, then the optional
-post-shuffle permutation). Client i's randomness is row i of the bulk
-draws, so results are independent of how the work is scheduled, and two
-runs with the same config are bit-identical.
+stream keyed by (seed, trial), consumed in a fixed order: input generation
+(k integer draws over all clients for the random-changes model), the
+per-client change index, the per-client level, one report coin per
+emitted report in client-major order, and last the post-shuffle
+permutation, drawn only when the trial-0 stream is written out. Coins are
+drawn BLOCK clients at a time, and a Philox stream yields the same values
+in chunks as in one draw, so results do not depend on BLOCK; two runs with
+the same config are bit-identical.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregator import accumulate_arrays, estimate_marginals
+from .aggregator import SumTree, accumulate_arrays, estimate_marginals
 from .client import (clip_changes, is_power_of_two, level_count, open_output,
                      read_json_lines, write_report_arrays)
 from .core import rr_probability, scale_factor
@@ -31,6 +34,10 @@ SHUFFLE_MODES = ("none", "post-shuffle")
 
 # refuse accidental huge runs; override with allow_large
 RESOURCE_GUARD_CELLS = 10 ** 9
+
+# clients per coin draw and emission pass: a trial holds O(BLOCK * d)
+# reports at a time. Results do not depend on it (see the module docstring).
+BLOCK = 512
 
 
 def _is_count(value):
@@ -113,13 +120,17 @@ def theorem_error_bound(n, d, k, epsilon, beta):
 
 
 def read_change_vectors(path, n, d, k):
-    """Read JSON-lines rows {"x": [...]} into an (n, d) change matrix.
+    """Read JSON-lines rows {"x": [...]} into padded (n, k) change lists.
 
-    Rows beyond the change budget are clipped; returns (matrix, number of
-    clipped rows). Malformed rows raise ParseError with their line number.
+    Returns (times, values, number of clipped rows): row i holds the
+    1-based times and the values of client i's changes in time order,
+    padded with zeros. Rows beyond the change budget keep their first k
+    changes. Malformed rows raise ParseError with their line number.
     """
-    rows = []
+    times = np.zeros((n, k), dtype=np.int64)
+    values = np.zeros((n, k), dtype=np.int64)
     clipped = 0
+    rows = 0
     for lineno, row in read_json_lines(path):
         if not isinstance(row, dict) or "x" not in row:
             raise ParseError('expected an object with an "x" array', lineno)
@@ -128,21 +139,39 @@ def read_change_vectors(path, n, d, k):
             raise ParseError(f'"x" must be a list of length {d}', lineno)
         if any(type(v) is not int or v not in (-1, 0, 1) for v in x):
             raise ParseError('"x" entries must be integers in {-1, 0, 1}', lineno)
-        x = np.asarray(x, dtype=np.int8)
+        x = np.asarray(x, dtype=np.int64)
         if np.count_nonzero(x) > k:
             x = clip_changes(x, k)
             clipped += 1
-        rows.append(x)
-    if len(rows) != n:
-        raise ParseError(f"expected {n} rows, found {len(rows)}")
-    return np.vstack(rows), clipped
+        if rows < n:
+            cols = np.flatnonzero(x)
+            times[rows, :len(cols)] = cols + 1
+            values[rows, :len(cols)] = x[cols]
+        rows += 1
+    if rows != n:
+        raise ParseError(f"expected {n} rows, found {rows}")
+    return times, values, clipped
+
+
+def _floyd_subsets(n, d, k, rng):
+    """One uniform k-subset of [0, d) per row, by Floyd's algorithm run on
+    all n rows at once: k integer draws over the whole population."""
+    cols = np.empty((n, k), dtype=np.int64)
+    for i, j in enumerate(range(d - k, d)):
+        pick = rng.integers(0, j + 1, size=n)
+        taken = (cols[:, :i] == pick[:, None]).any(axis=1)
+        cols[:, i] = np.where(taken, j, pick)
+    return cols
 
 
 def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
-    """Synthesize an (n, d) change matrix under one of the input models.
+    """Synthesize every client's changes under one of the input models.
 
-    Every row keeps at most k changes and a boolean state trajectory.
-    Returns (matrix, clipped row count); only the file model can clip.
+    Returns (times, values, clipped): padded (n, k) arrays holding each
+    client's change times (1-based) and values in time order, zeros past
+    its last change, and the number of clipped rows (only the file model
+    can clip). Every row keeps at most k changes and a boolean state
+    trajectory.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidParameterError(f"need n >= 1 clients, got {n}")
@@ -152,32 +181,27 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
         raise InvalidParameterError(f"change budget must be in [1, {d}], got {k}")
 
     n, d, k = int(n), int(d), int(k)
-    signs = np.where(np.arange(k) % 2 == 0, 1, -1).astype(np.int8)
+    signs = np.where(np.arange(k) % 2 == 0, 1, -1)
 
     if input_model == "worst-case-sparse":
         # every client changes at the same k evenly spaced timesteps,
         # starting with +1, so whole stretches carry marginal n
-        times = (np.arange(k) * d) // k
-        x = np.zeros((n, d), dtype=np.int8)
-        x[:, times] = signs
-        return x, 0
+        times = (np.arange(k) * d) // k + 1
+        return np.tile(times, (n, 1)), np.tile(signs, (n, 1)), 0
 
     if input_model == "random-changes":
-        scores = rng.uniform(size=(n, d))
-        cols = np.argpartition(scores, k - 1, axis=1)[:, :k] if k < d \
-            else np.tile(np.arange(d), (n, 1))
-        cols = np.sort(cols, axis=1)
-        x = np.zeros((n, d), dtype=np.int8)
-        x[np.repeat(np.arange(n), k), cols.ravel()] = np.tile(signs, n)
-        return x, 0
+        times = np.sort(_floyd_subsets(n, d, k, rng), axis=1) + 1
+        return times, np.tile(signs, (n, 1)), 0
 
     if input_model == "step-function":
         t0 = max(1, d // 2) if step_time is None else int(step_time)
         if not 1 <= t0 <= d:
             raise InvalidParameterError(f"step time must be in [1, {d}], got {t0}")
-        x = np.zeros((n, d), dtype=np.int8)
-        x[:, t0 - 1] = 1
-        return x, 0
+        times = np.zeros((n, k), dtype=np.int64)
+        values = np.zeros((n, k), dtype=np.int64)
+        times[:, 0] = t0
+        values[:, 0] = 1
+        return times, values, 0
 
     if input_model == "file":
         if not input_path:
@@ -190,36 +214,52 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
 
 
 def run_trial(config, trial):
-    """Run one seeded trial; returns (estimates, truth, reports, clipped)."""
+    """Run one seeded trial; returns (estimates, truth, reports, clipped).
+
+    Clients are processed BLOCK at a time, each block's reports folded into
+    the tree and dropped. reports is the trial's (h, t, u) stream, permuted
+    under post-shuffle, for trial 0 when config.reports_path is set, and
+    None otherwise: the estimates do not depend on report order.
+    """
     stream = RandomnessStream(config.seed, trial)
-    x, clipped = generate_inputs(config.n, config.d, config.k, config.input_model,
-                                 stream, step_time=config.step_time,
-                                 input_path=config.input_path)
-    truth = np.cumsum(x.sum(axis=0, dtype=np.int64))
+    times, values, clipped = generate_inputs(config.n, config.d, config.k,
+                                             config.input_model, stream,
+                                             step_time=config.step_time,
+                                             input_path=config.input_path)
+    span = config.d + 1
+    truth = np.cumsum(np.bincount(times[values > 0], minlength=span)
+                      - np.bincount(times[values < 0], minlength=span))[1:]
 
-    levels_total = level_count(config.d)
-    target = stream.integers(1, config.k + 1, size=config.n).astype(np.int64)
-    levels = stream.integers(1, levels_total + 1, size=config.n).astype(np.int64)
-
-    # locate each client's sampled change: first timestep where the running
-    # nonzero count hits the target
-    nonzero_count = np.cumsum(np.abs(x), axis=1)
-    hit = (nonzero_count == target[:, None]) & (x != 0)
-    has_signal = hit.any(axis=1)
-    signal_t = np.where(has_signal, hit.argmax(axis=1) + 1, 0).astype(np.int64)
+    target = stream.integers(1, config.k + 1, size=config.n)
+    levels = stream.integers(1, level_count(config.d) + 1, size=config.n)
+    # the sampled change is entry target-1 of the client's list; a padding
+    # entry (time 0) means the client has no change to report
     rows = np.arange(config.n)
-    signal_v = np.where(has_signal, x[rows, np.maximum(signal_t - 1, 0)], 0).astype(np.int64)
+    signal_t = times[rows, target - 1]
+    signal_v = values[rows, target - 1]
 
-    coins = stream.uniform(size=(config.n, config.d))
-    h, t, u = emit_reports(signal_t, signal_v, levels, coins,
-                           rr_probability(config.epsilon), config.d)
-    if config.shuffle_mode == "post-shuffle":
-        perm = stream.permutation(len(h))
-        h, t, u = h[perm], t[perm], u[perm]
-
-    tree = accumulate_arrays(h, t, u, config.d)
+    truth_prob = rr_probability(config.epsilon)
+    keep = trial == 0 and bool(config.reports_path)
+    kept = []
+    tree = SumTree(config.d)
+    for lo in range(0, config.n, BLOCK):
+        part = slice(lo, lo + BLOCK)
+        coins = stream.uniform(size=int((config.d >> (levels[part] - 1)).sum()))
+        reports = emit_reports(signal_t[part], signal_v[part], levels[part], coins,
+                               truth_prob, config.d)
+        tree.merge(accumulate_arrays(*reports, config.d))
+        if keep:
+            kept.append(reports)
     estimates = estimate_marginals(tree, config.epsilon, config.k, config.d)
-    return estimates, truth, (h, t, u), clipped
+
+    reports = None
+    if keep:
+        h, t, u = (np.concatenate(column) for column in zip(*kept))
+        if config.shuffle_mode == "post-shuffle":
+            perm = stream.permutation(len(h))
+            h, t, u = h[perm], t[perm], u[perm]
+        reports = (h, t, u)
+    return estimates, truth, reports, clipped
 
 
 def simulate(config):
@@ -234,7 +274,7 @@ def simulate(config):
         errors = np.abs(truth - estimates)
         max_err = float(errors.max())
         elapsed = time.perf_counter() - start
-        if trial == 0 and config.reports_path:
+        if reports is not None:
             write_report_arrays(config.reports_path, *reports)
         results.append(SimulationResult(
             trial=trial,

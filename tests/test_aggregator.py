@@ -60,6 +60,16 @@ class TestSumTree:
         by_arrays = accumulate_arrays(h, t, u, 16)
         assert np.array_equal(by_objects.values, by_arrays.values)
 
+    def test_array_accumulate_matches_add_at(self):
+        rng = RandomnessStream(26, 0)
+        for d, count in [(1, 0), (1, 50), (8, 0), (8, 300), (64, 5000), (1024, 20000)]:
+            h, t, u = _random_reports(rng, d, count)
+            want = SumTree(d)
+            np.add.at(want.values, want._offsets[h - 1] + (t >> (h - 1)) - 1, u)
+            got = accumulate_arrays(h, t, u, d)
+            assert got.values.dtype == np.int64
+            assert np.array_equal(got.values, want.values)
+
     def test_array_accumulate_validates(self):
         with pytest.raises(MalformedReportError):
             accumulate_arrays([2], [3], [1], 4)
@@ -123,7 +133,28 @@ class TestDyadicCover:
                 assert dyadic_cover_merge(t, d, rng=rng) == set(dyadic_cover(t, d))
 
 
+def _cover_loop_estimates(tree, epsilon, k, d):
+    """Per-t reference: sum the nodes of dyadic_cover(t, d), then rescale."""
+    weight = scale_factor(epsilon) * k * level_count(d)
+    estimates = np.empty(d, dtype=np.float64)
+    for t in range(1, d + 1):
+        total = 0
+        for h, j in dyadic_cover(t, d):
+            total += tree.values[tree._index(h, j)]
+        estimates[t - 1] = weight * total
+    return estimates
+
+
 class TestEstimateMarginals:
+    def test_bit_identical_to_cover_loop(self):
+        rng = RandomnessStream(27, 0)
+        for exp in range(13):
+            d = 1 << exp
+            tree = SumTree(d)
+            tree.values[:] = rng.integers(-10 ** 9, 10 ** 9, size=len(tree.values))
+            got = estimate_marginals(tree, 0.7, 3, d)
+            assert np.array_equal(got, _cover_loop_estimates(tree, 0.7, 3, d))
+
     def test_zero_tree_estimates_zero(self):
         est = estimate_marginals(SumTree(8), 1.0, 2, 8)
         assert np.all(est == 0.0)

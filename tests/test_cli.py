@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldpshuffle.cli as cli
+import ldpshuffle.harness as harness
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.divergence import CertificationRecord
 
@@ -166,7 +167,12 @@ class TestSimulateAndEstimate:
         assert abs(float(fields[1]) - 500) == pytest.approx(float(fields[3]))
 
     @pytest.mark.parametrize("flag", ["--output", "--reports-path"])
-    def test_simulate_unwritable_path_exits_2(self, capsys, tmp_path, flag):
+    def test_simulate_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path, flag):
+        # the path is refused before any trial runs
+        def no_trial(config, trial):
+            raise AssertionError("a trial ran before the output path was checked")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
         path = tmp_path / "missing" / "out.json"
         code, _, err = _run(capsys, [
             "simulate", "--n", "20", "--d", "4", "--k", "1", "--epsilon", "1.0",

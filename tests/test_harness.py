@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+import ldpshuffle.harness as harness
 from ldpshuffle.client import changes_to_states
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
@@ -18,47 +21,71 @@ def _write_rows(path, rows):
             fh.write(json.dumps({"x": row}) + "\n")
 
 
+def _dense(times, values, d):
+    """The (n, d) change matrix of padded change lists."""
+    x = np.zeros((len(times), d + 1), dtype=np.int64)
+    np.put_along_axis(x, times, values, axis=1)  # padding lands in column 0
+    return x[:, 1:]
+
+
 class TestGenerateInputs:
     def test_rejects_zero_budget(self):
         with pytest.raises(InvalidParameterError):
             generate_inputs(5, 8, 0, "random-changes", RandomnessStream(0, 0))
 
     def test_step_function_truth(self):
-        x, clipped = generate_inputs(5, 8, 1, "step-function",
-                                     RandomnessStream(1, 0), step_time=3)
+        times, values, clipped = generate_inputs(5, 8, 1, "step-function",
+                                                 RandomnessStream(1, 0), step_time=3)
         assert clipped == 0
-        truth = changes_to_states(x.sum(axis=0))
+        truth = changes_to_states(_dense(times, values, 8).sum(axis=0))
         assert np.array_equal(truth, [0, 0, 5, 5, 5, 5, 5, 5])
 
     def test_worst_case_sparse_shares_change_times(self):
-        x, _ = generate_inputs(7, 16, 4, "worst-case-sparse", RandomnessStream(2, 0))
+        times, values, _ = generate_inputs(7, 16, 4, "worst-case-sparse",
+                                           RandomnessStream(2, 0))
+        x = _dense(times, values, 16)
         assert np.all((x == x[0]).all(axis=1))
         assert np.count_nonzero(x[0]) == 4
         states = np.cumsum(x, axis=1)
         assert set(np.unique(states)) <= {0, 1}
 
     def test_random_changes_respect_budget(self):
-        x, _ = generate_inputs(10_000, 16, 3, "random-changes", RandomnessStream(3, 0))
-        assert x.shape == (10_000, 16)
+        times, values, _ = generate_inputs(10_000, 16, 3, "random-changes",
+                                           RandomnessStream(3, 0))
+        assert times.shape == values.shape == (10_000, 3)
+        assert np.all(np.diff(times, axis=1) > 0)  # distinct, in time order
+        x = _dense(times, values, 16)
         assert np.all(np.count_nonzero(x, axis=1) <= 3)
         states = np.cumsum(x, axis=1)
         assert set(np.unique(states)) <= {0, 1}
+
+    def test_random_changes_uniform_over_subsets(self):
+        # Floyd's sampler must give each of the C(8, 3) = 56 change sets
+        # the same probability
+        times, _, _ = generate_inputs(56_000, 8, 3, "random-changes",
+                                      RandomnessStream(6, 0))
+        masks = (1 << (times - 1)).sum(axis=1)
+        subsets = [sum(1 << c for c in combo) for combo in
+                   itertools.combinations(range(8), 3)]
+        counts = np.array([np.count_nonzero(masks == m) for m in subsets])
+        assert counts.sum() == len(masks)
+        assert chisquare(counts).pvalue > 0.001
 
     def test_file_model_round_trip(self, tmp_path):
         path = tmp_path / "inputs.jsonl"
         rows = [[0, 1, 0, -1], [1, 0, 0, 0]]
         _write_rows(path, rows)
-        x, clipped = generate_inputs(2, 4, 2, "file", RandomnessStream(4, 0),
-                                     input_path=str(path))
-        assert np.array_equal(x, rows)
+        times, values, clipped = generate_inputs(2, 4, 2, "file", RandomnessStream(4, 0),
+                                                 input_path=str(path))
+        assert np.array_equal(_dense(times, values, 4), rows)
         assert clipped == 0
 
     def test_file_model_clips_and_counts(self, tmp_path):
         path = tmp_path / "inputs.jsonl"
         _write_rows(path, [[1, -1, 1, -1]])
-        x, clipped = read_change_vectors(path, 1, 4, 2)
+        times, values, clipped = read_change_vectors(path, 1, 4, 2)
         assert clipped == 1
-        assert np.array_equal(x[0], [1, -1, 0, 0])
+        assert np.array_equal(_dense(times, values, 4)[0], [1, -1, 0, 0])
 
     def test_file_model_parse_error_line(self, tmp_path):
         path = tmp_path / "inputs.jsonl"
@@ -118,14 +145,53 @@ class TestSimulate:
         cfg.allow_large = True
         cfg.validate()  # no raise once overridden
 
-    def test_post_shuffle_preserves_estimates(self):
-        plain = self._config(shuffle_mode="none")
-        mixed = self._config(shuffle_mode="post-shuffle")
-        est_a = run_trial(plain, 0)[0]
-        est_b = run_trial(mixed, 0)[0]
+    def test_post_shuffle_preserves_estimates(self, tmp_path):
+        # the stream is permuted only when it is written out, so ask for it
+        dump = str(tmp_path / "reports.jsonl")
+        plain = self._config(shuffle_mode="none", reports_path=dump)
+        mixed = self._config(shuffle_mode="post-shuffle", reports_path=dump)
+        est_a, _, reports_a, _ = run_trial(plain, 0)
+        est_b, _, reports_b, _ = run_trial(mixed, 0)
         # same trial stream: the permutation consumes extra draws after the
         # coins, so the report multiset and hence the tree are identical
         assert np.array_equal(est_a, est_b)
+        rows_a, rows_b = np.stack(reports_a, axis=1), np.stack(reports_b, axis=1)
+        assert not np.array_equal(rows_a, rows_b)
+        for a, b in zip(np.unique(rows_a, axis=0, return_counts=True),
+                        np.unique(rows_b, axis=0, return_counts=True)):
+            assert np.array_equal(a, b)
+
+    def test_one_coin_per_report_and_no_permutation_unless_dumped(self, monkeypatch):
+        draws = []
+        uniform = RandomnessStream.uniform
+
+        def counting(stream, size=None):
+            draws.append(size)
+            return uniform(stream, size)
+
+        def refuse(stream, n):
+            raise AssertionError("permutation drawn for a stream nobody writes")
+
+        monkeypatch.setattr(RandomnessStream, "uniform", counting)
+        monkeypatch.setattr(RandomnessStream, "permutation", refuse)
+        cfg = self._config(shuffle_mode="post-shuffle", trials=2)
+        assert run_trial(cfg, 0)[2] is None
+        dumped = self._config(trials=1, reports_path="unused.jsonl")
+        draws.clear()
+        h, _, _ = run_trial(dumped, 0)[2]
+        assert sum(draws) == len(h)
+
+    @pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
+        cfg = self._config(n=300, d=16, k=3, shuffle_mode="post-shuffle",
+                           reports_path=str(tmp_path / "reports.jsonl"))
+        want = run_trial(cfg, 0)
+        monkeypatch.setattr(harness, "BLOCK", block)
+        got = run_trial(cfg, 0)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        for a, b in zip(got[2], want[2]):
+            assert np.array_equal(a, b)
 
     def test_anonymized_stream_has_no_client_field(self, tmp_path):
         path = tmp_path / "reports.jsonl"

@@ -32,23 +32,51 @@ def _random_population(seed, n, d, k):
     has = hit.any(axis=1)
     sig_t = np.where(has, hit.argmax(axis=1) + 1, 0).astype(np.int64)
     sig_v = np.where(has, x[np.arange(n), np.maximum(sig_t - 1, 0)], 0).astype(np.int64)
-    coins = rng.uniform(size=(n, d))
+    coins = rng.uniform(size=int((d >> (levels - 1)).sum()))
     return x, target, levels, sig_t, sig_v, coins
+
+
+def _high_precision_errors(n, eps0, eps, ms, *scans):
+    """Relative error of each scan against a 60-digit evaluation of the
+    divergence of the pair (m, m+1), for every m in ms; one list per scan."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        q = 1 / (1 + mpmath.e ** mpmath.mpf(eps0))
+        p = 1 - q
+        e_eps = mpmath.e ** mpmath.mpf(eps)
+
+        def pmf(m):
+            ones = [mpmath.binomial(m, j) * p ** j * q ** (m - j) for j in range(m + 1)]
+            zeros = [mpmath.binomial(n - m, i) * q ** i * p ** (n - m - i)
+                     for i in range(n - m + 1)]
+            out = [mpmath.mpf(0)] * (n + 1)
+            for j, a in enumerate(ones):
+                for i, b in enumerate(zeros):
+                    out[i + j] += a * b
+            return out
+
+        pmfs = {m: pmf(m) for m in set(ms) | {m + 1 for m in ms}}
+        errors = [[] for _ in scans]
+        for m in ms:
+            pairs = list(zip(pmfs[m], pmfs[m + 1]))
+            truth = max(sum(max(x - e_eps * y, 0) for x, y in pairs),
+                        sum(max(y - e_eps * x, 0) for x, y in pairs))
+            for out, scan in zip(errors, scans):
+                out.append(float(abs(scan[m] - truth) / truth))
+    return errors
 
 
 class TestEmitReports:
     def test_matches_sequential_client(self):
-        # feed the reference state machine the same coins the kernel reads,
-        # in the order it consumes them; outputs must agree exactly
+        # feed the reference state machine its own slice of the flat coin
+        # vector, one coin per report; outputs must agree exactly
         d, k, eps = 16, 3, 1.3
         x, target, levels, sig_t, sig_v, coins = _random_population(7, 120, d, k)
         h, t, u = emit_reports(sig_t, sig_v, levels, coins, rr_probability(eps), d)
         pos = 0
         for i in range(len(levels)):
             state = ClientState(d, k, int(target[i]), int(levels[i]))
-            period = state.report_period
-            stream = ScriptedStream(
-                uniforms=[coins[i, tt - 1] for tt in range(period, d + 1, period)])
+            stream = ScriptedStream(uniforms=coins[pos: pos + state.reports_per_run])
             for tt in range(1, d + 1):
                 report = client_update(state, tt, int(x[i, tt - 1]), eps, stream)
                 if report is not None:
@@ -67,9 +95,11 @@ class TestEmitReports:
         assert set(np.unique(u)) <= {-1, 1}
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            emit_reports(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-                         np.ones(3, dtype=np.int64), np.zeros((3, 5)), 0.7, 4)
+        # three level-1 clients over d = 4 emit exactly 12 reports
+        for shape in [(11,), (13,), (3, 4)]:
+            with pytest.raises(InvalidParameterError):
+                emit_reports(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
+                             np.ones(3, dtype=np.int64), np.zeros(shape), 0.7, 4)
 
 
 class TestDivergenceScan:
@@ -118,35 +148,23 @@ class TestDivergenceScan:
     def test_closer_than_reference_to_high_precision_truth(self, n, eps0, eps):
         # eps None is the accountant's claim; 0.99999 e0 is where the
         # reference's cancellation is worst
-        mpmath = pytest.importorskip("mpmath")
         if eps is None:
             eps = amplify_shuffle(eps0, n, 1e-4).epsilon_central
         scan = divergence_scan(n, eps0, eps)
         ref = reference_divergence_scan(n, eps0, eps)
-        with mpmath.workdps(60):
-            p = mpmath.e ** eps0 / (1 + mpmath.e ** eps0)
-            q = 1 - p
-            e_eps = mpmath.e ** mpmath.mpf(eps)
+        scan_errs, ref_errs = _high_precision_errors(n, eps0, eps, (0, 1, 2), scan, ref)
+        for scan_err, ref_err in zip(scan_errs, ref_errs):
+            assert scan_err <= 1e-9
+            assert scan_err <= ref_err
 
-            def pmf(m):
-                ones = [mpmath.binomial(m, j) * p ** j * q ** (m - j) for j in range(m + 1)]
-                zeros = [mpmath.binomial(n - m, i) * q ** i * p ** (n - m - i)
-                         for i in range(n - m + 1)]
-                out = [mpmath.mpf(0)] * (n + 1)
-                for j, a in enumerate(ones):
-                    for i, b in enumerate(zeros):
-                        out[i + j] += a * b
-                return out
-
-            pmfs = [pmf(m) for m in range(4)]
-            for m in (0, 1, 2):
-                pairs = list(zip(pmfs[m], pmfs[m + 1]))
-                truth = max(sum(max(x - e_eps * y, 0) for x, y in pairs),
-                            sum(max(y - e_eps * x, 0) for x, y in pairs))
-                scan_err = float(abs(scan[m] - truth) / truth)
-                ref_err = float(abs(ref[m] - truth) / truth)
-                assert scan_err <= 1e-9
-                assert scan_err <= ref_err
+    @pytest.mark.parametrize("eps0,eps", [(800.0, 750.0), (720.0, 715.0)])
+    def test_epsilon_past_float_exp_range(self, eps0, eps):
+        # e^eps overflows a float here, so the scan must never form it
+        scan = divergence_scan(10, eps0, eps)
+        assert np.all(np.isfinite(scan))
+        assert np.all((scan >= 0.0) & (scan <= 1.0))
+        (errors,) = _high_precision_errors(10, eps0, eps, range(10), scan)
+        assert max(errors) <= 1e-9
 
     def test_self_check_catches_drift(self, monkeypatch):
         # a recurrence that drifts 1e-6 relative must fail the exact resync
