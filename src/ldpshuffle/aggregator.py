@@ -3,8 +3,7 @@ and turn prefix covers of that tree into debiased marginal estimates."""
 
 import numpy as np
 
-from .client import is_power_of_two, level_count
-from .core import scale_factor
+from .core import check_count, level_count, scale_factor
 from .errors import InvalidParameterError, MalformedReportError
 
 
@@ -18,10 +17,8 @@ class SumTree:
     """
 
     def __init__(self, d):
-        if not is_power_of_two(d):
-            raise InvalidParameterError(f"horizon must be a power of two, got {d}")
+        self.levels = level_count(d)
         self.d = int(d)
-        self.levels = level_count(self.d)
         sizes = [self.d >> (h - 1) for h in range(1, self.levels + 1)]
         self._offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
         self.values = np.zeros(2 * self.d - 1, dtype=np.int64)
@@ -103,11 +100,8 @@ def dyadic_cover(t, d):
     contributes the level-(b+1) node starting right after the span covered
     so far. The result has popcount(t) nodes, at most log2(d).
     """
-    if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d}")
-    if not (1 <= t <= d):
-        raise InvalidParameterError(f"timestep {t} outside [1, {d}]")
-    t = int(t)
+    level_count(d)
+    t = check_count(t, "timestep", high=d)
     nodes = []
     covered = 0
     for b in range(t.bit_length() - 1, -1, -1):
@@ -127,11 +121,9 @@ def dyadic_cover_merge(t, d, rng=None):
     pair is picked at each step and check order-independence. Each node
     merges at most once, so the worklist makes a run O(t).
     """
-    if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d}")
-    if not (1 <= t <= d):
-        raise InvalidParameterError(f"timestep {t} outside [1, {d}]")
-    cover = {(1, j) for j in range(1, int(t) + 1)}
+    level_count(d)
+    t = check_count(t, "timestep", high=d)
+    cover = {(1, j) for j in range(1, t + 1)}
     worklist = list(cover)
     while worklist:
         pick = len(worklist) - 1 if rng is None else int(rng.integers(0, len(worklist)))
@@ -169,9 +161,7 @@ def estimate_marginals(tree, epsilon, k, d):
         raise InvalidParameterError("expected a SumTree")
     if tree.d != d:
         raise InvalidParameterError(f"tree horizon {tree.d} does not match d={d}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameterError(f"change budget must be a positive integer, got {k}")
-    weight = scale_factor(epsilon) * int(k) * level_count(d)
+    weight = scale_factor(epsilon) * check_count(k, "change budget k") * level_count(d)
     # the prefix cover of t holds the level-h node t >> (h-1) exactly when
     # bit h-1 of t is set (see dyadic_cover)
     t = np.arange(1, d + 1, dtype=np.int64)

@@ -7,10 +7,10 @@ guarantee is a central guarantee as-is).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .core import check_budget, check_count
 from .errors import InvalidParameterError, OutOfRegimeError
 
 REGIME_GENERAL = "general"
@@ -37,18 +37,23 @@ class AmplificationResult:
     index_restricted: bool = False
 
 
+def _check_n(n, name="n", low=2):
+    # every closed form divides by n, so n must convert to a float
+    return check_count(n, name, low=low, high=sys.float_info.max)
+
+
 def _validate(epsilon0, n, delta):
-    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
-        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidParameterError(f"need at least two reports, got n={n}")
+    """The accountant's domain; returns eps0 and n as a float and an int."""
+    epsilon0, n = check_budget(epsilon0, "epsilon0"), _check_n(n)
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
+    return epsilon0, n
 
 
 def per_step_epsilon(epsilon0, n):
     """Per-step budget 2 e^(2 eps0) (e^(eps0) - 1) / n of the swapped protocol;
     inf once e^(2 eps0) overflows, where every bound built on it is vacuous."""
+    epsilon0, n = check_budget(epsilon0, "epsilon0"), _check_n(n)
     try:
         return 2.0 * math.exp(2.0 * epsilon0) * math.expm1(epsilon0) / n
     except OverflowError:
@@ -56,7 +61,9 @@ def per_step_epsilon(epsilon0, n):
 
 
 def _general_bound(eps1, n, delta):
-    if eps1 > 700.0:  # expm1 overflow; the bound is vacuous long before this
+    # above 700 expm1 overflows, and the bound is vacuous long before; below
+    # the normal float range eps1 has underflowed and would make it too small
+    if not sys.float_info.min <= eps1 <= 700.0:
         return math.inf
     return eps1 * math.sqrt(2.0 * n * math.log(1.0 / delta)) + n * eps1 * math.expm1(eps1)
 
@@ -74,6 +81,19 @@ def _simplified_bound(epsilon0, n, delta):
     return 12.0 * epsilon0 * math.sqrt(math.log(1.0 / delta) / n)
 
 
+def _least(epsilon0, eps1, delta, bounds, index_restricted=False):
+    """The least bound capped at eps0. One below the normal float range has
+    underflowed, and 0 would claim perfect privacy, so it is refused."""
+    regime, best = min(bounds.items(), key=lambda item: item[1])
+    if best >= epsilon0:
+        return AmplificationResult(epsilon0, eps1, REGIME_NONE, delta, bounds,
+                                   index_restricted)
+    if best < sys.float_info.min:
+        raise InvalidParameterError(
+            f"the {regime} bound at eps0={epsilon0!r} underflows the float range")
+    return AmplificationResult(best, eps1, regime, delta, bounds, index_restricted)
+
+
 def amplify_shuffle(epsilon0, n, delta):
     """Central-model budget of n shuffled eps0-local reports.
 
@@ -82,18 +102,14 @@ def amplify_shuffle(epsilon0, n, delta):
     when n >= 1000, eps0 < 1/2 and delta < 1/100; returns the minimum,
     capped at eps0.
     """
-    _validate(epsilon0, n, delta)
-    n = int(n)
+    epsilon0, n = _validate(epsilon0, n, delta)
     eps1 = per_step_epsilon(epsilon0, n)
     bounds = {REGIME_GENERAL: _general_bound(eps1, n, delta)}
     if epsilon0 <= math.log(n / 4.0) / 3.0:
         bounds[REGIME_MODERATE] = _moderate_bound(epsilon0, n, delta)
     if n >= 1000 and 0.0 < epsilon0 < 0.5 and 0.0 < delta < 0.01:
         bounds[REGIME_SIMPLIFIED] = _simplified_bound(epsilon0, n, delta)
-    regime, best = min(bounds.items(), key=lambda item: item[1])
-    if best >= epsilon0:
-        return AmplificationResult(epsilon0, eps1, REGIME_NONE, delta, bounds)
-    return AmplificationResult(best, eps1, regime, delta, bounds)
+    return _least(epsilon0, eps1, delta, bounds)
 
 
 def amplify_swap(epsilon0, n, delta):
@@ -102,16 +118,10 @@ def amplify_swap(epsilon0, n, delta):
     Same general closed form as `amplify_shuffle`, without the reduced
     special-case regimes, capped at eps0.
     """
-    _validate(epsilon0, n, delta)
-    n = int(n)
+    epsilon0, n = _validate(epsilon0, n, delta)
     eps1 = per_step_epsilon(epsilon0, n)
-    bounds = {REGIME_GENERAL: _general_bound(eps1, n, delta)}
-    best = bounds[REGIME_GENERAL]
-    if best >= epsilon0:
-        return AmplificationResult(epsilon0, eps1, REGIME_NONE, delta, bounds,
-                                   index_restricted=True)
-    return AmplificationResult(best, eps1, REGIME_GENERAL, delta, bounds,
-                               index_restricted=True)
+    return _least(epsilon0, eps1, delta, {REGIME_GENERAL: _general_bound(eps1, n, delta)},
+                  index_restricted=True)
 
 
 def amplify_group(epsilon0, group_size, delta):
@@ -122,15 +132,14 @@ def amplify_group(epsilon0, group_size, delta):
     them rather than extrapolating; fall back to `amplify_shuffle` whose
     general regime is unconditional.
     """
-    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
-        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    if not (isinstance(group_size, (int, np.integer)) and group_size >= 1000):
+    epsilon0 = check_budget(epsilon0, "epsilon0")
+    group_size = _check_n(group_size, "group size", low=1)
+    if not group_size >= 1000:
         raise OutOfRegimeError(f"group bound needs |S| >= 1000, got {group_size}")
     if not epsilon0 < 0.5:
         raise OutOfRegimeError(f"group bound needs epsilon0 < 1/2, got {epsilon0}")
     if not 0.0 < delta < 0.01:
         raise OutOfRegimeError(f"group bound needs delta in (0, 1/100), got {delta}")
-    group_size = int(group_size)
     value = _simplified_bound(epsilon0, group_size, delta)
     return AmplificationResult(value, per_step_epsilon(epsilon0, group_size),
                                REGIME_SIMPLIFIED, delta,
@@ -141,14 +150,11 @@ def rdp_bound(epsilon0, n, alpha):
     """Renyi-DP budget 2 alpha e^(4 eps0) (e^(eps0) - 1)^2 / n of the
     shuffled protocol at order alpha; linear in alpha, decreasing in n.
     inf once e^(4 eps0) overflows."""
-    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
-        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidParameterError(f"need at least two reports, got n={n}")
+    epsilon0, n = check_budget(epsilon0, "epsilon0"), _check_n(n)
     if not alpha >= 1.0:
         raise InvalidParameterError(f"order must be >= 1, got {alpha}")
     try:
-        return 2.0 * alpha * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / int(n)
+        return 2.0 * alpha * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / n
     except OverflowError:
         return math.inf
 
@@ -157,8 +163,12 @@ def binary_case_bound(epsilon0, n, delta):
     """Asymptotic reference curve min(1, eps0) e^(eps0/2) sqrt(log(1/delta)/n)
     for the one-bit case, with the unknown constant set to 1.
 
-    Plot/comparison aid only; never a certified guarantee.
+    Plot/comparison aid only; never a certified guarantee. inf once
+    e^(eps0/2) overflows.
     """
-    _validate(epsilon0, n, delta)
-    return min(1.0, epsilon0) * math.exp(epsilon0 / 2.0) \
-        * math.sqrt(math.log(1.0 / delta) / int(n))
+    epsilon0, n = _validate(epsilon0, n, delta)
+    try:
+        return min(1.0, epsilon0) * math.exp(epsilon0 / 2.0) \
+            * math.sqrt(math.log(1.0 / delta) / n)
+    except OverflowError:
+        return math.inf

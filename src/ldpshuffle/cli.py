@@ -48,10 +48,11 @@ def _cmd_simulate(args):
         reports_path=args.reports_path, allow_large=args.allow_large,
     )
     config.validate()
-    # an unwritable output path fails before any trial runs
+    # an unwritable output path fails before any trial runs; append mode
+    # keeps an existing file's bytes in case a trial fails
     for path in (args.output, args.reports_path):
         if path:
-            open_output(path).close()
+            open_output(path, "a").close()
     results = simulate(config)
     if args.output:
         write_results(config, results, args.output)
@@ -92,16 +93,19 @@ def _verify_points(args):
     if args.grid:
         with open_input(args.grid) as fh:
             reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                try:
-                    n, eps0, delta = row
-                    point = int(n), float(eps0), float(delta)
-                except ValueError as exc:
-                    raise ParseError("expected a row n,eps0,delta with an integer n",
-                                     reader.line_num) from exc
-                yield point
+            try:
+                for row in reader:
+                    if not row or row[0].strip().startswith("#"):
+                        continue
+                    try:
+                        n, eps0, delta = row
+                        point = int(n), float(eps0), float(delta)
+                    except ValueError as exc:
+                        raise ParseError("expected a row n,eps0,delta with an integer n",
+                                         reader.line_num) from exc
+                    yield point
+            except csv.Error as exc:
+                raise ParseError(f"malformed CSV: {exc}", reader.line_num) from exc
     else:
         if args.n is None or args.eps0 is None or args.delta is None:
             raise InvalidParameterError("need --n, --eps0 and --delta (or --grid)")

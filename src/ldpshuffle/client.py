@@ -15,28 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import rr_probability
+from .core import check_budget, check_count, level_count, rr_probability
 from .errors import InvalidParameterError, ParseError, ProtocolError
 from .randomizer import binary_rr, uniform_sign
 
 
-def is_power_of_two(n):
-    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-            and n >= 1 and (n & (n - 1)) == 0)
-
-
 def next_power_of_two(n):
     """Smallest power of two >= n."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"need a positive integer, got {n}")
-    return 1 << (int(n) - 1).bit_length()
-
-
-def level_count(d):
-    """Number of tree levels over a horizon of d leaves: log2(d) + 1."""
-    if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d}")
-    return int(d).bit_length()
+    return 1 << (check_count(n, "n") - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -48,10 +34,8 @@ class Report:
     u: int
 
     def __post_init__(self):
-        if not (isinstance(self.level, (int, np.integer)) and self.level >= 1):
-            raise InvalidParameterError(f"level must be a positive integer, got {self.level}")
-        if not (isinstance(self.t, (int, np.integer)) and self.t >= 1):
-            raise InvalidParameterError(f"timestep must be a positive integer, got {self.t}")
+        check_count(self.level, "level")
+        check_count(self.t, "timestep")
         if self.t % (1 << (self.level - 1)) != 0:
             raise InvalidParameterError(
                 f"timestep {self.t} is not divisible by the level-{self.level} period"
@@ -99,13 +83,11 @@ def client_setup(d, k, rng):
     The change index is uniform on [1, k], the level uniform on
     [1, log2(d) + 1]; both are sampled before any data is seen.
     """
-    if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameterError(f"change budget must be a positive integer, got {k}")
-    report_change = int(rng.integers(1, int(k) + 1))
-    report_level = int(rng.integers(1, level_count(d) + 1))
-    return ClientState(int(d), int(k), report_change, report_level)
+    levels = level_count(d)
+    k = check_count(k, "change budget k")
+    report_change = int(rng.integers(1, k + 1))
+    report_level = int(rng.integers(1, levels + 1))
+    return ClientState(int(d), k, report_change, report_level)
 
 
 def client_update(state, t, x_t, epsilon, rng):
@@ -118,8 +100,7 @@ def client_update(state, t, x_t, epsilon, rng):
     """
     if x_t not in (-1, 0, 1):
         raise InvalidParameterError(f"change value must be in {{-1, 0, 1}}, got {x_t}")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be > 0, got {epsilon}")
+    check_budget(epsilon)
     if t != state.last_t + 1:
         raise ProtocolError(f"expected timestep {state.last_t + 1}, got {t}")
     if t > state.horizon:
@@ -152,7 +133,7 @@ def run_client(x, k, epsilon, rng, state=None):
     x = np.asarray(x)
     d = len(x)
     if state is None:
-        state = client_setup(d, int(k), rng)
+        state = client_setup(d, k, rng)
     reports = []
     for t in range(1, d + 1):
         r = client_update(state, t, int(x[t - 1]), epsilon, rng)
@@ -163,8 +144,7 @@ def run_client(x, k, epsilon, rng, state=None):
 
 def clip_changes(x, k):
     """Zero out every nonzero change after the k-th; first k survive intact."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameterError(f"change budget must be a positive integer, got {k}")
+    k = check_count(k, "change budget k")
     x = np.asarray(x).copy()
     nz = np.flatnonzero(x)
     if len(nz) > k:
@@ -194,8 +174,8 @@ def changes_to_states(x):
 
 def enumerate_change_sequences(d, k):
     """All change vectors of length d with <= k changes and state in {0, 1}."""
-    if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d}")
+    level_count(d)
+    k = check_count(k, "change budget k")
     out = []
 
     def extend(prefix, state, used):
@@ -225,8 +205,7 @@ def exact_transcript_distribution(x, k, epsilon):
     levels = level_count(d)
     if any(v not in (-1, 0, 1) for v in x):
         raise InvalidParameterError("change values must be in {-1, 0, 1}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameterError(f"change budget must be a positive integer, got {k}")
+    k = check_count(k, "change budget k")
     p = rr_probability(epsilon)
     change_times = [t for t in range(1, d + 1) if x[t - 1] != 0]
 
@@ -295,11 +274,11 @@ def open_input(path):
         raise InvalidParameterError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def open_output(path):
-    """Open a text output file for writing; one that cannot be created
-    raises InvalidParameterError naming the path."""
+def open_output(path, mode="w"):
+    """Open a text output file for writing ("w") or appending ("a"); one
+    that cannot be created raises InvalidParameterError naming the path."""
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
 

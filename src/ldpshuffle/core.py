@@ -3,9 +3,15 @@
 Everything here is a pure function. Formulas that touch ``e^x - 1`` or
 ``log(1 + y)`` are evaluated with expm1/log1p so the small-budget regime
 (epsilon around 1e-3) keeps full precision.
+
+The parameter domains every module shares are checked here and only here:
+`check_count` (an integer in a range), `check_budget` (a finite privacy
+budget) and `level_count` (a power-of-two horizon). Each raises
+InvalidParameterError outside its domain, for a bool and for a non-number.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +24,45 @@ from .errors import InvalidParameterError
 PROB_TOLERANCE = 1e-9
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(value, name, low=1, high=None):
+    """value as an int, if it is a Python or numpy integer (never a bool) in
+    [low, high]; high None means no upper limit."""
+    if not (_is_integer(value) and value >= low and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidParameterError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def check_budget(value, name="epsilon", zero_ok=False):
+    """value as a float, if it is a finite real (never a bool) > 0, or >= 0
+    with zero_ok."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            x = math.inf
+        if math.isfinite(x) and (x >= 0.0 if zero_ok else x > 0.0):
+            return x
+    raise InvalidParameterError(
+        f"{name} must be a finite real {'>= 0' if zero_ok else '> 0'}, got {value!r}")
+
+
+def is_power_of_two(n):
+    return _is_integer(n) and n >= 1 and (n & (n - 1)) == 0
+
+
+def level_count(d):
+    """Number of tree levels over a horizon of d leaves, log2(d) + 1; the
+    one check that d is a power of two."""
+    if not is_power_of_two(d):
+        raise InvalidParameterError(f"horizon must be a power of two, got {d!r}")
+    return int(d).bit_length()
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) differential-privacy guarantee."""
@@ -26,8 +71,7 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
+        check_budget(self.epsilon, zero_ok=True)
         if not 0.0 <= self.delta < 1.0:
             raise InvalidParameterError(f"delta must be in [0, 1), got {self.delta}")
 
@@ -49,8 +93,7 @@ def rr_probability(epsilon):
     Returns e^(eps/2) / (1 + e^(eps/2)), which is 1/2 at zero budget and
     approaches 1 as the budget grows.
     """
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = check_budget(epsilon, zero_ok=True)
     return 1.0 / (1.0 + math.exp(-epsilon / 2.0))
 
 
@@ -61,8 +104,7 @@ def scale_factor(epsilon):
     ``scale_factor(eps) * (2 * rr_probability(eps) - 1) == 1``. Diverges as
     epsilon approaches 0, hence the strict positivity requirement.
     """
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be > 0, got {epsilon}")
+    epsilon = check_budget(epsilon)
     return 1.0 + 2.0 / math.expm1(epsilon / 2.0)
 
 
@@ -72,12 +114,10 @@ def advanced_composition(epsilon, delta, k, delta_prime):
     Returns (eps', k*delta + delta') with
     eps' = eps * sqrt(2k log(1/delta')) + k * eps * (e^eps - 1).
     """
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = check_budget(epsilon, zero_ok=True)
     if not 0.0 <= delta < 1.0:
         raise InvalidParameterError(f"delta must be in [0, 1), got {delta}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameterError(f"k must be a positive integer, got {k}")
+    k = check_count(k, "k")
     if not delta_prime > 0.0:
         raise InvalidParameterError(f"delta_prime must be > 0, got {delta_prime}")
     eps_total = epsilon * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) \
@@ -95,8 +135,7 @@ def subsample_amplify(epsilon, q):
         q = q.q
     if not 0.0 < q < 0.5:
         raise InvalidParameterError(f"subsample rate must be in (0, 1/2), got {q}")
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = check_budget(epsilon, zero_ok=True)
     return math.log1p(q * math.expm1(epsilon))
 
 
@@ -122,8 +161,7 @@ def hockey_stick_delta(p, q, epsilon):
     the exact additive slack in both neighbor orders. Zero iff the pair is
     (eps, 0)-close; at eps = 0 this is the total-variation distance.
     """
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = check_budget(epsilon, zero_ok=True)
     p = _as_probability_vector(p)
     q = _as_probability_vector(q)
     if p.shape != q.shape:

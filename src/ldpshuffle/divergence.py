@@ -29,8 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .amplification import amplify_shuffle
-from .core import PROB_TOLERANCE
-from .errors import InvalidParameterError
+from .core import PROB_TOLERANCE, check_budget, check_count
 
 ORACLE_MAX_N = 10_000
 
@@ -80,16 +79,10 @@ def shuffled_rr_count_distribution(n, m, epsilon0):
     survive; the convolved vector is checked to sum to 1 within 1e-9 and
     renormalized.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    if n > ORACLE_MAX_N:
-        raise InvalidParameterError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    if not (isinstance(m, (int, np.integer)) and 0 <= m <= n):
-        raise InvalidParameterError(f"ones count must be in [0, {n}], got {m}")
-    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
-        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    n = int(n)
-    return _count_pmf(n, int(m), *_pmf_terms(n, epsilon0))
+    n = check_count(n, "n", high=ORACLE_MAX_N)
+    m = check_count(m, "ones count m", low=0, high=n)
+    epsilon0 = check_budget(epsilon0, "epsilon0")
+    return _count_pmf(n, m, *_pmf_terms(n, epsilon0))
 
 
 def _two_tap_solver(n, p, q):
@@ -119,15 +112,9 @@ def _two_tap_solver(n, p, q):
 def divergence_scan(n, epsilon0, epsilon):
     """Hockey-stick divergence between the m and m+1 count distributions,
     for every m in [0, n-1]; returns the length-n array of deltas."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    if n > ORACLE_MAX_N:
-        raise InvalidParameterError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
-        raise InvalidParameterError(f"epsilon0 must be > 0, got {epsilon0}")
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    n = int(n)
+    n = check_count(n, "n", low=2, high=ORACLE_MAX_N)
+    epsilon0 = check_budget(epsilon0, "epsilon0")
+    epsilon = check_budget(epsilon, zero_ok=True)
     forward = np.zeros(n)
     if epsilon >= epsilon0:
         return forward

@@ -16,15 +16,15 @@ the same config are bit-identical.
 import dataclasses
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals
-from .client import (clip_changes, is_power_of_two, level_count, open_output,
-                     read_json_lines, write_report_arrays)
-from .core import rr_probability, scale_factor
+from .client import clip_changes, open_output, read_json_lines, write_report_arrays
+from .core import check_budget, check_count, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
 from .randomizer import RandomnessStream
@@ -40,9 +40,24 @@ RESOURCE_GUARD_CELLS = 10 ** 9
 BLOCK = 512
 
 
-def _is_count(value):
-    """True for Python and numpy integers; False for bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_input_domain(n, d, k, input_model, step_time=None, input_path=None):
+    """The input domain `SimulationConfig.validate` and `generate_inputs`
+    share: n >= 1 clients, a power-of-two horizon d, a change budget
+    1 <= k <= d, a known input model, a step time in [1, d] for the
+    step-function model and an input path for the file model. Returns
+    (n, d, k) as ints."""
+    n = check_count(n, "n")
+    level_count(d)
+    k = check_count(k, "change budget k", high=d)
+    if input_model not in INPUT_MODELS:
+        raise InvalidParameterError(
+            f"unknown input model {input_model!r}; pick from {INPUT_MODELS}"
+        )
+    if input_model == "step-function" and step_time is not None:
+        check_count(step_time, "step time", high=d)
+    if input_model == "file" and not input_path:
+        raise InvalidParameterError("file input model needs input_path")
+    return n, int(d), k
 
 
 @dataclass
@@ -63,28 +78,16 @@ class SimulationConfig:
     allow_large: bool = False
 
     def validate(self):
-        if not (_is_count(self.n) and self.n >= 1):
-            raise InvalidParameterError(f"need n >= 1 clients, got {self.n}")
-        if not is_power_of_two(self.d):
-            raise InvalidParameterError(f"horizon must be a power of two, got {self.d}")
-        if not (_is_count(self.k) and self.k >= 1):
-            raise InvalidParameterError(f"change budget must be >= 1, got {self.k}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidParameterError(f"epsilon must be > 0, got {self.epsilon}")
+        check_input_domain(self.n, self.d, self.k, self.input_model,
+                           self.step_time, self.input_path)
+        check_budget(self.epsilon)
         if not 0.0 < self.beta < 1.0:
             raise InvalidParameterError(f"beta must be in (0, 1), got {self.beta}")
-        if not (_is_count(self.trials) and self.trials >= 1):
-            raise InvalidParameterError(f"need trials >= 1, got {self.trials}")
-        if self.input_model not in INPUT_MODELS:
-            raise InvalidParameterError(
-                f"unknown input model {self.input_model!r}; pick from {INPUT_MODELS}"
-            )
+        check_count(self.trials, "trials")
         if self.shuffle_mode not in SHUFFLE_MODES:
             raise InvalidParameterError(
                 f"unknown shuffle mode {self.shuffle_mode!r}; pick from {SHUFFLE_MODES}"
             )
-        if self.input_model == "file" and not self.input_path:
-            raise InvalidParameterError("file input model needs input_path")
         cells = int(self.n) * int(self.d)
         if cells > RESOURCE_GUARD_CELLS and not self.allow_large:
             raise InvalidParameterError(
@@ -114,7 +117,8 @@ class SimulationResult:
 def theorem_error_bound(n, d, k, epsilon, beta):
     """High-probability cap c_eps * k * (log2 d)^(3/2) * sqrt(n log(2d/beta))
     on the worst marginal error."""
-    log2d = math.log2(d) if d > 1 else 1.0
+    n, k = check_count(n, "n"), check_count(k, "change budget k")
+    log2d = max(level_count(d) - 1, 1)  # log2(d), taken as 1 at d = 1
     return scale_factor(epsilon) * k * log2d ** 1.5 \
         * math.sqrt(n * math.log(2.0 * d / beta))
 
@@ -173,14 +177,7 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
     can clip). Every row keeps at most k changes and a boolean state
     trajectory.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"need n >= 1 clients, got {n}")
-    if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d}")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= d):
-        raise InvalidParameterError(f"change budget must be in [1, {d}], got {k}")
-
-    n, d, k = int(n), int(d), int(k)
+    n, d, k = check_input_domain(n, d, k, input_model, step_time, input_path)
     signs = np.where(np.arange(k) % 2 == 0, 1, -1)
 
     if input_model == "worst-case-sparse":
@@ -195,22 +192,13 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
 
     if input_model == "step-function":
         t0 = max(1, d // 2) if step_time is None else int(step_time)
-        if not 1 <= t0 <= d:
-            raise InvalidParameterError(f"step time must be in [1, {d}], got {t0}")
         times = np.zeros((n, k), dtype=np.int64)
         values = np.zeros((n, k), dtype=np.int64)
         times[:, 0] = t0
         values[:, 0] = 1
         return times, values, 0
 
-    if input_model == "file":
-        if not input_path:
-            raise InvalidParameterError("file input model needs input_path")
-        return read_change_vectors(input_path, n, d, k)
-
-    raise InvalidParameterError(
-        f"unknown input model {input_model!r}; pick from {INPUT_MODELS}"
-    )
+    return read_change_vectors(input_path, n, d, k)  # the file model
 
 
 def run_trial(config, trial):
@@ -331,8 +319,6 @@ def results_to_json(config, results):
     }
 
     def encode(obj):
-        if isinstance(obj, np.integer):
-            return int(obj)
         if isinstance(obj, float):
             return float(_fmt(obj))
         if isinstance(obj, dict):
@@ -341,7 +327,9 @@ def results_to_json(config, results):
             return [encode(v) for v in obj]
         return obj
 
-    return json.dumps(encode(payload), sort_keys=True, indent=2) + "\n"
+    # default: a numpy integer in the config prints as a plain int
+    return json.dumps(encode(payload), sort_keys=True, indent=2,
+                      default=operator.index) + "\n"
 
 
 def results_to_csv(config, results):

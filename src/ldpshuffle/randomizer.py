@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rr_probability
+from .core import check_budget, rr_probability
 from .errors import InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
@@ -120,8 +120,7 @@ class OneBitRandomizer(LocalRandomizer):
     input_symbols = (0, 1)
 
     def __post_init__(self):
-        if not (self.epsilon0 > 0.0 and math.isfinite(self.epsilon0)):
-            raise InvalidParameterError(f"epsilon0 must be > 0, got {self.epsilon0}")
+        check_budget(self.epsilon0, "epsilon0")
 
     @property
     def truth_probability(self):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .core import check_count
 from .errors import InvalidParameterError
 from .randomizer import OneBitRandomizer
 
@@ -179,6 +180,7 @@ def sample_onebit_batch(data, epsilon0, runs, rng, mode="shuffle"):
         raise InvalidParameterError("dataset must hold at least one element")
     if np.any((data != 0) & (data != 1)):
         raise InvalidParameterError("one-bit data must be 0/1")
+    runs = check_count(runs, "runs")
     truth = OneBitRandomizer(epsilon0).truth_probability
     gen = rng.generator
 

@@ -6,8 +6,8 @@ import pytest
 from ldpshuffle.aggregator import (SumTree, accumulate, accumulate_arrays,
                                    cover_leaf_range, dyadic_cover,
                                    dyadic_cover_merge, estimate_marginals)
-from ldpshuffle.client import Report, level_count
-from ldpshuffle.core import scale_factor
+from ldpshuffle.client import Report
+from ldpshuffle.core import level_count, scale_factor
 from ldpshuffle.errors import InvalidParameterError, MalformedReportError
 from ldpshuffle.randomizer import RandomnessStream
 

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldpshuffle.amplification import (amplify_group, amplify_shuffle, amplify_swap,
                                       binary_case_bound, per_step_epsilon, rdp_bound)
@@ -15,6 +18,11 @@ class TestPerStepEpsilon:
 
     def test_overflow_is_infinite(self):
         assert per_step_epsilon(400.0, 1000) == math.inf
+
+    def test_n_past_float_range_is_refused(self):
+        # not inf: n itself, not e^(2 eps0), is what overflows
+        with pytest.raises(InvalidParameterError):
+            per_step_epsilon(0.5, 10 ** 400)
 
 
 class TestAmplifyShuffle:
@@ -147,6 +155,46 @@ class TestBinaryCaseBound:
         r1 = binary_case_bound(0.25, 1000, 1e-3)
         r4 = binary_case_bound(0.25, 4000, 1e-3)
         assert r4 == pytest.approx(r1 / 2.0, rel=1e-12)
+
+    def test_overflow_is_infinite(self):
+        assert binary_case_bound(1420.0, 1000, 1e-6) == math.inf
+
+
+class TestExtremeParameters:
+    """The accountant over eps0 in [1e-300, 1e6], n in [2, 10**400] and any
+    delta in (0, 1): a claim is a positive float no larger than eps0, and a
+    refusal is an InvalidParameterError, never an arithmetic error."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(1e-300, 1e6), st.integers(2, 10 ** 400),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # eps1 underflows: the general bound was nan, then 0 on its own
+    @example(1e-300, 10 ** 308, 0.5)
+    @example(1e-20, 10 ** 305, 1e-3)
+    @example(1e-300, 10 ** 308, 5e-324)
+    @example(0.5, 10 ** 400, 1e-6)
+    def test_claims_are_positive_and_capped(self, eps0, n, delta):
+        for amplify in (amplify_shuffle, amplify_swap):
+            try:
+                res = amplify(eps0, n, delta)
+            except InvalidParameterError:
+                continue
+            assert 0.0 < res.epsilon_central <= eps0
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(1e-300, 1e6), st.integers(2, 10 ** 400),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(1.0, 1e6))
+    @example(1420.0, 1000, 1e-6, 2.0)
+    @example(1e-300, 10 ** 308, 5e-324, 1.0)
+    def test_reference_curves_are_nonnegative(self, eps0, n, delta, alpha):
+        if n > sys.float_info.max:
+            for call in (lambda: rdp_bound(eps0, n, alpha),
+                         lambda: binary_case_bound(eps0, n, delta)):
+                with pytest.raises(InvalidParameterError):
+                    call()
+            return
+        for value in (rdp_bound(eps0, n, alpha), binary_case_bound(eps0, n, delta)):
+            assert isinstance(value, float) and value >= 0.0  # inf passes, nan fails
 
 
 class TestRegimeRelations:

@@ -1,12 +1,16 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ldpshuffle.cli as cli
 import ldpshuffle.harness as harness
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.divergence import CertificationRecord
+from ldpshuffle.errors import ParseError
 
 
 def _strict_json(text):
@@ -58,6 +62,14 @@ class TestBound:
         assert payload["epsilon_1"] is None
         assert payload["bounds"] == {"general": None}
 
+    @pytest.mark.parametrize("flag", ["--n", "--group"])
+    def test_n_past_float_range_exits_2(self, capsys, flag):
+        argv = ["bound", "--eps0", "0.4", "--n", "10000", "--delta", "1e-6"]
+        argv += [flag, str(10 ** 400)]
+        code, _, err = _run(capsys, argv)
+        assert code == 2
+        assert "error" in err
+
     def test_out_of_regime_group_exits_2(self, capsys):
         code, _, err = _run(capsys, ["bound", "--eps0", "0.6", "--n", "10000",
                                      "--delta", "1e-8", "--group", "2000"])
@@ -100,6 +112,29 @@ class TestVerifyAmplification:
         code, _, err = _run(capsys, ["verify-amplification", "--grid", str(grid)])
         assert code == 2
         assert "line 2" in err
+
+    def test_overlong_grid_field_names_line(self, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("100,0.25,1e-4\n" + "x" * 131073 + ",0.25,1e-4\n")
+        code, _, err = _run(capsys, ["verify-amplification", "--grid", str(grid)])
+        assert code == 2
+        assert "line 2" in err
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.text(st.characters(blacklist_categories=("Cs",))))
+    @example("x" * 131073 + ",0.25,1e-4\n")
+    @example('"unterminated,1,2\n100,0.5,1e-4\n')
+    def test_grid_parse_fuzz(self, tmp_path_factory, text):
+        # parsing only: the points are collected, none is certified
+        grid = tmp_path_factory.mktemp("grid") / "grid.csv"
+        grid.write_bytes(text.encode("utf-8"))
+        try:
+            points = list(cli._verify_points(argparse.Namespace(grid=str(grid))))
+        except ParseError as exc:
+            assert isinstance(exc.line_number, int)
+            return
+        for n, eps0, delta in points:
+            assert type(n) is int and type(eps0) is float and type(delta) is float
 
     def test_missing_grid_exits_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["verify-amplification", "--grid",
@@ -180,6 +215,24 @@ class TestSimulateAndEstimate:
         ])
         assert code == 2
         assert f"cannot write {path}" in err
+
+    @pytest.mark.parametrize("bad", [
+        ["--d", "4", "--k", "8"],
+        ["--d", "4", "--k", "1", "--input-model", "step-function", "--step-time", "0"],
+        ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "MISSING"],
+    ])
+    def test_failed_simulate_keeps_existing_outputs(self, capsys, tmp_path, bad):
+        out_path = tmp_path / "run.json"
+        rep_path = tmp_path / "reports.jsonl"
+        out_path.write_bytes(b'{"earlier": "results"}\n')
+        rep_path.write_bytes(b'{"h": 1, "t": 1, "u": 1}\n')
+        argv = ["simulate", "--n", "4", "--epsilon", "1.0", "--output", str(out_path),
+                "--reports-path", str(rep_path)]
+        argv += [str(tmp_path / arg) if arg == "MISSING" else arg for arg in bad]
+        code, _, _ = _run(capsys, argv)
+        assert code == 2
+        assert out_path.read_bytes() == b'{"earlier": "results"}\n'
+        assert rep_path.read_bytes() == b'{"h": 1, "t": 1, "u": 1}\n'
 
     def test_simulate_invalid_params_exit_2(self, capsys):
         code, _, err = _run(capsys, [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldpshuffle.client as client_mod
+import ldpshuffle.core as core
 from ldpshuffle.client import (ClientState, Report, changes_to_states, client_setup,
                                client_update, clip_changes, enumerate_change_sequences,
                                exact_transcript_distribution, max_transcript_ratio,
@@ -185,9 +186,9 @@ class TestHelpers:
         assert np.array_equal(clipped[nz], np.array(x)[nz])
 
     def test_power_of_two_rejects_bools(self):
-        assert client_mod.is_power_of_two(np.int64(8))
-        assert not client_mod.is_power_of_two(True)
-        assert not client_mod.is_power_of_two(False)
+        assert core.is_power_of_two(np.int64(8))
+        assert not core.is_power_of_two(True)
+        assert not core.is_power_of_two(False)
 
     def test_next_power_of_two(self):
         assert [next_power_of_two(v) for v in (1, 2, 3, 5, 8, 9)] == [1, 2, 4, 8, 8, 16]

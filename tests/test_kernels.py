@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import ldpshuffle.divergence as divergence
 from ldpshuffle.amplification import amplify_shuffle
-from ldpshuffle.client import ClientState, client_update, level_count
-from ldpshuffle.core import rr_probability
+from ldpshuffle.client import ClientState, client_update
+from ldpshuffle.core import level_count, rr_probability
 from ldpshuffle.divergence import divergence_scan, shuffled_rr_count_distribution
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
