@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .core import check_budget, check_count
+from .core import check_budget, check_count, check_real
 from .errors import InvalidParameterError, OutOfRegimeError
 
 REGIME_GENERAL = "general"
@@ -43,11 +43,10 @@ def _check_n(n, name="n", low=2):
 
 
 def _validate(epsilon0, n, delta):
-    """The accountant's domain; returns eps0 and n as a float and an int."""
-    epsilon0, n = check_budget(epsilon0, "epsilon0"), _check_n(n)
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    return epsilon0, n
+    """The accountant's domain; returns eps0, n and delta as a float, an int
+    and a float."""
+    return (check_budget(epsilon0, "epsilon0"), _check_n(n),
+            check_real(delta, "delta", 0.0, 1.0))
 
 
 def per_step_epsilon(epsilon0, n):
@@ -102,7 +101,7 @@ def amplify_shuffle(epsilon0, n, delta):
     when n >= 1000, eps0 < 1/2 and delta < 1/100; returns the minimum,
     capped at eps0.
     """
-    epsilon0, n = _validate(epsilon0, n, delta)
+    epsilon0, n, delta = _validate(epsilon0, n, delta)
     eps1 = per_step_epsilon(epsilon0, n)
     bounds = {REGIME_GENERAL: _general_bound(eps1, n, delta)}
     if epsilon0 <= math.log(n / 4.0) / 3.0:
@@ -118,7 +117,7 @@ def amplify_swap(epsilon0, n, delta):
     Same general closed form as `amplify_shuffle`, without the reduced
     special-case regimes, capped at eps0.
     """
-    epsilon0, n = _validate(epsilon0, n, delta)
+    epsilon0, n, delta = _validate(epsilon0, n, delta)
     eps1 = per_step_epsilon(epsilon0, n)
     return _least(epsilon0, eps1, delta, {REGIME_GENERAL: _general_bound(eps1, n, delta)},
                   index_restricted=True)
@@ -130,20 +129,20 @@ def amplify_group(epsilon0, group_size, delta):
     Applies 12 eps0 sqrt(log(1/delta)/|S|) under its stated hypotheses
     (|S| >= 1000, eps0 < 1/2, delta < 1/100) and refuses anything outside
     them rather than extrapolating; fall back to `amplify_shuffle` whose
-    general regime is unconditional.
+    general regime is unconditional. Like every claim it is capped at eps0,
+    and one that underflows is refused.
     """
     epsilon0 = check_budget(epsilon0, "epsilon0")
     group_size = _check_n(group_size, "group size", low=1)
-    if not group_size >= 1000:
+    delta = check_real(delta, "delta", 0.0, 1.0)
+    if group_size < 1000:
         raise OutOfRegimeError(f"group bound needs |S| >= 1000, got {group_size}")
-    if not epsilon0 < 0.5:
+    if epsilon0 >= 0.5:
         raise OutOfRegimeError(f"group bound needs epsilon0 < 1/2, got {epsilon0}")
-    if not 0.0 < delta < 0.01:
+    if delta >= 0.01:
         raise OutOfRegimeError(f"group bound needs delta in (0, 1/100), got {delta}")
-    value = _simplified_bound(epsilon0, group_size, delta)
-    return AmplificationResult(value, per_step_epsilon(epsilon0, group_size),
-                               REGIME_SIMPLIFIED, delta,
-                               {REGIME_SIMPLIFIED: value})
+    return _least(epsilon0, per_step_epsilon(epsilon0, group_size), delta,
+                  {REGIME_SIMPLIFIED: _simplified_bound(epsilon0, group_size, delta)})
 
 
 def rdp_bound(epsilon0, n, alpha):
@@ -151,8 +150,7 @@ def rdp_bound(epsilon0, n, alpha):
     shuffled protocol at order alpha; linear in alpha, decreasing in n.
     inf once e^(4 eps0) overflows."""
     epsilon0, n = check_budget(epsilon0, "epsilon0"), _check_n(n)
-    if not alpha >= 1.0:
-        raise InvalidParameterError(f"order must be >= 1, got {alpha}")
+    alpha = check_real(alpha, "order", 1.0, math.inf, "[)")
     try:
         return 2.0 * alpha * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / n
     except OverflowError:
@@ -166,7 +164,7 @@ def binary_case_bound(epsilon0, n, delta):
     Plot/comparison aid only; never a certified guarantee. inf once
     e^(eps0/2) overflows.
     """
-    epsilon0, n = _validate(epsilon0, n, delta)
+    epsilon0, n, delta = _validate(epsilon0, n, delta)
     try:
         return min(1.0, epsilon0) * math.exp(epsilon0 / 2.0) \
             * math.sqrt(math.log(1.0 / delta) / n)

@@ -8,9 +8,11 @@ period. Exactly one report per run can carry data-dependent randomness; all
 others are fair coins, kept unconditionally as cover traffic.
 """
 
+import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,21 +257,39 @@ def max_transcript_ratio(d, k, epsilon):
 
 INT64_MAX = 2 ** 63 - 1
 
+# The canonical report line: what `write_report_arrays` emits, the bytes of
+# `json.dumps({"h": H, "t": T, "u": U}, sort_keys=True)` plus a newline.
+REPORT_LINE = '{"h": %d, "t": %d, "u": %d}\n'
+# A run of canonical lines whose values fit an int64 and need no range check
+# but the tree's: h and t have 1 to 18 digits and no leading zero.
+_CANONICAL_LINES = re.compile(
+    rb'(?:\{"h": [1-9][0-9]{0,17}, "t": [1-9][0-9]{0,17}, "u": -?1\}\n)*')
+_MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
+
+# Rows formatted per write, and bytes read per chunk; neither changes a
+# result, and both keep the buffers of one file small.
+WRITE_ROWS = 1 << 14
+READ_BYTES = 1 << 16
+
 
 def write_report_arrays(path, h, t, u):
-    """Write reports held as parallel arrays as JSON lines with integer
-    fields h, t, u; the anonymized stream carries no client identifier."""
+    """Write reports held as parallel arrays as JSON lines, one
+    `REPORT_LINE` per report, formatted WRITE_ROWS rows at a time; the
+    anonymized stream carries no client identifier."""
     with open_output(path) as fh:
-        for i in range(len(h)):
-            row = {"h": int(h[i]), "t": int(t[i]), "u": int(u[i])}
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for lo in range(0, len(h), WRITE_ROWS):
+            hi = lo + WRITE_ROWS
+            rows = np.column_stack((h[lo:hi], t[lo:hi], u[lo:hi]))
+            fh.write(REPORT_LINE * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def open_input(path):
-    """Open a text input file; one that cannot be opened raises
-    InvalidParameterError, and undecodable bytes read as U+FFFD."""
+def open_input(path, mode="r"):
+    """Open an input file as text ("r"), where undecodable bytes read as
+    U+FFFD, or as bytes ("rb"); one that cannot be opened raises
+    InvalidParameterError."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "errors": "replace"}
     try:
-        return open(path, "r", encoding="utf-8", errors="replace")
+        return open(path, mode, **text)
     except OSError as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc.strerror}") from exc
 
@@ -284,32 +304,85 @@ def open_output(path, mode="w"):
 
 
 def read_json_lines(path):
-    """Yield (1-based line number, decoded value) for each non-blank line;
-    a line that is not JSON raises ParseError with its line number."""
+    """Yield (1-based line number, decoded value) for each non-blank line
+    of the text file at path; a line that is not JSON raises ParseError
+    with its line number."""
     with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            yield lineno, value
+        yield from json_lines(fh)
+
+
+def json_lines(fh):
+    """`read_json_lines` over an open text file."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+        yield lineno, value
 
 
 def read_reports(path, d=None):
-    """Read a JSON-lines report stream into (h, t, u) arrays.
+    """Read a JSON-lines report stream into (h, t, u) int64 arrays.
 
     Every row must be an object whose h and t are positive integers and
     whose u is -1 or +1; floats, booleans and strings are refused. Given the
     horizon d, a row must also address a node of its tree: h <= log2(d) + 1
     and t <= d. Raises ParseError with the 1-based line number on the first
     bad row.
+
+    A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
+    checked READ_BYTES at a time against one pattern and converted with
+    array operations. Any other spelling of the rows, or a row outside the
+    tree, sends the whole file again through `parse_report_rows`, which
+    returns the same arrays or names the bad line. A pipe is read into
+    memory first, so that it can be read twice.
     """
     levels = None if d is None else level_count(d)
+    with open_input(path, "rb") as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        columns = _read_canonical(fh, levels, d)
+        if columns is None:
+            fh.seek(0)
+            text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
+            columns = parse_report_rows(json_lines(text), d)
+    return columns
+
+
+def _read_canonical(fh, levels, d):
+    """(h, t, u) of a stream of canonical lines inside the tree, or None
+    once a chunk is not all canonical lines or a row is outside the tree."""
+    blocks = []
+    tail = b""
+    while True:
+        data = fh.read(READ_BYTES)
+        chunk = tail + data
+        cut = chunk.rfind(b"\n") + 1 if data else len(chunk)
+        chunk, tail = chunk[:cut], chunk[cut:]
+        # an unfinished line longer than any canonical one ends the fast
+        # path at once, so a file without newlines is not gathered here
+        if len(tail) > _MAX_LINE or not _CANONICAL_LINES.fullmatch(chunk):
+            return None
+        # the chunk is validated: only digits, signs and blanks are left
+        digits = chunk.translate(None, b'{}"htu:,')
+        blocks.append(np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3))
+        if not data:
+            break
+    h, t, u = np.concatenate(blocks).T.copy()
+    if levels is not None and len(h) and (h.max() > levels or t.max() > d):
+        return None
+    return h, t, u
+
+
+def parse_report_rows(rows, d=None):
+    """(h, t, u) arrays from the (line number, decoded row) pairs of
+    `json_lines`, one row at a time: the path for every spelling of the
+    rows JSON allows, and the reference for the chunked one."""
+    levels = None if d is None else level_count(d)
     hs, ts, us = [], [], []
-    for lineno, row in read_json_lines(path):
+    for lineno, row in rows:
         try:
             h, t, u = row["h"], row["t"], row["u"]
         except (KeyError, TypeError) as exc:

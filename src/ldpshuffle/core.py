@@ -5,8 +5,9 @@ Everything here is a pure function. Formulas that touch ``e^x - 1`` or
 (epsilon around 1e-3) keeps full precision.
 
 The parameter domains every module shares are checked here and only here:
-`check_count` (an integer in a range), `check_budget` (a finite privacy
-budget) and `level_count` (a power-of-two horizon). Each raises
+`check_count` (an integer in a range), `check_real` (a real in an interval,
+such as a delta), `check_budget` (a finite privacy budget) and
+`level_count` (a power-of-two horizon). Each raises
 InvalidParameterError outside its domain, for a bool and for a non-number.
 """
 
@@ -37,18 +38,26 @@ def check_count(value, name, low=1, high=None):
     return int(value)
 
 
-def check_budget(value, name="epsilon", zero_ok=False):
-    """value as a float, if it is a finite real (never a bool) > 0, or >= 0
-    with zero_ok."""
+def check_real(value, name, low, high, ends="()"):
+    """value as a float, if it is a real (never a bool) between low and
+    high; ends marks each end open, "(" or ")", or closed, "[" or "]". An
+    infinite end is kept open, so that the value is finite."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an int past the float range
-            x = math.inf
-        if math.isfinite(x) and (x >= 0.0 if zero_ok else x > 0.0):
+            x = math.inf if value > 0 else -math.inf
+        if ((x > low if ends[0] == "(" else x >= low)
+                and (x < high if ends[1] == ")" else x <= high)):
             return x
     raise InvalidParameterError(
-        f"{name} must be a finite real {'>= 0' if zero_ok else '> 0'}, got {value!r}")
+        f"{name} must be a real in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+
+
+def check_budget(value, name="epsilon", zero_ok=False):
+    """value as a float, if it is a finite real (never a bool) > 0, or >= 0
+    with zero_ok."""
+    return check_real(value, name, 0.0, math.inf, "[)" if zero_ok else "()")
 
 
 def is_power_of_two(n):
@@ -72,8 +81,7 @@ class PrivacyParams:
 
     def __post_init__(self):
         check_budget(self.epsilon, zero_ok=True)
-        if not 0.0 <= self.delta < 1.0:
-            raise InvalidParameterError(f"delta must be in [0, 1), got {self.delta}")
+        check_real(self.delta, "delta", 0.0, 1.0, "[)")
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,7 @@ class SubsampleRate:
     q: float
 
     def __post_init__(self):
-        if not 0.0 < self.q < 0.5:
-            raise InvalidParameterError(f"subsample rate must be in (0, 1/2), got {self.q}")
+        check_real(self.q, "subsample rate", 0.0, 0.5)
 
 
 def rr_probability(epsilon):
@@ -115,11 +122,9 @@ def advanced_composition(epsilon, delta, k, delta_prime):
     eps' = eps * sqrt(2k log(1/delta')) + k * eps * (e^eps - 1).
     """
     epsilon = check_budget(epsilon, zero_ok=True)
-    if not 0.0 <= delta < 1.0:
-        raise InvalidParameterError(f"delta must be in [0, 1), got {delta}")
+    delta = check_real(delta, "delta", 0.0, 1.0, "[)")
     k = check_count(k, "k")
-    if not delta_prime > 0.0:
-        raise InvalidParameterError(f"delta_prime must be > 0, got {delta_prime}")
+    delta_prime = check_real(delta_prime, "delta_prime", 0.0, 1.0)
     eps_total = epsilon * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) \
         + k * epsilon * math.expm1(epsilon)
     return PrivacyParams(eps_total, k * delta + delta_prime)
@@ -133,8 +138,7 @@ def subsample_amplify(epsilon, q):
     """
     if isinstance(q, SubsampleRate):
         q = q.q
-    if not 0.0 < q < 0.5:
-        raise InvalidParameterError(f"subsample rate must be in (0, 1/2), got {q}")
+    q = check_real(q, "subsample rate", 0.0, 0.5)
     epsilon = check_budget(epsilon, zero_ok=True)
     return math.log1p(q * math.expm1(epsilon))
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals
 from .client import clip_changes, open_output, read_json_lines, write_report_arrays
-from .core import check_budget, check_count, level_count, rr_probability, scale_factor
+from .core import (check_budget, check_count, check_real, level_count, rr_probability,
+                   scale_factor)
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
 from .randomizer import RandomnessStream
@@ -81,8 +82,7 @@ class SimulationConfig:
         check_input_domain(self.n, self.d, self.k, self.input_model,
                            self.step_time, self.input_path)
         check_budget(self.epsilon)
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidParameterError(f"beta must be in (0, 1), got {self.beta}")
+        check_real(self.beta, "beta", 0.0, 1.0)
         check_count(self.trials, "trials")
         if self.shuffle_mode not in SHUFFLE_MODES:
             raise InvalidParameterError(
@@ -118,6 +118,7 @@ def theorem_error_bound(n, d, k, epsilon, beta):
     """High-probability cap c_eps * k * (log2 d)^(3/2) * sqrt(n log(2d/beta))
     on the worst marginal error."""
     n, k = check_count(n, "n"), check_count(k, "change budget k")
+    beta = check_real(beta, "beta", 0.0, 1.0)
     log2d = max(level_count(d) - 1, 1)  # log2(d), taken as 1 at d = 1
     return scale_factor(epsilon) * k * log2d ** 1.5 \
         * math.sqrt(n * math.log(2.0 * d / beta))

@@ -118,6 +118,16 @@ class TestAmplifyGroup:
         with pytest.raises(OutOfRegimeError):
             amplify_group(eps0, size, delta)
 
+    def test_capped_at_local_budget(self):
+        res = amplify_group(0.25, 1000, 1e-300)
+        assert res.bounds["simplified"] > 2.0
+        assert res.epsilon_central == 0.25
+        assert res.regime == "no-amplification"
+
+    def test_underflow_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            amplify_group(1e-300, 10 ** 300, 1e-3)
+
 
 class TestRdpBound:
     def test_closed_form_value(self):
@@ -163,7 +173,8 @@ class TestBinaryCaseBound:
 class TestExtremeParameters:
     """The accountant over eps0 in [1e-300, 1e6], n in [2, 10**400] and any
     delta in (0, 1): a claim is a positive float no larger than eps0, and a
-    refusal is an InvalidParameterError, never an arithmetic error."""
+    refusal is an InvalidParameterError, never an arithmetic error. The
+    group bound takes n as its group size."""
 
     @settings(deadline=None, max_examples=300)
     @given(st.floats(1e-300, 1e6), st.integers(2, 10 ** 400),
@@ -173,8 +184,12 @@ class TestExtremeParameters:
     @example(1e-20, 10 ** 305, 1e-3)
     @example(1e-300, 10 ** 308, 5e-324)
     @example(0.5, 10 ** 400, 1e-6)
+    # the group bound was neither capped (2.49 at eps0 0.25) nor refused on
+    # underflow (0.0)
+    @example(0.25, 1000, 1e-300)
+    @example(1e-300, 10 ** 300, 1e-3)
     def test_claims_are_positive_and_capped(self, eps0, n, delta):
-        for amplify in (amplify_shuffle, amplify_swap):
+        for amplify in (amplify_shuffle, amplify_swap, amplify_group):
             try:
                 res = amplify(eps0, n, delta)
             except InvalidParameterError:

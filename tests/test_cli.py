@@ -70,6 +70,12 @@ class TestBound:
         assert code == 2
         assert "error" in err
 
+    def test_group_bound_capped_at_eps0(self, capsys):
+        code, out, _ = _run(capsys, ["bound", "--eps0", "0.25", "--n", "1000",
+                                     "--delta", "1e-300", "--group", "1000"])
+        assert code == 0
+        assert json.loads(out)["group"]["epsilon_central"] == 0.25
+
     def test_out_of_regime_group_exits_2(self, capsys):
         code, _, err = _run(capsys, ["bound", "--eps0", "0.6", "--n", "10000",
                                      "--delta", "1e-8", "--group", "2000"])

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ldpshuffle.client as client_mod
@@ -11,8 +14,9 @@ import ldpshuffle.core as core
 from ldpshuffle.client import (ClientState, Report, changes_to_states, client_setup,
                                client_update, clip_changes, enumerate_change_sequences,
                                exact_transcript_distribution, max_transcript_ratio,
-                               next_power_of_two, pad_to_power_of_two, read_reports,
-                               run_client, write_report_arrays)
+                               next_power_of_two, pad_to_power_of_two, parse_report_rows,
+                               read_json_lines, read_reports, run_client,
+                               write_report_arrays)
 from ldpshuffle.core import rr_probability
 from ldpshuffle.errors import InvalidParameterError, ParseError, ProtocolError
 from ldpshuffle.harness import read_change_vectors
@@ -353,3 +357,151 @@ class TestReaderFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "changes.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         self._check(path, lambda p: read_change_vectors(p, len(rows), 4, 2))  # (x, clipped)
+
+
+def read_report_rows(path, d=None):
+    """The per-row reader: the reference for the chunked `read_reports`."""
+    return parse_report_rows(read_json_lines(path), d)
+
+
+# Lines of a report file: the canonical form the writer emits, spellings
+# JSON allows but the chunked reader leaves to the per-row parser, and
+# arbitrary bytes, including invalid UTF-8.
+_CANON = b'{"h": %d, "t": %d, "u": %d}\n'
+_VALUE = (st.integers(1, 9) | st.integers(1, 10 ** 18 - 1) | st.integers(10 ** 18, 2 ** 64)
+          | st.sampled_from([0, -1, 2 ** 63 - 1, 2 ** 63]))
+_U = st.sampled_from([1, -1, 0, 2])
+_SPELLINGS = [
+    _CANON,
+    b'{"h":  %d, "t": %d, "u": %d}\n',
+    b' {"h": %d,"t": %d, "u": %d} \n',
+    b'{"h": %d, "t": %d, "u": %d}\r\n',
+    b'{"h": 0%d, "t": %d, "u": %d}\n',
+    b'{"h": %d, "t": %d, "u": %d.0}\n',
+]
+_LINES = (
+    st.builds(lambda h, t, u: _CANON % (h, t, u), _VALUE, _VALUE, st.sampled_from([1, -1]))
+    | st.builds(lambda fmt, h, t, u: fmt % (h, t, u), st.sampled_from(_SPELLINGS),
+                _VALUE, _VALUE, _U)
+    | st.builds(lambda h, t, u: b'{"u": %d, "h": %d, "t": %d}\n' % (u, h, t),
+                _VALUE, _VALUE, _U)
+    | st.sampled_from([b"\n", b"  \n", b"\r\n", b"\r", b'{"h": 1}\n', b"\xff\n"])
+    | st.binary(max_size=6)
+)
+
+
+def _outcome(read, path, d):
+    try:
+        columns = read(path, d)
+    except ParseError as exc:
+        return "error", exc.line_number
+    assert all(c.dtype == np.int64 and c.ndim == 1 for c in columns)
+    return "arrays", [c.tolist() for c in columns]
+
+
+def _random_reports(seed, n, d):
+    rng = np.random.default_rng(seed)
+    h = rng.integers(1, d.bit_length() + 1, n)
+    return h, rng.integers(1, d + 1, n), rng.choice([-1, 1], n)
+
+
+class TestChunkedReportIo:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_LINES, max_size=8), st.booleans(), st.sampled_from([None, 4, 64]))
+    @example([_CANON % (1, 1, 1)] * 2, False, 4)
+    @example([_CANON % (3, 4, 1), _CANON % (4, 4, -1)], False, 4)
+    @example([_CANON % (1, 1, 1), _CANON % (10 ** 18 - 1, 1, 1)], False, None)
+    @example([_CANON % (1, 1, 1), b'{"h": 9223372036854775807, "t": 1, "u": 1}\n'], False, None)
+    @example([_CANON % (1, 1, 1), _CANON % (2, 2, 1)], True, None)
+    def test_equals_the_per_row_parser(self, tmp_path_factory, lines, cut_last, d):
+        data = b"".join(lines)
+        if cut_last:
+            data = data[:-1]
+        path = tmp_path_factory.mktemp("chunked") / "reports.jsonl"
+        path.write_bytes(data)
+        assert _outcome(read_reports, path, d) == _outcome(read_report_rows, path, d)
+
+    def test_canonical_file_skips_the_per_row_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "reports.jsonl"
+        columns = _random_reports(0, 5000, 64)
+        write_report_arrays(path, *columns)
+
+        def refuse(*args):
+            raise AssertionError("per-row parser called on a canonical file")
+        monkeypatch.setattr(client_mod, "parse_report_rows", refuse)
+        for got, want in zip(read_reports(path, 64), columns):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tail", [b"\n", b'{"u": 1, "h": 1, "t": 2}\n',
+                                      b'{"h": 8, "t": 2, "u": 1}\n'])
+    def test_any_other_line_sends_the_whole_file_per_row(self, tmp_path, monkeypatch, tail):
+        path = tmp_path / "reports.jsonl"
+        write_report_arrays(path, *_random_reports(1, 3000, 64))
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        calls = []
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: calls.append(a) or parse_report_rows(*a))
+        assert _outcome(read_reports, path, 64) == _outcome(read_report_rows, path, 64)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spacing", [b" ", b"  "])
+    def test_pipe_is_read_once(self, tmp_path, spacing):
+        # a pipe cannot be rewound for the per-row pass: it used to hang here
+        data = b"".join(b'{"h": 1,%s"t": %d, "u": -1}\n' % (spacing, t % 64 + 1)
+                        for t in range(20000))
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(data)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        got = []
+        threads = [threading.Thread(target=feed, daemon=True),
+                   threading.Thread(target=lambda: got.append(_outcome(read_reports, fifo, 64)),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [_outcome(read_report_rows, path, 64)]
+
+    @pytest.mark.parametrize("read_bytes", [1, 7, 10 ** 9])
+    @pytest.mark.parametrize("last", [b"", b'{"h": 3, "t": 64, "u": -1}\n',
+                                      b'{"h": 8, "t": 1, "u": 1}\n'])
+    def test_read_chunk_size_changes_nothing(self, tmp_path, monkeypatch, read_bytes, last):
+        path = tmp_path / "reports.jsonl"
+        write_report_arrays(path, *_random_reports(2, 700, 64))
+        with open(path, "ab") as fh:
+            fh.write(last)
+        want = _outcome(read_reports, path, 64)
+        monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
+        assert _outcome(read_reports, path, 64) == want
+        assert want == _outcome(read_report_rows, path, 64)
+
+    @pytest.mark.parametrize("write_rows", [1, 10 ** 9])
+    def test_write_chunk_size_changes_nothing(self, tmp_path, monkeypatch, write_rows):
+        columns = _random_reports(3, 700, 64)
+        write_report_arrays(tmp_path / "default.jsonl", *columns)
+        monkeypatch.setattr(client_mod, "WRITE_ROWS", write_rows)
+        write_report_arrays(tmp_path / "patched.jsonl", *columns)
+        assert (tmp_path / "patched.jsonl").read_bytes() \
+            == (tmp_path / "default.jsonl").read_bytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(*[st.integers(-2 ** 63, 2 ** 63 - 1)
+                                | st.integers(2 ** 63 - 4, 2 ** 63 - 1)] * 3),
+                    max_size=40),
+           st.integers(1, 16))
+    def test_writer_equals_json_dumps_per_row(self, tmp_path_factory, rows, write_rows):
+        path = tmp_path_factory.mktemp("writer") / "reports.jsonl"
+        h, t, u = (np.array(c, dtype=np.int64) for c in zip(*rows)) if rows \
+            else (np.zeros(0, dtype=np.int64),) * 3
+        with mock.patch.object(client_mod, "WRITE_ROWS", write_rows):
+            write_report_arrays(path, h, t, u)
+        want = "".join(json.dumps({"h": int(a), "t": int(b), "u": int(c)}, sort_keys=True) + "\n"
+                       for a, b, c in rows)
+        assert path.read_bytes() == want.encode()

@@ -1,6 +1,7 @@
-"""Every public entry point that takes a count, a privacy budget or a
-horizon refuses a value outside its domain with InvalidParameterError,
-never TypeError or OverflowError, and keeps accepting numpy scalars."""
+"""Every public entry point that takes a count, a privacy budget, a
+horizon or another real parameter (a delta, beta, order or subsample rate)
+refuses a value outside its domain with InvalidParameterError, never
+TypeError or OverflowError, and keeps accepting numpy scalars."""
 
 import ast
 import math
@@ -24,11 +25,17 @@ BAD = {
     "budget": NOT_A_NUMBER + [-1.0, 0.0],
     "budget0": NOT_A_NUMBER + [-1.0],  # zero is a valid budget here
     "horizon": NOT_A_NUMBER + [1.5, 0, 6],
+    "unit": NOT_A_NUMBER + [0.0, 1.0, -0.5, 10 ** 400],  # in (0, 1)
+    "unit0": NOT_A_NUMBER + [1.0, -0.5, -10 ** 400],  # in [0, 1)
+    "rate": NOT_A_NUMBER + [0.0, 0.5],  # in (0, 1/2)
+    "order": NOT_A_NUMBER + [0.5, -1],  # in [1, inf)
 }
 GOOD = {"count": np.int64(2), "count0": np.int64(2), "budget": np.float64(0.5),
-        "budget0": np.float64(0.5), "horizon": np.int64(8)}
+        "budget0": np.float64(0.5), "horizon": np.int64(8), "unit": np.float64(1e-3),
+        "unit0": np.float64(0.0), "rate": np.float64(0.25), "order": np.float64(2.0)}
 # the group bound's regime needs eps0 < 1/2 and |S| >= 1000
-GOOD_HERE = {"amplify_group.eps0": np.float64(0.25), "amplify_group.size": np.int64(2000)}
+GOOD_HERE = {"amplify_group.eps0": np.float64(0.25), "amplify_group.size": np.int64(2000),
+             "amplify_group.delta": np.float64(1e-3)}
 
 
 def _rng():
@@ -51,15 +58,24 @@ ENTRIES = [
     ("check_count", lambda v: core.check_count(v, "x"), "count", [-1]),
     ("check_budget", lambda v: core.check_budget(v), "budget", []),
     ("check_budget.zero_ok", lambda v: core.check_budget(v, zero_ok=True), "budget0", []),
+    ("check_real", lambda v: core.check_real(v, "x", 0.0, 1.0), "unit", []),
+    ("check_real.closed", lambda v: core.check_real(v, "x", 0.0, 1.0, "[)"), "unit0", []),
     ("level_count", core.level_count, "horizon", [-4]),
     ("PrivacyParams", lambda v: core.PrivacyParams(v), "budget0", []),
+    ("PrivacyParams.delta", lambda v: core.PrivacyParams(0.5, v), "unit0", []),
+    ("SubsampleRate", core.SubsampleRate, "rate", []),
     ("rr_probability", core.rr_probability, "budget0", []),
     ("scale_factor", core.scale_factor, "budget", []),
     ("advanced_composition.epsilon",
      lambda v: core.advanced_composition(v, 0.0, 2, 1e-6), "budget0", []),
     ("advanced_composition.k",
      lambda v: core.advanced_composition(0.1, 0.0, v, 1e-6), "count", []),
+    ("advanced_composition.delta",
+     lambda v: core.advanced_composition(0.1, v, 2, 1e-6), "unit0", []),
+    ("advanced_composition.delta_prime",
+     lambda v: core.advanced_composition(0.1, 0.0, 2, v), "unit", []),
     ("subsample_amplify", lambda v: core.subsample_amplify(v, 0.2), "budget0", []),
+    ("subsample_amplify.q", lambda v: core.subsample_amplify(0.5, v), "rate", []),
     ("hockey_stick_delta",
      lambda v: core.hockey_stick_delta([0.5, 0.5], [0.4, 0.6], v), "budget0", []),
     ("next_power_of_two", client.next_power_of_two, "count", []),
@@ -102,6 +118,7 @@ ENTRIES = [
     ("SimulationConfig.k", lambda v: _config(k=v), "count", [9]),
     ("SimulationConfig.epsilon", lambda v: _config(epsilon=v), "budget", []),
     ("SimulationConfig.trials", lambda v: _config(trials=v), "count", []),
+    ("SimulationConfig.beta", lambda v: _config(beta=v), "unit", []),
     ("generate_inputs.n",
      lambda v: harness.generate_inputs(v, 8, 1, "step-function", _rng()), "count", []),
     ("generate_inputs.d",
@@ -116,24 +133,34 @@ ENTRIES = [
      lambda v: harness.theorem_error_bound(4, 8, v, 1.0, 0.5), "count", []),
     ("theorem_error_bound.epsilon",
      lambda v: harness.theorem_error_bound(4, 8, 1, v, 0.5), "budget", []),
+    ("theorem_error_bound.beta",
+     lambda v: harness.theorem_error_bound(4, 8, 1, 1.0, v), "unit", []),
     ("amplify_shuffle.eps0", lambda v: amplification.amplify_shuffle(v, 1000, 1e-6), "budget", []),
     ("amplify_shuffle.n", lambda v: amplification.amplify_shuffle(0.5, v, 1e-6), "count",
      [1, 10 ** 400]),
+    ("amplify_shuffle.delta", lambda v: amplification.amplify_shuffle(0.5, 1000, v), "unit",
+     []),
     ("amplify_swap.eps0", lambda v: amplification.amplify_swap(v, 1000, 1e-6), "budget", []),
     ("amplify_swap.n", lambda v: amplification.amplify_swap(0.5, v, 1e-6), "count",
      [1, 10 ** 400]),
+    ("amplify_swap.delta", lambda v: amplification.amplify_swap(0.5, 1000, v), "unit", []),
     ("amplify_group.eps0", lambda v: amplification.amplify_group(v, 2000, 1e-6), "budget", []),
     ("amplify_group.size", lambda v: amplification.amplify_group(0.25, v, 1e-6), "count",
      [999, 10 ** 400]),
+    ("amplify_group.delta", lambda v: amplification.amplify_group(0.25, 2000, v), "unit",
+     [0.01]),
     ("per_step_epsilon.eps0", lambda v: amplification.per_step_epsilon(v, 1000), "budget", []),
     ("per_step_epsilon.n", lambda v: amplification.per_step_epsilon(0.5, v), "count",
      [1, 10 ** 400]),
     ("rdp_bound.eps0", lambda v: amplification.rdp_bound(v, 1000, 2.0), "budget", []),
     ("rdp_bound.n", lambda v: amplification.rdp_bound(0.5, v, 2.0), "count", [1, 10 ** 400]),
+    ("rdp_bound.alpha", lambda v: amplification.rdp_bound(0.5, 1000, v), "order", []),
     ("binary_case_bound.eps0",
      lambda v: amplification.binary_case_bound(v, 1000, 1e-6), "budget", []),
     ("binary_case_bound.n", lambda v: amplification.binary_case_bound(0.5, v, 1e-6), "count",
      [1, 10 ** 400]),
+    ("binary_case_bound.delta",
+     lambda v: amplification.binary_case_bound(0.5, 1000, v), "unit", []),
     ("shuffled_rr_count_distribution.n",
      lambda v: divergence.shuffled_rr_count_distribution(v, 1, 0.5), "count", [10 ** 5]),
     ("shuffled_rr_count_distribution.m",
@@ -151,6 +178,8 @@ ENTRIES = [
      lambda v: divergence.certify_amplification(v, 0.5, 1e-4), "count", [1, 10 ** 5]),
     ("certify_amplification.eps0",
      lambda v: divergence.certify_amplification(50, v, 1e-4), "budget", []),
+    ("certify_amplification.delta",
+     lambda v: divergence.certify_amplification(50, 0.5, v), "unit", []),
     ("OneBitRandomizer", OneBitRandomizer, "budget", []),
     ("one_bit_rr_randomizer", one_bit_rr_randomizer, "budget", []),
     ("binary_rr", lambda v: binary_rr(1, v, _rng()), "budget0", []),
@@ -193,18 +222,25 @@ def test_checks_return_plain_python_scalars():
     assert type(core.check_count(np.int64(3), "x")) is int
     assert type(core.check_budget(np.float64(0.5))) is float
     assert type(core.check_budget(2)) is float
+    assert type(core.check_real(np.float64(0.5), "x", 0.0, 1.0)) is float
+    assert core.check_real(1, "x", 0.0, 1.0, "(]") == 1.0
     assert core.level_count(np.int64(8)) == 4
 
 
 def test_domain_checks_live_in_core():
     # the only check left outside core is the non-finite filter of the CLI's
-    # JSON printer
+    # JSON printer; no module, core included, compares a named real
+    # parameter to its interval inline rather than through check_real
     pattern = re.compile(r"np\.integer|math\.isfinite\(")
+    inline = re.compile(r"if not .*\b(delta|delta_prime|beta|alpha|q)\b\s*[<>]")
     found = []
     for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}:{lineno}: {line.strip()}"
+                  for lineno, line in enumerate(text.splitlines(), start=1)
+                  if inline.search(line)]
         if path.name == "core.py":
             continue
-        text = path.read_text(encoding="utf-8")
         allowed = set()
         if path.name == "cli.py":
             printer = next(node for node in ast.walk(ast.parse(text))
