@@ -1,4 +1,4 @@
-"""Closed-form accountant for privacy amplification by shuffling or swapping.
+"""Closed-form accountant for privacy amplification by shuffling.
 
 All bounds share the per-step budget eps1 = 2 e^(2 eps0) (e^(eps0) - 1) / n.
 The calculator evaluates every closed form whose hypotheses hold, returns
@@ -26,7 +26,6 @@ class AmplificationResult:
     `bounds` holds every closed form that was applicable, uncapped;
     `epsilon_central` is their minimum capped at epsilon0, and `regime`
     labels the winner ("no-amplification" when the cap bites).
-    `index_restricted` marks guarantees that hold at position one only.
     """
 
     epsilon_central: float
@@ -34,7 +33,6 @@ class AmplificationResult:
     regime: str
     delta: float
     bounds: dict = field(default_factory=dict)
-    index_restricted: bool = False
 
 
 def _check_n(n, name="n", low=2):
@@ -80,17 +78,16 @@ def _simplified_bound(epsilon0, n, delta):
     return 12.0 * epsilon0 * math.sqrt(math.log(1.0 / delta) / n)
 
 
-def _least(epsilon0, eps1, delta, bounds, index_restricted=False):
+def _least(epsilon0, eps1, delta, bounds):
     """The least bound capped at eps0. One below the normal float range has
     underflowed, and 0 would claim perfect privacy, so it is refused."""
     regime, best = min(bounds.items(), key=lambda item: item[1])
     if best >= epsilon0:
-        return AmplificationResult(epsilon0, eps1, REGIME_NONE, delta, bounds,
-                                   index_restricted)
+        return AmplificationResult(epsilon0, eps1, REGIME_NONE, delta, bounds)
     if best < sys.float_info.min:
         raise InvalidParameterError(
             f"the {regime} bound at eps0={epsilon0!r} underflows the float range")
-    return AmplificationResult(best, eps1, regime, delta, bounds, index_restricted)
+    return AmplificationResult(best, eps1, regime, delta, bounds)
 
 
 def amplify_shuffle(epsilon0, n, delta):
@@ -109,18 +106,6 @@ def amplify_shuffle(epsilon0, n, delta):
     if n >= 1000 and 0.0 < epsilon0 < 0.5 and 0.0 < delta < 0.01:
         bounds[REGIME_SIMPLIFIED] = _simplified_bound(epsilon0, n, delta)
     return _least(epsilon0, eps1, delta, bounds)
-
-
-def amplify_swap(epsilon0, n, delta):
-    """Central-model budget of the one-swap protocol; holds at index 1 only.
-
-    Same general closed form as `amplify_shuffle`, without the reduced
-    special-case regimes, capped at eps0.
-    """
-    epsilon0, n, delta = _validate(epsilon0, n, delta)
-    eps1 = per_step_epsilon(epsilon0, n)
-    return _least(epsilon0, eps1, delta, {REGIME_GENERAL: _general_bound(eps1, n, delta)},
-                  index_restricted=True)
 
 
 def amplify_group(epsilon0, group_size, delta):
@@ -153,20 +138,5 @@ def rdp_bound(epsilon0, n, alpha):
     alpha = check_real(alpha, "order", 1.0, math.inf, "[)")
     try:
         return 2.0 * alpha * math.exp(4.0 * epsilon0) * math.expm1(epsilon0) ** 2 / n
-    except OverflowError:
-        return math.inf
-
-
-def binary_case_bound(epsilon0, n, delta):
-    """Asymptotic reference curve min(1, eps0) e^(eps0/2) sqrt(log(1/delta)/n)
-    for the one-bit case, with the unknown constant set to 1.
-
-    Plot/comparison aid only; never a certified guarantee. inf once
-    e^(eps0/2) overflows.
-    """
-    epsilon0, n, delta = _validate(epsilon0, n, delta)
-    try:
-        return min(1.0, epsilon0) * math.exp(epsilon0 / 2.0) \
-            * math.sqrt(math.log(1.0 / delta) / n)
     except OverflowError:
         return math.inf

@@ -11,13 +11,14 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from .aggregator import accumulate_arrays, dyadic_cover, estimate_marginals
 from .amplification import amplify_group, amplify_shuffle, rdp_bound
-from .client import open_input, open_output, read_reports
+from .client import INT64_MAX, open_input, open_output, read_reports
 from .divergence import certify_amplification
 from .errors import InvalidParameterError, ParseError
 from .harness import SimulationConfig, results_to_json, simulate, summarize, write_results
@@ -25,6 +26,10 @@ from .harness import SimulationConfig, results_to_json, simulate, summarize, wri
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
+
+# A truth count: optional sign and ASCII digits only, so that int() never
+# reads a spelling such as "1_0" or "1e3", and within the int64 range.
+_TRUTH_COUNT = re.compile(r"[+-]?[0-9]+")
 
 
 def _print_json(value):
@@ -128,17 +133,18 @@ def _cmd_cover(args):
 
 
 def _read_truth(path, d):
-    """True counts, one integer per line; blank lines and # comments skip."""
+    """True counts, one int64 integer per line; blank lines and # comments
+    skip."""
     values = []
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise ParseError(f"expected one integer count, got {line!r}", lineno) from exc
+            value = int(line) if _TRUTH_COUNT.fullmatch(line) else None
+            if value is None or not -INT64_MAX - 1 <= value <= INT64_MAX:
+                raise ParseError(f"expected one int64 integer count, got {line!r}", lineno)
+            values.append(value)
     if len(values) != d:
         raise InvalidParameterError(f"truth file has {len(values)} rows, expected {d}")
     return np.array(values, dtype=np.int64)

@@ -70,21 +70,6 @@ def _count_pmf(n, m, log_p, log_1mp, lgam):
     return probs / total
 
 
-def shuffled_rr_count_distribution(n, m, epsilon0):
-    """Exact distribution of the number of 1-responses over support {0..n}.
-
-    With m inputs equal to 1 and truth probability p = e^e0/(1+e^e0), the
-    count is the independent sum of Binomial(m, p) and Binomial(n-m, 1-p).
-    Terms are computed in log space against a log-gamma table so deep tails
-    survive; the convolved vector is checked to sum to 1 within 1e-9 and
-    renormalized.
-    """
-    n = check_count(n, "n", high=ORACLE_MAX_N)
-    m = check_count(m, "ones count m", low=0, high=n)
-    epsilon0 = check_budget(epsilon0, "epsilon0")
-    return _count_pmf(n, m, *_pmf_terms(n, epsilon0))
-
-
 def _two_tap_solver(n, p, q):
     """Return solve(f): the length-n y with p y[x] + q y[x-1] = f[x] and
     y[-1] = 0. Each BLOCK-wide slice is one product with the Toeplitz
@@ -156,19 +141,15 @@ def divergence_scan(n, epsilon0, epsilon):
     return np.maximum(forward, forward[::-1])
 
 
-def worst_case_divergence(n, epsilon0, epsilon, return_scan=False):
+def worst_case_divergence(n, epsilon0, epsilon):
     """Exact smallest delta for which the shuffled one-bit protocol is
     (epsilon, delta)-DP: the max over all adjacent input pairs.
 
     Adjacent means m versus m+1 inputs equal to 1; no extremality shortcut
-    is assumed, every m in [0, n-1] is scanned. Set return_scan to also get
-    the per-m divergence array.
+    is assumed, every m in [0, n-1] is scanned (`divergence_scan` gives the
+    per-m deltas).
     """
-    deltas = divergence_scan(n, epsilon0, epsilon)
-    worst = float(deltas.max())
-    if return_scan:
-        return worst, deltas
-    return worst
+    return float(divergence_scan(n, epsilon0, epsilon).max())
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class OutOfRegimeError(InvalidParameterError):
     """Inputs violate the hypotheses a closed-form bound needs; no silent extrapolation."""
 
 
-class ProtocolError(RuntimeError):
-    """A sequencing contract was broken (out-of-order update, changed budget mid-run)."""
-
-
 class MalformedReportError(InvalidParameterError):
     """A report's (level, timestep) pair does not address a valid tree node."""
 

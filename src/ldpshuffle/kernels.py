@@ -1,8 +1,9 @@
 """Bulk report emission for a whole client population.
 
 This is the inner loop of a simulation trial, vectorized in numpy over
-the flat report stream of a block of clients. `client.client_update` is
-its scalar reference: fed the same coins, it emits the same reports.
+the flat report stream of a block of clients. Its scalar reference is
+`client_update` in `tests/reference/client.py`: fed the same coins, it
+emits the same reports.
 """
 
 import numpy as np

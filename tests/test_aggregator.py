@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ldpshuffle.aggregator import (SumTree, accumulate, accumulate_arrays,
-                                   cover_leaf_range, dyadic_cover,
-                                   dyadic_cover_merge, estimate_marginals)
-from ldpshuffle.client import Report
+from ldpshuffle.aggregator import SumTree, accumulate_arrays, dyadic_cover, estimate_marginals
 from ldpshuffle.core import level_count, scale_factor
 from ldpshuffle.errors import InvalidParameterError, MalformedReportError
 from ldpshuffle.randomizer import RandomnessStream
+
+from reference.aggregator import (accumulate, add_report, cover_leaf_range,
+                                  dyadic_cover_merge, node)
+from reference.client import Report
 
 
 def _random_reports(rng, d, count):
@@ -32,25 +33,25 @@ class TestSumTree:
 
     def test_single_report(self):
         tree = accumulate([Report(1, 3, -1)], 4)
-        assert tree.node(1, 3) == -1
+        assert node(tree, 1, 3) == -1
         assert int(np.abs(tree.values).sum()) == 1
 
     def test_two_reports_same_node(self):
         tree = accumulate([Report(2, 2, 1), Report(2, 2, 1)], 4)
-        assert tree.node(2, 1) == 2
+        assert node(tree, 2, 1) == 2
 
     def test_malformed_report_rejected(self):
         tree = SumTree(4)
         with pytest.raises(MalformedReportError):
-            tree.add_report(2, 3, 1)  # period 2 does not divide 3
+            add_report(tree, 2, 3, 1)  # period 2 does not divide 3
         with pytest.raises(MalformedReportError):
-            tree.add_report(4, 4, 1)  # level beyond the tree
+            add_report(tree, 4, 4, 1)  # level beyond the tree
         with pytest.raises(MalformedReportError):
-            tree.add_report(1, 5, 1)  # beyond horizon
+            add_report(tree, 1, 5, 1)  # beyond horizon
 
     def test_level_zero_rejected_before_shift(self):
         with pytest.raises(MalformedReportError, match="level 0"):
-            SumTree(4).add_report(0, 1, 1)
+            add_report(SumTree(4), 0, 1, 1)
 
     def test_array_accumulate_matches_object_path(self):
         rng = RandomnessStream(21, 0)
@@ -163,14 +164,14 @@ class TestEstimateMarginals:
         # d=2 has two levels, so the inverse level-sampling weight is 2
         tree = SumTree(2)
         for _ in range(5):
-            tree.add_report(2, 2, 1)
+            add_report(tree, 2, 2, 1)
         est = estimate_marginals(tree, 2.0, 1, 2)
         assert est[1] == pytest.approx(scale_factor(2.0) * 1 * 2 * 5, rel=1e-12)
         assert est[0] == 0.0
 
     def test_degenerate_horizon_weight_is_one(self):
         tree = SumTree(1)
-        tree.add_report(1, 1, 1)
+        add_report(tree, 1, 1, 1)
         est = estimate_marginals(tree, 2.0, 1, 1)
         assert est[0] == pytest.approx(scale_factor(2.0), rel=1e-12)
 
@@ -186,5 +187,5 @@ class TestEstimateMarginals:
         est = estimate_marginals(tree, 1.0, 3, d)
         weight = scale_factor(1.0) * 3 * level_count(d)
         for t_query in (1, 5, 11, 16):
-            total = sum(tree.node(hh, jj) for hh, jj in dyadic_cover(t_query, d))
+            total = sum(node(tree, hh, jj) for hh, jj in dyadic_cover(t_query, d))
             assert est[t_query - 1] == pytest.approx(weight * total, rel=1e-12)

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldpshuffle.amplification import (amplify_group, amplify_shuffle, amplify_swap,
-                                      binary_case_bound, per_step_epsilon, rdp_bound)
+from ldpshuffle.amplification import (_general_bound, amplify_group, amplify_shuffle,
+                                      per_step_epsilon, rdp_bound)
 from ldpshuffle.errors import InvalidParameterError, OutOfRegimeError
+
+from reference.amplification import binary_case_bound
+from reference.core import advanced_composition
 
 
 class TestPerStepEpsilon:
@@ -79,22 +82,25 @@ class TestAmplifyShuffle:
             amplify_shuffle(0.0, 100, 1e-8)
 
 
-class TestAmplifySwap:
-    def test_matches_shuffle_general_bound(self):
-        shf = amplify_shuffle(0.4, 10 ** 6, 1e-8)
-        swp = amplify_swap(0.4, 10 ** 6, 1e-8)
-        assert swp.bounds["general"] == pytest.approx(shf.bounds["general"], rel=1e-15)
-        assert swp.index_restricted and not shf.index_restricted
+class TestGeneralBound:
+    """The general closed form eps1 sqrt(2 n log(1/delta)) + n eps1 (e^eps1 - 1),
+    the advanced composition of n eps1-DP steps."""
 
-    def test_closed_form_value(self):
-        res = amplify_swap(0.1, 10 ** 4, 1e-6)
-        assert res.epsilon_central == pytest.approx(0.013511240871665237, rel=1e-10)
-        assert res.regime == "general"
+    def test_closed_form_values(self):
+        assert _general_bound(0.1, 100, 1e-6) == pytest.approx(6.308230950513408, abs=1e-9)
+        assert _general_bound(0.5, 1, 1e-6) == pytest.approx(2.95262152022853, abs=1e-9)
 
-    def test_caps_at_local_budget(self):
-        res = amplify_swap(5.0, 10, 1e-6)
-        assert res.epsilon_central == 5.0
-        assert res.regime == "no-amplification"
+    def test_single_step_never_tightens(self):
+        for eps in (0.1, 0.5, 1.0, 2.0):
+            assert _general_bound(eps, 1, 1e-9) >= eps
+
+    def test_equals_advanced_composition(self):
+        # bit for bit the epsilon of composing n eps1-DP steps with slack delta
+        for eps1 in np.geomspace(1e-6, 5.0, 12):
+            for n in (1, 2, 10, 1000, 10 ** 6):
+                for delta in (1e-12, 1e-6, 0.01):
+                    assert _general_bound(eps1, n, delta) == \
+                        advanced_composition(eps1, 0.0, n, delta).epsilon
 
 
 class TestAmplifyGroup:
@@ -189,7 +195,7 @@ class TestExtremeParameters:
     @example(0.25, 1000, 1e-300)
     @example(1e-300, 10 ** 300, 1e-3)
     def test_claims_are_positive_and_capped(self, eps0, n, delta):
-        for amplify in (amplify_shuffle, amplify_swap, amplify_group):
+        for amplify in (amplify_shuffle, amplify_group):
             try:
                 res = amplify(eps0, n, delta)
             except InvalidParameterError:

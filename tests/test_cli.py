@@ -240,6 +240,21 @@ class TestSimulateAndEstimate:
         assert out_path.read_bytes() == b'{"earlier": "results"}\n'
         assert rep_path.read_bytes() == b'{"h": 1, "t": 1, "u": 1}\n'
 
+    def test_simulate_huge_epsilon_succeeds(self, capsys):
+        # e^(eps/2) overflows past eps ~1419; the debiasing factor is then 1
+        code, out, _ = _run(capsys, ["simulate", "--n", "2", "--d", "4", "--k", "1",
+                                     "--epsilon", "1500"])
+        assert code == 0
+        assert json.loads(out)["trials"]
+
+    def test_estimate_huge_epsilon_succeeds(self, capsys, tmp_path):
+        reports = tmp_path / "r.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n{"h": 3, "t": 4, "u": -1}\n')
+        code, out, _ = _run(capsys, ["estimate", "--reports", str(reports), "--d", "4",
+                                     "--k", "1", "--epsilon", "1e308"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,3", "2,0", "3,0", "4,-3"]
+
     def test_simulate_invalid_params_exit_2(self, capsys):
         code, _, err = _run(capsys, [
             "simulate", "--n", "10", "--d", "6", "--k", "1", "--epsilon", "1.0",
@@ -292,6 +307,27 @@ class TestEstimateBadInput:
         code, _, err = self._estimate(capsys, reports, truth)
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("bad", ["99999999999999999999", "-9223372036854775809", "1_0",
+                                     "1e3", "1.0", "+-1", "\u0661"])
+    def test_truth_outside_int64_syntax_names_line(self, capsys, tmp_path, bad):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        truth = tmp_path / "truth.txt"
+        truth.write_text(f"0\n# comment\n{bad}\n1\n1\n", encoding="utf-8")
+        code, _, err = self._estimate(capsys, reports, truth)
+        assert code == 2
+        assert "line 3" in err
+
+    def test_truth_int64_limits_accepted(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        truth = tmp_path / "truth.txt"
+        truth.write_text("9223372036854775807\n-9223372036854775808\n+7\n 0 # zero\n")
+        code, out, _ = self._estimate(capsys, reports, truth)
+        assert code == 0
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == [
+            "9223372036854775807", "-9223372036854775808", "7", "0"]
 
     def test_missing_truth_file(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"

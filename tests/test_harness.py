@@ -7,12 +7,13 @@ import pytest
 from scipy.stats import chisquare
 
 import ldpshuffle.harness as harness
-from ldpshuffle.client import changes_to_states
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
                                 results_to_csv, results_to_json, run_trial, simulate,
                                 theorem_error_bound, write_results)
 from ldpshuffle.randomizer import RandomnessStream
+
+from reference.client import changes_to_states
 
 
 def _write_rows(path, rows):

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 import ldpshuffle.divergence as divergence
 from ldpshuffle.amplification import amplify_shuffle
-from ldpshuffle.client import ClientState, client_update
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import divergence_scan, shuffled_rr_count_distribution
+from ldpshuffle.divergence import divergence_scan
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
-from conftest import ScriptedStream, reference_divergence_scan
+from conftest import ScriptedStream
+from reference.client import ClientState, client_update
+from reference.core import hockey_stick_delta
+from reference.divergence import reference_divergence_scan, shuffled_rr_count_distribution
 
 
 def _random_population(seed, n, d, k):
@@ -104,8 +106,6 @@ class TestEmitReports:
 
 class TestDivergenceScan:
     def test_matches_direct_hockey_stick(self):
-        from ldpshuffle.core import hockey_stick_delta
-
         n, eps0, eps = 24, 0.8, 0.3
         scan = divergence_scan(n, eps0, eps)
         for m in (0, 7, 12, 23):

@@ -6,18 +6,19 @@ import pytest
 from scipy.stats import chisquare
 
 from ldpshuffle.errors import InvalidParameterError
-from ldpshuffle.randomizer import RandomnessStream, one_bit_rr_randomizer
-from ldpshuffle.shuffle import (distribution_to_cells, exact_local_distribution,
-                                exact_response_shuffle_distribution,
-                                exact_shuffled_distribution, exact_swap_distribution,
-                                pack_outputs, run_local, run_shuffled, run_swap,
-                                sample_onebit_batch, shuffle_responses)
+from ldpshuffle.randomizer import RandomnessStream
 
-from conftest import ParityRandomizer, ScriptedStream
+from conftest import ScriptedStream
+from reference.randomizer import OneBitRandomizer, ParityRandomizer
+from reference.shuffle import (distribution_to_cells, exact_local_distribution,
+                               exact_response_shuffle_distribution,
+                               exact_shuffled_distribution, exact_swap_distribution,
+                               pack_outputs, run_local, run_shuffled, run_swap,
+                               sample_onebit_batch, shuffle_responses)
 
 
 def _rr_team(eps0, n):
-    return [one_bit_rr_randomizer(eps0)] * n
+    return [OneBitRandomizer(eps0)] * n
 
 
 class TestRunners:
@@ -73,7 +74,7 @@ class TestShuffleResponses:
             shuffle_responses([1, 0], [2], RandomnessStream(8, 0))
 
     def test_mismatched_randomizers_rejected(self):
-        rs = [one_bit_rr_randomizer(0.5), one_bit_rr_randomizer(0.7)]
+        rs = [OneBitRandomizer(0.5), OneBitRandomizer(0.7)]
         with pytest.raises(InvalidParameterError):
             shuffle_responses([0, 1], [0, 1], RandomnessStream(9, 0), randomizers=rs)
 
@@ -84,7 +85,7 @@ class TestShuffleResponses:
 
 class TestExactOracles:
     def test_local_distribution_tiny_case(self):
-        r = one_bit_rr_randomizer(math.log(3.0))  # truthful w.p. 3/4
+        r = OneBitRandomizer(math.log(3.0))  # truthful w.p. 3/4
         dist = exact_local_distribution([1], [r])
         assert dist[(1,)] == pytest.approx(0.75)
         assert dist[(0,)] == pytest.approx(0.25)
@@ -120,8 +121,8 @@ class TestExactOracles:
         # a team whose middle member reacts to prior outputs: the sequential
         # runners must feed the growing transcript through, matching the
         # enumerated distribution
-        team = [one_bit_rr_randomizer(0.8), ParityRandomizer(0.8),
-                one_bit_rr_randomizer(0.8)]
+        team = [OneBitRandomizer(0.8), ParityRandomizer(0.8),
+                OneBitRandomizer(0.8)]
         data = [1, 1, 0]
         runs = 100_000
         stream = RandomnessStream(18, 0)
