@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import re
+import resource
 import sys
 
 import numpy as np
@@ -21,7 +22,8 @@ from .amplification import amplify_group, amplify_shuffle, rdp_bound
 from .client import INT64_MAX, open_input, open_output, read_reports
 from .divergence import certify_amplification
 from .errors import InvalidParameterError, ParseError
-from .harness import SimulationConfig, results_to_json, simulate, summarize, write_results
+from .harness import (SimulationConfig, results_to_json, simulate, summarize, trial_bytes,
+                      write_results)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -50,7 +52,7 @@ def _cmd_simulate(args):
         trials=args.trials, seed=args.seed, input_model=args.input_model,
         shuffle_mode=args.shuffle_mode, output_path=args.output,
         step_time=args.step_time, input_path=args.input_path,
-        reports_path=args.reports_path, allow_large=args.allow_large,
+        reports_path=args.reports_path,
     )
     config.validate()
     # an unwritable output path fails before any trial runs; append mode
@@ -65,9 +67,12 @@ def _cmd_simulate(args):
         sys.stdout.write(results_to_json(config, results))
     total = sum(r.wall_time for r in results)
     summary = summarize(results)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"simulate: {config.trials} trial(s) in {total:.3f}s, "
           f"median max error {summary['median_max_abs_error']:.6g}, "
-          f"bound satisfied in {summary['bound_satisfied_fraction']:.0%}",
+          f"bound satisfied in {summary['bound_satisfied_fraction']:.0%}; trial 0 "
+          f"emitted {results[0].reports} reports, memory bound "
+          f"{trial_bytes(config.n, config.d, config.k)} B, peak RSS {peak_kb} KB",
           file=sys.stderr)
     return EXIT_OK
 
@@ -195,7 +200,6 @@ def build_parser():
     p.add_argument("--input-path", default=None, help="JSON-lines change vectors (file model)")
     p.add_argument("--reports-path", default=None, help="dump the trial-0 report stream here")
     p.add_argument("--output", default=None, help="results file (.csv for CSV, else JSON)")
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("bound", help="closed-form amplification calculator")

@@ -52,11 +52,11 @@ WRITE_ROWS = 1 << 14
 READ_BYTES = 1 << 16
 
 
-def write_report_arrays(path, h, t, u):
+def write_report_arrays(path, h, t, u, mode="w"):
     """Write reports held as parallel arrays as JSON lines, one
-    `REPORT_LINE` per report, formatted WRITE_ROWS rows at a time; the
-    anonymized stream carries no client identifier."""
-    with open_output(path) as fh:
+    `REPORT_LINE` per report and no client identifier, WRITE_ROWS rows at a
+    time, replacing the file (mode "w") or appending to it (mode "a")."""
+    with open_output(path, mode) as fh:
         for lo in range(0, len(h), WRITE_ROWS):
             hi = lo + WRITE_ROWS
             rows = np.column_stack((h[lo:hi], t[lo:hi], u[lo:hi]))

@@ -6,17 +6,18 @@ Reproducibility contract: every trial draws from its own counter-based
 stream keyed by (seed, trial), consumed in a fixed order: input generation
 (k integer draws over all clients for the random-changes model), the
 per-client change index, the per-client level, one report coin per
-emitted report in client-major order, and last the post-shuffle
-permutation, drawn only when the trial-0 stream is written out. Coins are
-drawn BLOCK clients at a time, and a Philox stream yields the same values
-in chunks as in one draw, so results do not depend on BLOCK; two runs with
-the same config are bit-identical.
+emitted report in client-major order, and last, only when a post-shuffle
+trial 0 is written out, per chunk of max(SHUFFLE_ROWS, 4d) reports one
+binomial split of every (node, sign) cell and one permutation. Coins are
+drawn a block at a time, and Philox yields the same values in chunks as in
+one draw, so no output depends on BLOCK; equal configs give equal bits.
 """
 
 import dataclasses
 import json
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -33,12 +34,10 @@ from .randomizer import RandomnessStream
 INPUT_MODELS = ("worst-case-sparse", "random-changes", "step-function", "file")
 SHUFFLE_MODES = ("none", "post-shuffle")
 
-# refuse accidental huge runs; override with allow_large
-RESOURCE_GUARD_CELLS = 10 ** 9
-
-# clients per coin draw and emission pass: a trial holds O(BLOCK * d)
-# reports at a time. Results do not depend on it (see the module docstring).
-BLOCK = 512
+# reports per emission block, at least 2d; no output depends on it
+BLOCK = 1 << 15
+# reports per post-shuffle chunk, at least 4d; it sets the shuffle draws
+SHUFFLE_ROWS = 1 << 16
 
 
 def check_input_domain(n, d, k, input_model, step_time=None, input_path=None):
@@ -76,7 +75,6 @@ class SimulationConfig:
     step_time: int = None          # step-function model: common flip time
     input_path: str = None         # file model: JSON-lines change vectors
     reports_path: str = None       # dump the trial-0 report stream here
-    allow_large: bool = False
 
     def validate(self):
         check_input_domain(self.n, self.d, self.k, self.input_model,
@@ -88,17 +86,15 @@ class SimulationConfig:
             raise InvalidParameterError(
                 f"unknown shuffle mode {self.shuffle_mode!r}; pick from {SHUFFLE_MODES}"
             )
-        cells = int(self.n) * int(self.d)
-        if cells > RESOURCE_GUARD_CELLS and not self.allow_large:
-            raise InvalidParameterError(
-                f"n*d = {cells} exceeds the resource guard; "
-                "set allow_large to override"
-            )
-
-    def to_json_dict(self):
-        out = dataclasses.asdict(self)
-        out.pop("allow_large")
-        return out
+        files = [os.path.realpath(p) for p in
+                 (self.input_path, self.output_path, self.reports_path) if p]
+        if len(set(files)) < len(files):
+            raise InvalidParameterError("input, output and reports paths must differ")
+        need = trial_bytes(self.n, self.d, self.k)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > memory:
+            raise InvalidParameterError(f"a trial may hold {need} bytes, more than "
+                                        f"the {memory} bytes of physical memory")
 
 
 @dataclass
@@ -112,6 +108,7 @@ class SimulationResult:
     bound_satisfied: bool
     wall_time: float
     clipped_clients: int = 0
+    reports: int = 0               # reports the trial emitted
 
 
 def theorem_error_bound(n, d, k, epsilon, beta):
@@ -202,13 +199,20 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
     return read_change_vectors(input_path, n, d, k)  # the file model
 
 
-def run_trial(config, trial):
-    """Run one seeded trial; returns (estimates, truth, reports, clipped).
+def trial_bytes(n, d, k):
+    """An upper bound on the bytes a trial holds: its change lists and
+    per-client arrays, a block, a chunk (binomial, past 5/4 of its mean
+    bound with probability below e^-600), the tree and the writer."""
+    block = max(BLOCK, 2 * d) + d
+    chunk = max(SHUFFLE_ROWS, 4 * d) * 5 // 4
+    return 8 * (4 * n * k + 12 * n + 12 * block + 12 * chunk + 40 * d) + (4 << 20)
 
-    Clients are processed BLOCK at a time, each block's reports folded into
-    the tree and dropped. reports is the trial's (h, t, u) stream, permuted
-    under post-shuffle, for trial 0 when config.reports_path is set, and
-    None otherwise: the estimates do not depend on report order.
+
+def run_trial(config, trial):
+    """Run one seeded trial; returns (estimates, truth, reports emitted,
+    clipped). Each block of clients is folded into the tree and dropped;
+    trial 0 writes its stream to config.reports_path if set, block by block
+    under shuffle mode none, else drawn from the tree (`_write_shuffled`).
     """
     stream = RandomnessStream(config.seed, trial)
     times, values, clipped = generate_inputs(config.n, config.d, config.k,
@@ -228,27 +232,51 @@ def run_trial(config, trial):
     signal_v = values[rows, target - 1]
 
     truth_prob = rr_probability(config.epsilon)
-    keep = trial == 0 and bool(config.reports_path)
-    kept = []
+    dump = config.reports_path if trial == 0 else None
+    ends = np.cumsum(config.d >> (levels - 1))
+    # block i holds the clients whose last report falls in (i step, (i+1) step]
+    step = max(BLOCK, 2 * config.d)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], step), side="right").tolist()
     tree = SumTree(config.d)
-    for lo in range(0, config.n, BLOCK):
-        part = slice(lo, lo + BLOCK)
-        coins = stream.uniform(size=int((config.d >> (levels[part] - 1)).sum()))
-        reports = emit_reports(signal_t[part], signal_v[part], levels[part], coins,
-                               truth_prob, config.d)
+    for lo, hi in zip(cuts, cuts[1:] + [config.n]):
+        count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
+        reports = emit_reports(signal_t[lo:hi], signal_v[lo:hi], levels[lo:hi],
+                               stream.uniform(size=count), truth_prob, config.d)
         tree.merge(accumulate_arrays(*reports, config.d))
-        if keep:
-            kept.append(reports)
+        if dump and config.shuffle_mode == "none":
+            write_report_arrays(dump, *reports, mode="a" if lo else "w")
+        del reports  # so that no two blocks are held at once
+    if dump and config.shuffle_mode == "post-shuffle":
+        _write_shuffled(dump, tree, levels, stream, max(SHUFFLE_ROWS, 4 * config.d))
     estimates = estimate_marginals(tree, config.epsilon, config.k, config.d)
+    return estimates, truth, int(ends[-1]), clipped
 
-    reports = None
-    if keep:
-        h, t, u = (np.concatenate(column) for column in zip(*kept))
-        if config.shuffle_mode == "post-shuffle":
-            perm = stream.permutation(len(h))
-            h, t, u = h[perm], t[perm], u[perm]
-        reports = (h, t, u)
-    return estimates, truth, reports, clipped
+
+def _write_shuffled(path, tree, levels, stream, rows):
+    """Write a uniform arrangement of the reports in tree, given each
+    client's level. A level-h client sends one report to every level-h node,
+    so a node holds one report per such client, (count + sum) / 2 of them
+    +1. Each report goes to a uniform one of ceil(total / rows) chunks by
+    binomial splits of every (node, sign) cell; each chunk is then
+    permuted, so that the concatenation is a uniform permutation."""
+    widths = tree.d >> np.arange(tree.levels)
+    held = np.repeat(np.bincount(levels, minlength=tree.levels + 1)[1:], widths)
+    if np.any(np.abs(tree.values) > held) or np.any((held + tree.values) & 1):
+        raise RuntimeError("the report tree does not match the client levels")
+    # per node: its -1 reports, then its +1 reports
+    cells = np.column_stack((held - tree.values, held + tree.values)).ravel() // 2
+    node_h = np.repeat(np.arange(1, tree.levels + 1), widths)
+    node_t = np.concatenate([np.arange(1 << h, tree.d + 1, 1 << h)
+                             for h in range(tree.levels)])
+    chunks = -(-int(cells.sum()) // rows)
+    for left in range(chunks, 0, -1):
+        take = stream.generator.binomial(cells, 1.0 / left) if left > 1 else cells
+        cells = cells - take
+        cell = np.repeat(np.arange(len(take)), take)
+        cell = cell[stream.permutation(len(cell))]
+        node = cell >> 1
+        write_report_arrays(path, node_h[node], node_t[node], 2 * (cell & 1) - 1,
+                            mode="w" if left == chunks else "a")
 
 
 def simulate(config):
@@ -262,18 +290,10 @@ def simulate(config):
         estimates, truth, reports, clipped = run_trial(config, trial)
         errors = np.abs(truth - estimates)
         max_err = float(errors.max())
-        elapsed = time.perf_counter() - start
-        if reports is not None:
-            write_report_arrays(config.reports_path, *reports)
         results.append(SimulationResult(
-            trial=trial,
-            max_abs_error=max_err,
-            errors=errors,
-            theorem_bound=bound,
-            bound_satisfied=bool(max_err <= bound),
-            wall_time=elapsed,
-            clipped_clients=clipped,
-        ))
+            trial=trial, max_abs_error=max_err, errors=errors, theorem_bound=bound,
+            bound_satisfied=bool(max_err <= bound), wall_time=time.perf_counter() - start,
+            clipped_clients=clipped, reports=reports))
     return results
 
 
@@ -303,9 +323,9 @@ def summarize(results):
 
 
 def results_to_json(config, results):
-    """Canonical JSON text for a run; floats keep 17 significant digits."""
+    """Canonical JSON text for a run; every float prints as its exact repr."""
     payload = {
-        "config": config.to_json_dict(),
+        "config": dataclasses.asdict(config),
         "summary": summarize(results),
         "trials": [
             {
@@ -319,17 +339,8 @@ def results_to_json(config, results):
         ],
     }
 
-    def encode(obj):
-        if isinstance(obj, float):
-            return float(_fmt(obj))
-        if isinstance(obj, dict):
-            return {k: encode(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [encode(v) for v in obj]
-        return obj
-
     # default: a numpy integer in the config prints as a plain int
-    return json.dumps(encode(payload), sort_keys=True, indent=2,
+    return json.dumps(payload, sort_keys=True, indent=2,
                       default=operator.index) + "\n"
 
 

@@ -226,19 +226,27 @@ class TestSimulateAndEstimate:
         ["--d", "4", "--k", "8"],
         ["--d", "4", "--k", "1", "--input-model", "step-function", "--step-time", "0"],
         ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "MISSING"],
+        # one file named twice is refused before either is touched
+        ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "in.jsonl",
+         "--reports-path", "in.jsonl", "--trials", "2"],
+        ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "in.jsonl",
+         "--output", "in.jsonl"],
+        ["--d", "4", "--k", "1", "--output", "reports.jsonl"],
     ])
     def test_failed_simulate_keeps_existing_outputs(self, capsys, tmp_path, bad):
-        out_path = tmp_path / "run.json"
-        rep_path = tmp_path / "reports.jsonl"
-        out_path.write_bytes(b'{"earlier": "results"}\n')
-        rep_path.write_bytes(b'{"h": 1, "t": 1, "u": 1}\n')
-        argv = ["simulate", "--n", "4", "--epsilon", "1.0", "--output", str(out_path),
-                "--reports-path", str(rep_path)]
-        argv += [str(tmp_path / arg) if arg == "MISSING" else arg for arg in bad]
+        files = {"run.json": b'{"earlier": "results"}\n',
+                 "reports.jsonl": b'{"h": 1, "t": 1, "u": 1}\n',
+                 "in.jsonl": b'{"x": [0, 1, 0, 0]}\n' * 4}
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv = ["simulate", "--n", "4", "--epsilon", "1.0", "--output",
+                str(tmp_path / "run.json"), "--reports-path", str(tmp_path / "reports.jsonl")]
+        argv += [str(tmp_path / arg) if arg in files or arg == "MISSING" else arg
+                 for arg in bad]
         code, _, _ = _run(capsys, argv)
         assert code == 2
-        assert out_path.read_bytes() == b'{"earlier": "results"}\n'
-        assert rep_path.read_bytes() == b'{"h": 1, "t": 1, "u": 1}\n'
+        for name, data in files.items():
+            assert (tmp_path / name).read_bytes() == data
 
     def test_simulate_huge_epsilon_succeeds(self, capsys):
         # e^(eps/2) overflows past eps ~1419; the debiasing factor is then 1

@@ -1,16 +1,24 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import ldpshuffle
 import ldpshuffle.harness as harness
+from ldpshuffle.aggregator import SumTree
+from ldpshuffle.client import read_reports
 from ldpshuffle.errors import InvalidParameterError, ParseError
-from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
-                                results_to_csv, results_to_json, run_trial, simulate,
-                                theorem_error_bound, write_results)
+from ldpshuffle.harness import (SHUFFLE_MODES, SimulationConfig, generate_inputs,
+                                read_change_vectors, results_to_csv, results_to_json,
+                                run_trial, simulate, theorem_error_bound, trial_bytes,
+                                write_results)
 from ldpshuffle.randomizer import RandomnessStream
 
 from reference.client import changes_to_states
@@ -100,6 +108,40 @@ class TestGenerateInputs:
             generate_inputs(5, 8, 1, "adversarial", RandomnessStream(5, 0))
 
 
+# Prints how far one run_trial call raises this process's peak RSS, in
+# bytes, and trial_bytes for its config. The peak is VmHWM, which starts
+# afresh at exec; ru_maxrss would start at the forking process's peak.
+_RSS_RISE = """
+import sys
+from ldpshuffle.harness import SimulationConfig, run_trial, trial_bytes
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+n, d, k, mode, path = sys.argv[1:]
+cfg = SimulationConfig(n=int(n), d=int(d), k=int(k), epsilon=1.0, shuffle_mode=mode,
+                       reports_path=path or None)
+before = peak()
+run_trial(cfg, 0)
+print((peak() - before) * 1024, trial_bytes(cfg.n, cfg.d, cfg.k))
+"""
+
+
+@pytest.mark.parametrize("mode,dump", [("none", False), ("none", True),
+                                       ("post-shuffle", True)])
+@pytest.mark.parametrize("n,d,k", [(100_000, 8, 8), (64, 1 << 16, 1)])
+def test_trial_bytes_bounds_a_trial(tmp_path, n, d, k, mode, dump):
+    # many clients over a short horizon, and few over a long one, each in a
+    # fresh process so that the rise is the trial's own
+    env = dict(os.environ, PYTHONPATH=str(Path(ldpshuffle.__file__).parents[1]))
+    path = str(tmp_path / "reports.jsonl") if dump else ""
+    out = subprocess.run([sys.executable, "-c", _RSS_RISE, str(n), str(d), str(k), mode,
+                          path], env=env, capture_output=True, text=True, check=True)
+    rise, bound = map(int, out.stdout.split())
+    assert 0 < rise <= bound
+
+
 class TestSimulate:
     def _config(self, **kw):
         base = dict(n=200, d=8, k=2, epsilon=1.0, trials=3, seed=42,
@@ -139,30 +181,41 @@ class TestSimulate:
             assert r.bound_satisfied == (r.max_abs_error <= bound)
             assert r.errors.shape == (cfg.d,)
 
-    def test_resource_guard(self):
-        cfg = self._config(n=10 ** 6, d=1 << 12, trials=1)
-        with pytest.raises(InvalidParameterError):
-            simulate(cfg)
-        cfg.allow_large = True
-        cfg.validate()  # no raise once overridden
+    def test_resource_guard(self, monkeypatch):
+        # the bound is worked out from (n, d, k): a million clients at
+        # d = 4096 fit in well under a gigabyte, and no option overrides it
+        cfg = self._config(n=10 ** 6, d=1 << 12, k=1, trials=1)
+        assert trial_bytes(cfg.n, cfg.d, cfg.k) < 1 << 30
+        cfg.validate()
+        for n, d in ((10 ** 12, 2), (2, 1 << 62)):
+            with pytest.raises(InvalidParameterError, match="bytes"):
+                simulate(self._config(n=n, d=d, k=1, trials=1))
+        # the same config is refused on a host with less memory than the bound
+        monkeypatch.setattr(harness.os, "sysconf",
+                            lambda name: 1 if name == "SC_PAGE_SIZE" else 1 << 20)
+        with pytest.raises(InvalidParameterError, match="bytes"):
+            cfg.validate()
 
     def test_post_shuffle_preserves_estimates(self, tmp_path):
-        # the stream is permuted only when it is written out, so ask for it
-        dump = str(tmp_path / "reports.jsonl")
-        plain = self._config(shuffle_mode="none", reports_path=dump)
-        mixed = self._config(shuffle_mode="post-shuffle", reports_path=dump)
-        est_a, _, reports_a, _ = run_trial(plain, 0)
-        est_b, _, reports_b, _ = run_trial(mixed, 0)
-        # same trial stream: the permutation consumes extra draws after the
-        # coins, so the report multiset and hence the tree are identical
+        # the stream is shuffled only when it is written out, so ask for it
+        plain = self._config(shuffle_mode="none", reports_path=str(tmp_path / "a.jsonl"))
+        mixed = self._config(shuffle_mode="post-shuffle",
+                             reports_path=str(tmp_path / "b.jsonl"))
+        est_a, _, count_a, _ = run_trial(plain, 0)
+        est_b, _, count_b, _ = run_trial(mixed, 0)
+        # same trial stream: the shuffle draws come after the coins, so the
+        # report multiset and hence the tree are identical
         assert np.array_equal(est_a, est_b)
-        rows_a, rows_b = np.stack(reports_a, axis=1), np.stack(reports_b, axis=1)
+        rows_a = np.stack(read_reports(plain.reports_path), axis=1)
+        rows_b = np.stack(read_reports(mixed.reports_path), axis=1)
+        assert len(rows_a) == count_a == count_b
         assert not np.array_equal(rows_a, rows_b)
         for a, b in zip(np.unique(rows_a, axis=0, return_counts=True),
                         np.unique(rows_b, axis=0, return_counts=True)):
             assert np.array_equal(a, b)
 
-    def test_one_coin_per_report_and_no_permutation_unless_dumped(self, monkeypatch):
+    def test_one_coin_per_report_and_no_permutation_unless_dumped(self, monkeypatch,
+                                                                  tmp_path):
         draws = []
         uniform = RandomnessStream.uniform
 
@@ -176,23 +229,58 @@ class TestSimulate:
         monkeypatch.setattr(RandomnessStream, "uniform", counting)
         monkeypatch.setattr(RandomnessStream, "permutation", refuse)
         cfg = self._config(shuffle_mode="post-shuffle", trials=2)
-        assert run_trial(cfg, 0)[2] is None
-        dumped = self._config(trials=1, reports_path="unused.jsonl")
+        assert run_trial(cfg, 0)[2] == sum(draws)
+        dumped = self._config(trials=1, reports_path=str(tmp_path / "reports.jsonl"))
         draws.clear()
-        h, _, _ = run_trial(dumped, 0)[2]
-        assert sum(draws) == len(h)
+        count = run_trial(dumped, 0)[2]
+        h, _, _ = read_reports(dumped.reports_path)
+        assert sum(draws) == len(h) == count
 
     @pytest.mark.parametrize("block", [1, 7, 10 ** 9])
     def test_results_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
-        cfg = self._config(n=300, d=16, k=3, shuffle_mode="post-shuffle",
-                           reports_path=str(tmp_path / "reports.jsonl"))
-        want = run_trial(cfg, 0)
-        monkeypatch.setattr(harness, "BLOCK", block)
-        got = run_trial(cfg, 0)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        for a, b in zip(got[2], want[2]):
-            assert np.array_equal(a, b)
+        for mode in SHUFFLE_MODES:
+            want_path, got_path = tmp_path / f"{mode}.want", tmp_path / f"{mode}.got"
+            cfg = self._config(n=300, d=16, k=3, shuffle_mode=mode,
+                               reports_path=str(want_path))
+            want = run_trial(cfg, 0)
+            cfg.reports_path = str(got_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "BLOCK", block)
+                got = run_trial(cfg, 0)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert got_path.read_bytes() == want_path.read_bytes()
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
+    def test_chunked_shuffle_is_a_uniform_arrangement(self, monkeypatch, chunks):
+        # a tree over d = 2 holding 7 reports: two level-1 clients put
+        # +1, +1 on leaf 1 and +1, -1 on leaf 2, three level-2 clients put
+        # +1 on the root; that multiset has 7! / (3! 2!) = 420 arrangements
+        tree = SumTree(2)
+        tree.values[:] = [2, 0, 3]
+        levels = np.array([1, 1, 2, 2, 2])
+        drawn = []
+        monkeypatch.setattr(harness, "write_report_arrays",
+                            lambda path, h, t, u, mode="w": drawn.extend(zip(h, t, u)))
+        rows = [(1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1), (2, 2, 1),
+                (2, 2, 1)]
+        index = {order: i for i, order in enumerate(set(itertools.permutations(rows)))}
+        assert len(index) == 420
+        stream = RandomnessStream(23, chunks)
+        counts = np.zeros(len(index), dtype=np.int64)
+        for _ in range(15 * len(index)):
+            drawn.clear()
+            harness._write_shuffled("unused", tree, levels, stream, -(-7 // chunks))
+            counts[index[tuple(tuple(int(v) for v in row) for row in drawn)]] += 1
+        assert chisquare(counts).pvalue > 0.001
+
+    def test_shuffle_refuses_a_tree_the_levels_cannot_give(self):
+        tree = SumTree(2)
+        tree.values[:] = [3, 0, 0]  # more than the two level-1 reports on leaf 1
+        with pytest.raises(RuntimeError):
+            harness._write_shuffled("unused", tree, np.array([1, 1]),
+                                    RandomnessStream(0, 0), 8)
 
     def test_anonymized_stream_has_no_client_field(self, tmp_path):
         path = tmp_path / "reports.jsonl"
