@@ -46,6 +46,20 @@ def _print_json(value):
     print(json.dumps(finite(value), sort_keys=True, allow_nan=False))
 
 
+def _peak_rss_kb():
+    """This process's peak resident set in KB: VmHWM, which starts afresh at
+    exec, where the kernel provides it. Linux carries ru_maxrss over from the
+    process that spawned this one, so it is only the fallback."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _cmd_simulate(args):
     config = SimulationConfig(
         n=args.n, d=args.d, k=args.k, epsilon=args.epsilon, beta=args.beta,
@@ -67,7 +81,7 @@ def _cmd_simulate(args):
         sys.stdout.write(results_to_json(config, results))
     total = sum(r.wall_time for r in results)
     summary = summarize(results)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kb = _peak_rss_kb()
     print(f"simulate: {config.trials} trial(s) in {total:.3f}s, "
           f"median max error {summary['median_max_abs_error']:.6g}, "
           f"bound satisfied in {summary['bound_satisfied_fraction']:.0%}; trial 0 "

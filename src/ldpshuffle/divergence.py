@@ -6,20 +6,28 @@ exact convolution of two binomials. This module computes those
 distributions, scans every adjacent pair for the worst hockey-stick
 divergence, and checks the closed-form accountant against the result.
 
-The scan is O(n^2). With p = e^e0/(1+e^e0), q = 1-p and R_m the count pmf of
-n-1 reports holding m ones, the pair (m, m+1) is P_m = p R_m(x) + q R_m(x-1)
-against P_{m+1} = q R_m(x) + p R_m(x-1). Its forward sum
-sum_x max(a R_m(x) - b R_m(x-1), 0), with a = p - e^eps q and
+The scan costs O(n^2 log n). With p = e^e0/(1+e^e0), q = 1-p and R_m the
+count pmf of n-1 reports holding m ones, the pair (m, m+1) is
+P_m = p R_m(x) + q R_m(x-1) against P_{m+1} = q R_m(x) + p R_m(x-1). Its
+forward sum sum_x max(a R_m(x) - b R_m(x-1), 0), with a = p - e^eps q and
 b = e^eps p - q, is positive only where R_m rises, so only the prefix up to
 floor(mean) + 1 is summed. The backward sum of pair m is the forward sum of
-pair n-1-m by bit-flip symmetry. R_{m+1} follows from P_{m+1} by solving the
-two-tap system p R(x) + q R(x-1) = P(x) left to right: on the rising side an
-error carried from x-1 shrinks by (q/p) R(x-1)/R(x) < e^-e0, and rounding
-junk in the far right tail never flows left. Every 256 steps, and at the
-last m, R_m is recomputed exactly; a recurrence that drifted past 1e-9
-relative on the summed prefix raises ArithmeticError. At eps >= e0
-every delta is exactly zero, since P_m/P_{m+1} <= p/q = e^e0. The oracle is
-capped at n <= 10000.
+pair n-1-m by bit-flip symmetry. Every R_m comes from one split over m:
+for m in [lo, hi], all R_m share the pmf of the first lo reports (ones) and
+the last n-1-hi reports (zeros). Splitting at mid, the left half convolves
+that pmf with the binomial of the hi-mid reports it adds as zeros, the right
+half with the binomial of the mid+1-lo reports it adds as ones, and a range
+of one m is R_m. That is about 2n `np.convolve` calls and O(n^2 log n)
+multiply-adds; the recursion holds one pmf per level and the binomials of
+O(log n) distinct sizes, so O(n log n) memory. Until the final
+hockey-stick sum only sums of nonnegative products are formed, so there is
+no cancellation: if each binomial from `_count_pmf` is within relative eta
+of its exact values entrywise, every entry of R_m above the underflow range
+is within relative (1 + eta)^D (1 + g)^D - 1, about D (eta + n u), where
+D = ceil(log2 n) is the depth of the split, g = n u / (1 - n u) bounds the
+rounding of one convolution sum of at most n terms and u = 2^-53 is the
+unit roundoff. At eps >= e0 every delta is exactly zero, since
+P_m/P_{m+1} <= p/q = e^e0. The oracle is capped at n <= 10000.
 """
 
 import math
@@ -33,14 +41,6 @@ from .core import PROB_TOLERANCE, check_budget, check_count
 
 ORACLE_MAX_N = 10_000
 
-# The two-tap solve multiplies BLOCK-wide slices by one Toeplitz matrix and
-# carries between blocks with one small matrix; R_m is recomputed exactly
-# every RESYNC_STEPS steps and must agree with the recurrence to
-# RESYNC_RTOL wherever the exact value is at least RESYNC_FLOOR.
-BLOCK = 64
-RESYNC_STEPS = 256
-RESYNC_RTOL = 1e-9
-RESYNC_FLOOR = 1e-290
 # Above this epsilon the scan never forms e^eps (it overflows past ~709.78).
 EXP_SAFE = 700.0
 
@@ -70,30 +70,6 @@ def _count_pmf(n, m, log_p, log_1mp, lgam):
     return probs / total
 
 
-def _two_tap_solver(n, p, q):
-    """Return solve(f): the length-n y with p y[x] + q y[x-1] = f[x] and
-    y[-1] = 0. Each BLOCK-wide slice is one product with the Toeplitz
-    inverse of the two-tap filter; the slices' last entries are then chained
-    by one lower-triangular matrix over the blocks."""
-    blocks = -(-n // BLOCK)
-    powers = (-q / p) ** np.arange(BLOCK + 1)
-    lag = np.arange(BLOCK) - np.arange(BLOCK)[:, None]
-    within = np.where(lag >= 0, powers[np.maximum(lag, 0)] / p, 0.0)
-    carry = powers[1:]
-    block_lag = np.arange(blocks)[:, None] - np.arange(blocks)
-    across = np.where(block_lag >= 0, powers[BLOCK] ** np.maximum(block_lag, 0), 0.0)
-    padded = np.zeros(blocks * BLOCK)
-
-    def solve(f):
-        padded[:n] = f
-        y = padded.reshape(blocks, BLOCK) @ within
-        ends = across @ y[:, -1]
-        y[1:] += np.outer(ends[:-1], carry)
-        return y.ravel()[:n]
-
-    return solve
-
-
 def divergence_scan(n, epsilon0, epsilon):
     """Hockey-stick divergence between the m and m+1 count distributions,
     for every m in [0, n-1]; returns the length-n array of deltas."""
@@ -112,32 +88,33 @@ def divergence_scan(n, epsilon0, epsilon):
         # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as
         # its log and only its products with R, which are small, are formed
         log_b = epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
-    solve = _two_tap_solver(n, p, q)
-    r = _count_pmf(n - 1, 0, log_p, log_q, lgam)
-    for m in range(n):
-        top = min(math.floor(m * p + (n - 1 - m) * q) + 1, n - 1)
-        if m:
-            pmf = q * r
-            pmf[1:] += p * r[:-1]
-            r = solve(pmf)
-            if m % RESYNC_STEPS == 0 or m == n - 1:
-                exact = _count_pmf(n - 1, m, log_p, log_q, lgam)
-                known = exact[:top + 1]
-                seen = known >= RESYNC_FLOOR
-                drift = float(np.max(np.abs(r[:top + 1][seen] - known[seen]) / known[seen]))
-                if not drift <= RESYNC_RTOL:  # also catches nan
-                    raise ArithmeticError(
-                        f"count recurrence drifted {drift!r} from the exact pmf at "
-                        f"m={m}, past tolerance {RESYNC_RTOL}")
-                r = exact
-        head = r[:top + 1]
+    pieces = {}
+
+    def binomial(size, ones):
+        # count pmf of size reports that all hold 1, or all hold 0
+        if (size, ones) not in pieces:
+            pieces[size, ones] = _count_pmf(size, size if ones else 0, log_p, log_q, lgam)
+        return pieces[size, ones]
+
+    def scan(lo, hi, base):
+        # base is the count pmf shared by R_lo .. R_hi: lo reports holding 1
+        # and n-1-hi reports holding 0
+        if lo < hi:
+            mid = (lo + hi) // 2
+            scan(lo, mid, np.convolve(base, binomial(hi - mid, False)))
+            scan(mid + 1, hi, np.convolve(base, binomial(mid + 1 - lo, True)))
+            return
+        top = min(math.floor(lo * p + (n - 1 - lo) * q) + 1, n - 1)
+        head = base[:top + 1]
         terms = a * head
         if epsilon <= EXP_SAFE:
             terms[1:] -= b * head[:-1]
         else:
             with np.errstate(divide="ignore", over="ignore"):
                 terms[1:] -= np.exp(log_b + np.log(np.maximum(head[:-1], 0.0)))
-        forward[m] = np.maximum(terms, 0.0).sum()
+        forward[lo] = np.maximum(terms, 0.0).sum()
+
+    scan(0, n - 1, np.ones(1))
     return np.maximum(forward, forward[::-1])
 
 
@@ -162,7 +139,6 @@ class CertificationRecord:
     claimed_epsilon: float
     regime: str
     exact_delta: float
-    slack_ratio: float
     passed: bool
 
     def to_json_dict(self):
@@ -173,7 +149,6 @@ class CertificationRecord:
             "claimed_epsilon": self.claimed_epsilon,
             "regime": self.regime,
             "exact_delta": self.exact_delta,
-            "slack_ratio": self.slack_ratio,
             "passed": self.passed,
         }
 
@@ -183,8 +158,7 @@ def certify_amplification(n, epsilon0, delta_target):
 
     Asks `amplify_shuffle` for its epsilon at the target delta, then
     computes the exact delta of the one-bit protocol at that epsilon; the
-    claim is sound iff exact <= target. The slack ratio (exact / target)
-    quantifies how loose the closed form is.
+    claim is sound iff exact <= target.
     """
     claim = amplify_shuffle(epsilon0, n, delta_target)
     exact = worst_case_divergence(n, epsilon0, claim.epsilon_central)
@@ -195,6 +169,5 @@ def certify_amplification(n, epsilon0, delta_target):
         claimed_epsilon=claim.epsilon_central,
         regime=claim.regime,
         exact_delta=exact,
-        slack_ratio=exact / delta_target,
         passed=bool(exact <= delta_target),
     )

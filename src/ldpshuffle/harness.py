@@ -19,7 +19,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,5 +1,10 @@
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +156,7 @@ class TestVerifyAmplification:
     def test_failure_exits_3(self, capsys, monkeypatch):
         failing = CertificationRecord(n=10, epsilon0=0.5, delta_target=1e-4,
                                       claimed_epsilon=0.1, regime="general",
-                                      exact_delta=1.0, slack_ratio=10000.0,
-                                      passed=False)
+                                      exact_delta=1.0, passed=False)
         monkeypatch.setattr(cli, "certify_amplification",
                             lambda *a, **k: failing)
         code, out, _ = _run(capsys, ["verify-amplification", "--n", "10",
@@ -343,3 +347,45 @@ class TestEstimateBadInput:
         code, _, err = self._estimate(capsys, reports, tmp_path / "missing.txt")
         assert code == 2
         assert "cannot read" in err
+
+
+def _python(code):
+    """Run code in a fresh interpreter that imports this package; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300).stdout
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # every CLI run pays this import in its setup time; scipy.signal alone
+    # takes longer to import than the rest of the program's startup
+    loaded = _python("import sys, ldpshuffle.cli\n"
+                     "print([m for m in ('scipy.signal', 'scipy.linalg', 'scipy.stats')"
+                     " if m in sys.modules])")
+    assert loaded.strip() == "[]"
+
+
+# Holds 256 MiB, then spawns `simulate` and prints its stderr line and this
+# process's own peak in KB.
+_SPAWN_AFTER_PEAK = """
+import subprocess, sys
+import numpy as np
+held = np.ones(1 << 25)
+run = subprocess.run([sys.executable, "-m", "ldpshuffle.cli", "simulate", "--n", "20",
+                      "--d", "4", "--k", "1", "--epsilon", "1.0"],
+                     capture_output=True, text=True, check=True)
+with open("/proc/self/status") as fh:
+    own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(run.stderr.strip().splitlines()[-1])
+print(own)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_simulate_peak_rss_is_its_own():
+    # Linux carries ru_maxrss over from the spawning process, so a small
+    # simulate run from a large parent would report the parent's peak
+    line, own = _python(_SPAWN_AFTER_PEAK).strip().splitlines()
+    assert int(own) >= 256 * 1024
+    peak = int(re.search(r"peak RSS (\d+) KB", line).group(1))
+    assert 0 < peak < 128 * 1024

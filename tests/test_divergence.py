@@ -122,7 +122,7 @@ class TestCertification:
     def test_amplified_claim_certifies(self):
         record = certify_amplification(1000, 0.25, 1e-4)
         assert record.passed
-        assert record.slack_ratio < 1.0
+        assert record.exact_delta < record.delta_target
         assert record.claimed_epsilon < 0.25
         assert record.exact_delta <= 1e-4
 
@@ -136,4 +136,4 @@ class TestCertification:
         record = certify_amplification(100, 0.5, 1e-4)
         payload = record.to_json_dict()
         assert set(payload) == {"n", "eps0", "delta_target", "claimed_epsilon",
-                                "regime", "exact_delta", "slack_ratio", "passed"}
+                                "regime", "exact_delta", "passed"}
