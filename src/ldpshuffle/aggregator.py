@@ -1,5 +1,5 @@
-"""Server-side aggregation: accumulate reports into a binary tree of sums
-and turn prefix covers of that tree into debiased marginal estimates."""
+"""Server-side aggregation: accumulate reports into a binary tree of
+counts and turn prefix covers of that tree into debiased marginal estimates."""
 
 import numpy as np
 
@@ -8,47 +8,55 @@ from .errors import InvalidParameterError, MalformedReportError
 
 
 class SumTree:
-    """Balanced binary tree of report sums over a horizon of d leaves.
+    """Balanced binary tree over a horizon of d leaves holding the
+    anonymized histogram of a report stream: each node's -1 and +1 counts.
 
     Level h (1 = leaves) has d / 2^(h-1) nodes; node (h, j) covers
-    timesteps [(j-1) * 2^(h-1) + 1, j * 2^(h-1)]. Storage is one flat
-    int64 array of 2d - 1 zeros-initialized cells, so nodes no report ever
-    touches stay zero and lookups are O(1).
+    timesteps [(j-1) * 2^(h-1) + 1, j * 2^(h-1)], and its reports carry
+    t = j * 2^(h-1). Storage is one zeros-initialized (2d - 1, 2) int64
+    array `counts`, level by level; node sums are derived from it.
     """
 
     def __init__(self, d):
         self.levels = level_count(d)
         self.d = int(d)
-        sizes = [self.d >> (h - 1) for h in range(1, self.levels + 1)]
-        self._offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
-        self.values = np.zeros(2 * self.d - 1, dtype=np.int64)
+        self._offsets = np.concatenate(([0], np.cumsum(self.d >> np.arange(self.levels - 1))))
+        self.counts = np.zeros((2 * self.d - 1, 2), dtype=np.int64)
 
-    def _index(self, h, j):
-        if not 1 <= h <= self.levels:
-            raise MalformedReportError(f"level {h} outside [1, {self.levels}]")
-        width = self.d >> (h - 1)
-        if not 1 <= j <= width:
-            raise MalformedReportError(f"node index {j} outside [1, {width}] at level {h}")
-        return int(self._offsets[h - 1]) + int(j) - 1
+    @property
+    def values(self):
+        """Every node's report sum, +1 count minus -1 count (read-only)."""
+        return _sums(self.counts)
+
+    def level(self, h):
+        """The report sums of all nodes at one level (read-only)."""
+        h = check_count(h, "level", high=self.levels)
+        lo = self._offsets[h - 1]
+        return _sums(self.counts[lo:lo + (self.d >> (h - 1))])
+
+    def nodes(self):
+        """(h, t) of every node in storage order, as two int64 arrays: its
+        level and the timestep its reports carry."""
+        h = np.repeat(np.arange(1, self.levels + 1), self.d >> np.arange(self.levels))
+        return h, (np.arange(len(h)) - self._offsets[h - 1] + 1) << (h - 1)
 
     def merge(self, other):
         """Nodewise sum with another tree over the same horizon (in place)."""
         if not isinstance(other, SumTree) or other.d != self.d:
             raise InvalidParameterError("can only merge trees over the same horizon")
-        self.values += other.values
+        self.counts += other.counts
         return self
 
-    def level(self, h):
-        """Read-only view of all node values at one level."""
-        lo = self._index(h, 1)
-        return self.values[lo: lo + (self.d >> (h - 1))]
+
+def _sums(counts):
+    sums = counts[:, 1] - counts[:, 0]
+    sums.flags.writeable = False
+    return sums
 
 
 def accumulate_arrays(h, t, u, d):
     """Vectorized accumulate for reports held as parallel arrays."""
-    h = np.asarray(h, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
-    u = np.asarray(u, dtype=np.int64)
+    h, t, u = (np.asarray(a, dtype=np.int64) for a in (h, t, u))
     tree = SumTree(d)
     if len(h) == 0:
         return tree
@@ -62,30 +70,23 @@ def accumulate_arrays(h, t, u, d):
     if u.min() < -1 or u.max() > 1 or not u.all():
         raise MalformedReportError("report values must be -1 or +1")
     # count every node's -1 and +1 reports in one integer bincount over
-    # (node, sign) cells; the node sum is their difference
-    signed = 2 * (tree._offsets[shift] + (t >> shift) - 1) + (u > 0)
-    counts = np.bincount(signed, minlength=2 * len(tree.values)).reshape(-1, 2)
-    tree.values += counts[:, 1] - counts[:, 0]
+    # (node, sign) cells
+    cell = 2 * (tree._offsets[shift] + (t >> shift) - 1) + (u > 0)
+    tree.counts += np.bincount(cell, minlength=tree.counts.size).reshape(-1, 2)
     return tree
 
 
 def dyadic_cover(t, d):
     """Canonical set of tree nodes whose leaf ranges partition [1, t].
 
-    Follows the binary representation of t msb-first: each set bit 2^b
-    contributes the level-(b+1) node starting right after the span covered
-    so far. The result has popcount(t) nodes, at most log2(d).
+    Each set bit b of t, msb first, gives the level-(b+1) node t >> b: the
+    nodes of the higher bits cover the first (t >> (b+1)) << (b+1)
+    timesteps, and t >> b, which is odd, is the width-2^b node right after
+    them. The result has popcount(t) nodes, at most log2(d).
     """
     level_count(d)
     t = check_count(t, "timestep", high=d)
-    nodes = []
-    covered = 0
-    for b in range(t.bit_length() - 1, -1, -1):
-        width = 1 << b
-        if t & width:
-            nodes.append((b + 1, covered // width + 1))
-            covered += width
-    return tuple(nodes)
+    return tuple((b + 1, t >> b) for b in range(t.bit_length() - 1, -1, -1) if t >> b & 1)
 
 
 def estimate_marginals(tree, epsilon, k, d):

@@ -20,10 +20,11 @@ import numpy as np
 from .aggregator import accumulate_arrays, dyadic_cover, estimate_marginals
 from .amplification import amplify_group, amplify_shuffle, rdp_bound
 from .client import INT64_MAX, open_input, open_output, read_reports
-from .divergence import certify_amplification
+from .core import check_count
+from .divergence import ORACLE_MAX_N, certify_amplification
 from .errors import InvalidParameterError, ParseError
-from .harness import (SimulationConfig, results_to_json, simulate, summarize, trial_bytes,
-                      write_results)
+from .harness import (INPUT_MODELS, SHUFFLE_MODES, SimulationConfig, results_to_json, simulate,
+                      summarize, trial_bytes, write_results)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,11 +124,15 @@ def _verify_points(args):
                         continue
                     try:
                         n, eps0, delta = row
-                        point = int(n), float(eps0), float(delta)
+                        n, eps0, delta = int(n), float(eps0), float(delta)
+                        check_count(n, "n", low=2, high=ORACLE_MAX_N)
+                        amplify_shuffle(eps0, n, delta)
+                    except InvalidParameterError as exc:
+                        raise ParseError(str(exc), reader.line_num) from exc
                     except ValueError as exc:
                         raise ParseError("expected a row n,eps0,delta with an integer n",
                                          reader.line_num) from exc
-                    yield point
+                    yield n, eps0, delta
             except csv.Error as exc:
                 raise ParseError(f"malformed CSV: {exc}", reader.line_num) from exc
     else:
@@ -138,7 +143,8 @@ def _verify_points(args):
 
 def _cmd_verify(args):
     all_passed = True
-    for n, eps0, delta in _verify_points(args):
+    # every grid row is checked first, so that a bad row fails before any scan
+    for n, eps0, delta in list(_verify_points(args)):
         record = certify_amplification(n, eps0, delta)
         _print_json(record.to_json_dict())
         all_passed = all_passed and record.passed
@@ -207,9 +213,8 @@ def build_parser():
     p.add_argument("--beta", type=float, default=1.0 / 3.0, help="bound failure probability")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input-model", default="random-changes",
-                   choices=["worst-case-sparse", "random-changes", "step-function", "file"])
-    p.add_argument("--shuffle-mode", default="none", choices=["none", "post-shuffle"])
+    p.add_argument("--input-model", default="random-changes", choices=INPUT_MODELS)
+    p.add_argument("--shuffle-mode", default="none", choices=SHUFFLE_MODES)
     p.add_argument("--step-time", type=int, default=None)
     p.add_argument("--input-path", default=None, help="JSON-lines change vectors (file model)")
     p.add_argument("--reports-path", default=None, help="dump the trial-0 report stream here")

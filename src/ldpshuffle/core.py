@@ -86,12 +86,16 @@ def scale_factor(epsilon):
 
     This is the reciprocal of the randomized-response bias 2p - 1, so
     ``scale_factor(eps) * (2 * rr_probability(eps) - 1) == 1``. Diverges as
-    epsilon approaches 0, hence the strict positivity requirement. Once
-    e^(eps/2) overflows (eps past ~1419) it is the exact limit 1; the float
-    result is 1.0 already from eps ~75.
+    epsilon approaches 0, hence the strict positivity requirement, and one
+    below ~2.2e-308, whose factor overflows, is refused. Once e^(eps/2)
+    overflows (eps past ~1419) it is the exact limit 1, as a float from ~75.
     """
     epsilon = check_budget(epsilon)
     try:
-        return 1.0 + 2.0 / math.expm1(epsilon / 2.0)
+        half = math.expm1(epsilon / 2.0)  # 0 once eps / 2 underflows
     except OverflowError:
         return 1.0
+    factor = 1.0 + 2.0 / half if half else math.inf
+    if factor < math.inf:
+        return factor
+    raise InvalidParameterError(f"epsilon={epsilon!r} is so small that its factor overflows")

@@ -15,19 +15,20 @@ floor(mean) + 1 is summed. The backward sum of pair m is the forward sum of
 pair n-1-m by bit-flip symmetry. Every R_m comes from one split over m:
 for m in [lo, hi], all R_m share the pmf of the first lo reports (ones) and
 the last n-1-hi reports (zeros). Splitting at mid, the left half convolves
-that pmf with the binomial of the hi-mid reports it adds as zeros, the right
-half with the binomial of the mid+1-lo reports it adds as ones, and a range
-of one m is R_m. That is about 2n `np.convolve` calls and O(n^2 log n)
-multiply-adds; the recursion holds one pmf per level and the binomials of
-O(log n) distinct sizes, so O(n log n) memory. Until the final
-hockey-stick sum only sums of nonnegative products are formed, so there is
-no cancellation: if each binomial from `_count_pmf` is within relative eta
-of its exact values entrywise, every entry of R_m above the underflow range
-is within relative (1 + eta)^D (1 + g)^D - 1, about D (eta + n u), where
-D = ceil(log2 n) is the depth of the split, g = n u / (1 - n u) bounds the
-rounding of one convolution sum of at most n terms and u = 2^-53 is the
-unit roundoff. At eps >= e0 every delta is exactly zero, since
-P_m/P_{m+1} <= p/q = e^e0. The oracle is capped at n <= 10000.
+that pmf with Bin(hi-mid, q) for the reports it adds as zeros, the right
+half with Bin(mid+1-lo, p), the reverse of Bin(mid+1-lo, q), for those it
+adds as ones, and a range of one m is R_m. That is about 2n `np.convolve`
+calls and O(n^2 log n) multiply-adds; the recursion holds one pmf per level
+and one binomial for each of O(log n) distinct sizes, so O(n log n) memory.
+Until the final hockey-stick sum only sums of nonnegative products are
+formed, so there is no cancellation: if each binomial from `_binomial_pmf`
+is within relative eta of its exact values entrywise, every entry of R_m
+above the underflow range is within relative (1 + eta)^D (1 + g)^D - 1,
+about D (eta + n u), where D = ceil(log2 n) is the depth of the split,
+g = n u / (1 - n u) bounds the rounding of one convolution sum of at most
+n terms and u = 2^-53 is the unit roundoff. At eps >= e0 every delta is
+exactly zero, since P_m/P_{m+1} <= p/q = e^e0. The oracle is capped at
+n <= 10000.
 """
 
 import math
@@ -55,13 +56,11 @@ def _pmf_terms(n, epsilon0):
     return -log_norm, -epsilon0 - log_norm, lgam
 
 
-def _count_pmf(n, m, log_p, log_1mp, lgam):
-    j = np.arange(m + 1)
-    ones = np.exp(lgam[m] - lgam[j] - lgam[m - j] + j * log_p + (m - j) * log_1mp)
-    i = np.arange(n - m + 1)
-    zeros = np.exp(lgam[n - m] - lgam[i] - lgam[n - m - i]
-                   + i * log_1mp + (n - m - i) * log_p)
-    probs = np.convolve(ones, zeros)
+def _binomial_pmf(n, log_p, log_q, lgam):
+    """Bin(n, q), the count pmf of n reports that all hold 0; reversed, it
+    is Bin(n, p), that of n reports that all hold 1."""
+    i = np.arange(n + 1)
+    probs = np.exp(lgam[n] - lgam[i] - lgam[n - i] + i * log_q + (n - i) * log_p)
     total = float(probs.sum())
     if not abs(total - 1.0) <= PROB_TOLERANCE:  # also catches nan
         raise ArithmeticError(
@@ -88,21 +87,20 @@ def divergence_scan(n, epsilon0, epsilon):
         # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as
         # its log and only its products with R, which are small, are formed
         log_b = epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
-    pieces = {}
+    binomials = {}
 
-    def binomial(size, ones):
-        # count pmf of size reports that all hold 1, or all hold 0
-        if (size, ones) not in pieces:
-            pieces[size, ones] = _count_pmf(size, size if ones else 0, log_p, log_q, lgam)
-        return pieces[size, ones]
+    def binomial(size):
+        if size not in binomials:
+            binomials[size] = _binomial_pmf(size, log_p, log_q, lgam)
+        return binomials[size]
 
     def scan(lo, hi, base):
         # base is the count pmf shared by R_lo .. R_hi: lo reports holding 1
         # and n-1-hi reports holding 0
         if lo < hi:
             mid = (lo + hi) // 2
-            scan(lo, mid, np.convolve(base, binomial(hi - mid, False)))
-            scan(mid + 1, hi, np.convolve(base, binomial(mid + 1 - lo, True)))
+            scan(lo, mid, np.convolve(base, binomial(hi - mid)))
+            scan(mid + 1, hi, np.convolve(base, binomial(mid + 1 - lo)[::-1]))
             return
         top = min(math.floor(lo * p + (n - 1 - lo) * q) + 1, n - 1)
         head = base[:top + 1]

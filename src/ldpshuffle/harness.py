@@ -25,8 +25,7 @@ import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals
 from .client import clip_changes, open_output, read_json_lines, write_report_arrays
-from .core import (check_budget, check_count, check_real, level_count, rr_probability,
-                   scale_factor)
+from .core import check_count, check_real, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
 from .randomizer import RandomnessStream
@@ -79,7 +78,7 @@ class SimulationConfig:
     def validate(self):
         check_input_domain(self.n, self.d, self.k, self.input_model,
                            self.step_time, self.input_path)
-        check_budget(self.epsilon)
+        scale_factor(self.epsilon)  # also refuses an epsilon whose factor overflows
         check_real(self.beta, "beta", 0.0, 1.0)
         check_count(self.trials, "trials")
         if self.shuffle_mode not in SHUFFLE_MODES:
@@ -117,8 +116,9 @@ def theorem_error_bound(n, d, k, epsilon, beta):
     n, k = check_count(n, "n"), check_count(k, "change budget k")
     beta = check_real(beta, "beta", 0.0, 1.0)
     log2d = max(level_count(d) - 1, 1)  # log2(d), taken as 1 at d = 1
-    return scale_factor(epsilon) * k * log2d ** 1.5 \
-        * math.sqrt(n * math.log(2.0 * d / beta))
+    ratio = 2.0 * d / beta  # inf at a beta below about 2d / 1.8e308
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0 * d) - math.log(beta)
+    return scale_factor(epsilon) * k * log2d ** 1.5 * math.sqrt(n * log_ratio)
 
 
 def read_change_vectors(path, n, d, k):
@@ -247,27 +247,18 @@ def run_trial(config, trial):
             write_report_arrays(dump, *reports, mode="a" if lo else "w")
         del reports  # so that no two blocks are held at once
     if dump and config.shuffle_mode == "post-shuffle":
-        _write_shuffled(dump, tree, levels, stream, max(SHUFFLE_ROWS, 4 * config.d))
+        _write_shuffled(dump, tree, stream, max(SHUFFLE_ROWS, 4 * config.d))
     estimates = estimate_marginals(tree, config.epsilon, config.k, config.d)
     return estimates, truth, int(ends[-1]), clipped
 
 
-def _write_shuffled(path, tree, levels, stream, rows):
-    """Write a uniform arrangement of the reports in tree, given each
-    client's level. A level-h client sends one report to every level-h node,
-    so a node holds one report per such client, (count + sum) / 2 of them
-    +1. Each report goes to a uniform one of ceil(total / rows) chunks by
-    binomial splits of every (node, sign) cell; each chunk is then
-    permuted, so that the concatenation is a uniform permutation."""
-    widths = tree.d >> np.arange(tree.levels)
-    held = np.repeat(np.bincount(levels, minlength=tree.levels + 1)[1:], widths)
-    if np.any(np.abs(tree.values) > held) or np.any((held + tree.values) & 1):
-        raise RuntimeError("the report tree does not match the client levels")
-    # per node: its -1 reports, then its +1 reports
-    cells = np.column_stack((held - tree.values, held + tree.values)).ravel() // 2
-    node_h = np.repeat(np.arange(1, tree.levels + 1), widths)
-    node_t = np.concatenate([np.arange(1 << h, tree.d + 1, 1 << h)
-                             for h in range(tree.levels)])
+def _write_shuffled(path, tree, stream, rows):
+    """Write a uniform arrangement of the reports in tree. Each report goes
+    to a uniform one of ceil(total / rows) chunks by binomial splits of
+    every (node, sign) cell; each chunk is then permuted, so that the
+    concatenation is a uniform permutation."""
+    cells = tree.counts.ravel()  # per node: its -1 reports, then its +1 reports
+    node_h, node_t = tree.nodes()
     chunks = -(-int(cells.sum()) // rows)
     for left in range(chunks, 0, -1):
         take = stream.generator.binomial(cells, 1.0 / left) if left > 1 else cells

@@ -6,8 +6,20 @@ from ldpshuffle.core import check_count, level_count
 from ldpshuffle.errors import MalformedReportError
 
 
+def index(tree, h, j):
+    """Storage row of node (h, j): the nodes of the levels below h come
+    first, d / 2^(g-1) of them at level g."""
+    if not 1 <= h <= tree.levels:
+        raise MalformedReportError(f"level {h} outside [1, {tree.levels}]")
+    width = tree.d >> (h - 1)
+    if not 1 <= j <= width:
+        raise MalformedReportError(f"node index {j} outside [1, {width}] at level {h}")
+    return sum(tree.d >> (g - 1) for g in range(1, h)) + int(j) - 1
+
+
 def node(tree, h, j):
-    return int(tree.values[tree._index(h, j)])
+    """Report sum of node (h, j)."""
+    return int(tree.values[index(tree, h, j)])
 
 
 def add_report(tree, h, t, u):
@@ -21,7 +33,8 @@ def add_report(tree, h, t, u):
         )
     if u not in (-1, 1):
         raise MalformedReportError(f"report value must be -1 or +1, got {u}")
-    tree.values[tree._index(h, int(t) >> (int(h) - 1))] += int(u)
+    # an int column: a bool would index as a mask
+    tree.counts[index(tree, h, int(t) >> (int(h) - 1)), int(u > 0)] += 1
 
 
 def accumulate(reports, d):

@@ -1,14 +1,32 @@
 """The shuffled one-bit count distribution with its input checks, and the
-O(n^3) reference for `ldpshuffle.divergence.divergence_scan`."""
+O(n^3) reference for `ldpshuffle.divergence.divergence_scan`, which builds
+every count pmf afresh as the convolution of two binomials."""
 
 import math
 
 import numpy as np
 
-from ldpshuffle.core import check_budget, check_count
-from ldpshuffle.divergence import ORACLE_MAX_N, _count_pmf, _pmf_terms
+from ldpshuffle.core import PROB_TOLERANCE, check_budget, check_count
+from ldpshuffle.divergence import ORACLE_MAX_N, _pmf_terms
 
 from reference.core import hockey_stick_sum
+
+
+def count_pmf(n, m, log_p, log_1mp, lgam):
+    """Bin(m, p) convolved with Bin(n - m, 1 - p): the count pmf of n
+    reports of which m hold 1, checked to sum to 1 and renormalized."""
+    j = np.arange(m + 1)
+    ones = np.exp(lgam[m] - lgam[j] - lgam[m - j] + j * log_p + (m - j) * log_1mp)
+    i = np.arange(n - m + 1)
+    zeros = np.exp(lgam[n - m] - lgam[i] - lgam[n - m - i]
+                   + i * log_1mp + (n - m - i) * log_p)
+    probs = np.convolve(ones, zeros)
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= PROB_TOLERANCE:  # also catches nan
+        raise ArithmeticError(
+            f"count distribution sums to {total!r}, outside tolerance {PROB_TOLERANCE}"
+        )
+    return probs / total
 
 
 def shuffled_rr_count_distribution(n, m, epsilon0):
@@ -23,7 +41,7 @@ def shuffled_rr_count_distribution(n, m, epsilon0):
     n = check_count(n, "n", high=ORACLE_MAX_N)
     m = check_count(m, "ones count m", low=0, high=n)
     epsilon0 = check_budget(epsilon0, "epsilon0")
-    return _count_pmf(n, m, *_pmf_terms(n, epsilon0))
+    return count_pmf(n, m, *_pmf_terms(n, epsilon0))
 
 
 def reference_divergence_scan(n, epsilon0, epsilon):
@@ -32,9 +50,9 @@ def reference_divergence_scan(n, epsilon0, epsilon):
     terms = _pmf_terms(n, epsilon0)
     e_eps = math.exp(epsilon)
     deltas = np.empty(n)
-    prev = _count_pmf(n, 0, *terms)
+    prev = count_pmf(n, 0, *terms)
     for m in range(n):
-        cur = _count_pmf(n, m + 1, *terms)
+        cur = count_pmf(n, m + 1, *terms)
         deltas[m] = hockey_stick_sum(prev, cur, e_eps)
         prev = cur
     return deltas

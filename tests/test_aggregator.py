@@ -9,7 +9,7 @@ from ldpshuffle.errors import InvalidParameterError, MalformedReportError
 from ldpshuffle.randomizer import RandomnessStream
 
 from reference.aggregator import (accumulate, add_report, cover_leaf_range,
-                                  dyadic_cover_merge, node)
+                                  dyadic_cover_merge, index, node)
 from reference.client import Report
 
 
@@ -28,13 +28,38 @@ class TestSumTree:
 
     def test_empty_stream_gives_zero_tree(self):
         tree = accumulate([], 4)
-        assert np.all(tree.values == 0)
-        assert len(tree.values) == 2 * 4 - 1
+        assert np.all(tree.counts == 0)
+        assert tree.counts.shape == (2 * 4 - 1, 2)
 
     def test_single_report(self):
         tree = accumulate([Report(1, 3, -1)], 4)
         assert node(tree, 1, 3) == -1
-        assert int(np.abs(tree.values).sum()) == 1
+        assert tree.counts[index(tree, 1, 3)].tolist() == [1, 0]
+        assert int(tree.counts.sum()) == 1
+
+    def test_sums_are_read_only_and_level_checks_its_index(self):
+        tree = accumulate_arrays([1, 1, 2], [1, 1, 2], [1, -1, -1], 2)
+        assert tree.counts.tolist() == [[1, 1], [0, 0], [1, 0]]
+        assert tree.values.tolist() == [0, 0, -1]
+        assert tree.level(2).tolist() == [-1]
+        with pytest.raises(ValueError):
+            tree.values[0] = 1
+        with pytest.raises(ValueError):
+            tree.level(1)[0] = 1
+        for h in (0, 3):
+            with pytest.raises(InvalidParameterError):
+                tree.level(h)
+
+    def test_nodes_give_the_coordinates_of_each_row(self):
+        for d in (1, 2, 8, 64):
+            tree = SumTree(d)
+            h, t = tree.nodes()
+            assert len(h) == len(t) == len(tree.counts)
+            assert [index(tree, a, b >> (a - 1)) for a, b in zip(h.tolist(), t.tolist())] \
+                == list(range(len(h)))
+            # one +1 report at every node's coordinates lands in that node's row
+            got = accumulate_arrays(h, t, np.ones(len(h), dtype=np.int64), d)
+            assert np.array_equal(got.counts, [[0, 1]] * len(h))
 
     def test_two_reports_same_node(self):
         tree = accumulate([Report(2, 2, 1), Report(2, 2, 1)], 4)
@@ -59,17 +84,18 @@ class TestSumTree:
         by_objects = accumulate((Report(int(a), int(b), int(c))
                                  for a, b, c in zip(h, t, u)), 16)
         by_arrays = accumulate_arrays(h, t, u, 16)
-        assert np.array_equal(by_objects.values, by_arrays.values)
+        assert np.array_equal(by_objects.counts, by_arrays.counts)
 
     def test_array_accumulate_matches_add_at(self):
         rng = RandomnessStream(26, 0)
         for d, count in [(1, 0), (1, 50), (8, 0), (8, 300), (64, 5000), (1024, 20000)]:
             h, t, u = _random_reports(rng, d, count)
             want = SumTree(d)
-            np.add.at(want.values, want._offsets[h - 1] + (t >> (h - 1)) - 1, u)
+            np.add.at(want.counts, (want._offsets[h - 1] + (t >> (h - 1)) - 1,
+                                    (u > 0).astype(np.int64)), 1)
             got = accumulate_arrays(h, t, u, d)
-            assert got.values.dtype == np.int64
-            assert np.array_equal(got.values, want.values)
+            assert got.counts.dtype == np.int64
+            assert np.array_equal(got.counts, want.counts)
 
     def test_array_accumulate_validates(self):
         with pytest.raises(MalformedReportError):
@@ -83,7 +109,7 @@ class TestSumTree:
         whole = accumulate_arrays(h, t, u, 32)
         left = accumulate_arrays(h[:300], t[:300], u[:300], 32)
         right = accumulate_arrays(h[300:], t[300:], u[300:], 32)
-        assert np.array_equal(whole.values, left.merge(right).values)
+        assert np.array_equal(whole.counts, left.merge(right).counts)
 
     def test_merge_requires_same_horizon(self):
         with pytest.raises(InvalidParameterError):
@@ -95,7 +121,7 @@ class TestSumTree:
         perm = rng.permutation(200)
         a = accumulate_arrays(h, t, u, 8)
         b = accumulate_arrays(h[perm], t[perm], u[perm], 8)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.counts, b.counts)
 
 
 class TestDyadicCover:
@@ -141,7 +167,7 @@ def _cover_loop_estimates(tree, epsilon, k, d):
     for t in range(1, d + 1):
         total = 0
         for h, j in dyadic_cover(t, d):
-            total += tree.values[tree._index(h, j)]
+            total += node(tree, h, j)
         estimates[t - 1] = weight * total
     return estimates
 
@@ -152,7 +178,7 @@ class TestEstimateMarginals:
         for exp in range(13):
             d = 1 << exp
             tree = SumTree(d)
-            tree.values[:] = rng.integers(-10 ** 9, 10 ** 9, size=len(tree.values))
+            tree.counts[:] = rng.integers(0, 10 ** 9, size=tree.counts.shape)
             got = estimate_marginals(tree, 0.7, 3, d)
             assert np.array_equal(got, _cover_loop_estimates(tree, 0.7, 3, d))
 

@@ -124,6 +124,19 @@ class TestVerifyAmplification:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("bad_row", ["1,0.25,1e-4", "1000,nan,1e-4", "20000,0.25,1e-4",
+                                         "1000,0.25,1.5"])
+    def test_grid_row_outside_the_domain_fails_before_any_scan(self, capsys, tmp_path,
+                                                               bad_row):
+        # every row is checked against the accountant and the oracle's n
+        # range first, so the good first row prints nothing
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"1000,0.25,1e-4\n{bad_row}\n")
+        code, out, err = _run(capsys, ["verify-amplification", "--grid", str(grid)])
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
+
     def test_overlong_grid_field_names_line(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("100,0.25,1e-4\n" + "x" * 131073 + ",0.25,1e-4\n")
@@ -228,6 +241,8 @@ class TestSimulateAndEstimate:
 
     @pytest.mark.parametrize("bad", [
         ["--d", "4", "--k", "8"],
+        # a subnormal epsilon whose debiasing factor overflows
+        ["--d", "4", "--k", "1", "--epsilon", "1e-320"],
         ["--d", "4", "--k", "1", "--input-model", "step-function", "--step-time", "0"],
         ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "MISSING"],
         # one file named twice is refused before either is touched
@@ -266,6 +281,22 @@ class TestSimulateAndEstimate:
                                      "--k", "1", "--epsilon", "1e308"])
         assert code == 0
         assert out.splitlines()[1:] == ["1,3", "2,0", "3,0", "4,-3"]
+
+    def test_simulate_subnormal_epsilon_exits_2(self, capsys):
+        code, out, err = _run(capsys, ["simulate", "--n", "10", "--d", "8", "--k", "1",
+                                       "--epsilon", "1e-320"])
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
+    def test_estimate_subnormal_epsilon_exits_2(self, capsys, tmp_path):
+        reports = tmp_path / "r.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n{"h": 2, "t": 2, "u": -1}\n')
+        code, out, err = _run(capsys, ["estimate", "--reports", str(reports), "--d", "2",
+                                       "--k", "1", "--epsilon", "1e-320"])
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
 
     def test_simulate_invalid_params_exit_2(self, capsys):
         code, _, err = _run(capsys, [

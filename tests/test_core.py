@@ -67,6 +67,11 @@ class TestScaleFactor:
         with pytest.raises(InvalidParameterError):
             scale_factor(eps)
 
+    def test_smallest_budgets_stay_finite(self):
+        # 2 / (3e-308 / 2) is 1.33e308, inside the float range; the factor
+        # of a smaller budget overflows and is refused (see test_domains)
+        assert scale_factor(3e-308) == pytest.approx(2.0 / 1.5e-308, rel=1e-15)
+
     def test_debiasing_identity(self):
         # the scale factor is exactly the reciprocal of the response bias
         for eps in np.linspace(1e-3, 20.0, 500):

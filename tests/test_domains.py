@@ -71,7 +71,8 @@ ENTRIES = [
     ("PrivacyParams", lambda v: ref_core.PrivacyParams(v), "budget0", []),
     ("PrivacyParams.delta", lambda v: ref_core.PrivacyParams(0.5, v), "unit0", []),
     ("rr_probability", core.rr_probability, "budget0", []),
-    ("scale_factor", core.scale_factor, "budget", []),
+    # below the normal float range the debiasing factor overflows
+    ("scale_factor", core.scale_factor, "budget", [2.2250738585072014e-308, 1e-320, 5e-324]),
     ("advanced_composition.epsilon",
      lambda v: ref_core.advanced_composition(v, 0.0, 2, 1e-6), "budget0", []),
     ("advanced_composition.k",
@@ -107,12 +108,14 @@ ENTRIES = [
     ("SumTree", aggregator.SumTree, "horizon", []),
     ("accumulate", lambda v: ref_aggregator.accumulate([], v), "horizon", []),
     ("accumulate_arrays", lambda v: aggregator.accumulate_arrays([], [], [], v), "horizon", []),
+    ("SumTree.level", lambda v: aggregator.SumTree(8).level(v), "count", [5]),
     ("dyadic_cover.t", lambda v: aggregator.dyadic_cover(v, 8), "count", [9]),
     ("dyadic_cover.d", lambda v: aggregator.dyadic_cover(1, v), "horizon", []),
     ("dyadic_cover_merge.t", lambda v: ref_aggregator.dyadic_cover_merge(v, 8), "count", [9]),
     ("dyadic_cover_merge.d", lambda v: ref_aggregator.dyadic_cover_merge(1, v), "horizon", []),
     ("estimate_marginals.epsilon",
-     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), v, 1, 8), "budget", []),
+     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), v, 1, 8), "budget",
+     [1e-320]),
     ("estimate_marginals.k",
      lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), 1.0, v, 8), "count", []),
     ("estimate_marginals.d",
@@ -120,7 +123,7 @@ ENTRIES = [
     ("SimulationConfig.n", lambda v: _config(n=v), "count", []),
     ("SimulationConfig.d", lambda v: _config(d=v), "horizon", []),
     ("SimulationConfig.k", lambda v: _config(k=v), "count", [9]),
-    ("SimulationConfig.epsilon", lambda v: _config(epsilon=v), "budget", []),
+    ("SimulationConfig.epsilon", lambda v: _config(epsilon=v), "budget", [1e-320]),
     ("SimulationConfig.trials", lambda v: _config(trials=v), "count", []),
     ("SimulationConfig.beta", lambda v: _config(beta=v), "unit", []),
     ("generate_inputs.n",
@@ -136,7 +139,7 @@ ENTRIES = [
     ("theorem_error_bound.k",
      lambda v: harness.theorem_error_bound(4, 8, v, 1.0, 0.5), "count", []),
     ("theorem_error_bound.epsilon",
-     lambda v: harness.theorem_error_bound(4, 8, 1, v, 0.5), "budget", []),
+     lambda v: harness.theorem_error_bound(4, 8, 1, v, 0.5), "budget", [1e-320]),
     ("theorem_error_bound.beta",
      lambda v: harness.theorem_error_bound(4, 8, 1, 1.0, v), "unit", []),
     ("amplify_shuffle.eps0", lambda v: amplification.amplify_shuffle(v, 1000, 1e-6), "budget", []),

@@ -14,6 +14,7 @@ import ldpshuffle
 import ldpshuffle.harness as harness
 from ldpshuffle.aggregator import SumTree
 from ldpshuffle.client import read_reports
+from ldpshuffle.core import scale_factor
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SHUFFLE_MODES, SimulationConfig, generate_inputs,
                                 read_change_vectors, results_to_csv, results_to_json,
@@ -181,6 +182,19 @@ class TestSimulate:
             assert r.bound_satisfied == (r.max_abs_error <= bound)
             assert r.errors.shape == (cfg.d,)
 
+    def test_bound_at_a_tiny_beta_is_finite(self):
+        # 2d / beta passes the float range below beta ~1e-307; the log is
+        # then taken as log(2d) - log(beta), about 716.6 at d = 8
+        tiny = theorem_error_bound(10, 8, 1, 1.0, 1e-310)
+        assert math.isfinite(tiny)
+        assert tiny >= theorem_error_bound(10, 8, 1, 1.0, 1e-300)
+        assert theorem_error_bound(10, 8, 1, 1.0, 5e-324) >= tiny
+        # where 2d / beta is finite the bound keeps its exact formula
+        for d, beta in [(1, 1.0 / 3.0), (8, 1e-300), (1024, 0.05), (2 ** 20, 1e-9)]:
+            want = scale_factor(1.0) * max(math.log2(d), 1) ** 1.5 \
+                * math.sqrt(10 * math.log(2.0 * d / beta))
+            assert theorem_error_bound(10, d, 1, 1.0, beta) == want
+
     def test_resource_guard(self, monkeypatch):
         # the bound is worked out from (n, d, k): a million clients at
         # d = 4096 fit in well under a gigabyte, and no option overrides it
@@ -258,8 +272,7 @@ class TestSimulate:
         # +1, +1 on leaf 1 and +1, -1 on leaf 2, three level-2 clients put
         # +1 on the root; that multiset has 7! / (3! 2!) = 420 arrangements
         tree = SumTree(2)
-        tree.values[:] = [2, 0, 3]
-        levels = np.array([1, 1, 2, 2, 2])
+        tree.counts[:] = [[0, 2], [1, 1], [0, 3]]
         drawn = []
         monkeypatch.setattr(harness, "write_report_arrays",
                             lambda path, h, t, u, mode="w": drawn.extend(zip(h, t, u)))
@@ -271,16 +284,9 @@ class TestSimulate:
         counts = np.zeros(len(index), dtype=np.int64)
         for _ in range(15 * len(index)):
             drawn.clear()
-            harness._write_shuffled("unused", tree, levels, stream, -(-7 // chunks))
+            harness._write_shuffled("unused", tree, stream, -(-7 // chunks))
             counts[index[tuple(tuple(int(v) for v in row) for row in drawn)]] += 1
         assert chisquare(counts).pvalue > 0.001
-
-    def test_shuffle_refuses_a_tree_the_levels_cannot_give(self):
-        tree = SumTree(2)
-        tree.values[:] = [3, 0, 0]  # more than the two level-1 reports on leaf 1
-        with pytest.raises(RuntimeError):
-            harness._write_shuffled("unused", tree, np.array([1, 1]),
-                                    RandomnessStream(0, 0), 8)
 
     def test_anonymized_stream_has_no_client_field(self, tmp_path):
         path = tmp_path / "reports.jsonl"
