@@ -1,6 +1,8 @@
 """Server-side aggregation: accumulate reports into a binary tree of
 counts and turn prefix covers of that tree into debiased marginal estimates."""
 
+import math
+
 import numpy as np
 
 from .core import check_count, level_count, scale_factor
@@ -89,6 +91,18 @@ def dyadic_cover(t, d):
     return tuple((b + 1, t >> b) for b in range(t.bit_length() - 1, -1, -1) if t >> b & 1)
 
 
+def estimate_weight(epsilon, k, d, reports):
+    """scale_factor(eps) * k * (log2 d + 1), which turns a prefix cover's
+    report sum into an estimate; refused if it overflows on a sum of up to
+    `reports` reports, which is n for n clients (one report per cover each)."""
+    weight = scale_factor(epsilon) * check_count(k, "change budget k") * level_count(d)
+    reports = check_count(reports, "report count", low=0, high=np.iinfo(np.int64).max)
+    if weight * max(reports, 1) < math.inf:
+        return weight
+    raise InvalidParameterError(f"epsilon={epsilon!r} is so small that an estimate "
+                                f"overflows, with a cover sum of up to {reports}")
+
+
 def estimate_marginals(tree, epsilon, k, d):
     """Debiased running-count estimates for every timestep.
 
@@ -97,13 +111,13 @@ def estimate_marginals(tree, epsilon, k, d):
     times the inverse probabilities of the client-side change and level
     sampling. The level weight is the number of levels actually sampled
     (log2 d + 1), which is what makes the estimator unbiased; at d = 1 it
-    is 1, so the degenerate horizon needs no special case.
+    is 1, so the degenerate horizon needs no special case. An epsilon so
+    small that an estimate would overflow is refused.
     """
     if not isinstance(tree, SumTree):
         raise InvalidParameterError("expected a SumTree")
     if tree.d != d:
         raise InvalidParameterError(f"tree horizon {tree.d} does not match d={d}")
-    weight = scale_factor(epsilon) * check_count(k, "change budget k") * level_count(d)
     # the prefix cover of t holds the level-h node t >> (h-1) exactly when
     # bit h-1 of t is set (see dyadic_cover)
     t = np.arange(1, d + 1, dtype=np.int64)
@@ -111,4 +125,4 @@ def estimate_marginals(tree, epsilon, k, d):
     for h in range(1, tree.levels + 1):
         j = t >> (h - 1)
         total += np.where(j & 1, tree.level(h)[np.maximum(j, 1) - 1], 0)
-    return weight * total
+    return estimate_weight(epsilon, k, d, int(np.abs(total).max())) * total

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# Max |sum - 1| accepted before a count distribution is rejected. Ones
-# inside the tolerance are renormalized; silent renormalization beyond it
-# would mask convolution bugs.
+# Max |sum - 1| accepted before a count distribution is rejected; accepting,
+# or silently renormalizing, more would mask convolution bugs.
 PROB_TOLERANCE = 1e-9
 
 

@@ -20,22 +20,25 @@ half with Bin(mid+1-lo, p), the reverse of Bin(mid+1-lo, q), for those it
 adds as ones, and a range of one m is R_m. That is about 2n `np.convolve`
 calls and O(n^2 log n) multiply-adds; the recursion holds one pmf per level
 and one binomial for each of O(log n) distinct sizes, so O(n log n) memory.
-Until the final hockey-stick sum only sums of nonnegative products are
-formed, so there is no cancellation: if each binomial from `_binomial_pmf`
-is within relative eta of its exact values entrywise, every entry of R_m
-above the underflow range is within relative (1 + eta)^D (1 + g)^D - 1,
-about D (eta + n u), where D = ceil(log2 n) is the depth of the split,
-g = n u / (1 - n u) bounds the rounding of one convolution sum of at most
-n terms and u = 2^-53 is the unit roundoff. At eps >= e0 every delta is
-exactly zero, since P_m/P_{m+1} <= p/q = e^e0. The oracle is capped at
-n <= 10000.
+Each binomial is a convolution power of one report's pmf [p, q]: Bin(s, q)
+is Bin(s//2, q) convolved with Bin(s - s//2, q). Until the final
+hockey-stick sum only sums of nonnegative products are formed, so there is
+no cancellation. An entry of R_m is a degree-(n-1) polynomial in p and q
+with nonnegative coefficients, so rounding p and q by relative r (a few u;
+about e0 u for q) moves it by at most (1 + r)^(n-1) - 1, and a convolution
+adds about L u to its operands' relative errors, with L the terms of one of
+its sums and u = 2^-53. R_m's convolutions, D = ceil(log2 n) split steps
+and the halving trees of binomials whose sizes add up to n - 1 (at most D
+levels each), hold at most about (D + 1) n terms per sum all told, so every
+entry above the underflow range is within relative about n (r + (D + 1) u).
+At eps >= e0 every delta is exactly zero, since P_m/P_{m+1} <= p/q = e^e0.
+The oracle is capped at n <= 10000.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .amplification import amplify_shuffle
 from .core import PROB_TOLERANCE, check_budget, check_count
@@ -44,29 +47,6 @@ ORACLE_MAX_N = 10_000
 
 # Above this epsilon the scan never forms e^eps (it overflows past ~709.78).
 EXP_SAFE = 700.0
-
-
-def _pmf_terms(n, epsilon0):
-    """Log truth and lie probabilities plus the table lgam[i] = log(i!),
-    shared by every count distribution over n reports. Both logs come from
-    e^-e0, so a truth probability that rounds to 1 still has a finite lie
-    log-probability."""
-    log_norm = math.log1p(math.exp(-epsilon0))
-    lgam = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
-    return -log_norm, -epsilon0 - log_norm, lgam
-
-
-def _binomial_pmf(n, log_p, log_q, lgam):
-    """Bin(n, q), the count pmf of n reports that all hold 0; reversed, it
-    is Bin(n, p), that of n reports that all hold 1."""
-    i = np.arange(n + 1)
-    probs = np.exp(lgam[n] - lgam[i] - lgam[n - i] + i * log_q + (n - i) * log_p)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= PROB_TOLERANCE:  # also catches nan
-        raise ArithmeticError(
-            f"count distribution sums to {total!r}, outside tolerance {PROB_TOLERANCE}"
-        )
-    return probs / total
 
 
 def divergence_scan(n, epsilon0, epsilon):
@@ -78,8 +58,9 @@ def divergence_scan(n, epsilon0, epsilon):
     forward = np.zeros(n)
     if epsilon >= epsilon0:
         return forward
-    log_p, log_q, lgam = _pmf_terms(n - 1, epsilon0)
-    p, q = math.exp(log_p), math.exp(log_q)
+    # q from e^-e0, not 1 - p, which is 0 once p rounds to 1
+    log_p = -math.log1p(math.exp(-epsilon0))
+    p, q = math.exp(log_p), math.exp(log_p - epsilon0)
     a = -p * math.expm1(epsilon - epsilon0)          # p - e^eps q
     if epsilon <= EXP_SAFE:
         b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0)  # e^eps p - q
@@ -87,11 +68,18 @@ def divergence_scan(n, epsilon0, epsilon):
         # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as
         # its log and only its products with R, which are small, are formed
         log_b = epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
-    binomials = {}
+    binomials = {1: np.array([p, q])}
 
     def binomial(size):
+        # Bin(size, q), the count pmf of size reports that all hold 0, as a
+        # convolution power of one report's [p, q]; reversed, it is Bin(size, p)
         if size not in binomials:
-            binomials[size] = _binomial_pmf(size, log_p, log_q, lgam)
+            probs = np.convolve(binomial(size // 2), binomial(size - size // 2))
+            total = float(probs.sum())
+            if not abs(total - 1.0) <= PROB_TOLERANCE:  # also catches nan
+                raise ArithmeticError(f"count distribution sums to {total!r}, "
+                                      f"outside tolerance {PROB_TOLERANCE}")
+            binomials[size] = probs
         return binomials[size]
 
     def scan(lo, hi, base):
@@ -118,12 +106,8 @@ def divergence_scan(n, epsilon0, epsilon):
 
 def worst_case_divergence(n, epsilon0, epsilon):
     """Exact smallest delta for which the shuffled one-bit protocol is
-    (epsilon, delta)-DP: the max over all adjacent input pairs.
-
-    Adjacent means m versus m+1 inputs equal to 1; no extremality shortcut
-    is assumed, every m in [0, n-1] is scanned (`divergence_scan` gives the
-    per-m deltas).
-    """
+    (epsilon, delta)-DP: the max over every adjacent pair, m against m+1
+    inputs equal to 1; every m in [0, n-1] is scanned, none assumed extremal."""
     return float(divergence_scan(n, epsilon0, epsilon).max())
 
 
@@ -140,15 +124,10 @@ class CertificationRecord:
     passed: bool
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "eps0": self.epsilon0,
-            "delta_target": self.delta_target,
-            "claimed_epsilon": self.claimed_epsilon,
-            "regime": self.regime,
-            "exact_delta": self.exact_delta,
-            "passed": self.passed,
-        }
+        """Every field, epsilon0 under its CLI name eps0."""
+        out = asdict(self)
+        out["eps0"] = out.pop("epsilon0")
+        return out
 
 
 def certify_amplification(n, epsilon0, delta_target):

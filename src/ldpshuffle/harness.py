@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregator import SumTree, accumulate_arrays, estimate_marginals
+from .aggregator import SumTree, accumulate_arrays, estimate_marginals, estimate_weight
 from .client import clip_changes, open_output, read_json_lines, write_report_arrays
 from .core import check_count, check_real, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
@@ -78,7 +78,6 @@ class SimulationConfig:
     def validate(self):
         check_input_domain(self.n, self.d, self.k, self.input_model,
                            self.step_time, self.input_path)
-        scale_factor(self.epsilon)  # also refuses an epsilon whose factor overflows
         check_real(self.beta, "beta", 0.0, 1.0)
         check_count(self.trials, "trials")
         if self.shuffle_mode not in SHUFFLE_MODES:
@@ -94,6 +93,9 @@ class SimulationConfig:
         if need > memory:
             raise InvalidParameterError(f"a trial may hold {need} bytes, more than "
                                         f"the {memory} bytes of physical memory")
+        # after the memory check, which bounds n; an estimate sums at most n reports
+        estimate_weight(self.epsilon, self.k, self.d, self.n)
+        theorem_error_bound(self.n, self.d, self.k, self.epsilon, self.beta)
 
 
 @dataclass
@@ -118,7 +120,10 @@ def theorem_error_bound(n, d, k, epsilon, beta):
     log2d = max(level_count(d) - 1, 1)  # log2(d), taken as 1 at d = 1
     ratio = 2.0 * d / beta  # inf at a beta below about 2d / 1.8e308
     log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0 * d) - math.log(beta)
-    return scale_factor(epsilon) * k * log2d ** 1.5 * math.sqrt(n * log_ratio)
+    bound = scale_factor(epsilon) * k * log2d ** 1.5 * math.sqrt(n * log_ratio)
+    if bound < math.inf:
+        return bound
+    raise InvalidParameterError(f"epsilon={epsilon!r} is so small that the error bound overflows")
 
 
 def read_change_vectors(path, n, d, k):

@@ -1,15 +1,28 @@
 """The shuffled one-bit count distribution with its input checks, and the
 O(n^3) reference for `ldpshuffle.divergence.divergence_scan`, which builds
-every count pmf afresh as the convolution of two binomials."""
+every count pmf afresh as the convolution of two binomials. Its binomials
+come from a log-factorial table, so it shares no pmf code with the scan,
+which builds them as convolution powers of one report's pmf."""
 
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from ldpshuffle.core import PROB_TOLERANCE, check_budget, check_count
-from ldpshuffle.divergence import ORACLE_MAX_N, _pmf_terms
+from ldpshuffle.divergence import ORACLE_MAX_N
 
 from reference.core import hockey_stick_sum
+
+
+def _pmf_terms(n, epsilon0):
+    """Log truth and lie probabilities plus the table lgam[i] = log(i!),
+    shared by every count distribution over n reports. Both logs come from
+    e^-e0, so a truth probability that rounds to 1 still has a finite lie
+    log-probability."""
+    log_norm = math.log1p(math.exp(-epsilon0))
+    lgam = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    return -log_norm, -epsilon0 - log_norm, lgam
 
 
 def count_pmf(n, m, log_p, log_1mp, lgam):

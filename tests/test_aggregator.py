@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ldpshuffle.aggregator import SumTree, accumulate_arrays, dyadic_cover, estimate_marginals
+from ldpshuffle.aggregator import (SumTree, accumulate_arrays, dyadic_cover, estimate_marginals,
+                                   estimate_weight)
 from ldpshuffle.core import level_count, scale_factor
 from ldpshuffle.errors import InvalidParameterError, MalformedReportError
 from ldpshuffle.randomizer import RandomnessStream
@@ -204,6 +205,20 @@ class TestEstimateMarginals:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             estimate_marginals(SumTree(4), 1.0, 1, 8)
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_refused_exactly_when_an_estimate_overflows(self, sign):
+        # at eps = 1e-307 the weight is 4e307: a cover sum of 4 reports stays
+        # finite, one of 5 does not
+        tree = SumTree(1)
+        tree.counts[0, sign] = 4
+        assert np.all(np.isfinite(estimate_marginals(tree, 1e-307, 1, 1)))
+        assert estimate_weight(1e-307, 1, 1, 4) == scale_factor(1e-307)
+        tree.counts[0, sign] = 5
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            estimate_marginals(tree, 1e-307, 1, 1)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            estimate_weight(1e-307, 1, 1, 5)
 
     def test_estimates_sum_covers(self):
         rng = RandomnessStream(25, 0)

@@ -251,6 +251,8 @@ class TestSimulateAndEstimate:
         ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "in.jsonl",
          "--output", "in.jsonl"],
         ["--d", "4", "--k", "1", "--output", "reports.jsonl"],
+        # a normal epsilon whose estimates overflow: 3 levels times its factor
+        ["--d", "4", "--k", "1", "--epsilon", "3e-308"],
     ])
     def test_failed_simulate_keeps_existing_outputs(self, capsys, tmp_path, bad):
         files = {"run.json": b'{"earlier": "results"}\n',
@@ -288,6 +290,39 @@ class TestSimulateAndEstimate:
         assert code == 2
         assert out == ""
         assert "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        # scale_factor(3e-308) is finite, but 4 levels times it is not
+        ["--n", "10", "--d", "8", "--k", "1", "--epsilon", "3e-308", "--seed", "1"],
+        # the weight times n = 10 overflows
+        ["--n", "10", "--d", "1", "--k", "1", "--epsilon", "1e-307"],
+        # every estimate is finite, the error bound is not
+        ["--n", "1", "--d", "1", "--k", "1", "--epsilon", "2.5e-308", "--beta", "1e-300"],
+    ])
+    def test_simulate_overflowing_epsilon_exits_2(self, capsys, tmp_path, argv):
+        output = tmp_path / "run.json"
+        output.write_bytes(b"earlier")
+        code, out, err = _run(capsys, ["simulate", *argv, "--output", str(output)])
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err and "nan" not in err.lower()
+        assert output.read_bytes() == b"earlier"
+
+    # d = 8 weighs a cover sum by 4 scale_factor(eps), d = 1 by one
+    # scale_factor(eps): 4e307 at 1e-307, which overflows on a sum of 5 reports
+    @pytest.mark.parametrize("epsilon,d,rows", [("3e-308", "8", 1), ("1e-307", "1", 5)])
+    def test_estimate_overflowing_epsilon_exits_2(self, capsys, tmp_path, epsilon, d, rows):
+        reports = tmp_path / "r.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n' * rows)
+        output = tmp_path / "est.csv"
+        output.write_bytes(b"earlier")
+        code, out, err = _run(capsys, ["estimate", "--reports", str(reports), "--d", d,
+                                       "--k", "1", "--epsilon", epsilon,
+                                       "--output", str(output)])
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err and "nan" not in err.lower()
+        assert output.read_bytes() == b"earlier"
 
     def test_estimate_subnormal_epsilon_exits_2(self, capsys, tmp_path):
         reports = tmp_path / "r.jsonl"
@@ -387,12 +422,11 @@ def _python(code):
                           text=True, check=True, timeout=300).stdout
 
 
-def test_cli_import_loads_no_heavy_scipy_module():
-    # every CLI run pays this import in its setup time; scipy.signal alone
-    # takes longer to import than the rest of the program's startup
+def test_cli_import_loads_no_scipy_module():
+    # every CLI run pays this import in its setup time, and scipy.special
+    # alone took longer to import than the rest of the program's startup
     loaded = _python("import sys, ldpshuffle.cli\n"
-                     "print([m for m in ('scipy.signal', 'scipy.linalg', 'scipy.stats')"
-                     " if m in sys.modules])")
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert loaded.strip() == "[]"
 
 

@@ -113,9 +113,16 @@ ENTRIES = [
     ("dyadic_cover.d", lambda v: aggregator.dyadic_cover(1, v), "horizon", []),
     ("dyadic_cover_merge.t", lambda v: ref_aggregator.dyadic_cover_merge(v, 8), "count", [9]),
     ("dyadic_cover_merge.d", lambda v: ref_aggregator.dyadic_cover_merge(1, v), "horizon", []),
+    # at d = 8 the weight, 4 scale_factor(eps), overflows for a normal epsilon too
+    ("estimate_weight.epsilon", lambda v: aggregator.estimate_weight(v, 1, 8, 1), "budget",
+     [1e-320, 3e-308]),
+    ("estimate_weight.k", lambda v: aggregator.estimate_weight(1.0, v, 8, 10), "count", []),
+    ("estimate_weight.d", lambda v: aggregator.estimate_weight(1.0, 1, v, 10), "horizon", []),
+    ("estimate_weight.reports", lambda v: aggregator.estimate_weight(1.0, 1, 8, v), "count0",
+     [2 ** 63, 10 ** 400]),
     ("estimate_marginals.epsilon",
      lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), v, 1, 8), "budget",
-     [1e-320]),
+     [1e-320, 3e-308]),
     ("estimate_marginals.k",
      lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), 1.0, v, 8), "count", []),
     ("estimate_marginals.d",
@@ -123,7 +130,7 @@ ENTRIES = [
     ("SimulationConfig.n", lambda v: _config(n=v), "count", []),
     ("SimulationConfig.d", lambda v: _config(d=v), "horizon", []),
     ("SimulationConfig.k", lambda v: _config(k=v), "count", [9]),
-    ("SimulationConfig.epsilon", lambda v: _config(epsilon=v), "budget", [1e-320]),
+    ("SimulationConfig.epsilon", lambda v: _config(epsilon=v), "budget", [1e-320, 3e-308]),
     ("SimulationConfig.trials", lambda v: _config(trials=v), "count", []),
     ("SimulationConfig.beta", lambda v: _config(beta=v), "unit", []),
     ("generate_inputs.n",
@@ -139,7 +146,7 @@ ENTRIES = [
     ("theorem_error_bound.k",
      lambda v: harness.theorem_error_bound(4, 8, v, 1.0, 0.5), "count", []),
     ("theorem_error_bound.epsilon",
-     lambda v: harness.theorem_error_bound(4, 8, 1, v, 0.5), "budget", [1e-320]),
+     lambda v: harness.theorem_error_bound(4, 8, 1, v, 0.5), "budget", [1e-320, 3e-308]),
     ("theorem_error_bound.beta",
      lambda v: harness.theorem_error_bound(4, 8, 1, 1.0, v), "unit", []),
     ("amplify_shuffle.eps0", lambda v: amplification.amplify_shuffle(v, 1000, 1e-6), "budget", []),

@@ -160,6 +160,17 @@ class TestDivergenceScan:
             assert scan_err <= 1e-9
             assert scan_err <= ref_err
 
+    def test_worst_pairs_near_high_precision_truth_at_scale(self):
+        # each R_m is formed from the coin [p, q] by convolutions of
+        # nonnegative vectors alone; at the accountant's claim the worst
+        # pairs are m = 0 and n-1, and m = 1 and n-2 go through other
+        # branches of the split
+        n = 3000
+        eps = amplify_shuffle(0.5, n, 1e-4).epsilon_central
+        scan = divergence_scan(n, 0.5, eps)
+        (errors,) = _high_precision_errors(n, 0.5, eps, (0, 1, n - 2), scan)
+        assert max(errors) <= 2e-13
+
     @pytest.mark.parametrize("eps0,eps", [(800.0, 750.0), (720.0, 715.0)])
     def test_epsilon_past_float_exp_range(self, eps0, eps):
         # e^eps overflows a float here, so the scan must never form it
