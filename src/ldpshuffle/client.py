@@ -8,7 +8,7 @@ identifier, written and read here.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
-emitter `kernels.emit_reports` is what a simulation runs.
+emitter `kernels.emit_reports` is what a mode-none simulation runs.
 """
 
 import io

@@ -3,14 +3,19 @@ client -> (optional shuffle) -> server pipeline, measured against the
 closed-form error bound.
 
 Reproducibility contract: every trial draws from its own counter-based
-stream keyed by (seed, trial), consumed in a fixed order: input generation
-(k integer draws over all clients for the random-changes model), the
-per-client change index, the per-client level, one report coin per
-emitted report in client-major order, and last, only when a post-shuffle
-trial 0 is written out, per chunk of max(SHUFFLE_ROWS, 4d) reports one
-binomial split of every (node, sign) cell and one permutation. Coins are
-drawn a block at a time, and Philox yields the same values in chunks as in
-one draw, so no output depends on BLOCK; equal configs give equal bits.
+stream keyed by (seed, trial), consumed in a fixed order that depends on
+the shuffle mode. Both modes start with input generation (k integer draws
+over all clients for the random-changes model), the per-client change
+index and the per-client level. Under shuffle mode none, where the server
+sees each client's linked reports, one report coin per emitted report
+follows in client-major order; coins are drawn a block at a time, and
+Philox yields the same values in chunks as in one draw, so no output
+depends on BLOCK. Under post-shuffle, where the server sees only the
+histogram of reports, three binomial vectors over the tree's nodes draw
+that histogram directly (`_draw_counts`), and last, only when trial 0 is
+written out, per chunk of max(SHUFFLE_ROWS, 4d) reports one binomial split
+of every (node, sign) cell and one permutation. Equal configs give equal
+bits.
 """
 
 import dataclasses
@@ -33,7 +38,8 @@ from .randomizer import RandomnessStream
 INPUT_MODELS = ("worst-case-sparse", "random-changes", "step-function", "file")
 SHUFFLE_MODES = ("none", "post-shuffle")
 
-# reports per emission block, at least 2d; no output depends on it
+# reports per emission block under shuffle mode none, at least 2d; no
+# output depends on it
 BLOCK = 1 << 15
 # reports per post-shuffle chunk, at least 4d; it sets the shuffle draws
 SHUFFLE_ROWS = 1 << 16
@@ -206,8 +212,9 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
 
 def trial_bytes(n, d, k):
     """An upper bound on the bytes a trial holds: its change lists and
-    per-client arrays, a block, a chunk (binomial, past 5/4 of its mean
-    bound with probability below e^-600), the tree and the writer."""
+    per-client arrays, a block (shuffle mode none), a chunk (binomial, past
+    5/4 of its mean bound with probability below e^-600), the tree and the
+    writer."""
     block = max(BLOCK, 2 * d) + d
     chunk = max(SHUFFLE_ROWS, 4 * d) * 5 // 4
     return 8 * (4 * n * k + 12 * n + 12 * block + 12 * chunk + 40 * d) + (4 << 20)
@@ -215,9 +222,11 @@ def trial_bytes(n, d, k):
 
 def run_trial(config, trial):
     """Run one seeded trial; returns (estimates, truth, reports emitted,
-    clipped). Each block of clients is folded into the tree and dropped;
-    trial 0 writes its stream to config.reports_path if set, block by block
-    under shuffle mode none, else drawn from the tree (`_write_shuffled`).
+    clipped). Under shuffle mode none each block of clients is emitted,
+    folded into the tree and dropped, and trial 0 writes its stream to
+    config.reports_path, if set, block by block. Under post-shuffle the
+    tree's histogram is drawn directly (`_draw_counts`) and trial 0's
+    stream is drawn from it (`_write_shuffled`).
     """
     stream = RandomnessStream(config.seed, trial)
     times, values, clipped = generate_inputs(config.n, config.d, config.k,
@@ -235,26 +244,53 @@ def run_trial(config, trial):
     rows = np.arange(config.n)
     signal_t = times[rows, target - 1]
     signal_v = values[rows, target - 1]
+    del times, values, rows, target  # so the count draw does not stack on them
 
     truth_prob = rr_probability(config.epsilon)
     dump = config.reports_path if trial == 0 else None
-    ends = np.cumsum(config.d >> (levels - 1))
-    # block i holds the clients whose last report falls in (i step, (i+1) step]
-    step = max(BLOCK, 2 * config.d)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], step), side="right").tolist()
-    tree = SumTree(config.d)
-    for lo, hi in zip(cuts, cuts[1:] + [config.n]):
-        count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
-        reports = emit_reports(signal_t[lo:hi], signal_v[lo:hi], levels[lo:hi],
-                               stream.uniform(size=count), truth_prob, config.d)
-        tree.merge(accumulate_arrays(*reports, config.d))
-        if dump and config.shuffle_mode == "none":
-            write_report_arrays(dump, *reports, mode="a" if lo else "w")
-        del reports  # so that no two blocks are held at once
-    if dump and config.shuffle_mode == "post-shuffle":
-        _write_shuffled(dump, tree, stream, max(SHUFFLE_ROWS, 4 * config.d))
+    if config.shuffle_mode == "post-shuffle":
+        tree = _draw_counts(signal_t, signal_v, levels, truth_prob, config.d, stream)
+        if dump:
+            _write_shuffled(dump, tree, stream, max(SHUFFLE_ROWS, 4 * config.d))
+    else:
+        ends = np.cumsum(config.d >> (levels - 1))
+        # block i holds the clients whose last report falls in (i step, (i+1) step]
+        step = max(BLOCK, 2 * config.d)
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1], step), side="right").tolist()
+        tree = SumTree(config.d)
+        for lo, hi in zip(cuts, cuts[1:] + [config.n]):
+            count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
+            reports = emit_reports(signal_t[lo:hi], signal_v[lo:hi], levels[lo:hi],
+                                   stream.uniform(size=count), truth_prob, config.d)
+            tree.merge(accumulate_arrays(*reports, config.d))
+            if dump:
+                write_report_arrays(dump, *reports, mode="a" if lo else "w")
+            del reports  # so that no two blocks are held at once
     estimates = estimate_marginals(tree, config.epsilon, config.k, config.d)
-    return estimates, truth, int(ends[-1]), clipped
+    return estimates, truth, int((config.d >> (levels - 1)).sum()), clipped
+
+
+def _draw_counts(signal_t, signal_v, levels, truth_prob, d, stream):
+    """The tree of a shuffled trial, drawn without emitting a report.
+
+    A client at level h puts one report on every level-h node: a fair sign,
+    except on the node its signal report lands on (the first at or after
+    signal_t), which carries randomized response of signal_v. So a node
+    holding c reports, a of them +1 signals and b of them -1 signals, has
+    Bin(c - a - b, 1/2) + Bin(a, p) + Bin(b, 1 - p) +1 reports, which is
+    the emitted stream's histogram in distribution, in O(n + d) time.
+    """
+    has = signal_t > 0
+    h = levels[has]
+    tree = accumulate_arrays(h, (((signal_t[has] - 1) >> (h - 1)) + 1) << (h - 1),
+                             signal_v[has], d)
+    b, a = tree.counts.T
+    c = np.bincount(levels, minlength=tree.levels + 1)[tree.nodes()[0]]
+    gen = stream.generator
+    plus = (gen.binomial(c - a - b, 0.5) + gen.binomial(a, truth_prob)
+            + gen.binomial(b, 1.0 - truth_prob))
+    tree.counts = np.stack([c - plus, plus], axis=1)
+    return tree
 
 
 def _write_shuffled(path, tree, stream, rows):

@@ -1,7 +1,8 @@
 """Bulk report emission for a whole client population.
 
-This is the inner loop of a simulation trial, vectorized in numpy over
-the flat report stream of a block of clients. Its scalar reference is
+This is the inner loop of a simulation trial under shuffle mode none,
+vectorized in numpy over the flat report stream of a block of clients; a
+post-shuffle trial draws its histogram without emitting reports. Its scalar reference is
 `client_update` in `tests/reference/client.py`: fed the same coins, it
 emits the same reports.
 """

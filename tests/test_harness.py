@@ -8,18 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
 import ldpshuffle
 import ldpshuffle.harness as harness
-from ldpshuffle.aggregator import SumTree
+from ldpshuffle.aggregator import SumTree, accumulate_arrays, estimate_marginals
 from ldpshuffle.client import read_reports
-from ldpshuffle.core import scale_factor
+from ldpshuffle.core import level_count, rr_probability, scale_factor
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SHUFFLE_MODES, SimulationConfig, generate_inputs,
                                 read_change_vectors, results_to_csv, results_to_json,
                                 run_trial, simulate, theorem_error_bound, trial_bytes,
                                 write_results)
+from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
 from reference.client import changes_to_states
@@ -211,22 +212,26 @@ class TestSimulate:
             cfg.validate()
 
     def test_post_shuffle_preserves_estimates(self, tmp_path):
-        # the stream is shuffled only when it is written out, so ask for it
+        # the stream is written out only when asked for, so ask for it; the
+        # modes draw their trees differently (see TestHistogramDraw), but
+        # each mode's dump holds exactly the reports its estimates sum
         plain = self._config(shuffle_mode="none", reports_path=str(tmp_path / "a.jsonl"))
         mixed = self._config(shuffle_mode="post-shuffle",
                              reports_path=str(tmp_path / "b.jsonl"))
         est_a, _, count_a, _ = run_trial(plain, 0)
         est_b, _, count_b, _ = run_trial(mixed, 0)
-        # same trial stream: the shuffle draws come after the coins, so the
-        # report multiset and hence the tree are identical
-        assert np.array_equal(est_a, est_b)
-        rows_a = np.stack(read_reports(plain.reports_path), axis=1)
-        rows_b = np.stack(read_reports(mixed.reports_path), axis=1)
-        assert len(rows_a) == count_a == count_b
-        assert not np.array_equal(rows_a, rows_b)
-        for a, b in zip(np.unique(rows_a, axis=0, return_counts=True),
-                        np.unique(rows_b, axis=0, return_counts=True)):
-            assert np.array_equal(a, b)
+        streams = []
+        for cfg, est in ((plain, est_a), (mixed, est_b)):
+            h, t, u = read_reports(cfg.reports_path)
+            tree = accumulate_arrays(h, t, u, cfg.d)
+            assert np.array_equal(estimate_marginals(tree, cfg.epsilon, cfg.k, cfg.d), est)
+            streams.append(np.stack((h, t, u), axis=1))
+        rows_a, rows_b = streams
+        assert len(rows_a) == len(rows_b) == count_a == count_b
+        # the same clients at the same levels: one (h, t) multiset, two orders
+        ht_a, ht_b = rows_a[:, :2], rows_b[:, :2]
+        assert not np.array_equal(ht_a, ht_b)
+        assert sorted(map(tuple, ht_a)) == sorted(map(tuple, ht_b))
 
     def test_one_coin_per_report_and_no_permutation_unless_dumped(self, monkeypatch,
                                                                   tmp_path):
@@ -242,7 +247,10 @@ class TestSimulate:
 
         monkeypatch.setattr(RandomnessStream, "uniform", counting)
         monkeypatch.setattr(RandomnessStream, "permutation", refuse)
-        cfg = self._config(shuffle_mode="post-shuffle", trials=2)
+        # post-shuffle draws the histogram, not one coin per report
+        run_trial(self._config(shuffle_mode="post-shuffle", trials=2), 0)
+        assert draws == []
+        cfg = self._config(shuffle_mode="none", trials=2)
         assert run_trial(cfg, 0)[2] == sum(draws)
         dumped = self._config(trials=1, reports_path=str(tmp_path / "reports.jsonl"))
         draws.clear()
@@ -345,3 +353,85 @@ class TestSimulate:
             simulate(self._config(epsilon=0.0))
         with pytest.raises(InvalidParameterError):
             simulate(self._config(input_model="file"))  # no path
+
+
+def _signals(n, d, k, input_model, seed, **kw):
+    """(signal_t, signal_v, levels) of a population, drawn as run_trial does."""
+    stream = RandomnessStream(seed, 0)
+    times, values, _ = generate_inputs(n, d, k, input_model, stream, **kw)
+    target = stream.integers(1, k + 1, size=n)
+    levels = stream.integers(1, level_count(d) + 1, size=n)
+    rows = np.arange(n)
+    return times[rows, target - 1], values[rows, target - 1], levels
+
+
+def _homogeneity_pvalue(x, y):
+    """Chi-squared test that two integer samples share one distribution,
+    with adjacent values pooled until every column holds at least 10."""
+    values = np.union1d(x, y)
+    table = np.array([[np.count_nonzero(s == v) for v in values] for s in (x, y)])
+    cols, run = [], np.zeros(2, dtype=np.int64)
+    for col in table.T:
+        run = run + col
+        if run.sum() >= 10:
+            cols.append(run)
+            run = np.zeros(2, dtype=np.int64)
+    if cols:
+        cols[-1] = cols[-1] + run
+    if len(cols) < 2:
+        return 1.0
+    return chi2_contingency(np.array(cols).T, correction=False).pvalue
+
+
+class TestHistogramDraw:
+    """The post-shuffle tree is drawn from three binomial vectors; it must
+    match, in distribution, the tree of the per-report path (one coin per
+    report, `emit_reports` then `accumulate_arrays`) on the same inputs."""
+
+    TRIALS = 600
+
+    @pytest.mark.parametrize("n,d,k,eps,model", [
+        (2000, 16, 2, 1.0, "random-changes"),
+        (400, 1, 1, 0.0, "random-changes"),       # p = 1/2, one node
+        (300, 8, 3, 40.0, "worst-case-sparse"),   # p = 1 in floating point
+        (500, 4, 2, 2.0, "file"),                 # every third client unchanged
+    ])
+    def test_drawn_tree_matches_emitted_tree(self, tmp_path, n, d, k, eps, model):
+        kw = {}
+        if model == "file":
+            path = tmp_path / "inputs.jsonl"
+            patterns = ([0] * d, [1] + [0] * (d - 1), [1, -1] + [0] * (d - 2))
+            _write_rows(path, [patterns[i % 3] for i in range(n)])
+            kw["input_path"] = str(path)
+        signal_t, signal_v, levels = _signals(n, d, k, model, 31, **kw)
+        p = rr_probability(eps)
+        drawn, emitted = [], []
+        for trial in range(self.TRIALS):
+            tree = harness._draw_counts(signal_t, signal_v, levels, p, d,
+                                        RandomnessStream(32, trial))
+            drawn.append(tree.counts)
+            stream = RandomnessStream(33, trial)
+            coins = stream.uniform(size=int((d >> (levels - 1)).sum()))
+            emitted.append(accumulate_arrays(*emit_reports(signal_t, signal_v, levels,
+                                                           coins, p, d), d).counts)
+        drawn, emitted = np.array(drawn), np.array(emitted)
+        # a valid histogram: per node, the -1 and +1 counts are nonnegative
+        # and sum to the node's fixed report count
+        assert drawn.min() >= 0
+        assert np.array_equal(drawn.sum(axis=2), emitted.sum(axis=2))
+        nodes = drawn.shape[1]
+        pvalues = [_homogeneity_pvalue(drawn[:, j, 1], emitted[:, j, 1])
+                   for j in range(nodes)]
+        assert min(pvalues) > 0.001 / nodes
+
+    def test_post_shuffle_estimator_is_unbiased(self):
+        # acceptance criterion 2's config and band, under post-shuffle
+        cfg = SimulationConfig(n=100_000, d=8, k=1, epsilon=1.0, trials=50, seed=20,
+                               input_model="step-function", step_time=2,
+                               shuffle_mode="post-shuffle")
+        cfg.validate()
+        estimates = np.array([run_trial(cfg, t)[0] for t in range(cfg.trials)])
+        truth = run_trial(cfg, 0)[1]
+        assert np.array_equal(truth, np.r_[0, np.full(7, cfg.n)])
+        stderr = estimates.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+        assert np.all(np.abs(estimates.mean(axis=0) - truth) <= 3.0 * stderr)
