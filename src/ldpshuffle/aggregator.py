@@ -1,5 +1,7 @@
 """Server-side aggregation: accumulate reports into a binary tree of
-counts and turn prefix covers of that tree into debiased marginal estimates."""
+counts and turn prefix covers of that tree into debiased marginal
+estimates. `stray_report` is the one rule for which reports address a
+node; `accumulate_arrays` and the report reader in `client` apply it."""
 
 import math
 
@@ -16,7 +18,7 @@ class SumTree:
     Level h (1 = leaves) has d / 2^(h-1) nodes; node (h, j) covers
     timesteps [(j-1) * 2^(h-1) + 1, j * 2^(h-1)], and its reports carry
     t = j * 2^(h-1). Storage is one zeros-initialized (2d - 1, 2) int64
-    array `counts`, level by level; node sums are derived from it.
+    array `counts`, level by level from offset `_offsets[h - 1]`.
     """
 
     def __init__(self, d):
@@ -25,54 +27,37 @@ class SumTree:
         self._offsets = np.concatenate(([0], np.cumsum(self.d >> np.arange(self.levels - 1))))
         self.counts = np.zeros((2 * self.d - 1, 2), dtype=np.int64)
 
-    @property
-    def values(self):
-        """Every node's report sum, +1 count minus -1 count (read-only)."""
-        return _sums(self.counts)
-
-    def level(self, h):
-        """The report sums of all nodes at one level (read-only)."""
-        h = check_count(h, "level", high=self.levels)
-        lo = self._offsets[h - 1]
-        return _sums(self.counts[lo:lo + (self.d >> (h - 1))])
-
     def nodes(self):
         """(h, t) of every node in storage order, as two int64 arrays: its
         level and the timestep its reports carry."""
         h = np.repeat(np.arange(1, self.levels + 1), self.d >> np.arange(self.levels))
         return h, (np.arange(len(h)) - self._offsets[h - 1] + 1) << (h - 1)
 
-    def merge(self, other):
-        """Nodewise sum with another tree over the same horizon (in place)."""
-        if not isinstance(other, SumTree) or other.d != self.d:
-            raise InvalidParameterError("can only merge trees over the same horizon")
-        self.counts += other.counts
-        return self
 
-
-def _sums(counts):
-    sums = counts[:, 1] - counts[:, 0]
-    sums.flags.writeable = False
-    return sums
+def stray_report(h, t, u, d):
+    """Index of the first report (h, t, u), of int64 arrays, that addresses
+    no node of the tree over horizon d, or None if every one does. A report
+    addresses a node when 1 <= h <= log2(d) + 1, 1 <= t <= d, t is a
+    multiple of the level period 2^(h-1) and u is -1 or +1."""
+    levels = level_count(d)
+    shift = np.clip(h, 1, levels) - 1  # an out-of-range h is refused, not shifted by
+    bad = np.flatnonzero((h < 1) | (h > levels) | (t < 1) | (t > d)
+                         | (t & ((1 << shift) - 1) != 0) | ((u != 1) & (u != -1)))
+    return int(bad[0]) if len(bad) else None
 
 
 def accumulate_arrays(h, t, u, d):
-    """Vectorized accumulate for reports held as parallel arrays."""
+    """Vectorized accumulate for reports held as parallel arrays; one that
+    addresses no node raises MalformedReportError naming its index."""
     h, t, u = (np.asarray(a, dtype=np.int64) for a in (h, t, u))
     tree = SumTree(d)
-    if len(h) == 0:
-        return tree
-    if h.min() < 1 or h.max() > tree.levels:
-        raise MalformedReportError("report level outside the tree")
-    if t.min() < 1 or t.max() > tree.d:
-        raise MalformedReportError("report timestep outside the horizon")
-    shift = h - 1
-    if np.any(t & ((1 << shift) - 1)):
-        raise MalformedReportError("report timestep not divisible by its level period")
-    if u.min() < -1 or u.max() > 1 or not u.all():
-        raise MalformedReportError("report values must be -1 or +1")
+    bad = stray_report(h, t, u, d)
+    if bad is not None:
+        raise MalformedReportError(f"report {bad} (h={h[bad]}, t={t[bad]}, u={u[bad]}) "
+                                   f"addresses no node of the tree over horizon {d}")
     # count every node's -1 and +1 reports in one integer bincount over
     # (node, sign) cells
+    shift = h - 1
     cell = 2 * (tree._offsets[shift] + (t >> shift) - 1) + (u > 0)
     tree.counts += np.bincount(cell, minlength=tree.counts.size).reshape(-1, 2)
     return tree
@@ -120,9 +105,10 @@ def estimate_marginals(tree, epsilon, k, d):
         raise InvalidParameterError(f"tree horizon {tree.d} does not match d={d}")
     # the prefix cover of t holds the level-h node t >> (h-1) exactly when
     # bit h-1 of t is set (see dyadic_cover)
+    sums = tree.counts[:, 1] - tree.counts[:, 0]
     t = np.arange(1, d + 1, dtype=np.int64)
     total = np.zeros(d, dtype=np.int64)
     for h in range(1, tree.levels + 1):
         j = t >> (h - 1)
-        total += np.where(j & 1, tree.level(h)[np.maximum(j, 1) - 1], 0)
+        total += np.where(j & 1, sums[tree._offsets[h - 1] + np.maximum(j, 1) - 1], 0)
     return estimate_weight(epsilon, k, d, int(np.abs(total).max())) * total

@@ -9,6 +9,8 @@ parameters, 3 a verification check failed.
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -62,22 +64,19 @@ def _peak_rss_kb():
 
 
 def _cmd_simulate(args):
-    config = SimulationConfig(
-        n=args.n, d=args.d, k=args.k, epsilon=args.epsilon, beta=args.beta,
-        trials=args.trials, seed=args.seed, input_model=args.input_model,
-        shuffle_mode=args.shuffle_mode, output_path=args.output,
-        step_time=args.step_time, input_path=args.input_path,
-        reports_path=args.reports_path,
-    )
+    # unset options are absent from args, so SimulationConfig owns their defaults
+    config = SimulationConfig(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(SimulationConfig)
+                                 if hasattr(args, f.name)})
     config.validate()
     # an unwritable output path fails before any trial runs; append mode
     # keeps an existing file's bytes in case a trial fails
-    for path in (args.output, args.reports_path):
+    for path in (config.output_path, config.reports_path):
         if path:
             open_output(path, "a").close()
     results = simulate(config)
-    if args.output:
-        write_results(config, results, args.output)
+    if config.output_path:
+        write_results(config, results, config.output_path)
     else:
         sys.stdout.write(results_to_json(config, results))
     total = sum(r.wall_time for r in results)
@@ -197,7 +196,10 @@ def _cmd_estimate(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once; each subcommand names its handler,
+    which `main` looks up at call time, so a patched handler is the one run."""
     parser = argparse.ArgumentParser(
         prog="ldpshuffle",
         description="Longitudinal local-DP collection, shuffle-model "
@@ -205,21 +207,23 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the client/server pipeline on synthetic data")
+    p = sub.add_parser("simulate", help="run the client/server pipeline on synthetic data",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, required=True, help="number of clients")
     p.add_argument("--d", type=int, required=True, help="time horizon (power of two)")
     p.add_argument("--k", type=int, required=True, help="per-client change budget")
     p.add_argument("--epsilon", type=float, required=True, help="per-client budget")
-    p.add_argument("--beta", type=float, default=1.0 / 3.0, help="bound failure probability")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input-model", default="random-changes", choices=INPUT_MODELS)
-    p.add_argument("--shuffle-mode", default="none", choices=SHUFFLE_MODES)
-    p.add_argument("--step-time", type=int, default=None)
-    p.add_argument("--input-path", default=None, help="JSON-lines change vectors (file model)")
-    p.add_argument("--reports-path", default=None, help="dump the trial-0 report stream here")
-    p.add_argument("--output", default=None, help="results file (.csv for CSV, else JSON)")
-    p.set_defaults(handler=_cmd_simulate)
+    p.add_argument("--beta", type=float, help="bound failure probability")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--input-model", choices=INPUT_MODELS)
+    p.add_argument("--shuffle-mode", choices=SHUFFLE_MODES)
+    p.add_argument("--step-time", type=int)
+    p.add_argument("--input-path", help="JSON-lines change vectors (file model)")
+    p.add_argument("--reports-path", help="dump the trial-0 report stream here")
+    p.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                   help="results file (.csv for CSV, else JSON)")
+    p.set_defaults(handler="_cmd_simulate")
 
     p = sub.add_parser("bound", help="closed-form amplification calculator")
     p.add_argument("--eps0", type=float, required=True)
@@ -227,7 +231,7 @@ def build_parser():
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None, help="also report the RDP bound")
     p.add_argument("--group", type=int, default=None, help="also report the group bound for |S|")
-    p.set_defaults(handler=_cmd_bound)
+    p.set_defaults(handler="_cmd_bound")
 
     p = sub.add_parser("verify-amplification",
                        help="check the calculator against the exact oracle")
@@ -235,12 +239,12 @@ def build_parser():
     p.add_argument("--eps0", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", default=None, help="CSV of n,eps0,delta triples")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     p = sub.add_parser("cover", help="print the dyadic cover of a prefix")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_cover)
+    p.set_defaults(handler="_cmd_cover")
 
     p = sub.add_parser("estimate", help="aggregate a report file into estimates")
     p.add_argument("--reports", required=True, help="JSON-lines report stream")
@@ -249,16 +253,15 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--truth", default=None, help="optional true counts, one per line")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_estimate)
+    p.set_defaults(handler="_cmd_estimate")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

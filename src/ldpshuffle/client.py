@@ -4,7 +4,8 @@ Each client tracks a sequence of state changes x_t in {-1, 0, +1} over d
 timesteps (d a power of two) and reports on at most k of them;
 `clip_changes` enforces that budget. The anonymized report stream is
 stored as JSON lines, one (h, t, u) object per report and no client
-identifier, written and read here.
+identifier, written and read here; the reader checks each line's syntax
+and then, given the horizon, the tree's rule (`aggregator.stray_report`).
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -17,6 +18,7 @@ import re
 
 import numpy as np
 
+from .aggregator import stray_report
 from .core import check_count, level_count
 from .errors import InvalidParameterError, ParseError
 
@@ -40,8 +42,8 @@ INT64_MAX = 2 ** 63 - 1
 # The canonical report line: what `write_report_arrays` emits, the bytes of
 # `json.dumps({"h": H, "t": T, "u": U}, sort_keys=True)` plus a newline.
 REPORT_LINE = '{"h": %d, "t": %d, "u": %d}\n'
-# A run of canonical lines whose values fit an int64 and need no range check
-# but the tree's: h and t have 1 to 18 digits and no leading zero.
+# A run of canonical lines whose values fit an int64 and need no check but
+# the tree's: h and t have 1 to 18 digits and no leading zero.
 _CANONICAL_LINES = re.compile(
     rb'(?:\{"h": [1-9][0-9]{0,17}, "t": [1-9][0-9]{0,17}, "u": -?1\}\n)*')
 _MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
@@ -107,33 +109,36 @@ def json_lines(fh):
 def read_reports(path, d=None):
     """Read a JSON-lines report stream into (h, t, u) int64 arrays.
 
-    Every row must be an object whose h and t are positive integers and
-    whose u is -1 or +1; floats, booleans and strings are refused. Given the
-    horizon d, a row must also address a node of its tree: h <= log2(d) + 1
-    and t <= d. Raises ParseError with the 1-based line number on the first
-    bad row.
+    Every row must be an object whose h and t are positive int64 integers
+    and whose u is -1 or +1; floats, booleans and strings are refused. Given
+    the horizon d, every row must also address a node of its tree
+    (`aggregator.stray_report`), checked once the file is read. Raises
+    ParseError naming the first bad row's 1-based line, a row of bad syntax
+    before any row that addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
     checked READ_BYTES at a time against one pattern and converted with
-    array operations. Any other spelling of the rows, or a row outside the
-    tree, sends the whole file again through `parse_report_rows`, which
-    returns the same arrays or names the bad line. A pipe is read into
-    memory first, so that it can be read twice.
+    array operations. Any other spelling of the rows sends the whole file
+    again through `parse_report_rows`, which returns the same arrays or
+    names the bad line. A pipe is read into memory first, so that it can be
+    read twice.
     """
-    levels = None if d is None else level_count(d)
+    if d is not None:
+        level_count(d)
     with open_input(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        columns = _read_canonical(fh, levels, d)
+        columns = _read_canonical(fh)
         if columns is None:
             fh.seek(0)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
-            columns = parse_report_rows(json_lines(text), d)
+            return parse_report_rows(json_lines(text), d)
+    _check_tree(columns, d, range(1, len(columns[0]) + 1))  # one report per line
     return columns
 
 
-def _read_canonical(fh, levels, d):
-    """(h, t, u) of a stream of canonical lines inside the tree, or None
-    once a chunk is not all canonical lines or a row is outside the tree."""
+def _read_canonical(fh):
+    """(h, t, u) of a stream of canonical lines, or None once a chunk is
+    not all canonical lines."""
     blocks = []
     tail = b""
     while True:
@@ -150,18 +155,24 @@ def _read_canonical(fh, levels, d):
         blocks.append(np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3))
         if not data:
             break
-    h, t, u = np.concatenate(blocks).T.copy()
-    if levels is not None and len(h) and (h.max() > levels or t.max() > d):
-        return None
-    return h, t, u
+    return tuple(np.concatenate(blocks).T.copy())
+
+
+def _check_tree(columns, d, lines):
+    """Raise ParseError naming lines[i] if report i of columns is the first
+    that addresses no node of the tree over horizon d (None: no tree)."""
+    bad = None if d is None else stray_report(*columns, d)
+    if bad is not None:
+        raise ParseError("report (h=%d, t=%d, u=%d) addresses no node of the tree over "
+                         "horizon %d" % (*(c[bad] for c in columns), d), lines[bad])
 
 
 def parse_report_rows(rows, d=None):
     """(h, t, u) arrays from the (line number, decoded row) pairs of
     `json_lines`, one row at a time: the path for every spelling of the
-    rows JSON allows, and the reference for the chunked one."""
-    levels = None if d is None else level_count(d)
-    hs, ts, us = [], [], []
+    rows JSON allows, and the reference for the chunked one; given d, the
+    arrays are then checked against the tree as in `read_reports`."""
+    hs, ts, us, lines = [], [], [], []
     for lineno, row in rows:
         try:
             h, t, u = row["h"], row["t"], row["u"]
@@ -171,14 +182,12 @@ def parse_report_rows(rows, d=None):
             raise ParseError("expected integer fields h, t, u", lineno)
         if not (0 < h <= INT64_MAX and 0 < t <= INT64_MAX):
             raise ParseError(f"h and t must be positive integers, got h={h}, t={t}", lineno)
-        if levels is not None and (h > levels or t > d):
-            raise ParseError(f"report (h={h}, t={t}) outside the tree over horizon {d}",
-                             lineno)
         if u != 1 and u != -1:
             raise ParseError(f"report value must be -1 or +1, got {u}", lineno)
         hs.append(h)
         ts.append(t)
         us.append(u)
-    return (np.array(hs, dtype=np.int64),
-            np.array(ts, dtype=np.int64),
-            np.array(us, dtype=np.int64))
+        lines.append(lineno)
+    columns = tuple(np.array(c, dtype=np.int64) for c in (hs, ts, us))
+    _check_tree(columns, d, lines)
+    return columns

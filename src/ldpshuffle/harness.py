@@ -262,7 +262,7 @@ def run_trial(config, trial):
             count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
             reports = emit_reports(signal_t[lo:hi], signal_v[lo:hi], levels[lo:hi],
                                    stream.uniform(size=count), truth_prob, config.d)
-            tree.merge(accumulate_arrays(*reports, config.d))
+            tree.counts += accumulate_arrays(*reports, config.d).counts
             if dump:
                 write_report_arrays(dump, *reports, mode="a" if lo else "w")
             del reports  # so that no two blocks are held at once

@@ -18,8 +18,9 @@ def index(tree, h, j):
 
 
 def node(tree, h, j):
-    """Report sum of node (h, j)."""
-    return int(tree.values[index(tree, h, j)])
+    """Report sum of node (h, j): its +1 count minus its -1 count."""
+    minus, plus = tree.counts[index(tree, h, j)].tolist()
+    return plus - minus
 
 
 def add_report(tree, h, t, u):

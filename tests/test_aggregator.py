@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldpshuffle.aggregator import (SumTree, accumulate_arrays, dyadic_cover, estimate_marginals,
-                                   estimate_weight)
+                                   estimate_weight, stray_report)
 from ldpshuffle.core import level_count, scale_factor
 from ldpshuffle.errors import InvalidParameterError, MalformedReportError
 from ldpshuffle.randomizer import RandomnessStream
@@ -38,19 +38,6 @@ class TestSumTree:
         assert tree.counts[index(tree, 1, 3)].tolist() == [1, 0]
         assert int(tree.counts.sum()) == 1
 
-    def test_sums_are_read_only_and_level_checks_its_index(self):
-        tree = accumulate_arrays([1, 1, 2], [1, 1, 2], [1, -1, -1], 2)
-        assert tree.counts.tolist() == [[1, 1], [0, 0], [1, 0]]
-        assert tree.values.tolist() == [0, 0, -1]
-        assert tree.level(2).tolist() == [-1]
-        with pytest.raises(ValueError):
-            tree.values[0] = 1
-        with pytest.raises(ValueError):
-            tree.level(1)[0] = 1
-        for h in (0, 3):
-            with pytest.raises(InvalidParameterError):
-                tree.level(h)
-
     def test_nodes_give_the_coordinates_of_each_row(self):
         for d in (1, 2, 8, 64):
             tree = SumTree(d)
@@ -65,6 +52,7 @@ class TestSumTree:
     def test_two_reports_same_node(self):
         tree = accumulate([Report(2, 2, 1), Report(2, 2, 1)], 4)
         assert node(tree, 2, 1) == 2
+        assert tree.counts[index(tree, 2, 1)].tolist() == [0, 2]
 
     def test_malformed_report_rejected(self):
         tree = SumTree(4)
@@ -104,17 +92,25 @@ class TestSumTree:
         with pytest.raises(MalformedReportError):
             accumulate_arrays([1], [1], [2], 4)
 
+    # at d = 4: three levels, level periods 1, 2 and 4
+    @pytest.mark.parametrize("report", [(0, 1, 1), (4, 4, 1), (-1, 1, 1), (2 ** 62, 4, 1),
+                                        (1, 0, 1), (1, 5, 1), (1, -4, 1), (2, 3, 1),
+                                        (3, 2, -1), (1, 1, 0), (1, 1, 2), (1, 1, -2)])
+    def test_every_fault_names_its_index(self, report):
+        # three good reports, the bad one, then another bad one
+        h, t, u = [1, 2, 3, report[0], 1], [1, 2, 4, report[1], 5], [1, -1, 1, report[2], -1]
+        assert stray_report(*(np.array(c) for c in (h, t, u)), 4) == 3
+        with pytest.raises(MalformedReportError, match=r"report 3 \(h=%d, t=%d, u=%d\)"
+                           % report):
+            accumulate_arrays(h, t, u, 4)
+
     def test_accumulation_linearity(self):
         rng = RandomnessStream(22, 0)
         h, t, u = _random_reports(rng, 32, 800)
         whole = accumulate_arrays(h, t, u, 32)
         left = accumulate_arrays(h[:300], t[:300], u[:300], 32)
         right = accumulate_arrays(h[300:], t[300:], u[300:], 32)
-        assert np.array_equal(whole.counts, left.merge(right).counts)
-
-    def test_merge_requires_same_horizon(self):
-        with pytest.raises(InvalidParameterError):
-            SumTree(4).merge(SumTree(8))
+        assert np.array_equal(whole.counts, left.counts + right.counts)
 
     def test_order_independence(self):
         rng = RandomnessStream(23, 0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,17 @@ class TestSimulateAndEstimate:
         assert code == 2
         assert "power of two" in err
 
+    def test_input_file_with_too_few_rows_exits_2(self, capsys, tmp_path):
+        inputs = tmp_path / "inputs.jsonl"
+        inputs.write_text('{"x": [0, 1, 0, 0]}\n')
+        code, out, err = _run(capsys, [
+            "simulate", "--n", "2", "--d", "4", "--k", "1", "--epsilon", "1.0",
+            "--input-model", "file", "--input-path", str(inputs),
+        ])
+        assert code == 2
+        assert "expected 2 rows, found 1" in err
+        assert out == ""
+
 
 class TestEstimateBadInput:
     def _estimate(self, capsys, reports, truth=None):
@@ -367,6 +379,32 @@ class TestEstimateBadInput:
         code, _, err = self._estimate(capsys, reports)
         assert code == 2
         assert "line 2" in err
+
+    # at d = 4 a level-2 report carries an even t
+    @pytest.mark.parametrize("row", ['{"h": 2, "t": 3, "u": 1}', '{"u": 1, "t": 3, "h": 2}'])
+    @pytest.mark.parametrize("pipe", [False, True])
+    def test_misaligned_row_names_line(self, capsys, tmp_path, row, pipe):
+        data = '{"h": 1, "t": 1, "u": 1}\n' + row + '\n{"h": 3, "t": 4, "u": -1}\n'
+        reports = tmp_path / "reports.jsonl"
+        if pipe:
+            os.mkfifo(reports)
+            feed = threading.Thread(target=reports.write_text, args=(data,), daemon=True)
+            feed.start()
+        else:
+            reports.write_text(data)
+        code, out, err = self._estimate(capsys, reports)
+        assert code == 2
+        assert "line 2" in err and "(h=2, t=3, u=1)" in err
+        assert out == ""
+
+    def test_truth_with_the_wrong_row_count_exits_2(self, capsys, tmp_path):
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0\n1\n")
+        code, _, err = self._estimate(capsys, reports, truth)
+        assert code == 2
+        assert "truth file has 2 rows, expected 4" in err
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"

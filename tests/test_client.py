@@ -286,8 +286,10 @@ class TestReportIo:
             read_reports(path)
         assert err.value.line_number == 3
 
+    # the last three are misaligned: a level-h report carries a multiple of 2^(h-1)
     @pytest.mark.parametrize("row", ['{"h": 4, "t": 4, "u": 1}', '{"h": 1, "t": 5, "u": 1}',
-                                     '{"h": 9, "t": 256, "u": 1}'])
+                                     '{"h": 9, "t": 256, "u": 1}', '{"h": 2, "t": 3, "u": 1}',
+                                     '{"t": 3, "u": 1, "h": 2}', '{"h": 3, "t": 2, "u": -1}'])
     def test_rows_outside_the_tree_rejected_given_horizon(self, tmp_path, row):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"h": 3, "t": 4, "u": 1}\n' + row + "\n")
@@ -295,6 +297,17 @@ class TestReportIo:
         with pytest.raises(ParseError) as err:
             read_reports(path, 4)
         assert err.value.line_number == 2
+
+    def test_syntax_fault_is_named_before_a_tree_fault(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"h": 2, "t": 3, "u": 1}\n{"h": 1, "t": 1, "u": 0}\n')
+        with pytest.raises(ParseError) as err:
+            read_reports(path, 4)
+        assert err.value.line_number == 2
+
+    def test_horizon_is_checked_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="power of two"):
+            read_reports(tmp_path / "missing.jsonl", 6)
 
     def test_missing_file_is_invalid_parameter(self, tmp_path):
         with pytest.raises(InvalidParameterError, match="cannot read"):
@@ -391,9 +404,10 @@ def _outcome(read, path, d):
 
 
 def _random_reports(seed, n, d):
+    """n reports of the tree over horizon d: t a multiple of the level period."""
     rng = np.random.default_rng(seed)
     h = rng.integers(1, d.bit_length() + 1, n)
-    return h, rng.integers(1, d + 1, n), rng.choice([-1, 1], n)
+    return h, rng.integers(1, (d >> (h - 1)) + 1) << (h - 1), rng.choice([-1, 1], n)
 
 
 class TestChunkedReportIo:
@@ -401,6 +415,8 @@ class TestChunkedReportIo:
     @given(st.lists(_LINES, max_size=8), st.booleans(), st.sampled_from([None, 4, 64]))
     @example([_CANON % (1, 1, 1)] * 2, False, 4)
     @example([_CANON % (3, 4, 1), _CANON % (4, 4, -1)], False, 4)
+    @example([_CANON % (1, 1, 1), _CANON % (2, 3, 1)], False, 4)
+    @example([_CANON % (2, 3, 1), b'{"h": 1}\n'], False, 4)
     @example([_CANON % (1, 1, 1), _CANON % (10 ** 18 - 1, 1, 1)], False, None)
     @example([_CANON % (1, 1, 1), b'{"h": 9223372036854775807, "t": 1, "u": 1}\n'], False, None)
     @example([_CANON % (1, 1, 1), _CANON % (2, 2, 1)], True, None)
@@ -426,6 +442,7 @@ class TestChunkedReportIo:
     @pytest.mark.parametrize("tail", [b"\n", b'{"u": 1, "h": 1, "t": 2}\n',
                                       b'{"h": 8, "t": 2, "u": 1}\n'])
     def test_any_other_line_sends_the_whole_file_per_row(self, tmp_path, monkeypatch, tail):
+        # a canonical line outside the tree is named without a second read
         path = tmp_path / "reports.jsonl"
         write_report_arrays(path, *_random_reports(1, 3000, 64))
         with open(path, "ab") as fh:
@@ -434,7 +451,7 @@ class TestChunkedReportIo:
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: calls.append(a) or parse_report_rows(*a))
         assert _outcome(read_reports, path, 64) == _outcome(read_report_rows, path, 64)
-        assert len(calls) == 1
+        assert len(calls) == (0 if client_mod._CANONICAL_LINES.fullmatch(tail) else 1)
 
     @pytest.mark.parametrize("spacing", [b" ", b"  "])
     def test_pipe_is_read_once(self, tmp_path, spacing):

@@ -108,7 +108,6 @@ ENTRIES = [
     ("SumTree", aggregator.SumTree, "horizon", []),
     ("accumulate", lambda v: ref_aggregator.accumulate([], v), "horizon", []),
     ("accumulate_arrays", lambda v: aggregator.accumulate_arrays([], [], [], v), "horizon", []),
-    ("SumTree.level", lambda v: aggregator.SumTree(8).level(v), "count", [5]),
     ("dyadic_cover.t", lambda v: aggregator.dyadic_cover(v, 8), "count", [9]),
     ("dyadic_cover.d", lambda v: aggregator.dyadic_cover(1, v), "horizon", []),
     ("dyadic_cover_merge.t", lambda v: ref_aggregator.dyadic_cover_merge(v, 8), "count", [9]),

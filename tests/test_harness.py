@@ -354,6 +354,10 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError):
             simulate(self._config(input_model="file"))  # no path
 
+    def test_unknown_shuffle_mode_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unknown shuffle mode 'x'"):
+            self._config(shuffle_mode="x").validate()
+
 
 def _signals(n, d, k, input_model, seed, **kw):
     """(signal_t, signal_v, levels) of a population, drawn as run_trial does."""

@@ -53,6 +53,8 @@ def test_tracer_counts_a_streamed_dump(capsys, tmp_path, mode):
     assert work["client.write_report_arrays"]["calls"] > 1
     assert work["client.write_report_arrays"]["rows"] == rows
     assert work["client.read_reports"]["rows"] == rows
+    # the parser is built once, and still runs the estimate handler the tracer wraps
+    assert work["cli.estimate"]["calls"] == 1
     # post-shuffle draws the tree's histogram without a coin or an emitted report
     emitted = rows if mode == "none" else 0
     assert work["randomizer.coins"].get("draws", 0) == emitted
