@@ -88,8 +88,9 @@ def estimate_weight(epsilon, k, d, reports):
                                 f"overflows, with a cover sum of up to {reports}")
 
 
-def estimate_marginals(tree, epsilon, k, d):
-    """Debiased running-count estimates for every timestep.
+def estimate_marginals(tree, epsilon, k):
+    """Debiased running-count estimates for every timestep of the tree's
+    horizon d.
 
     Each estimate sums the tree nodes of the prefix cover and rescales by
     scale_factor(eps) * k * (log2 d + 1): the randomized-response debiasing
@@ -101,8 +102,7 @@ def estimate_marginals(tree, epsilon, k, d):
     """
     if not isinstance(tree, SumTree):
         raise InvalidParameterError("expected a SumTree")
-    if tree.d != d:
-        raise InvalidParameterError(f"tree horizon {tree.d} does not match d={d}")
+    d = tree.d
     # the prefix cover of t holds the level-h node t >> (h-1) exactly when
     # bit h-1 of t is set (see dyadic_cover)
     sums = tree.counts[:, 1] - tree.counts[:, 0]

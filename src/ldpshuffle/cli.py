@@ -93,15 +93,7 @@ def _cmd_simulate(args):
 
 def _cmd_bound(args):
     result = amplify_shuffle(args.eps0, args.n, args.delta)
-    payload = {
-        "eps0": args.eps0,
-        "n": args.n,
-        "delta": args.delta,
-        "epsilon_central": result.epsilon_central,
-        "epsilon_1": result.epsilon_1,
-        "regime": result.regime,
-        "bounds": result.bounds,
-    }
+    payload = {"eps0": args.eps0, "n": args.n, **dataclasses.asdict(result)}
     if args.alpha is not None:
         payload["rdp"] = {"alpha": args.alpha,
                           "epsilon": rdp_bound(args.eps0, args.n, args.alpha)}
@@ -141,18 +133,22 @@ def _verify_points(args):
 
 
 def _cmd_verify(args):
-    all_passed = True
+    if args.grid and (args.n, args.eps0, args.delta) != (None, None, None):
+        raise InvalidParameterError("--grid takes no --n, --eps0 or --delta")
     # every grid row is checked first, so that a bad row fails before any scan
-    for n, eps0, delta in list(_verify_points(args)):
+    points = list(_verify_points(args))
+    if not points:
+        raise InvalidParameterError(f"grid {args.grid} holds no n,eps0,delta row")
+    all_passed = True
+    for n, eps0, delta in points:
         record = certify_amplification(n, eps0, delta)
-        _print_json(record.to_json_dict())
+        _print_json(dataclasses.asdict(record))
         all_passed = all_passed and record.passed
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_cover(args):
-    nodes = dyadic_cover(args.t, args.d)
-    _print_json([[h, j] for h, j in nodes])
+    _print_json(dyadic_cover(args.t, args.d))
     return EXIT_OK
 
 
@@ -176,20 +172,18 @@ def _read_truth(path, d):
 
 def _cmd_estimate(args):
     h, t, u = read_reports(args.reports, args.d)
-    tree = accumulate_arrays(h, t, u, args.d)
-    estimates = estimate_marginals(tree, args.epsilon, args.k, args.d)
-    truth = _read_truth(args.truth, args.d) if args.truth else None
+    estimates = estimate_marginals(accumulate_arrays(h, t, u, args.d), args.epsilon, args.k)
+    columns = {"t": np.arange(1, args.d + 1), "f_tilde": estimates}
+    if args.truth:
+        truth = _read_truth(args.truth, args.d)
+        columns |= {"f_true": truth, "abs_error": np.abs(estimates - truth)}
+    # an integer column prints as it is, a float one with 17 significant digits
+    row = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in columns.values())
     out = open_output(args.output) if args.output else sys.stdout
     try:
-        if truth is None:
-            out.write("t,f_tilde\n")
-            for i, est in enumerate(estimates, start=1):
-                out.write(f"{i},{est:.17g}\n")
-        else:
-            out.write("t,f_tilde,f_true,abs_error\n")
-            for i, est in enumerate(estimates, start=1):
-                err = abs(est - truth[i - 1])
-                out.write(f"{i},{est:.17g},{truth[i - 1]},{err:.17g}\n")
+        out.write(",".join(columns) + "\n")
+        for values in zip(*columns.values()):
+            out.write(row.format(*values) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -5,7 +5,8 @@ timesteps (d a power of two) and reports on at most k of them;
 `clip_changes` enforces that budget. The anonymized report stream is
 stored as JSON lines, one (h, t, u) object per report and no client
 identifier, written and read here; the reader checks each line's syntax
-and then, given the horizon, the tree's rule (`aggregator.stray_report`).
+and then the rule of the tree over the horizon it is given
+(`aggregator.stray_report`).
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -106,12 +107,13 @@ def json_lines(fh):
         yield lineno, value
 
 
-def read_reports(path, d=None):
-    """Read a JSON-lines report stream into (h, t, u) int64 arrays.
+def read_reports(path, d):
+    """Read a JSON-lines report stream over horizon d into (h, t, u) int64
+    arrays.
 
     Every row must be an object whose h and t are positive int64 integers
-    and whose u is -1 or +1; floats, booleans and strings are refused. Given
-    the horizon d, every row must also address a node of its tree
+    and whose u is -1 or +1; floats, booleans and strings are refused.
+    Every row must also address a node of the tree over horizon d
     (`aggregator.stray_report`), checked once the file is read. Raises
     ParseError naming the first bad row's 1-based line, a row of bad syntax
     before any row that addresses no node.
@@ -123,8 +125,7 @@ def read_reports(path, d=None):
     names the bad line. A pipe is read into memory first, so that it can be
     read twice.
     """
-    if d is not None:
-        level_count(d)
+    level_count(d)
     with open_input(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         columns = _read_canonical(fh)
@@ -160,18 +161,18 @@ def _read_canonical(fh):
 
 def _check_tree(columns, d, lines):
     """Raise ParseError naming lines[i] if report i of columns is the first
-    that addresses no node of the tree over horizon d (None: no tree)."""
-    bad = None if d is None else stray_report(*columns, d)
+    that addresses no node of the tree over horizon d."""
+    bad = stray_report(*columns, d)
     if bad is not None:
         raise ParseError("report (h=%d, t=%d, u=%d) addresses no node of the tree over "
                          "horizon %d" % (*(c[bad] for c in columns), d), lines[bad])
 
 
-def parse_report_rows(rows, d=None):
+def parse_report_rows(rows, d):
     """(h, t, u) arrays from the (line number, decoded row) pairs of
     `json_lines`, one row at a time: the path for every spelling of the
-    rows JSON allows, and the reference for the chunked one; given d, the
-    arrays are then checked against the tree as in `read_reports`."""
+    rows JSON allows, and the reference for the chunked one; the arrays are
+    then checked against the tree over horizon d as in `read_reports`."""
     hs, ts, us, lines = [], [], [], []
     for lineno, row in rows:
         try:

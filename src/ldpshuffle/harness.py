@@ -8,14 +8,14 @@ the shuffle mode. Both modes start with input generation (k integer draws
 over all clients for the random-changes model), the per-client change
 index and the per-client level. Under shuffle mode none, where the server
 sees each client's linked reports, one report coin per emitted report
-follows in client-major order; coins are drawn a block at a time, and
-Philox yields the same values in chunks as in one draw, so no output
-depends on BLOCK. Under post-shuffle, where the server sees only the
-histogram of reports, three binomial vectors over the tree's nodes draw
-that histogram directly (`_draw_counts`), and last, only when trial 0 is
-written out, per chunk of max(SHUFFLE_ROWS, 4d) reports one binomial split
-of every (node, sign) cell and one permutation. Equal configs give equal
-bits.
+follows in client-major order; coins are drawn a block of about
+max(ROWS, 4d) reports at a time, and Philox yields the same values in
+chunks as in one draw, so no mode-none output depends on ROWS. Under
+post-shuffle, where the server sees only the histogram of reports, three
+binomial vectors over the tree's nodes draw that histogram directly
+(`_draw_counts`), and last, only when trial 0 is written out, per chunk of
+max(ROWS, 4d) reports one binomial split of every (node, sign) cell and
+one permutation. Equal configs give equal bits.
 """
 
 import dataclasses
@@ -23,6 +23,7 @@ import json
 import math
 import operator
 import os
+import string
 import time
 from dataclasses import dataclass
 
@@ -38,19 +39,18 @@ from .randomizer import RandomnessStream
 INPUT_MODELS = ("worst-case-sparse", "random-changes", "step-function", "file")
 SHUFFLE_MODES = ("none", "post-shuffle")
 
-# reports per emission block under shuffle mode none, at least 2d; no
-# output depends on it
-BLOCK = 1 << 15
-# reports per post-shuffle chunk, at least 4d; it sets the shuffle draws
-SHUFFLE_ROWS = 1 << 16
+# a trial's one report buffer holds about max(ROWS, 4d) reports: the
+# mode-none emission block, on which no output depends, and the post-shuffle
+# chunk, which sets the shuffle draws
+ROWS = 1 << 16
 
 
 def check_input_domain(n, d, k, input_model, step_time=None, input_path=None):
     """The input domain `SimulationConfig.validate` and `generate_inputs`
     share: n >= 1 clients, a power-of-two horizon d, a change budget
-    1 <= k <= d, a known input model, a step time in [1, d] for the
-    step-function model and an input path for the file model. Returns
-    (n, d, k) as ints."""
+    1 <= k <= d, a known input model, a step time in [1, d] only for the
+    step-function model and an input path for the file model and only for
+    it. Returns (n, d, k) as ints."""
     n = check_count(n, "n")
     level_count(d)
     k = check_count(k, "change budget k", high=d)
@@ -58,10 +58,16 @@ def check_input_domain(n, d, k, input_model, step_time=None, input_path=None):
         raise InvalidParameterError(
             f"unknown input model {input_model!r}; pick from {INPUT_MODELS}"
         )
-    if input_model == "step-function" and step_time is not None:
+    if step_time is not None:
+        if input_model != "step-function":
+            raise InvalidParameterError(f"a step time is only for the step-function "
+                                        f"input model, not {input_model!r}")
         check_count(step_time, "step time", high=d)
     if input_model == "file" and not input_path:
         raise InvalidParameterError("file input model needs input_path")
+    if input_model != "file" and input_path is not None:
+        raise InvalidParameterError(f"an input path is only for the file input model, "
+                                    f"not {input_model!r}")
     return n, int(d), k
 
 
@@ -212,12 +218,11 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
 
 def trial_bytes(n, d, k):
     """An upper bound on the bytes a trial holds: its change lists and
-    per-client arrays, a block (shuffle mode none), a chunk (binomial, past
-    5/4 of its mean bound with probability below e^-600), the tree and the
-    writer."""
-    block = max(BLOCK, 2 * d) + d
-    chunk = max(SHUFFLE_ROWS, 4 * d) * 5 // 4
-    return 8 * (4 * n * k + 12 * n + 12 * block + 12 * chunk + 40 * d) + (4 << 20)
+    per-client arrays, one report buffer of at most 5/4 max(ROWS, 4d)
+    reports at 12 words each (a mode-none block holds under max(ROWS, 4d)
+    + d; a post-shuffle chunk is binomial, past 5/4 of its mean bound with
+    probability below e^-600), the tree and the writer."""
+    return 8 * (4 * n * k + 12 * n + 15 * max(ROWS, 4 * d) + 40 * d) + (4 << 20)
 
 
 def run_trial(config, trial):
@@ -248,15 +253,15 @@ def run_trial(config, trial):
 
     truth_prob = rr_probability(config.epsilon)
     dump = config.reports_path if trial == 0 else None
+    rows = max(ROWS, 4 * config.d)
     if config.shuffle_mode == "post-shuffle":
         tree = _draw_counts(signal_t, signal_v, levels, truth_prob, config.d, stream)
         if dump:
-            _write_shuffled(dump, tree, stream, max(SHUFFLE_ROWS, 4 * config.d))
+            _write_shuffled(dump, tree, stream, rows)
     else:
         ends = np.cumsum(config.d >> (levels - 1))
-        # block i holds the clients whose last report falls in (i step, (i+1) step]
-        step = max(BLOCK, 2 * config.d)
-        cuts = np.searchsorted(ends, np.arange(0, ends[-1], step), side="right").tolist()
+        # block i holds the clients whose last report falls in (i rows, (i+1) rows]
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1], rows), side="right").tolist()
         tree = SumTree(config.d)
         for lo, hi in zip(cuts, cuts[1:] + [config.n]):
             count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
@@ -266,8 +271,8 @@ def run_trial(config, trial):
             if dump:
                 write_report_arrays(dump, *reports, mode="a" if lo else "w")
             del reports  # so that no two blocks are held at once
-    estimates = estimate_marginals(tree, config.epsilon, config.k, config.d)
-    return estimates, truth, int((config.d >> (levels - 1)).sum()), clipped
+    estimates = estimate_marginals(tree, config.epsilon, config.k)
+    return estimates, truth, int(tree.counts.sum()), clipped
 
 
 def _draw_counts(signal_t, signal_v, levels, truth_prob, d, stream):
@@ -337,10 +342,6 @@ def simulate(config):
 # quantiles rather than a mean.
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    return f"{value:.17g}"
-
-
 def summarize(results):
     errs = np.array([r.max_abs_error for r in results])
     return {
@@ -376,20 +377,16 @@ def results_to_json(config, results):
                       default=operator.index) + "\n"
 
 
+# A results CSV row, formatted from the fields of the config and of one
+# trial's result; its header is the row's field names.
+CSV_ROW = ("{trial},{n},{d},{k},{epsilon:.17g},{beta:.17g},{seed},{input_model},"
+           "{shuffle_mode},{max_abs_error:.17g},{theorem_bound:.17g},{bound_satisfied:d}\n")
+
+
 def results_to_csv(config, results):
     """One CSV row per trial for sweep-style post-processing."""
-    head = ["trial", "n", "d", "k", "epsilon", "beta", "seed", "input_model",
-            "shuffle_mode", "max_abs_error", "theorem_bound", "bound_satisfied"]
-    lines = [",".join(head)]
-    for r in results:
-        lines.append(",".join([
-            str(r.trial), str(config.n), str(config.d), str(config.k),
-            _fmt(config.epsilon), _fmt(config.beta), str(config.seed),
-            config.input_model, config.shuffle_mode,
-            _fmt(r.max_abs_error), _fmt(r.theorem_bound),
-            str(int(r.bound_satisfied)),
-        ]))
-    return "\n".join(lines) + "\n"
+    head = ",".join(name for _, name, _, _ in string.Formatter().parse(CSV_ROW) if name)
+    return head + "\n" + "".join(CSV_ROW.format_map(vars(config) | vars(r)) for r in results)
 
 
 def write_results(config, results, path):

@@ -176,11 +176,11 @@ class TestEstimateMarginals:
             d = 1 << exp
             tree = SumTree(d)
             tree.counts[:] = rng.integers(0, 10 ** 9, size=tree.counts.shape)
-            got = estimate_marginals(tree, 0.7, 3, d)
+            got = estimate_marginals(tree, 0.7, 3)
             assert np.array_equal(got, _cover_loop_estimates(tree, 0.7, 3, d))
 
     def test_zero_tree_estimates_zero(self):
-        est = estimate_marginals(SumTree(8), 1.0, 2, 8)
+        est = estimate_marginals(SumTree(8), 1.0, 2)
         assert np.all(est == 0.0)
 
     def test_single_node_scaling(self):
@@ -188,19 +188,15 @@ class TestEstimateMarginals:
         tree = SumTree(2)
         for _ in range(5):
             add_report(tree, 2, 2, 1)
-        est = estimate_marginals(tree, 2.0, 1, 2)
+        est = estimate_marginals(tree, 2.0, 1)
         assert est[1] == pytest.approx(scale_factor(2.0) * 1 * 2 * 5, rel=1e-12)
         assert est[0] == 0.0
 
     def test_degenerate_horizon_weight_is_one(self):
         tree = SumTree(1)
         add_report(tree, 1, 1, 1)
-        est = estimate_marginals(tree, 2.0, 1, 1)
+        est = estimate_marginals(tree, 2.0, 1)
         assert est[0] == pytest.approx(scale_factor(2.0), rel=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            estimate_marginals(SumTree(4), 1.0, 1, 8)
 
     @pytest.mark.parametrize("sign", [0, 1])
     def test_refused_exactly_when_an_estimate_overflows(self, sign):
@@ -208,11 +204,11 @@ class TestEstimateMarginals:
         # finite, one of 5 does not
         tree = SumTree(1)
         tree.counts[0, sign] = 4
-        assert np.all(np.isfinite(estimate_marginals(tree, 1e-307, 1, 1)))
+        assert np.all(np.isfinite(estimate_marginals(tree, 1e-307, 1)))
         assert estimate_weight(1e-307, 1, 1, 4) == scale_factor(1e-307)
         tree.counts[0, sign] = 5
         with pytest.raises(InvalidParameterError, match="overflows"):
-            estimate_marginals(tree, 1e-307, 1, 1)
+            estimate_marginals(tree, 1e-307, 1)
         with pytest.raises(InvalidParameterError, match="overflows"):
             estimate_weight(1e-307, 1, 1, 5)
 
@@ -221,7 +217,7 @@ class TestEstimateMarginals:
         d = 16
         h, t, u = _random_reports(rng, d, 400)
         tree = accumulate_arrays(h, t, u, d)
-        est = estimate_marginals(tree, 1.0, 3, d)
+        est = estimate_marginals(tree, 1.0, 3)
         weight = scale_factor(1.0) * 3 * level_count(d)
         for t_query in (1, 5, 11, 16):
             total = sum(node(tree, hh, jj) for hh, jj in dyadic_cover(t_query, d))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import ldpshuffle.cli as cli
 import ldpshuffle.harness as harness
-from ldpshuffle.amplification import amplify_shuffle
+from ldpshuffle.amplification import AmplificationResult, amplify_shuffle
 from ldpshuffle.divergence import CertificationRecord
 from ldpshuffle.errors import ParseError
 
@@ -57,6 +58,16 @@ class TestBound:
         assert set(payload["bounds"]) == set(res.bounds)
         assert payload["rdp"]["epsilon"] > 0
         assert payload["group"]["epsilon_central"] > 0
+
+    @pytest.mark.parametrize("extra,more", [([], set()),
+                                            (["--alpha", "2", "--group", "4000"],
+                                             {"rdp", "group"})])
+    def test_keys_are_the_inputs_and_the_record_fields(self, capsys, extra, more):
+        code, out, _ = _run(capsys, ["bound", "--eps0", "0.4", "--n", "1000000",
+                                     "--delta", "1e-8", *extra])
+        assert code == 0
+        fields = {f.name for f in dataclasses.fields(AmplificationResult)}
+        assert set(json.loads(out)) == fields | {"eps0", "n"} | more
 
     def test_overflowing_eps0_falls_back(self, capsys):
         code, out, _ = _run(capsys, ["bound", "--eps0", "400", "--n", "1000",
@@ -106,6 +117,34 @@ class TestVerifyAmplification:
         record = _strict_json(out)
         assert record["exact_delta"] == 0.0
         assert record["passed"] is True
+
+    def test_keys_are_the_record_fields(self, capsys):
+        code, out, _ = _run(capsys, ["verify-amplification", "--n", "100",
+                                     "--eps0", "0.5", "--delta", "1e-4"])
+        assert code == 0
+        record = json.loads(out)
+        assert set(record) == {f.name for f in dataclasses.fields(CertificationRecord)}
+        assert (record["n"], record["eps0"], record["delta_target"]) == (100, 0.5, 1e-4)
+
+    @pytest.mark.parametrize("text", ["", "# n,eps0,delta\n\n# nothing else\n"])
+    def test_empty_grid_exits_2_naming_the_file(self, capsys, tmp_path, text):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        code, out, err = _run(capsys, ["verify-amplification", "--grid", str(grid)])
+        assert code == 2
+        assert out == ""
+        assert str(grid) in err
+
+    @pytest.mark.parametrize("flag,value", [("--n", "100"), ("--eps0", "0.5"),
+                                            ("--delta", "1e-4")])
+    def test_grid_refuses_point_flags(self, capsys, tmp_path, flag, value):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("100,0.25,1e-4\n")
+        code, out, err = _run(capsys, ["verify-amplification", "--grid", str(grid),
+                                       flag, value])
+        assert code == 2
+        assert out == ""
+        assert "--grid takes no" in err
 
     def test_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
@@ -168,7 +207,7 @@ class TestVerifyAmplification:
         assert "cannot read" in err
 
     def test_failure_exits_3(self, capsys, monkeypatch):
-        failing = CertificationRecord(n=10, epsilon0=0.5, delta_target=1e-4,
+        failing = CertificationRecord(n=10, eps0=0.5, delta_target=1e-4,
                                       claimed_epsilon=0.1, regime="general",
                                       exact_delta=1.0, passed=False)
         monkeypatch.setattr(cli, "certify_amplification",
@@ -254,6 +293,12 @@ class TestSimulateAndEstimate:
         ["--d", "4", "--k", "1", "--output", "reports.jsonl"],
         # a normal epsilon whose estimates overflow: 3 levels times its factor
         ["--d", "4", "--k", "1", "--epsilon", "3e-308"],
+        # a step time or an input path the input model would ignore
+        ["--d", "4", "--k", "1", "--step-time", "3"],
+        ["--d", "4", "--k", "1", "--input-model", "worst-case-sparse", "--step-time", "3"],
+        ["--d", "4", "--k", "1", "--input-path", "in.jsonl"],
+        ["--d", "4", "--k", "1", "--input-model", "step-function", "--input-path", "in.jsonl"],
+        ["--d", "4", "--k", "1", "--input-path", "MISSING", "--step-time", "3"],
     ])
     def test_failed_simulate_keeps_existing_outputs(self, capsys, tmp_path, bad):
         files = {"run.json": b'{"earlier": "results"}\n',
@@ -265,8 +310,9 @@ class TestSimulateAndEstimate:
                 str(tmp_path / "run.json"), "--reports-path", str(tmp_path / "reports.jsonl")]
         argv += [str(tmp_path / arg) if arg in files or arg == "MISSING" else arg
                  for arg in bad]
-        code, _, _ = _run(capsys, argv)
+        code, out, _ = _run(capsys, argv)
         assert code == 2
+        assert out == ""
         for name, data in files.items():
             assert (tmp_path / name).read_bytes() == data
 

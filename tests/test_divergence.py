@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -134,6 +135,5 @@ class TestCertification:
 
     def test_json_round_trip_fields(self):
         record = certify_amplification(100, 0.5, 1e-4)
-        payload = record.to_json_dict()
-        assert set(payload) == {"n", "eps0", "delta_target", "claimed_epsilon",
-                                "regime", "exact_delta", "passed"}
+        assert set(asdict(record)) == {"n", "eps0", "delta_target", "claimed_epsilon",
+                                       "regime", "exact_delta", "passed"}

@@ -120,12 +120,13 @@ ENTRIES = [
     ("estimate_weight.reports", lambda v: aggregator.estimate_weight(1.0, 1, 8, v), "count0",
      [2 ** 63, 10 ** 400]),
     ("estimate_marginals.epsilon",
-     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), v, 1, 8), "budget",
+     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), v, 1), "budget",
      [1e-320, 3e-308]),
     ("estimate_marginals.k",
-     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), 1.0, v, 8), "count", []),
+     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), 1.0, v), "count", []),
+    # the horizon reaches the estimator only as that of the tree
     ("estimate_marginals.d",
-     lambda v: aggregator.estimate_marginals(aggregator.SumTree(8), 1.0, 1, v), "horizon", []),
+     lambda v: aggregator.estimate_marginals(aggregator.SumTree(v), 1.0, 1), "horizon", []),
     ("SimulationConfig.n", lambda v: _config(n=v), "count", []),
     ("SimulationConfig.d", lambda v: _config(d=v), "horizon", []),
     ("SimulationConfig.k", lambda v: _config(k=v), "count", [9]),
@@ -214,13 +215,19 @@ def test_numpy_scalar_is_accepted(call, value):
     call(value)
 
 
-@pytest.mark.parametrize("field,value", [("k", 9), ("step_time", 0), ("step_time", 9),
-                                         ("step_time", 2.0)])
-def test_config_refuses_what_generate_inputs_refuses(field, value):
+@pytest.mark.parametrize("field,value,model", [
+    pytest.param(field, value, "step-function", id=f"{field}-{value!r}")
+    for field, value in [("k", 9), ("step_time", 0), ("step_time", 9), ("step_time", 2.0)]
+] + [
+    # a step time or an input path the input model would ignore
+    ("step_time", 3, "random-changes"), ("step_time", 3, "worst-case-sparse"),
+    ("input_path", "in.jsonl", "random-changes"), ("input_path", "in.jsonl", "step-function"),
+])
+def test_config_refuses_what_generate_inputs_refuses(field, value, model):
     # validate and generate_inputs share one input-domain check
     with pytest.raises(InvalidParameterError):
-        _config(**{field: value})
-    kwargs = dict(n=4, d=8, k=1, input_model="step-function", rng=_rng())
+        _config(**{field: value, "input_model": model})
+    kwargs = dict(n=4, d=8, k=1, input_model=model, rng=_rng())
     kwargs[field] = value
     with pytest.raises(InvalidParameterError):
         harness.generate_inputs(**kwargs)

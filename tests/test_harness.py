@@ -16,10 +16,9 @@ from ldpshuffle.aggregator import SumTree, accumulate_arrays, estimate_marginals
 from ldpshuffle.client import read_reports
 from ldpshuffle.core import level_count, rr_probability, scale_factor
 from ldpshuffle.errors import InvalidParameterError, ParseError
-from ldpshuffle.harness import (SHUFFLE_MODES, SimulationConfig, generate_inputs,
-                                read_change_vectors, results_to_csv, results_to_json,
-                                run_trial, simulate, theorem_error_bound, trial_bytes,
-                                write_results)
+from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
+                                results_to_csv, results_to_json, run_trial, simulate,
+                                theorem_error_bound, trial_bytes, write_results)
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
@@ -222,9 +221,9 @@ class TestSimulate:
         est_b, _, count_b, _ = run_trial(mixed, 0)
         streams = []
         for cfg, est in ((plain, est_a), (mixed, est_b)):
-            h, t, u = read_reports(cfg.reports_path)
+            h, t, u = read_reports(cfg.reports_path, cfg.d)
             tree = accumulate_arrays(h, t, u, cfg.d)
-            assert np.array_equal(estimate_marginals(tree, cfg.epsilon, cfg.k, cfg.d), est)
+            assert np.array_equal(estimate_marginals(tree, cfg.epsilon, cfg.k), est)
             streams.append(np.stack((h, t, u), axis=1))
         rows_a, rows_b = streams
         assert len(rows_a) == len(rows_b) == count_a == count_b
@@ -255,24 +254,23 @@ class TestSimulate:
         dumped = self._config(trials=1, reports_path=str(tmp_path / "reports.jsonl"))
         draws.clear()
         count = run_trial(dumped, 0)[2]
-        h, _, _ = read_reports(dumped.reports_path)
+        h, _, _ = read_reports(dumped.reports_path, dumped.d)
         assert sum(draws) == len(h) == count
 
     @pytest.mark.parametrize("block", [1, 7, 10 ** 9])
     def test_results_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
-        for mode in SHUFFLE_MODES:
-            want_path, got_path = tmp_path / f"{mode}.want", tmp_path / f"{mode}.got"
-            cfg = self._config(n=300, d=16, k=3, shuffle_mode=mode,
-                               reports_path=str(want_path))
-            want = run_trial(cfg, 0)
-            cfg.reports_path = str(got_path)
-            with monkeypatch.context() as patch:
-                patch.setattr(harness, "BLOCK", block)
-                got = run_trial(cfg, 0)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
-            assert got_path.read_bytes() == want_path.read_bytes()
+        # mode none only: the post-shuffle chunk size sets the shuffle draws
+        want_path, got_path = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        cfg = self._config(n=300, d=16, k=3, shuffle_mode="none",
+                           reports_path=str(want_path))
+        want = run_trial(cfg, 0)
+        cfg.reports_path = str(got_path)
+        monkeypatch.setattr(harness, "ROWS", block)
+        got = run_trial(cfg, 0)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        assert got_path.read_bytes() == want_path.read_bytes()
 
     @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
     def test_chunked_shuffle_is_a_uniform_arrangement(self, monkeypatch, chunks):
@@ -314,9 +312,9 @@ class TestSimulate:
         cfg = self._config(trials=1, reports_path=str(path))
         results = simulate(cfg)
         estimates, truth, _, _ = run_trial(cfg, 0)
-        h, t, u = read_reports(path)
+        h, t, u = read_reports(path, cfg.d)
         tree = accumulate_arrays(h, t, u, cfg.d)
-        offline = estimate_marginals(tree, cfg.epsilon, cfg.k, cfg.d)
+        offline = estimate_marginals(tree, cfg.epsilon, cfg.k)
         assert np.array_equal(offline, estimates)
         assert results[0].max_abs_error == float(np.abs(truth - offline).max())
 
