@@ -257,13 +257,20 @@ class TestSimulate:
         h, _, _ = read_reports(dumped.reports_path, dumped.d)
         assert sum(draws) == len(h) == count
 
-    @pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+    BLOCK_ROWS = (1, 100, 1000)
+
+    @pytest.mark.parametrize("block", BLOCK_ROWS)
     def test_results_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
-        # mode none only: the post-shuffle chunk size sets the shuffle draws
+        # mode none only: the post-shuffle chunk size sets the shuffle draws.
+        # A trial holds max(ROWS, 4d) reports at a time: the three buffer
+        # sizes differ, and each splits the trial's reports into blocks
         want_path, got_path = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
         cfg = self._config(n=300, d=16, k=3, shuffle_mode="none",
                            reports_path=str(want_path))
+        sizes = {max(rows, 4 * cfg.d) for rows in self.BLOCK_ROWS}
+        assert len(sizes) == len(self.BLOCK_ROWS)
         want = run_trial(cfg, 0)
+        assert max(sizes) < want[2]
         cfg.reports_path = str(got_path)
         monkeypatch.setattr(harness, "ROWS", block)
         got = run_trial(cfg, 0)

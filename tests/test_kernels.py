@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import divergence_scan
+from ldpshuffle.divergence import _cut, divergence_scan
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
@@ -15,7 +15,8 @@ from ldpshuffle.randomizer import RandomnessStream
 from conftest import ScriptedStream
 from reference.client import ClientState, client_update
 from reference.core import hockey_stick_delta
-from reference.divergence import reference_divergence_scan, shuffled_rr_count_distribution
+from reference.divergence import (_pmf_terms, count_pmf, reference_divergence_scan,
+                                  shuffled_rr_count_distribution)
 
 
 def _random_population(seed, n, d, k):
@@ -120,11 +121,8 @@ class TestDivergenceScan:
         with pytest.raises(InvalidParameterError):
             divergence_scan(10, 0.5, -0.1)
 
-    @settings(deadline=None, max_examples=150)
-    @given(n=st.integers(2, 80), eps0=st.floats(0.05, 3.0),
-           eps_share=st.floats(0.0, 1.2))
-    def test_matches_reference_scan(self, n, eps0, eps_share):
-        eps = eps_share * eps0
+    @staticmethod
+    def _assert_matches_reference(n, eps0, eps):
         scan = divergence_scan(n, eps0, eps)
         ref = reference_divergence_scan(n, eps0, eps)
         # the reference forms P - e^eps Q directly and so loses about
@@ -134,6 +132,40 @@ class TestDivergenceScan:
         large = ref >= 1e-12
         assert np.all(np.abs(scan - ref)[large] <= rtol * ref[large])
         assert np.all(np.abs(scan - ref)[~large] <= 1e-14)
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(2, 100), eps0=st.floats(0.05, 3.0),
+           eps_share=st.floats(0.0, 1.2))
+    def test_matches_reference_scan(self, n, eps0, eps_share):
+        # n up to 100 spans ranges under one block, ragged last blocks and
+        # several block widths
+        self._assert_matches_reference(n, eps0, eps_share * eps0)
+
+    @pytest.mark.parametrize("eps", [0.0, 2.0, 3.99])
+    def test_matches_reference_where_tails_underflow(self, eps):
+        # at e0 = 4 the left tail of Bin(lo, p) underflows to 0 past
+        # lo ~ 185, so the scan drops leading zeros and, at eps = 3.99
+        # (a cut of 4 entries), whole ranges whose cut pmf is all 0; the
+        # cut drops part of the support at every eps here
+        assert _cut(400, 4.0, eps) < 400 - 1
+        self._assert_matches_reference(400, 4.0, eps)
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(2, 60), m_share=st.floats(0.0, 1.0),
+           eps0=st.floats(0.05, 3.0), eps_share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_no_forward_term_past_the_cut_is_positive(self, n, m_share, eps0, eps_share):
+        # R, the count pmf of N = n-1 reports m of which hold 1, rises by at
+        # most (N-x+1) e^e0 / x from x-1 to x, so the pair (m, m+1) has no
+        # positive term P_m(x) - e^eps P_{m+1}(x) past the scan's cut
+        eps, reports = eps_share * eps0, n - 1
+        m = round(m_share * reports)
+        x = np.arange(1, n)
+        R = count_pmf(reports, m, *_pmf_terms(reports, eps0))
+        assert np.all(x * R[1:] <= (reports - x + 1) * math.exp(eps0) * R[:-1] * (1 + 1e-12))
+        terms = _pmf_terms(n, eps0)
+        past = slice(_cut(n, eps0, eps) + 1, n + 1)
+        forward = count_pmf(n, m, *terms) - math.exp(eps) * count_pmf(n, m + 1, *terms)
+        assert np.all(forward[past] <= 0.0)
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_worst_pair_matches_reference_at_scale(self, n):
