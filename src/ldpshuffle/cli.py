@@ -16,6 +16,7 @@ import math
 import re
 import resource
 import sys
+import time
 
 import numpy as np
 
@@ -141,8 +142,13 @@ def _cmd_verify(args):
         raise InvalidParameterError(f"grid {args.grid} holds no n,eps0,delta row")
     all_passed = True
     for n, eps0, delta in points:
+        start = time.perf_counter()
         record = certify_amplification(n, eps0, delta)
+        seconds = time.perf_counter() - start
         _print_json(dataclasses.asdict(record))
+        print(f"verify-amplification: n={n} eps0={eps0:g} delta={delta:g} certified in "
+              f"{seconds:.3f}s, delta_bar {record.delta_bar:.3g}, "
+              f"peak RSS {_peak_rss_kb()} KB", file=sys.stderr)
         all_passed = all_passed and record.passed
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 

@@ -28,9 +28,25 @@ entry error eta below, so that no term rounding could make positive is
 dropped either, and it forms the cut from logs of e^(eps-e0),
 1 - e^(eps-e0) and 1 - e^-(eps+e0), never from e^e0 or e^eps. At the
 accountant's epsilon on the verify grid n in {1000, 2000, 3000},
-e0 in {0.25, 0.5} the cut keeps 1.4 to 41% of the support. Entries that
-underflow to 0 before a pmf's first nonzero one are dropped too, and a
-range whose cut pmf is all 0 has only 0 terms.
+e0 in {0.25, 0.5} the cut keeps 1.4 to 41% of the support.
+
+The window. `divergence_bounds(n, e0, eps, tau)` also drops tails: every
+pmf the split forms, and every binomial slice it convolves with (windowed
+once per size), loses its leading and trailing runs of cumulative mass
+<= tau_node = tau / (4 (D + 2)), with D = ceil(log2 n). A root-to-leaf path
+windows at most D pmfs and D slices, so E_m, the mass dropped on pair m's
+path, is at most 4 D tau_node < tau. The bound, in three lines:
+convolution with a probability vector keeps mass and every quantity is
+nonnegative, so the windowed R'_m <= R_m entrywise and
+||R_m - R'_m||_1 <= E_m; a term max(a R(x) - b R(x-1), 0) moves by at most
+a |R - R'|(x) + b |R - R'|(x-1), so |delta_m - delta'_m| <= (a + b) E_m,
+with a + b = (p - q)(1 + e^eps); the bar is that, with E_m inflated for
+the relative rounding of the cumsums that find the windows, and eta below
+applies on top. `certify_amplification` takes
+tau = 1e-12 delta_target / (a + b), so every bar is at most 1e-12 of the
+target, and tau = 0 where e^eps would overflow. `divergence_scan` is the
+tau = 0 call: it drops exact zeros alone, at both ends of every pmf, and
+its bars are 0. A range whose window is empty has only 0 terms.
 
 The split. Every R_m comes from one split over m: for m in [lo, hi], all
 R_m share the pmf of the first lo reports (ones) and the last n-1-hi
@@ -46,9 +62,11 @@ K+1 shifted copies of the shared pmf gives every R_m of the block, and one
 `np.convolve` calls and n/BLOCK matrix products, at most about L n/2
 multiply-adds per split level and BLOCK L per pair in the blocks, and
 O(n log n) memory: one pmf prefix per level, one binomial for each of
-O(log n) sizes and a block's (BLOCK x L) buffers. At n = 10^4, e0 = 0.5 a
-scan takes 0.44 s at the accountant's epsilon for delta = 1e-4 and 0.82 s
-at eps = 0.05 (2-core Xeon, numpy 2.4.6, medians of 7 runs).
+O(log n) sizes and a block's (BLOCK x L) buffers; a window shortens L to
+the pmf's window. At n = 10^4, e0 = 0.5, at the accountant's epsilon for
+delta = 1e-4 and at eps = 0.05, a scan takes 0.51 s and 0.53 s at tau = 0
+and 0.057 s and 0.093 s at certify's tau (2-core Xeon, numpy 2.4.6,
+medians of 7 runs).
 
 Precision. Each binomial is a convolution power of one report's pmf
 [p, q]: Bin(s, q) is Bin(s//2, q) convolved with Bin(s - s//2, q). Until
@@ -86,6 +104,13 @@ EXP_SAFE = 700.0
 BLOCK = 16
 
 
+def _entry_error(n, epsilon0):
+    """eta of the module docstring: the relative error of every entry of
+    every R_m above the underflow range."""
+    u = 2.0 ** -53
+    return n * (3.0 + epsilon0) * u + ((math.ceil(math.log2(n)) + 1) * n + 2 * BLOCK) * u
+
+
 def _cut(n, epsilon0, epsilon):
     """Last x at which a forward term of any pair can come out positive:
     the largest integer x <= n / (1 + rho (b/a) e^-e0), with
@@ -93,9 +118,7 @@ def _cut(n, epsilon0, epsilon):
     rho = (1 - eta) / (1 + eta) for the entry error eta of the module
     docstring, since a computed term is positive only where
     R(x) (1 + eta) a > R(x-1) (1 - eta) b."""
-    u = 2.0 ** -53
-    r = (3.0 + epsilon0) * u
-    eta = n * r + ((math.ceil(math.log2(n)) + 1) * n + 2 * BLOCK) * u
+    eta = _entry_error(n, epsilon0)
     if eta >= 1.0:
         return n - 1
     log_ratio = (math.log1p(-eta) - math.log1p(eta) + (epsilon - epsilon0)
@@ -119,15 +142,44 @@ def _forward_sum(R, a, b, log_b=None):
     return np.maximum(terms, 0.0, out=terms).sum(axis=-1)
 
 
+def _bar_scale(epsilon0, epsilon):
+    """a + b = (p - q)(1 + e^eps), the most by which a pair's delta moves per
+    unit of mass taken from its R_m; infinite where e^eps would overflow."""
+    if epsilon > EXP_SAFE:
+        return math.inf
+    return math.tanh(epsilon0 / 2.0) * (1.0 + math.exp(epsilon))
+
+
+def _window(values, tau):
+    """Bounds [first, last) of values without their leading and trailing
+    runs of cumulative mass <= tau (empty if the runs meet), and the mass
+    of the two runs. values are nonnegative, so each cumsum is monotone."""
+    head = values.cumsum()
+    first = int(head.searchsorted(tau, "right"))
+    tail = values[::-1].cumsum()
+    trail = int(tail.searchsorted(tau, "right"))
+    dropped = (head[first - 1] if first else 0.0) + (tail[trail - 1] if trail else 0.0)
+    return first, len(values) - trail, float(dropped)
+
+
 def divergence_scan(n, epsilon0, epsilon):
     """Hockey-stick divergence between the m and m+1 count distributions,
-    for every m in [0, n-1]; returns the length-n array of deltas."""
+    for every m in [0, n-1]; returns the length-n array of deltas. This is
+    `divergence_bounds` at tau = 0, which drops exact zeros alone."""
+    return divergence_bounds(n, epsilon0, epsilon, 0.0)[0]
+
+
+def divergence_bounds(n, epsilon0, epsilon, tau):
+    """`divergence_scan` with every pmf windowed at tail mass tau (module
+    docstring); returns (deltas, bars), each computed delta within its bar
+    of the exact one (rounding eta aside). At tau = 0 every bar is 0."""
     n = check_count(n, "n", low=2, high=ORACLE_MAX_N)
     epsilon0 = check_budget(epsilon0, "epsilon0")
     epsilon = check_budget(epsilon, zero_ok=True)
-    forward = np.zeros(n)
+    tau = check_budget(tau, "tau", zero_ok=True)
+    forward, lost = np.zeros(n), np.zeros(n)
     if epsilon >= epsilon0:
-        return forward
+        return forward, lost
     # q from e^-e0, not 1 - p, which is 0 once p rounds to 1
     log_p = -math.log1p(math.exp(-epsilon0))
     p, q = math.exp(log_p), math.exp(log_p - epsilon0)
@@ -138,7 +190,10 @@ def divergence_scan(n, epsilon0, epsilon):
         # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as its log
         b, log_b = None, epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
     length = _cut(n, epsilon0, epsilon) + 1
+    depth = math.ceil(math.log2(n))
+    tau_node = tau / (4 * (depth + 2))
     binomials = {0: np.ones(1), 1: np.array([p, q])}
+    windows = {}
     blocks = {}
 
     def binomial(size):
@@ -153,6 +208,18 @@ def divergence_scan(n, epsilon0, epsilon):
             binomials[size] = probs
         return binomials[size]
 
+    def binomial_slice(size, ones):
+        # Bin(size, q) windowed, or reversed Bin(size, p) if ones: the index
+        # of its first kept entry, the kept entries and the mass dropped
+        if size not in windows:
+            probs = binomial(size)
+            first, last, dropped = _window(probs, tau_node)
+            windows[size] = (first, probs[first:last], dropped)
+        first, kept, dropped = windows[size]
+        if ones:
+            return size + 1 - first - len(kept), kept[::-1], dropped
+        return first, kept, dropped
+
     def block(width):
         # row j is S_j = Bin(j, p) * Bin(width - j, q), reversed, so that
         # row j times the shifted copies of a block's shared pmf is R_lo+j
@@ -161,29 +228,42 @@ def divergence_scan(n, epsilon0, epsilon):
                                       for j in range(width + 1)])[:, ::-1].copy()
         return blocks[width]
 
-    def scan(lo, hi, probs, start):
+    def scan(lo, hi, probs, start, spent):
         # probs[i] is entry start + i of the count pmf shared by R_lo .. R_hi
-        # (lo reports holding 1, n-1-hi holding 0), cut to [0, length). Its
-        # leading zeros are dropped; where it is all zero, so is every term
-        nonzero = np.flatnonzero(probs)
-        if not nonzero.size:
+        # (lo reports holding 1, n-1-hi holding 0), cut to [0, length), and
+        # spent the mass the windows on the way here dropped. Where its
+        # window is empty, every term is 0
+        first, last, dropped = _window(probs, tau_node)
+        spent += dropped
+        if first >= last:
+            lost[lo:hi + 1] = spent
             return
-        base, start = probs[nonzero[0]:], start + nonzero[0]
+        base, start = probs[first:last], start + first
         width, room = hi - lo, length - start
         if width >= BLOCK:
             mid = (lo + hi) // 2
-            scan(lo, mid, np.convolve(base, binomial(hi - mid)[:room])[:room], start)
-            scan(mid + 1, hi,
-                 np.convolve(base, binomial(mid + 1 - lo)[::-1][:room])[:room], start)
+            # the left half adds hi - mid reports holding 0, the right half
+            # mid + 1 - lo holding 1; keep is how many child entries precede the cut
+            for sub, (offset, kept, cost) in (((lo, mid), binomial_slice(hi - mid, False)),
+                                              ((mid + 1, hi), binomial_slice(mid + 1 - lo, True))):
+                keep = room - offset
+                child = np.convolve(base, kept[:keep])[:keep] if keep > 0 else kept[:0]
+                scan(*sub, child, start + offset, spent + cost)
             return
         # row s of shifted is base moved right by width - s; column i is
         # entry start + i of R_lo .. R_hi, up to the cut or to n - 1
         padded = np.concatenate((np.zeros(width), base, np.zeros(width)))
         shifted = sliding_window_view(padded, min(room, len(base) + width))[:width + 1]
         forward[lo:hi + 1] = _forward_sum(block(width) @ shifted, a, b, log_b)
+        lost[lo:hi + 1] = spent
 
-    scan(0, n - 1, np.ones(1), 0)
-    return np.maximum(forward, forward[::-1])
+    scan(0, n - 1, np.ones(1), 0, 0.0)
+    # the backward sum of pair m is the forward sum of pair n-1-m; the bar
+    # covers the rounding of the cumsums (at most n + 1 terms), of the
+    # sums of lost and of a + b
+    mass = np.maximum(lost, lost[::-1]) * (1.0 + 2 * (n + 4 * depth + 8) * 2.0 ** -53)
+    bars = np.multiply(mass, _bar_scale(epsilon0, epsilon), out=np.zeros(n), where=mass > 0.0)
+    return np.maximum(forward, forward[::-1]), bars
 
 
 def worst_case_divergence(n, epsilon0, epsilon):
@@ -196,7 +276,9 @@ def worst_case_divergence(n, epsilon0, epsilon):
 @dataclass(frozen=True)
 class CertificationRecord:
     """Outcome of checking the closed-form accountant against the oracle;
-    its fields, under these names, are what `verify-amplification` prints."""
+    its fields, under these names, are what `verify-amplification` prints.
+    exact_delta is the windowed oracle's worst delta, within delta_bar of
+    the exact one."""
 
     n: int
     eps0: float
@@ -204,6 +286,7 @@ class CertificationRecord:
     claimed_epsilon: float
     regime: str
     exact_delta: float
+    delta_bar: float
     passed: bool
 
 
@@ -211,17 +294,23 @@ def certify_amplification(n, epsilon0, delta_target):
     """Check that the accountant's epsilon really delivers the target delta.
 
     Asks `amplify_shuffle` for its epsilon at the target delta, then
-    computes the exact delta of the one-bit protocol at that epsilon; the
-    claim is sound iff exact <= target.
+    computes the delta of the one-bit protocol at that epsilon with a
+    window whose bar is at most 1e-12 of the target; the claim is sound
+    iff delta + bar <= target.
     """
     claim = amplify_shuffle(epsilon0, n, delta_target)
-    exact = worst_case_divergence(n, epsilon0, claim.epsilon_central)
+    epsilon = claim.epsilon_central
+    # tau is 0 where e^eps would overflow, since the scale is then infinite
+    tau = 1e-12 * delta_target / _bar_scale(epsilon0, epsilon)
+    deltas, bars = divergence_bounds(n, epsilon0, epsilon, tau)
+    exact, bar = float(deltas.max()), float(bars.max())
     return CertificationRecord(
         n=int(n),
         eps0=float(epsilon0),
         delta_target=float(delta_target),
-        claimed_epsilon=claim.epsilon_central,
+        claimed_epsilon=epsilon,
         regime=claim.regime,
         exact_delta=exact,
-        passed=bool(exact <= delta_target),
+        delta_bar=bar,
+        passed=bool(exact + bar <= delta_target),
     )

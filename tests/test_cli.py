@@ -102,12 +102,15 @@ class TestBound:
 
 class TestVerifyAmplification:
     def test_single_point_passes(self, capsys):
-        code, out, _ = _run(capsys, ["verify-amplification", "--n", "200",
-                                     "--eps0", "0.25", "--delta", "1e-4"])
+        code, out, err = _run(capsys, ["verify-amplification", "--n", "200",
+                                       "--eps0", "0.25", "--delta", "1e-4"])
         assert code == 0
         record = json.loads(out)
         assert record["passed"] is True
-        assert record["exact_delta"] <= 1e-4
+        assert record["exact_delta"] + record["delta_bar"] <= 1e-4
+        # one stderr line per point: the time taken, the bar and peak memory
+        assert re.fullmatch(r"verify-amplification: n=200 eps0=0.25 delta=0.0001 certified "
+                            r"in \d+\.\d{3}s, delta_bar \S+, peak RSS \d+ KB\n", err)
 
     @pytest.mark.parametrize("eps0", ["40", "800"])
     def test_huge_local_budget_certifies_exactly(self, capsys, eps0):
@@ -116,6 +119,7 @@ class TestVerifyAmplification:
         assert code == 0
         record = _strict_json(out)
         assert record["exact_delta"] == 0.0
+        assert record["delta_bar"] == 0.0
         assert record["passed"] is True
 
     def test_keys_are_the_record_fields(self, capsys):
@@ -209,7 +213,7 @@ class TestVerifyAmplification:
     def test_failure_exits_3(self, capsys, monkeypatch):
         failing = CertificationRecord(n=10, eps0=0.5, delta_target=1e-4,
                                       claimed_epsilon=0.1, regime="general",
-                                      exact_delta=1.0, passed=False)
+                                      exact_delta=1.0, delta_bar=0.0, passed=False)
         monkeypatch.setattr(cli, "certify_amplification",
                             lambda *a, **k: failing)
         code, out, _ = _run(capsys, ["verify-amplification", "--n", "10",

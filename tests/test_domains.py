@@ -182,6 +182,8 @@ ENTRIES = [
     ("divergence_scan.eps0", lambda v: divergence.divergence_scan(20, v, 0.1), "budget", []),
     ("divergence_scan.epsilon",
      lambda v: divergence.divergence_scan(20, 0.5, v), "budget0", []),
+    ("divergence_bounds.tau",
+     lambda v: divergence.divergence_bounds(20, 0.5, 0.1, v), "budget0", []),
     ("worst_case_divergence.n",
      lambda v: divergence.worst_case_divergence(v, 0.5, 0.1), "count", [1]),
     ("certify_amplification.n",

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpshuffle import divergence
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import _cut, divergence_scan
+from ldpshuffle.divergence import (_bar_scale, _cut, _entry_error, divergence_bounds,
+                                   divergence_scan)
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
@@ -122,16 +124,18 @@ class TestDivergenceScan:
             divergence_scan(10, 0.5, -0.1)
 
     @staticmethod
-    def _assert_matches_reference(n, eps0, eps):
-        scan = divergence_scan(n, eps0, eps)
+    def _assert_matches_reference(n, eps0, eps, tau=0.0):
+        scan, bars = divergence_bounds(n, eps0, eps, tau)
         ref = reference_divergence_scan(n, eps0, eps)
         # the reference forms P - e^eps Q directly and so loses about
         # 1/(1 - e^(eps - e0)) in relative precision as eps nears e0; the
         # high-precision test below checks the scan itself at such a point
         rtol = 1e-9 + 1e-13 / max(-math.expm1(eps - eps0), 1e-13)
         large = ref >= 1e-12
-        assert np.all(np.abs(scan - ref)[large] <= rtol * ref[large])
-        assert np.all(np.abs(scan - ref)[~large] <= 1e-14)
+        error = np.abs(scan - ref) - bars
+        assert np.all(error[large] <= rtol * ref[large])
+        assert np.all(error[~large] <= 1e-14)
+        assert np.all(bars <= _bar_scale(eps0, eps) * tau)
 
     @settings(deadline=None, max_examples=150)
     @given(n=st.integers(2, 100), eps0=st.floats(0.05, 3.0),
@@ -140,6 +144,39 @@ class TestDivergenceScan:
         # n up to 100 spans ranges under one block, ragged last blocks and
         # several block widths
         self._assert_matches_reference(n, eps0, eps_share * eps0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(2, 400), eps0=st.floats(0.05, 2.0, exclude_min=True, exclude_max=True),
+           eps_share=st.floats(0.0, 1.0, exclude_max=True),
+           tau=st.sampled_from([0.0, 1e-30, 1e-18, 1e-12, 1e-6]))
+    def test_windowed_scan_within_its_bar_of_reference(self, n, eps0, eps_share, tau):
+        # every pmf loses its tails of mass up to a share of tau, and each
+        # delta moves by at most its bar; at tau = 0 every bar is 0
+        self._assert_matches_reference(n, eps0, eps_share * eps0, tau)
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(17, 400), eps0=st.floats(0.05, 2.0), eps_share=st.floats(0.0, 0.99),
+           tau=st.sampled_from([1e-18, 1e-12, 1e-6, 1e-3]))
+    def test_bar_covers_the_mass_the_windows_drop(self, n, eps0, eps_share, tau):
+        # with a forward sum that returns each row's mass, the scan gives the
+        # mass of R_m on [0, cut] (or of R_n-1-m, whichever is larger); the
+        # windowed R_m is below the exact one entrywise, so the mass it lacks
+        # is its L1 distance from it, which the bar over a + b must cover.
+        # n > BLOCK, so that the split windows pmfs and binomial slices
+        eps = eps_share * eps0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "_forward_sum", lambda R, a, b, log_b=None: R.sum(axis=-1))
+            exact = divergence_scan(n, eps0, eps)
+            kept, bars = divergence_bounds(n, eps0, eps, tau)
+        lost = bars / _bar_scale(eps0, eps)
+        assert np.all(exact - kept <= lost + 2 * _entry_error(n, eps0) * exact)
+
+    @pytest.mark.parametrize("eps0,eps", [(0.25, 0.05), (0.5, 0.2), (1.0, 0.3)])
+    def test_windowed_scan_within_its_bar_at_the_cap(self, eps0, eps):
+        exact = divergence_scan(10_000, eps0, eps)
+        scan, bars = divergence_bounds(10_000, eps0, eps, 1e-12)
+        assert 0.0 < bars.max() <= _bar_scale(eps0, eps) * 1e-12
+        assert np.all(np.abs(scan - exact) <= bars + _entry_error(10_000, eps0) * exact)
 
     @pytest.mark.parametrize("eps", [0.0, 2.0, 3.99])
     def test_matches_reference_where_tails_underflow(self, eps):
