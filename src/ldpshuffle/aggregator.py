@@ -1,7 +1,8 @@
 """Server-side aggregation: accumulate reports into a binary tree of
 counts and turn prefix covers of that tree into debiased marginal
 estimates. `stray_report` is the one rule for which reports address a
-node; `accumulate_arrays` and the report reader in `client` apply it."""
+node; `SumTree.add`, hence `accumulate_arrays`, and the report reader in
+`client` apply it."""
 
 import math
 
@@ -33,6 +34,27 @@ class SumTree:
         h = np.repeat(np.arange(1, self.levels + 1), self.d >> np.arange(self.levels))
         return h, (np.arange(len(h)) - self._offsets[h - 1] + 1) << (h - 1)
 
+    def cells(self, h, t, u):
+        """The (node, sign) cell of each report (h, t, u), of int64 arrays
+        that address nodes of this tree: 2 * (its node's storage row) +
+        (u > 0), an index into `counts.ravel()`."""
+        shift = h - 1
+        return 2 * (self._offsets[shift] + (t >> shift) - 1) + (u > 0)
+
+    def add(self, h, t, u):
+        """Count reports (h, t, u), of int64 arrays, into this tree and
+        return their cells; one that addresses no node raises
+        MalformedReportError naming its index, before any is counted."""
+        bad = stray_report(h, t, u, self.d)
+        if bad is not None:
+            raise MalformedReportError(f"report {bad} (h={h[bad]}, t={t[bad]}, u={u[bad]}) "
+                                       f"addresses no node of the tree over horizon {self.d}")
+        # count every node's -1 and +1 reports in one integer bincount over
+        # (node, sign) cells
+        cells = self.cells(h, t, u)
+        self.counts += np.bincount(cells, minlength=self.counts.size).reshape(-1, 2)
+        return cells
+
 
 def stray_report(h, t, u, d):
     """Index of the first report (h, t, u), of int64 arrays, that addresses
@@ -51,15 +73,7 @@ def accumulate_arrays(h, t, u, d):
     addresses no node raises MalformedReportError naming its index."""
     h, t, u = (np.asarray(a, dtype=np.int64) for a in (h, t, u))
     tree = SumTree(d)
-    bad = stray_report(h, t, u, d)
-    if bad is not None:
-        raise MalformedReportError(f"report {bad} (h={h[bad]}, t={t[bad]}, u={u[bad]}) "
-                                   f"addresses no node of the tree over horizon {d}")
-    # count every node's -1 and +1 reports in one integer bincount over
-    # (node, sign) cells
-    shift = h - 1
-    cell = 2 * (tree._offsets[shift] + (t >> shift) - 1) + (u > 0)
-    tree.counts += np.bincount(cell, minlength=tree.counts.size).reshape(-1, 2)
+    tree.add(h, t, u)
     return tree
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .aggregator import accumulate_arrays, dyadic_cover, estimate_marginals
 from .amplification import amplify_group, amplify_shuffle, rdp_bound
-from .client import INT64_MAX, open_input, open_output, read_reports
+from .client import INT64_MAX, check_distinct_paths, open_input, open_output, read_reports
 from .core import check_count
 from .divergence import ORACLE_MAX_N, certify_amplification
 from .errors import InvalidParameterError, ParseError
@@ -87,7 +87,8 @@ def _cmd_simulate(args):
           f"median max error {summary['median_max_abs_error']:.6g}, "
           f"bound satisfied in {summary['bound_satisfied_fraction']:.0%}; trial 0 "
           f"emitted {results[0].reports} reports, memory bound "
-          f"{trial_bytes(config.n, config.d, config.k)} B, peak RSS {peak_kb} KB",
+          f"{trial_bytes(config.n, config.d, config.k, bool(config.reports_path))} B, "
+          f"peak RSS {peak_kb} KB",
           file=sys.stderr)
     return EXIT_OK
 
@@ -177,6 +178,7 @@ def _read_truth(path, d):
 
 
 def _cmd_estimate(args):
+    check_distinct_paths((args.reports, args.truth, args.output), "reports, truth and output")
     h, t, u = read_reports(args.reports, args.d)
     estimates = estimate_marginals(accumulate_arrays(h, t, u, args.d), args.epsilon, args.k)
     columns = {"t": np.arange(1, args.d + 1), "f_tilde": estimates}

@@ -8,6 +8,13 @@ identifier, written and read here; the reader checks each line's syntax
 and then the rule of the tree over the horizon it is given
 (`aggregator.stray_report`).
 
+A report stream over horizon d holds at most 2(2d - 1) distinct lines, one
+per (node, sign) cell of its `SumTree`, so both ends go through a table of
+lines. The writer takes each report as its cell and joins the lines of a
+`line_table`, which formats each cell that occurs once. The reader maps
+each line to a row of a dict of the file's first READ_LINES distinct lines,
+and converts the lines it has not seen in one batch.
+
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
 emitter `kernels.emit_reports` is what a mode-none simulation runs.
@@ -15,6 +22,7 @@ emitter `kernels.emit_reports` is what a mode-none simulation runs.
 
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -49,21 +57,38 @@ _CANONICAL_LINES = re.compile(
     rb'(?:\{"h": [1-9][0-9]{0,17}, "t": [1-9][0-9]{0,17}, "u": -?1\}\n)*')
 _MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
 
-# Rows formatted per write, and bytes read per chunk; neither changes a
-# result, and both keep the buffers of one file small.
+# Reports joined per write, bytes read per chunk, and distinct lines the
+# reader's line table holds; none changes a result, and all keep the buffers
+# of one file small.
 WRITE_ROWS = 1 << 14
 READ_BYTES = 1 << 16
+READ_LINES = 1 << 13
 
 
-def write_report_arrays(path, h, t, u, mode="w"):
-    """Write reports held as parallel arrays as JSON lines, one
-    `REPORT_LINE` per report and no client identifier, WRITE_ROWS rows at a
-    time, replacing the file (mode "w") or appending to it (mode "a")."""
+def line_table(tree, cells, table=None):
+    """Put the `REPORT_LINE` of each of the given (node, sign) cells of tree
+    (`SumTree.cells`) into table, an object array indexed by cell (a new one
+    holding None at every other cell, if table is None), and return it: what
+    `write_report_arrays` looks reports up in."""
+    if table is None:
+        table = np.empty(tree.counts.size, dtype=object)
+    h, t = tree.nodes()
+    # WRITE_ROWS cells at a time, so that only the lines outlive their values
+    for lo in range(0, len(cells), WRITE_ROWS):
+        part = cells[lo:lo + WRITE_ROWS]
+        table[part] = [REPORT_LINE % row for row in zip(
+            h[part >> 1].tolist(), t[part >> 1].tolist(), (2 * (part & 1) - 1).tolist())]
+    return table
+
+
+def write_report_arrays(path, cells, lines, mode="w"):
+    """Write reports held as an array of their (node, sign) cells as JSON
+    lines, the line of each from the table `lines` (`line_table`) and no
+    client identifier, WRITE_ROWS reports at a time, replacing the file
+    (mode "w") or appending to it (mode "a")."""
     with open_output(path, mode) as fh:
-        for lo in range(0, len(h), WRITE_ROWS):
-            hi = lo + WRITE_ROWS
-            rows = np.column_stack((h[lo:hi], t[lo:hi], u[lo:hi]))
-            fh.write(REPORT_LINE * len(rows) % tuple(rows.ravel().tolist()))
+        for lo in range(0, len(cells), WRITE_ROWS):
+            fh.write("".join(lines[cells[lo:lo + WRITE_ROWS]].tolist()))
 
 
 def open_input(path, mode="r"):
@@ -84,6 +109,15 @@ def open_output(path, mode="w"):
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def check_distinct_paths(paths, names):
+    """Refuse, before any is opened, two of the given paths (None for an
+    unset one) that name the same file, so that no output overwrites an
+    input or another output; names says which paths these are."""
+    files = [os.path.realpath(p) for p in paths if p]
+    if len(set(files)) < len(files):
+        raise InvalidParameterError(f"{names} paths must differ")
 
 
 def read_json_lines(path):
@@ -119,11 +153,16 @@ def read_reports(path, d):
     before any row that addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
-    checked READ_BYTES at a time against one pattern and converted with
-    array operations. Any other spelling of the rows sends the whole file
-    again through `parse_report_rows`, which returns the same arrays or
-    names the bad line. A pipe is read into memory first, so that it can be
-    read twice.
+    read READ_BYTES at a time and split into lines, each looked up in a
+    dict from line to row. A chunk's lines that the dict lacks are checked
+    against one pattern for the canonical line and converted with array
+    operations in one batch, then kept. The dict holds at most READ_LINES
+    lines: once a chunk's new lines would take it past that, as at a large
+    horizon, it is dropped, and each later chunk is checked and converted
+    whole. Any other spelling of the rows sends the whole file again
+    through `parse_report_rows`, which returns the same arrays or names the
+    bad line. A pipe is read into memory first, so that it can be read
+    twice.
     """
     level_count(d)
     with open_input(path, "rb") as raw:
@@ -138,25 +177,55 @@ def read_reports(path, d):
 
 
 def _read_canonical(fh):
-    """(h, t, u) of a stream of canonical lines, or None once a chunk is
-    not all canonical lines."""
-    blocks = []
+    """(h, t, u) of a stream of canonical lines, or None once a line is not
+    canonical."""
+    table = {}  # line -> its row of known
+    known = np.empty((READ_LINES, 3), dtype=np.int64)
+    blocks = [known[:0]]
     tail = b""
-    while True:
-        data = fh.read(READ_BYTES)
+    while data := fh.read(READ_BYTES):
         chunk = tail + data
-        cut = chunk.rfind(b"\n") + 1 if data else len(chunk)
+        cut = chunk.rfind(b"\n") + 1
         chunk, tail = chunk[:cut], chunk[cut:]
         # an unfinished line longer than any canonical one ends the fast
         # path at once, so a file without newlines is not gathered here
-        if len(tail) > _MAX_LINE or not _CANONICAL_LINES.fullmatch(chunk):
+        if len(tail) > _MAX_LINE:
             return None
-        # the chunk is validated: only digits, signs and blanks are left
-        digits = chunk.translate(None, b'{}"htu:,')
-        blocks.append(np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3))
-        if not data:
-            break
+        if table is not None:
+            lines = chunk.split(b"\n")
+            lines.pop()  # the empty piece after the last newline
+            try:
+                rows = np.fromiter(map(table.__getitem__, lines), np.intp, len(lines))
+            except KeyError:
+                # convert the chunk's new lines in one batch, if the table
+                # has room for them; else drop it for the rest of the file
+                new = [line for line in dict.fromkeys(lines) if line not in table]
+                if len(table) + len(new) > READ_LINES:
+                    table = None
+                else:
+                    values = _convert(b"\n".join(new) + b"\n")
+                    if values is None:
+                        return None
+                    known[len(table):len(table) + len(new)] = values
+                    table.update(zip(new, range(len(table), len(table) + len(new))))
+                    rows = np.fromiter(map(table.__getitem__, lines), np.intp, len(lines))
+        block = known[rows] if table is not None else _convert(chunk)
+        if block is None:
+            return None
+        blocks.append(block)
+    if tail:
+        return None  # an unterminated last line goes per row
     return tuple(np.concatenate(blocks).T.copy())
+
+
+def _convert(chunk):
+    """The (rows, 3) int64 array of a run of canonical lines, or None if
+    chunk is not one."""
+    if not _CANONICAL_LINES.fullmatch(chunk):
+        return None
+    # the chunk is validated: only digits, signs and blanks are left
+    digits = chunk.translate(None, b'{}"htu:,')
+    return np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3)
 
 
 def _check_tree(columns, d, lines):

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals, estimate_weight
-from .client import clip_changes, open_output, read_json_lines, write_report_arrays
+from .client import (check_distinct_paths, clip_changes, line_table, open_output,
+                     read_json_lines, write_report_arrays)
 from .core import check_count, check_real, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
@@ -96,11 +97,9 @@ class SimulationConfig:
             raise InvalidParameterError(
                 f"unknown shuffle mode {self.shuffle_mode!r}; pick from {SHUFFLE_MODES}"
             )
-        files = [os.path.realpath(p) for p in
-                 (self.input_path, self.output_path, self.reports_path) if p]
-        if len(set(files)) < len(files):
-            raise InvalidParameterError("input, output and reports paths must differ")
-        need = trial_bytes(self.n, self.d, self.k)
+        check_distinct_paths((self.input_path, self.output_path, self.reports_path),
+                             "input, output and reports")
+        need = trial_bytes(self.n, self.d, self.k, bool(self.reports_path))
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > memory:
             raise InvalidParameterError(f"a trial may hold {need} bytes, more than "
@@ -216,13 +215,17 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
     return read_change_vectors(input_path, n, d, k)  # the file model
 
 
-def trial_bytes(n, d, k):
+def trial_bytes(n, d, k, dump=False):
     """An upper bound on the bytes a trial holds: its change lists and
     per-client arrays, one report buffer of at most 5/4 max(ROWS, 4d)
     reports at 12 words each (a mode-none block holds under max(ROWS, 4d)
     + d; a post-shuffle chunk is binomial, past 5/4 of its mean bound with
-    probability below e^-600), the tree and the writer."""
-    return 8 * (4 * n * k + 12 * n + 15 * max(ROWS, 4 * d) + 40 * d) + (4 << 20)
+    probability below e^-600), the tree and the writer. A trial that dumps
+    its reports also holds a line table: a slot for each of the 2(2d - 1)
+    cells, and a str of at most 112 bytes for each cell that holds one of
+    its at most n d reports."""
+    table = 4 * d + 14 * min(4 * d, n * d) if dump else 0
+    return 8 * (4 * n * k + 12 * n + 15 * max(ROWS, 4 * d) + 40 * d + table) + (4 << 20)
 
 
 def run_trial(config, trial):
@@ -263,14 +266,19 @@ def run_trial(config, trial):
         # block i holds the clients whose last report falls in (i rows, (i+1) rows]
         cuts = np.searchsorted(ends, np.arange(0, ends[-1], rows), side="right").tolist()
         tree = SumTree(config.d)
+        lines = None  # the dump's line table, one for the whole file
         for lo, hi in zip(cuts, cuts[1:] + [config.n]):
             count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
             reports = emit_reports(signal_t[lo:hi], signal_v[lo:hi], levels[lo:hi],
                                    stream.uniform(size=count), truth_prob, config.d)
-            tree.counts += accumulate_arrays(*reports, config.d).counts
+            empty = tree.counts.ravel() == 0 if dump else None
+            cells = tree.add(*reports)
             if dump:
-                write_report_arrays(dump, *reports, mode="a" if lo else "w")
-            del reports  # so that no two blocks are held at once
+                # format only the cells that this block is the first to fill
+                fresh = np.flatnonzero(empty & (tree.counts.ravel() > 0))
+                lines = line_table(tree, fresh, lines)
+                write_report_arrays(dump, cells, lines, mode="a" if lo else "w")
+            del reports, cells  # so that no two blocks are held at once
     estimates = estimate_marginals(tree, config.epsilon, config.k)
     return estimates, truth, int(tree.counts.sum()), clipped
 
@@ -302,17 +310,16 @@ def _write_shuffled(path, tree, stream, rows):
     """Write a uniform arrangement of the reports in tree. Each report goes
     to a uniform one of ceil(total / rows) chunks by binomial splits of
     every (node, sign) cell; each chunk is then permuted, so that the
-    concatenation is a uniform permutation."""
-    cells = tree.counts.ravel()  # per node: its -1 reports, then its +1 reports
-    node_h, node_t = tree.nodes()
-    chunks = -(-int(cells.sum()) // rows)
+    concatenation is a uniform permutation. The chunks are written as
+    cells, through one line table of the cells that hold a report."""
+    counts = tree.counts.ravel()  # per node: its -1 reports, then its +1 reports
+    lines = line_table(tree, np.flatnonzero(counts))
+    chunks = -(-int(counts.sum()) // rows)
     for left in range(chunks, 0, -1):
-        take = stream.generator.binomial(cells, 1.0 / left) if left > 1 else cells
-        cells = cells - take
-        cell = np.repeat(np.arange(len(take)), take)
-        cell = cell[stream.permutation(len(cell))]
-        node = cell >> 1
-        write_report_arrays(path, node_h[node], node_t[node], 2 * (cell & 1) - 1,
+        take = stream.generator.binomial(counts, 1.0 / left) if left > 1 else counts
+        counts = counts - take
+        cells = np.repeat(np.arange(len(take)), take)
+        write_report_arrays(path, cells[stream.permutation(len(cells))], lines,
                             mode="w" if left == chunks else "a")
 
 

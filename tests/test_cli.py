@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ldpshuffle.cli as cli
+import ldpshuffle.client as client_mod
 import ldpshuffle.harness as harness
 from ldpshuffle.amplification import AmplificationResult, amplify_shuffle
 from ldpshuffle.divergence import CertificationRecord
@@ -403,6 +405,57 @@ class TestSimulateAndEstimate:
         assert out == ""
 
 
+# sha256 of the report dumps and estimate CSVs of a writer that formatted
+# every report from its (h, t, u) values: the line table must leave every
+# byte of them as it was. The small configs are cut into blocks (mode none)
+# or chunks (post-shuffle) of 4d = 64 reports, which the writer joins 50 at
+# a time; the large ones use the default sizes, two blocks or chunks each.
+PINNED_DUMPS = {
+    ("none", "small"): "d39fd07dc9ace308140e9c063df85512a0b466f9f030842881a3f12d11ef68ae",
+    ("none", "large"): "8787a621037853db54e43062d42256b17ad8488ed7eac3f20b76768a0afc651e",
+    ("post-shuffle", "small"):
+        "b8186a91e9c8f179163cd7fb70a6da1cb86f99979a5942660ef4841bd644a9fa",
+    ("post-shuffle", "large"):
+        "bcacd6f23cf4a156ae3ac463bb90ddf2366cfcddf2ffd106b8e8e0a3d7fe0059",
+}
+PINNED_ESTIMATES = {
+    "none": "f177942d3621b869b2799c17099dd9f51a8dd5f5f068a08b73148e1bd707759f",
+    "post-shuffle": "c57e60abd3ddc52e175bfb05d35af762641c1a89809c56a3a67fb2b46141ff02",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("mode", ["none", "post-shuffle"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_dump_and_estimate_bytes(self, capsys, monkeypatch, tmp_path, mode, size):
+        n, d = ("200", "16") if size == "small" else ("5000", "64")
+        if size == "small":
+            monkeypatch.setattr(harness, "ROWS", 1)
+            monkeypatch.setattr(client_mod, "WRITE_ROWS", 50)
+        reports = tmp_path / "reports.jsonl"
+        code, _, _ = _run(capsys, ["simulate", "--n", n, "--d", d, "--k", "3",
+                                   "--epsilon", "1.0", "--seed", "7", "--shuffle-mode", mode,
+                                   "--reports-path", str(reports),
+                                   "--output", str(tmp_path / "run.json")])
+        assert code == 0
+        assert _sha256(reports) == PINNED_DUMPS[mode, size]
+        if size == "large":
+            return
+        assert reports.read_bytes().count(b"\n") == 1236  # about 20 blocks or chunks
+        truth = tmp_path / "truth.txt"
+        truth.write_text("".join(f"{(i * 7) % 11 - 5}\n" for i in range(16)))
+        estimates = tmp_path / "estimates.csv"
+        code, _, _ = _run(capsys, ["estimate", "--reports", str(reports), "--d", d,
+                                   "--k", "3", "--epsilon", "1.0", "--truth", str(truth),
+                                   "--output", str(estimates)])
+        assert code == 0
+        assert _sha256(estimates) == PINNED_ESTIMATES[mode]
+
+
 class TestEstimateBadInput:
     def _estimate(self, capsys, reports, truth=None):
         argv = ["estimate", "--reports", str(reports), "--d", "4",
@@ -464,6 +517,23 @@ class TestEstimateBadInput:
                                      "--epsilon", "1.0", "--k", "1", "--output", str(path)])
         assert code == 2
         assert f"cannot write {path}" in err
+
+    @pytest.mark.parametrize("same", ["--reports", "--truth"])
+    def test_output_naming_an_input_exits_2(self, capsys, monkeypatch, tmp_path, same):
+        # refused before either file is read, so the input keeps its bytes
+        monkeypatch.setattr(cli, "read_reports", lambda *a: pytest.fail("reports read"))
+        files = {"--reports": tmp_path / "reports.jsonl", "--truth": tmp_path / "truth.txt"}
+        files["--reports"].write_text('{"h": 1, "t": 1, "u": 1}\n')
+        files["--truth"].write_text("1\n1\n1\n1\n")
+        before = {flag: path.read_bytes() for flag, path in files.items()}
+        argv = ["estimate", "--d", "4", "--epsilon", "1.0", "--k", "1",
+                "--output", str(files[same])]
+        for flag, path in files.items():
+            argv += [flag, str(path)]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == "" and "paths must differ" in err
+        assert {flag: path.read_bytes() for flag, path in files.items()} == before
 
     def test_non_numeric_truth_names_line(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"

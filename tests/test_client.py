@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import ldpshuffle.client as client_mod
 import ldpshuffle.core as core
-from ldpshuffle.client import (clip_changes, parse_report_rows, read_json_lines, read_reports,
-                               write_report_arrays)
+from ldpshuffle.aggregator import SumTree
+from ldpshuffle.client import (clip_changes, line_table, parse_report_rows, read_json_lines,
+                               read_reports, write_report_arrays)
 from ldpshuffle.core import rr_probability
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import read_change_vectors
@@ -243,10 +244,17 @@ class TestTranscriptEnumeration:
         assert max_transcript_ratio(4, 2, eps) <= math.exp(eps) + 1e-9
 
 
+def write_reports(path, h, t, u, d):
+    """Write reports held as (h, t, u) arrays of the tree over horizon d."""
+    tree = SumTree(d)
+    cells = tree.cells(*(np.asarray(c, dtype=np.int64) for c in (h, t, u)))
+    write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
+
+
 class TestReportIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "reports.jsonl"
-        write_report_arrays(path, [1, 2], [3, 4], [-1, 1])
+        write_reports(path, [1, 2], [3, 4], [-1, 1], 4)
         h, t, u = read_reports(path, 4)
         assert np.array_equal(h, [1, 2])
         assert np.array_equal(t, [3, 4])
@@ -315,7 +323,7 @@ class TestReportIo:
     def test_unwritable_path_is_invalid_parameter(self, tmp_path):
         path = tmp_path / "missing" / "reports.jsonl"
         with pytest.raises(InvalidParameterError, match="cannot write .*reports.jsonl"):
-            write_report_arrays(path, [1], [1], [1])
+            write_reports(path, [1], [1], [1], 4)
 
 
 # JSON values of the kinds a corrupt line can hold. Rows are drawn as report
@@ -433,7 +441,7 @@ class TestChunkedReportIo:
     def test_canonical_file_skips_the_per_row_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "reports.jsonl"
         columns = _random_reports(0, 5000, 64)
-        write_report_arrays(path, *columns)
+        write_reports(path, *columns, 64)
 
         def refuse(*args):
             raise AssertionError("per-row parser called on a canonical file")
@@ -446,7 +454,7 @@ class TestChunkedReportIo:
     def test_any_other_line_sends_the_whole_file_per_row(self, tmp_path, monkeypatch, tail):
         # a canonical line outside the tree is named without a second read
         path = tmp_path / "reports.jsonl"
-        write_report_arrays(path, *_random_reports(1, 3000, 64))
+        write_reports(path, *_random_reports(1, 3000, 64), 64)
         with open(path, "ab") as fh:
             fh.write(tail)
         calls = []
@@ -484,7 +492,7 @@ class TestChunkedReportIo:
                                       b'{"h": 8, "t": 1, "u": 1}\n'])
     def test_read_chunk_size_changes_nothing(self, tmp_path, monkeypatch, read_bytes, last):
         path = tmp_path / "reports.jsonl"
-        write_report_arrays(path, *_random_reports(2, 700, 64))
+        write_reports(path, *_random_reports(2, 700, 64), 64)
         with open(path, "ab") as fh:
             fh.write(last)
         want = _outcome(read_reports, path, 64)
@@ -495,23 +503,92 @@ class TestChunkedReportIo:
     @pytest.mark.parametrize("write_rows", [1, 10 ** 9])
     def test_write_chunk_size_changes_nothing(self, tmp_path, monkeypatch, write_rows):
         columns = _random_reports(3, 700, 64)
-        write_report_arrays(tmp_path / "default.jsonl", *columns)
+        write_reports(tmp_path / "default.jsonl", *columns, 64)
         monkeypatch.setattr(client_mod, "WRITE_ROWS", write_rows)
-        write_report_arrays(tmp_path / "patched.jsonl", *columns)
+        write_reports(tmp_path / "patched.jsonl", *columns, 64)
         assert (tmp_path / "patched.jsonl").read_bytes() \
             == (tmp_path / "default.jsonl").read_bytes()
 
     @settings(deadline=None, max_examples=200)
-    @given(st.lists(st.tuples(*[st.integers(-2 ** 63, 2 ** 63 - 1)
-                                | st.integers(2 ** 63 - 4, 2 ** 63 - 1)] * 3),
-                    max_size=40),
+    @given(st.integers(0, 10).flatmap(lambda e: st.tuples(
+               st.just(1 << e), st.lists(st.integers(0, 4 * (1 << e) - 3), max_size=40))),
            st.integers(1, 16))
-    def test_writer_equals_json_dumps_per_row(self, tmp_path_factory, rows, write_rows):
+    def test_writer_equals_json_dumps_per_row(self, tmp_path_factory, tree_cells, write_rows):
+        # cells of the tree over a power-of-two horizon d, each written from
+        # the line table of the cells that occur
+        d, cells = tree_cells
+        tree = SumTree(d)
+        cells = np.array(cells, dtype=np.int64)
         path = tmp_path_factory.mktemp("writer") / "reports.jsonl"
-        h, t, u = (np.array(c, dtype=np.int64) for c in zip(*rows)) if rows \
-            else (np.zeros(0, dtype=np.int64),) * 3
         with mock.patch.object(client_mod, "WRITE_ROWS", write_rows):
-            write_report_arrays(path, h, t, u)
-        want = "".join(json.dumps({"h": int(a), "t": int(b), "u": int(c)}, sort_keys=True) + "\n"
-                       for a, b, c in rows)
+            write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
+        h, t = tree.nodes()
+        want = "".join(json.dumps({"h": int(h[c >> 1]), "t": int(t[c >> 1]),
+                                   "u": 2 * (c & 1) - 1}, sort_keys=True) + "\n"
+                       for c in cells.tolist())
         assert path.read_bytes() == want.encode()
+
+    def test_misaligned_canonical_line_named_through_the_table(self, tmp_path, monkeypatch):
+        # at d = 4 a level-2 report carries an even t; the line is canonical,
+        # so the tree check names it without the per-row parser
+        path = tmp_path / "reports.jsonl"
+        write_reports(path, *_random_reports(4, 600, 4), 4)
+        with open(path, "ab") as fh:
+            fh.write(_CANON % (2, 3, 1) + _CANON % (1, 1, 1))
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: pytest.fail("per-row parser called"))
+        with pytest.raises(ParseError, match=r"\(h=2, t=3, u=1\) addresses no node") as err:
+            read_reports(path, 4)
+        assert err.value.line_number == 601
+
+    def test_each_distinct_line_is_converted_once(self, tmp_path, monkeypatch):
+        # d = 4 has 14 distinct lines, converted in batches as chunks bring them
+        path = tmp_path / "reports.jsonl"
+        columns = _random_reports(5, 5000, 4)
+        write_reports(path, *columns, 4)
+        converted = []
+        real = client_mod._convert
+        monkeypatch.setattr(client_mod, "_convert",
+                            lambda chunk: converted.append(chunk) or real(chunk))
+        for got, want in zip(read_reports(path, 4), columns):
+            assert np.array_equal(got, want)
+        lines = b"".join(converted).splitlines()
+        assert len(lines) == len(set(lines)) == 14
+
+    @pytest.mark.parametrize("read_bytes", [64, 1 << 16])
+    def test_full_table_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch,
+                                                          read_bytes):
+        # a table of 4 lines overflows in the first chunk, or after a few
+        # chunks of about two lines; every later chunk is converted whole
+        path = tmp_path / "reports.jsonl"
+        write_reports(path, *_random_reports(6, 700, 64), 64)
+        want = _outcome(read_report_rows, path, 64)
+        monkeypatch.setattr(client_mod, "READ_LINES", 4)
+        monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: pytest.fail("per-row parser called"))
+        assert _outcome(read_reports, path, 64) == want
+
+    @pytest.mark.parametrize("bad,fault", [
+        (b'{"h": 1, "t": 1, "u": 1.0}\n', "line 701: expected integer fields h, t, u"),
+        (b'{"h": 1, "t": 1}\n', "line 701: expected an object with fields h, t, u"),
+        (b"\n", None), (b'{"h": 1,  "t": 2, "u": 1}\n', None)])
+    def test_other_line_past_a_full_table_goes_per_row(self, tmp_path, monkeypatch, bad,
+                                                        fault):
+        path = tmp_path / "reports.jsonl"
+        write_reports(path, *_random_reports(7, 700, 64), 64)
+        with open(path, "ab") as fh:
+            fh.write(bad + _CANON % (1, 1, 1))
+        # chunks of about two lines: the table is full a few lines in
+        monkeypatch.setattr(client_mod, "READ_LINES", 4)
+        monkeypatch.setattr(client_mod, "READ_BYTES", 64)
+        calls = []
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: calls.append(a) or parse_report_rows(*a))
+        if fault is None:
+            assert _outcome(read_reports, path, 64) == _outcome(read_report_rows, path, 64)
+        else:
+            with pytest.raises(ParseError) as err:
+                read_reports(path, 64)
+            assert fault in str(err.value) and err.value.line_number == 701
+        assert len(calls) == 1

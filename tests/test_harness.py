@@ -125,7 +125,7 @@ cfg = SimulationConfig(n=int(n), d=int(d), k=int(k), epsilon=1.0, shuffle_mode=m
                        reports_path=path or None)
 before = peak()
 run_trial(cfg, 0)
-print((peak() - before) * 1024, trial_bytes(cfg.n, cfg.d, cfg.k))
+print((peak() - before) * 1024, trial_bytes(cfg.n, cfg.d, cfg.k, bool(path)))
 """
 
 
@@ -210,6 +210,26 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError, match="bytes"):
             cfg.validate()
 
+    def test_only_a_dump_is_charged_a_line_table(self, tmp_path, monkeypatch):
+        # a trial that writes no report file builds no line table, so its
+        # bound is the one it had before the table; a dump adds a slot per
+        # cell and a str per cell it can fill, at most one per report
+        for n, d, k in ((10 ** 6, 1 << 12, 1), (64, 1 << 16, 1), (1, 1 << 20, 2)):
+            words = 4 * n * k + 12 * n + 15 * max(harness.ROWS, 4 * d) + 40 * d
+            assert trial_bytes(n, d, k) == 8 * words + (4 << 20)
+            table = 4 * d + 14 * min(4 * d, n * d)
+            assert trial_bytes(n, d, k, dump=True) == 8 * (words + table) + (4 << 20)
+        # so a host with room for the trial but not for the table refuses
+        # only the config that dumps
+        cfg = self._config(n=64, d=1 << 16, k=1, trials=1)
+        memory = (trial_bytes(cfg.n, cfg.d, cfg.k) + trial_bytes(cfg.n, cfg.d, cfg.k, True)) // 2
+        monkeypatch.setattr(harness.os, "sysconf",
+                            lambda name: 1 if name == "SC_PAGE_SIZE" else memory)
+        cfg.validate()
+        cfg.reports_path = str(tmp_path / "reports.jsonl")
+        with pytest.raises(InvalidParameterError, match="bytes"):
+            cfg.validate()
+
     def test_post_shuffle_preserves_estimates(self, tmp_path):
         # the stream is written out only when asked for, so ask for it; the
         # modes draw their trees differently (see TestHistogramDraw), but
@@ -287,8 +307,10 @@ class TestSimulate:
         tree = SumTree(2)
         tree.counts[:] = [[0, 2], [1, 1], [0, 3]]
         drawn = []
+        h, t = tree.nodes()
         monkeypatch.setattr(harness, "write_report_arrays",
-                            lambda path, h, t, u, mode="w": drawn.extend(zip(h, t, u)))
+                            lambda path, cells, lines, mode="w": drawn.extend(
+                                zip(h[cells >> 1], t[cells >> 1], 2 * (cells & 1) - 1)))
         rows = [(1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1), (2, 2, 1),
                 (2, 2, 1)]
         index = {order: i for i, order in enumerate(set(itertools.permutations(rows)))}
