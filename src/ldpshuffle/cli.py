@@ -23,7 +23,7 @@ import numpy as np
 from .aggregator import accumulate_arrays, dyadic_cover, estimate_marginals
 from .amplification import amplify_group, amplify_shuffle, rdp_bound
 from .client import INT64_MAX, check_distinct_paths, open_input, open_output, read_reports
-from .core import check_count
+from .core import check_count, level_count, scale_factor
 from .divergence import ORACLE_MAX_N, certify_amplification
 from .errors import InvalidParameterError, ParseError
 from .harness import (INPUT_MODELS, SHUFFLE_MODES, SimulationConfig, results_to_json, simulate,
@@ -179,6 +179,10 @@ def _read_truth(path, d):
 
 def _cmd_estimate(args):
     check_distinct_paths((args.reports, args.truth, args.output), "reports, truth and output")
+    # the parameters simulate would refuse, before the file is read
+    level_count(args.d)
+    check_count(args.k, "change budget k", high=args.d)
+    scale_factor(args.epsilon)
     h, t, u = read_reports(args.reports, args.d)
     estimates = estimate_marginals(accumulate_arrays(h, t, u, args.d), args.epsilon, args.k)
     columns = {"t": np.arange(1, args.d + 1), "f_tilde": estimates}

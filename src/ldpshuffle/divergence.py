@@ -28,25 +28,28 @@ entry error eta below, so that no term rounding could make positive is
 dropped either, and it forms the cut from logs of e^(eps-e0),
 1 - e^(eps-e0) and 1 - e^-(eps+e0), never from e^e0 or e^eps. At the
 accountant's epsilon on the verify grid n in {1000, 2000, 3000},
-e0 in {0.25, 0.5} the cut keeps 1.4 to 41% of the support.
+e0 in {0.25, 0.5} the cut keeps 1.4 to 41% of the support; without it
+that grid's windowed scans took 75.5 ms, not 10.5 ms, and a bar = 0 scan
+at n = 10^4 took 1.05 s, not 0.39 s (one thread of a 2-core Xeon).
 
-The window. `divergence_bounds(n, e0, eps, tau)` also drops tails: every
-pmf the split forms, and every binomial slice it convolves with (windowed
-once per size), loses its leading and trailing runs of cumulative mass
-<= tau_node = tau / (4 (D + 2)), with D = ceil(log2 n). A root-to-leaf path
-windows at most D pmfs and D slices, so E_m, the mass dropped on pair m's
-path, is at most 4 D tau_node < tau. The bound, in three lines:
+The window. `divergence_bounds(n, e0, eps, bar)` also drops tails, so
+that no pair's bar exceeds bar. With a + b = (p - q)(1 + e^eps), taken as
+infinite where e^eps would overflow, and D = ceil(log2 n), every pmf the
+split forms, and every binomial slice it convolves with (windowed once
+per size), loses its leading and trailing runs of cumulative mass
+<= tau_node = (bar / (a + b)) / (4 (D + 2)). A root-to-leaf path windows
+at most D pmfs and D slices, so E_m, the mass dropped on pair m's path, is
+at most 4 D tau_node < bar / (a + b). The bound, in three lines:
 convolution with a probability vector keeps mass and every quantity is
 nonnegative, so the windowed R'_m <= R_m entrywise and
 ||R_m - R'_m||_1 <= E_m; a term max(a R(x) - b R(x-1), 0) moves by at most
-a |R - R'|(x) + b |R - R'|(x-1), so |delta_m - delta'_m| <= (a + b) E_m,
-with a + b = (p - q)(1 + e^eps); the bar is that, with E_m inflated for
-the relative rounding of the cumsums that find the windows, and eta below
-applies on top. `certify_amplification` takes
-tau = 1e-12 delta_target / (a + b), so every bar is at most 1e-12 of the
-target, and tau = 0 where e^eps would overflow. `divergence_scan` is the
-tau = 0 call: it drops exact zeros alone, at both ends of every pmf, and
-its bars are 0. A range whose window is empty has only 0 terms.
+a |R - R'|(x) + b |R - R'|(x-1), so |delta_m - delta'_m| <= (a + b) E_m;
+the bar is that, with E_m inflated for the relative rounding of the
+cumsums that find the windows, and eta below applies on top.
+`certify_amplification` passes bar = 1e-12 delta_target. `divergence_scan`
+is the bar = 0 call, as is in effect every call where e^eps would
+overflow: it drops exact zeros alone, at both ends of every pmf, and its
+bars are 0. A range whose window is empty has only 0 terms.
 
 The split. Every R_m comes from one split over m: for m in [lo, hi], all
 R_m share the pmf of the first lo reports (ones) and the last n-1-hi
@@ -64,8 +67,8 @@ multiply-adds per split level and BLOCK L per pair in the blocks, and
 O(n log n) memory: one pmf prefix per level, one binomial for each of
 O(log n) sizes and a block's (BLOCK x L) buffers; a window shortens L to
 the pmf's window. At n = 10^4, e0 = 0.5, at the accountant's epsilon for
-delta = 1e-4 and at eps = 0.05, a scan takes 0.51 s and 0.53 s at tau = 0
-and 0.057 s and 0.093 s at certify's tau (2-core Xeon, numpy 2.4.6,
+delta = 1e-4 and at eps = 0.05, a scan takes 0.51 s and 0.53 s at bar = 0
+and 0.057 s and 0.093 s at certify's bar (2-core Xeon, numpy 2.4.6,
 medians of 7 runs).
 
 Precision. Each binomial is a convolution power of one report's pmf
@@ -100,7 +103,8 @@ ORACLE_MAX_N = 10_000
 EXP_SAFE = 700.0
 
 # The split stops at ranges of at most this many pairs and finishes each
-# with one matrix product; 32 halves the calls again but is slower at n = 10^4.
+# with one matrix product; 32 halves the calls again but is slower at n = 10^4,
+# and the certify grid took 38 ms at 4 and 79 ms at 1, against 11 ms at 16.
 BLOCK = 16
 
 
@@ -142,14 +146,6 @@ def _forward_sum(R, a, b, log_b=None):
     return np.maximum(terms, 0.0, out=terms).sum(axis=-1)
 
 
-def _bar_scale(epsilon0, epsilon):
-    """a + b = (p - q)(1 + e^eps), the most by which a pair's delta moves per
-    unit of mass taken from its R_m; infinite where e^eps would overflow."""
-    if epsilon > EXP_SAFE:
-        return math.inf
-    return math.tanh(epsilon0 / 2.0) * (1.0 + math.exp(epsilon))
-
-
 def _window(values, tau):
     """Bounds [first, last) of values without their leading and trailing
     runs of cumulative mass <= tau (empty if the runs meet), and the mass
@@ -165,18 +161,19 @@ def _window(values, tau):
 def divergence_scan(n, epsilon0, epsilon):
     """Hockey-stick divergence between the m and m+1 count distributions,
     for every m in [0, n-1]; returns the length-n array of deltas. This is
-    `divergence_bounds` at tau = 0, which drops exact zeros alone."""
+    `divergence_bounds` at bar = 0, which drops exact zeros alone."""
     return divergence_bounds(n, epsilon0, epsilon, 0.0)[0]
 
 
-def divergence_bounds(n, epsilon0, epsilon, tau):
-    """`divergence_scan` with every pmf windowed at tail mass tau (module
-    docstring); returns (deltas, bars), each computed delta within its bar
-    of the exact one (rounding eta aside). At tau = 0 every bar is 0."""
+def divergence_bounds(n, epsilon0, epsilon, bar):
+    """`divergence_scan` with every pmf windowed so that no pair's bar
+    exceeds bar (module docstring); returns (deltas, bars), each computed
+    delta within its bar of the exact one (rounding eta aside). At bar = 0
+    every bar is 0."""
     n = check_count(n, "n", low=2, high=ORACLE_MAX_N)
     epsilon0 = check_budget(epsilon0, "epsilon0")
     epsilon = check_budget(epsilon, zero_ok=True)
-    tau = check_budget(tau, "tau", zero_ok=True)
+    bar = check_budget(bar, "bar", zero_ok=True)
     forward, lost = np.zeros(n), np.zeros(n)
     if epsilon >= epsilon0:
         return forward, lost
@@ -186,12 +183,15 @@ def divergence_bounds(n, epsilon0, epsilon, tau):
     a = -p * math.expm1(epsilon - epsilon0)          # p - e^eps q
     if epsilon <= EXP_SAFE:                          # b = e^eps p - q
         b, log_b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0), None
+        scale = math.tanh(epsilon0 / 2.0) * (1.0 + math.exp(epsilon))  # a + b
     else:
-        # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as its log
+        # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as its
+        # log, and a + b is infinite, so that nothing but exact zeros is dropped
         b, log_b = None, epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
+        scale = math.inf
     length = _cut(n, epsilon0, epsilon) + 1
     depth = math.ceil(math.log2(n))
-    tau_node = tau / (4 * (depth + 2))
+    tau_node = bar / scale / (4 * (depth + 2))
     binomials = {0: np.ones(1), 1: np.array([p, q])}
     windows = {}
     blocks = {}
@@ -262,7 +262,7 @@ def divergence_bounds(n, epsilon0, epsilon, tau):
     # covers the rounding of the cumsums (at most n + 1 terms), of the
     # sums of lost and of a + b
     mass = np.maximum(lost, lost[::-1]) * (1.0 + 2 * (n + 4 * depth + 8) * 2.0 ** -53)
-    bars = np.multiply(mass, _bar_scale(epsilon0, epsilon), out=np.zeros(n), where=mass > 0.0)
+    bars = np.multiply(mass, scale, out=np.zeros(n), where=mass > 0.0)
     return np.maximum(forward, forward[::-1]), bars
 
 
@@ -300,9 +300,7 @@ def certify_amplification(n, epsilon0, delta_target):
     """
     claim = amplify_shuffle(epsilon0, n, delta_target)
     epsilon = claim.epsilon_central
-    # tau is 0 where e^eps would overflow, since the scale is then infinite
-    tau = 1e-12 * delta_target / _bar_scale(epsilon0, epsilon)
-    deltas, bars = divergence_bounds(n, epsilon0, epsilon, tau)
+    deltas, bars = divergence_bounds(n, epsilon0, epsilon, 1e-12 * delta_target)
     exact, bar = float(deltas.max()), float(bars.max())
     return CertificationRecord(
         n=int(n),

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals, estimate_weight
-from .client import (check_distinct_paths, clip_changes, line_table, open_output,
-                     read_json_lines, write_report_arrays)
+from .client import (check_distinct_paths, json_lines, line_table, open_input, open_output,
+                     write_report_arrays)
 from .core import check_count, check_real, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
@@ -142,30 +142,31 @@ def read_change_vectors(path, n, d, k):
 
     Returns (times, values, number of clipped rows): row i holds the
     1-based times and the values of client i's changes in time order,
-    padded with zeros. Rows beyond the change budget keep their first k
-    changes. Malformed rows raise ParseError with their line number.
+    padded with zeros. A row with more than k changes is clipped: it keeps
+    its first k. Malformed rows raise ParseError with their line number.
     """
     times = np.zeros((n, k), dtype=np.int64)
     values = np.zeros((n, k), dtype=np.int64)
     clipped = 0
     rows = 0
-    for lineno, row in read_json_lines(path):
-        if not isinstance(row, dict) or "x" not in row:
-            raise ParseError('expected an object with an "x" array', lineno)
-        x = row["x"]
-        if not isinstance(x, list) or len(x) != d:
-            raise ParseError(f'"x" must be a list of length {d}', lineno)
-        if any(type(v) is not int or v not in (-1, 0, 1) for v in x):
-            raise ParseError('"x" entries must be integers in {-1, 0, 1}', lineno)
-        x = np.asarray(x, dtype=np.int64)
-        if np.count_nonzero(x) > k:
-            x = clip_changes(x, k)
-            clipped += 1
-        if rows < n:
+    with open_input(path) as fh:
+        for lineno, row in json_lines(fh):
+            if not isinstance(row, dict) or "x" not in row:
+                raise ParseError('expected an object with an "x" array', lineno)
+            x = row["x"]
+            if not isinstance(x, list) or len(x) != d:
+                raise ParseError(f'"x" must be a list of length {d}', lineno)
+            if any(type(v) is not int or v not in (-1, 0, 1) for v in x):
+                raise ParseError('"x" entries must be integers in {-1, 0, 1}', lineno)
+            x = np.asarray(x, dtype=np.int64)
             cols = np.flatnonzero(x)
-            times[rows, :len(cols)] = cols + 1
-            values[rows, :len(cols)] = x[cols]
-        rows += 1
+            if len(cols) > k:
+                cols = cols[:k]
+                clipped += 1
+            if rows < n:
+                times[rows, :len(cols)] = cols + 1
+                values[rows, :len(cols)] = x[cols]
+            rows += 1
     if rows != n:
         raise ParseError(f"expected {n} rows, found {rows}")
     return times, values, clipped

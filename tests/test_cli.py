@@ -464,6 +464,26 @@ class TestEstimateBadInput:
             argv += ["--truth", str(truth)]
         return _run(capsys, argv)
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--k", "100", "change budget k must be an integer in [1, 4], got 100"),
+        ("--k", "0", "change budget k must be an integer in [1, 4], got 0"),
+        ("--d", "6", "horizon must be a power of two, got 6"),
+        ("--epsilon", "1e-320", "so small that its factor overflows"),
+    ])
+    def test_parameters_refused_before_the_reports_are_read(self, capsys, monkeypatch,
+                                                             tmp_path, flag, value, message):
+        # the rule simulate applies: 1 <= k <= d, checked before any file is read
+        monkeypatch.setattr(cli, "read_reports", lambda *a: pytest.fail("reports read"))
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        output = tmp_path / "est.csv"
+        params = {"--d": "4", "--epsilon": "1.0", "--k": "1", flag: value}
+        argv = ["estimate", "--reports", str(reports), "--output", str(output)]
+        code, out, err = _run(capsys, argv + [x for item in params.items() for x in item])
+        assert code == 2
+        assert out == "" and message in err
+        assert not output.exists()
+
     def test_missing_reports_file(self, capsys, tmp_path):
         code, _, err = self._estimate(capsys, tmp_path / "missing.jsonl")
         assert code == 2

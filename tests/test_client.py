@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ldpshuffle.client as client_mod
 import ldpshuffle.core as core
 from ldpshuffle.aggregator import SumTree
-from ldpshuffle.client import (clip_changes, line_table, parse_report_rows, read_json_lines,
+from ldpshuffle.client import (json_lines, line_table, open_input, parse_report_rows,
                                read_reports, write_report_arrays)
 from ldpshuffle.core import rr_probability
 from ldpshuffle.errors import InvalidParameterError, ParseError
@@ -175,20 +175,37 @@ class TestUpdate:
             client_update(state, 1, 2, 1.0, ScriptedStream())
 
 
+def _write_change_rows(path, rows):
+    path.write_text("".join(json.dumps({"x": row}) + "\n" for row in rows))
+
+
 class TestHelpers:
-    def test_clip_keeps_first_changes(self):
-        assert np.array_equal(clip_changes([1, -1, 1], 2), [1, -1, 0])
-        x = np.array([0, 1, 0, -1])
-        assert np.array_equal(clip_changes(x, 4), x)
+    def test_clip_keeps_first_changes(self, tmp_path):
+        # the file input model keeps a row's first k changes
+        path = tmp_path / "inputs.jsonl"
+        _write_change_rows(path, [[1, -1, 1, 0], [0, 1, 0, -1]])
+        times, values, clipped = read_change_vectors(path, 2, 4, 2)
+        assert times.tolist() == [[1, 2], [2, 4]]
+        assert values.tolist() == [[1, -1], [1, -1]]
+        assert clipped == 1
 
     @settings(deadline=None, max_examples=80)
-    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=32),
-           st.integers(1, 8))
-    def test_clip_norm_property(self, x, k):
-        clipped = clip_changes(np.array(x), k)
-        assert np.count_nonzero(clipped) == min(np.count_nonzero(x), k)
-        nz = np.flatnonzero(np.array(x))[:k]
-        assert np.array_equal(clipped[nz], np.array(x)[nz])
+    @given(st.integers(0, 5).flatmap(lambda e: st.tuples(
+               st.integers(1, 1 << e),
+               st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=1 << e,
+                                 max_size=1 << e), min_size=1, max_size=6))))
+    def test_clip_norm_property(self, tmp_path_factory, budget_rows):
+        # each stored row holds the first k changes of its input row, in
+        # time order and padded with zeros; clipped counts the rows with more
+        k, rows = budget_rows
+        path = tmp_path_factory.mktemp("clip") / "inputs.jsonl"
+        _write_change_rows(path, rows)
+        times, values, clipped = read_change_vectors(path, len(rows), len(rows[0]), k)
+        for row, row_times, row_values in zip(rows, times, values):
+            kept = np.flatnonzero(row)[:k]
+            assert row_times.tolist() == (kept + 1).tolist() + [0] * (k - len(kept))
+            assert row_values.tolist() == np.array(row)[kept].tolist() + [0] * (k - len(kept))
+        assert clipped == sum(np.count_nonzero(row) > k for row in rows)
 
     def test_power_of_two_rejects_bools(self):
         assert core.is_power_of_two(np.int64(8))
@@ -375,7 +392,8 @@ class TestReaderFuzz:
 
 def read_report_rows(path, d):
     """The per-row reader: the reference for the chunked `read_reports`."""
-    return parse_report_rows(read_json_lines(path), d)
+    with open_input(path) as fh:
+        return parse_report_rows(json_lines(fh), d)
 
 
 # Lines of a report file: the canonical form the writer emits, spellings
@@ -568,6 +586,27 @@ class TestChunkedReportIo:
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
         assert _outcome(read_reports, path, 64) == want
+
+    def test_real_cap_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch):
+        # 30000 random cells of the d = 2^12 tree hold about 13800 distinct
+        # lines, so the table fills at READ_LINES itself and later chunks are
+        # converted whole
+        d = 1 << 12
+        tree = SumTree(d)
+        cells = np.random.default_rng(8).integers(0, tree.counts.size, 30000)
+        path = tmp_path / "reports.jsonl"
+        write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
+        assert len(set(path.read_bytes().splitlines())) > client_mod.READ_LINES
+        want = _outcome(read_report_rows, path, d)
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: pytest.fail("per-row parser called"))
+        assert _outcome(read_reports, path, d) == want
+        # a level-2 report carries an even t: named at its line past the cap
+        with open(path, "ab") as fh:
+            fh.write(_CANON % (2, 3, 1))
+        with pytest.raises(ParseError, match=r"\(h=2, t=3, u=1\) addresses no node") as err:
+            read_reports(path, d)
+        assert err.value.line_number == 30001
 
     @pytest.mark.parametrize("bad,fault", [
         (b'{"h": 1, "t": 1, "u": 1.0}\n', "line 701: expected integer fields h, t, u"),

@@ -119,7 +119,7 @@ class TestWorstCaseDivergence:
             worst_case_divergence(20_000, 0.5, 0.1)
 
 
-# passed, regime and claimed_epsilon as the unwindowed oracle (tau = 0)
+# passed, regime and claimed_epsilon as the unwindowed oracle (bar = 0)
 # gave them on the benchmark's certify grid, which holds the README's
 # n=1000, eps0=0.25 example, and on the points of acceptance 5; delta = 1e-4
 PINNED_VERDICTS = {

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldpshuffle import aggregator, amplification, client, core, divergence, harness
+from ldpshuffle import aggregator, amplification, core, divergence, harness
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.randomizer import RandomnessStream
 
@@ -91,7 +91,6 @@ ENTRIES = [
     ("run_client.k", lambda v: ref_client.run_client([0, 1, 0, 0], v, 1.0, _rng()), "count", []),
     ("run_client.epsilon",
      lambda v: ref_client.run_client([0, 1, 0, 0], 1, v, _rng()), "budget", []),
-    ("clip_changes", lambda v: client.clip_changes([1, 0, -1], v), "count", []),
     ("enumerate_change_sequences.d",
      lambda v: ref_client.enumerate_change_sequences(v, 1), "horizon", []),
     ("enumerate_change_sequences.k",
@@ -182,7 +181,7 @@ ENTRIES = [
     ("divergence_scan.eps0", lambda v: divergence.divergence_scan(20, v, 0.1), "budget", []),
     ("divergence_scan.epsilon",
      lambda v: divergence.divergence_scan(20, 0.5, v), "budget0", []),
-    ("divergence_bounds.tau",
+    ("divergence_bounds.bar",
      lambda v: divergence.divergence_bounds(20, 0.5, 0.1, v), "budget0", []),
     ("worst_case_divergence.n",
      lambda v: divergence.worst_case_divergence(v, 0.5, 0.1), "count", [1]),

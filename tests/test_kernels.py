@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from ldpshuffle import divergence
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import (_bar_scale, _cut, _entry_error, divergence_bounds,
-                                   divergence_scan)
+from ldpshuffle.divergence import _cut, _entry_error, divergence_bounds, divergence_scan
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
@@ -19,6 +18,12 @@ from reference.client import ClientState, client_update
 from reference.core import hockey_stick_delta
 from reference.divergence import (_pmf_terms, count_pmf, reference_divergence_scan,
                                   shuffled_rr_count_distribution)
+
+
+def _scale(eps0, eps):
+    """a + b = (p - q)(1 + e^eps): what a pair's delta moves by per unit of
+    mass its windows drop, so that a tail mass tau is the bar tau (a + b)."""
+    return math.tanh(eps0 / 2.0) * (1.0 + math.exp(eps))
 
 
 def _random_population(seed, n, d, k):
@@ -125,7 +130,8 @@ class TestDivergenceScan:
 
     @staticmethod
     def _assert_matches_reference(n, eps0, eps, tau=0.0):
-        scan, bars = divergence_bounds(n, eps0, eps, tau)
+        bar = tau * _scale(eps0, eps)
+        scan, bars = divergence_bounds(n, eps0, eps, bar)
         ref = reference_divergence_scan(n, eps0, eps)
         # the reference forms P - e^eps Q directly and so loses about
         # 1/(1 - e^(eps - e0)) in relative precision as eps nears e0; the
@@ -135,7 +141,7 @@ class TestDivergenceScan:
         error = np.abs(scan - ref) - bars
         assert np.all(error[large] <= rtol * ref[large])
         assert np.all(error[~large] <= 1e-14)
-        assert np.all(bars <= _bar_scale(eps0, eps) * tau)
+        assert np.all(bars <= bar)
 
     @settings(deadline=None, max_examples=150)
     @given(n=st.integers(2, 100), eps0=st.floats(0.05, 3.0),
@@ -167,15 +173,15 @@ class TestDivergenceScan:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(divergence, "_forward_sum", lambda R, a, b, log_b=None: R.sum(axis=-1))
             exact = divergence_scan(n, eps0, eps)
-            kept, bars = divergence_bounds(n, eps0, eps, tau)
-        lost = bars / _bar_scale(eps0, eps)
+            kept, bars = divergence_bounds(n, eps0, eps, tau * _scale(eps0, eps))
+        lost = bars / _scale(eps0, eps)
         assert np.all(exact - kept <= lost + 2 * _entry_error(n, eps0) * exact)
 
     @pytest.mark.parametrize("eps0,eps", [(0.25, 0.05), (0.5, 0.2), (1.0, 0.3)])
     def test_windowed_scan_within_its_bar_at_the_cap(self, eps0, eps):
         exact = divergence_scan(10_000, eps0, eps)
-        scan, bars = divergence_bounds(10_000, eps0, eps, 1e-12)
-        assert 0.0 < bars.max() <= _bar_scale(eps0, eps) * 1e-12
+        scan, bars = divergence_bounds(10_000, eps0, eps, 1e-12 * _scale(eps0, eps))
+        assert 0.0 < bars.max() <= 1e-12 * _scale(eps0, eps)
         assert np.all(np.abs(scan - exact) <= bars + _entry_error(10_000, eps0) * exact)
 
     @pytest.mark.parametrize("eps", [0.0, 2.0, 3.99])
