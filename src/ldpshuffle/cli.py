@@ -83,10 +83,12 @@ def _cmd_simulate(args):
     total = sum(r.wall_time for r in results)
     summary = summarize(results)
     peak_kb = _peak_rss_kb()
+    stages = ", ".join(f"{name} {seconds:.3f}s"
+                       for name, seconds in results[0].stage_seconds.items())
     print(f"simulate: {config.trials} trial(s) in {total:.3f}s, "
           f"median max error {summary['median_max_abs_error']:.6g}, "
           f"bound satisfied in {summary['bound_satisfied_fraction']:.0%}; trial 0 "
-          f"emitted {results[0].reports} reports, memory bound "
+          f"emitted {results[0].reports} reports (stages: {stages}), memory bound "
           f"{trial_bytes(config.n, config.d, config.k, bool(config.reports_path))} B, "
           f"peak RSS {peak_kb} KB",
           file=sys.stderr)

@@ -60,16 +60,18 @@ ones. A range of at most BLOCK pairs is one block: with K = hi - lo,
 R_{lo+j} is the shared pmf convolved with S_j = Bin(j, p) * Bin(K-j, q).
 S depends on K alone and the halving split makes at most two distinct K,
 so S is built once per K; one product of its (K+1) x (K+1) matrix with
-K+1 shifted copies of the shared pmf gives every R_m of the block, and one
-`_forward_sum` call finishes it. With L = cut + 1 that is about 2n/BLOCK
-`np.convolve` calls and n/BLOCK matrix products, at most about L n/2
-multiply-adds per split level and BLOCK L per pair in the blocks, and
-O(n log n) memory: one pmf prefix per level, one binomial for each of
-O(log n) sizes and a block's (BLOCK x L) buffers; a window shortens L to
-the pmf's window. At n = 10^4, e0 = 0.5, at the accountant's epsilon for
-delta = 1e-4 and at eps = 0.05, a scan takes 0.51 s and 0.53 s at bar = 0
-and 0.057 s and 0.093 s at certify's bar (2-core Xeon, numpy 2.4.6,
-medians of 7 runs).
+K+1 shifted copies of the shared pmf (overlapping rows of one strided
+view of a zero-padded buffer, so no copy is made) gives every R_m of the
+block, and one `_forward_sum` call finishes it. With L = cut + 1 that is
+about 2n/BLOCK `np.convolve` calls and n/BLOCK matrix products, at most
+about L n/2 multiply-adds per split level and BLOCK L per pair in the
+blocks, and O(n log n) memory: one pmf prefix per level, one binomial for
+each of O(log n) sizes and a block's (BLOCK x L) buffers; a window
+shortens L to the pmf's window. At n = 10^4, e0 = 0.5, at the accountant's epsilon for
+delta = 1e-4 and at eps = 0.05, a scan takes 0.39-0.42 s and 0.50-0.53 s
+at bar = 0 and 0.053-0.058 s and 0.11-0.12 s at certify's bar (one thread
+of a 2-core Xeon, numpy 2.4.6; medians of 9 and of 11 interleaved runs
+on a shared host).
 
 Precision. Each binomial is a convolution power of one report's pmf
 [p, q]: Bin(s, q) is Bin(s//2, q) convolved with Bin(s - s//2, q). Until
@@ -92,7 +94,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .amplification import amplify_shuffle
 from .core import PROB_TOLERANCE, check_budget, check_count
@@ -103,8 +104,11 @@ ORACLE_MAX_N = 10_000
 EXP_SAFE = 700.0
 
 # The split stops at ranges of at most this many pairs and finishes each
-# with one matrix product; 32 halves the calls again but is slower at n = 10^4,
-# and the certify grid took 38 ms at 4 and 79 ms at 1, against 11 ms at 16.
+# with one matrix product. The certify grid took 11.2-14.5 ms at 16 (one
+# thread, interleaved runs), 33 ms at 4 and 80 ms at 1. 32 cut it to
+# 8.7-11.6 ms and the windowed scans at n = 10^4 by a fifth to a third, but
+# slowed the bar = 0 scan at n = 10^4, e0 = 0.5 and the accountant's epsilon
+# from 0.39-0.42 s to 0.44-0.53 s (at eps = 0.05 both took 0.50-0.53 s).
 BLOCK = 16
 
 
@@ -252,8 +256,11 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
             return
         # row s of shifted is base moved right by width - s; column i is
         # entry start + i of R_lo .. R_hi, up to the cut or to n - 1
-        padded = np.concatenate((np.zeros(width), base, np.zeros(width)))
-        shifted = sliding_window_view(padded, min(room, len(base) + width))[:width + 1]
+        padded = np.zeros(len(base) + 2 * width)
+        padded[width:width + len(base)] = base
+        # the rows overlap in padded's memory: shifted must never be written to
+        shifted = np.ndarray((width + 1, min(room, len(base) + width)), buffer=padded,
+                             strides=(padded.itemsize, padded.itemsize))
         forward[lo:hi + 1] = _forward_sum(block(width) @ shifted, a, b, log_b)
         lost[lo:hi + 1] = spent
 

@@ -121,6 +121,7 @@ class SimulationResult:
     wall_time: float
     clipped_clients: int = 0
     reports: int = 0               # reports the trial emitted
+    stage_seconds: dict = None     # run_trial's stages, like wall_time never written
 
 
 def theorem_error_bound(n, d, k, epsilon, beta):
@@ -143,7 +144,8 @@ def read_change_vectors(path, n, d, k):
     Returns (times, values, number of clipped rows): row i holds the
     1-based times and the values of client i's changes in time order,
     padded with zeros. A row with more than k changes is clipped: it keeps
-    its first k. Malformed rows raise ParseError with their line number.
+    its first k. Malformed rows, and rows whose boolean state would leave
+    {0, 1}, raise ParseError with their line number.
     """
     times = np.zeros((n, k), dtype=np.int64)
     values = np.zeros((n, k), dtype=np.int64)
@@ -160,6 +162,11 @@ def read_change_vectors(path, n, d, k):
                 raise ParseError('"x" entries must be integers in {-1, 0, 1}', lineno)
             x = np.asarray(x, dtype=np.int64)
             cols = np.flatnonzero(x)
+            # the state starts at 0 and stays boolean only if the changes
+            # alternate +1, -1, ... over the whole row, clipped part included
+            if not ((x[cols[::2]] == 1).all() and (x[cols[1::2]] == -1).all()):
+                raise ParseError('"x" changes must alternate +1, -1, starting with +1, '
+                                 'so that the state stays in {0, 1}', lineno)
             if len(cols) > k:
                 cols = cols[:k]
                 clipped += 1
@@ -229,14 +236,17 @@ def trial_bytes(n, d, k, dump=False):
     return 8 * (4 * n * k + 12 * n + 15 * max(ROWS, 4 * d) + 40 * d + table) + (4 << 20)
 
 
-def run_trial(config, trial):
+def run_trial(config, trial, seconds=None):
     """Run one seeded trial; returns (estimates, truth, reports emitted,
     clipped). Under shuffle mode none each block of clients is emitted,
     folded into the tree and dropped, and trial 0 writes its stream to
     config.reports_path, if set, block by block. Under post-shuffle the
     tree's histogram is drawn directly (`_draw_counts`) and trial 0's
-    stream is drawn from it (`_write_shuffled`).
+    stream is drawn from it (`_write_shuffled`). A dict passed as seconds
+    receives the seconds of the trial's stages: inputs, counts (the tree),
+    estimate and dump (summed over the blocks under mode none).
     """
+    start = time.perf_counter()
     stream = RandomnessStream(config.seed, trial)
     times, values, clipped = generate_inputs(config.n, config.d, config.k,
                                              config.input_model, stream,
@@ -258,10 +268,13 @@ def run_trial(config, trial):
     truth_prob = rr_probability(config.epsilon)
     dump = config.reports_path if trial == 0 else None
     rows = max(ROWS, 4 * config.d)
+    located, dumped = time.perf_counter(), 0.0
     if config.shuffle_mode == "post-shuffle":
         tree = _draw_counts(signal_t, signal_v, levels, truth_prob, config.d, stream)
         if dump:
+            mark = time.perf_counter()
             _write_shuffled(dump, tree, stream, rows)
+            dumped = time.perf_counter() - mark
     else:
         ends = np.cumsum(config.d >> (levels - 1))
         # block i holds the clients whose last report falls in (i rows, (i+1) rows]
@@ -276,11 +289,17 @@ def run_trial(config, trial):
             cells = tree.add(*reports)
             if dump:
                 # format only the cells that this block is the first to fill
+                mark = time.perf_counter()
                 fresh = np.flatnonzero(empty & (tree.counts.ravel() > 0))
                 lines = line_table(tree, fresh, lines)
                 write_report_arrays(dump, cells, lines, mode="a" if lo else "w")
+                dumped += time.perf_counter() - mark
             del reports, cells  # so that no two blocks are held at once
+    counted = time.perf_counter()
     estimates = estimate_marginals(tree, config.epsilon, config.k)
+    if seconds is not None:
+        seconds.update(inputs=located - start, counts=counted - located - dumped,
+                       estimate=time.perf_counter() - counted, dump=dumped)
     return estimates, truth, int(tree.counts.sum()), clipped
 
 
@@ -331,14 +350,14 @@ def simulate(config):
                                 config.epsilon, config.beta)
     results = []
     for trial in range(config.trials):
-        start = time.perf_counter()
-        estimates, truth, reports, clipped = run_trial(config, trial)
+        start, stages = time.perf_counter(), {}
+        estimates, truth, reports, clipped = run_trial(config, trial, seconds=stages)
         errors = np.abs(truth - estimates)
         max_err = float(errors.max())
         results.append(SimulationResult(
             trial=trial, max_abs_error=max_err, errors=errors, theorem_bound=bound,
             bound_satisfied=bool(max_err <= bound), wall_time=time.perf_counter() - start,
-            clipped_clients=clipped, reports=reports))
+            clipped_clients=clipped, reports=reports, stage_seconds=stages))
     return results
 
 

@@ -305,11 +305,14 @@ class TestSimulateAndEstimate:
         ["--d", "4", "--k", "1", "--input-path", "in.jsonl"],
         ["--d", "4", "--k", "1", "--input-model", "step-function", "--input-path", "in.jsonl"],
         ["--d", "4", "--k", "1", "--input-path", "MISSING", "--step-time", "3"],
+        # a row whose boolean state would reach 2
+        ["--d", "4", "--k", "2", "--input-model", "file", "--input-path", "twice.jsonl"],
     ])
     def test_failed_simulate_keeps_existing_outputs(self, capsys, tmp_path, bad):
         files = {"run.json": b'{"earlier": "results"}\n',
                  "reports.jsonl": b'{"h": 1, "t": 1, "u": 1}\n',
-                 "in.jsonl": b'{"x": [0, 1, 0, 0]}\n' * 4}
+                 "in.jsonl": b'{"x": [0, 1, 0, 0]}\n' * 4,
+                 "twice.jsonl": b'{"x": [0, 1, 0, 0]}\n' * 3 + b'{"x": [1, 1, 0, 0]}\n'}
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
         argv = ["simulate", "--n", "4", "--epsilon", "1.0", "--output",
@@ -392,6 +395,35 @@ class TestSimulateAndEstimate:
         ])
         assert code == 2
         assert "power of two" in err
+
+    def test_input_row_whose_state_leaves_0_1_exits_2(self, capsys, tmp_path):
+        # states 2 and -1 are not boolean: each row is refused at its own line
+        inputs = tmp_path / "inputs.jsonl"
+        for rows, line in (('{"x": [1, 1, 0, 0]}\n{"x": [-1, 0, 0, 0]}\n', 1),
+                           ('{"x": [1, -1, 0, 0]}\n{"x": [-1, 0, 0, 0]}\n', 2)):
+            inputs.write_text(rows)
+            code, out, err = _run(capsys, [
+                "simulate", "--n", "2", "--d", "4", "--k", "2", "--epsilon", "1",
+                "--input-model", "file", "--input-path", str(inputs),
+            ])
+            assert code == 2
+            assert f"line {line}:" in err and "alternate" in err
+            assert out == ""
+
+    @pytest.mark.parametrize("mode", ["none", "post-shuffle"])
+    def test_simulate_stderr_gives_stage_seconds(self, capsys, tmp_path, mode):
+        # trial 0's line splits its seconds into four stages
+        code, out, err = _run(capsys, [
+            "simulate", "--n", "50", "--d", "8", "--k", "2", "--epsilon", "1.0",
+            "--shuffle-mode", mode, "--trials", "2",
+            "--reports-path", str(tmp_path / "reports.jsonl"),
+        ])
+        assert code == 0
+        assert len(json.loads(out)["trials"]) == 2
+        assert re.fullmatch(r"simulate: 2 trial\(s\) in \d+\.\d{3}s, median max error \S+, "
+                            r"bound satisfied in \d+%; trial 0 emitted \d+ reports \(stages: "
+                            r"inputs \d+\.\d{3}s, counts \d+\.\d{3}s, estimate \d+\.\d{3}s, "
+                            r"dump \d+\.\d{3}s\), memory bound \d+ B, peak RSS \d+ KB\n", err)
 
     def test_input_file_with_too_few_rows_exits_2(self, capsys, tmp_path):
         inputs = tmp_path / "inputs.jsonl"

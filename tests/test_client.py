@@ -192,8 +192,11 @@ class TestHelpers:
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 5).flatmap(lambda e: st.tuples(
                st.integers(1, 1 << e),
-               st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=1 << e,
-                                 max_size=1 << e), min_size=1, max_size=6))))
+               # a boolean trajectory: the state flips at each set flag, so
+               # its changes alternate +1, -1, ... from 0
+               st.lists(st.lists(st.booleans(), min_size=1 << e, max_size=1 << e).map(
+                   lambda flips: np.diff(np.cumsum(flips) % 2, prepend=0).tolist()),
+                   min_size=1, max_size=6))))
     def test_clip_norm_property(self, tmp_path_factory, budget_rows):
         # each stored row holds the first k changes of its input row, in
         # time order and padded with zeros; clipped counts the rows with more

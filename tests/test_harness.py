@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 import ldpshuffle
@@ -103,6 +106,37 @@ class TestGenerateInputs:
         with pytest.raises(ParseError) as err:
             read_change_vectors(path, 2, 4, 1)
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("bad", [
+        [1, 1, 0, 0],     # the state would reach 2
+        [-1, 0, 0, 0],    # and here -1
+        [0, -1, 0, 1],
+        [1, -1, -1, 0],   # its third change is past k = 2: the whole row is checked
+        [1, -1, 1, 1],
+    ])
+    def test_file_model_refuses_a_state_that_is_not_boolean(self, tmp_path, bad):
+        path = tmp_path / "inputs.jsonl"
+        _write_rows(path, [[0, 1, 0, -1], bad])
+        with pytest.raises(ParseError, match="alternate") as err:
+            read_change_vectors(path, 2, 4, 2)
+        assert err.value.line_number == 2
+
+    @settings(deadline=None, max_examples=100)
+    @given(k=st.integers(1, 4), rows=st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=4,
+                                                         max_size=4), min_size=1, max_size=6))
+    def test_file_model_refuses_each_non_boolean_row_at_its_line(self, tmp_path_factory,
+                                                                   k, rows):
+        # a row is read iff its state trajectory stays in {0, 1}; the first
+        # row that leaves it is refused at its own line, whatever k clips
+        path = tmp_path_factory.mktemp("rows") / "inputs.jsonl"
+        _write_rows(path, rows)
+        boolean = [set(changes_to_states(row).tolist()) <= {0, 1} for row in rows]
+        if all(boolean):
+            read_change_vectors(path, len(rows), 4, k)
+            return
+        with pytest.raises(ParseError) as err:
+            read_change_vectors(path, len(rows), 4, k)
+        assert err.value.line_number == boolean.index(False) + 1
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -353,6 +387,22 @@ class TestSimulate:
         assert results[0].wall_time > 0.0
         assert "wall_time" not in results_to_json(cfg, results)
         assert "wall_time" not in results_to_csv(cfg, results)
+
+    @pytest.mark.parametrize("mode", ["none", "post-shuffle"])
+    def test_stage_seconds_split_the_trial(self, tmp_path, mode):
+        # inputs, counts, estimate and dump, within the trial's wall time and
+        # never written out; only trial 0 dumps
+        cfg = self._config(trials=2, shuffle_mode=mode, reports_path=str(tmp_path / "r.jsonl"))
+        results = simulate(cfg)
+        for r in results:
+            assert list(r.stage_seconds) == ["inputs", "counts", "estimate", "dump"]
+            assert min(r.stage_seconds.values()) >= 0.0
+            assert sum(r.stage_seconds.values()) <= r.wall_time
+        assert results[0].stage_seconds["dump"] > 0.0
+        assert results[1].stage_seconds["dump"] == 0.0
+        bare = [dataclasses.replace(r, stage_seconds=None) for r in results]
+        assert results_to_json(cfg, results) == results_to_json(cfg, bare)
+        assert results_to_csv(cfg, results) == results_to_csv(cfg, bare)
 
     def test_csv_floats_have_17_significant_digits(self):
         cfg = self._config(trials=1)

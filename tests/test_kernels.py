@@ -193,6 +193,26 @@ class TestDivergenceScan:
         assert _cut(400, 4.0, eps) < 400 - 1
         self._assert_matches_reference(400, 4.0, eps)
 
+    @settings(deadline=None, max_examples=60)
+    @given(block=st.sampled_from([1, 3, 32]), n=st.integers(2, 120),
+           eps0=st.floats(0.05, 2.0, exclude_min=True, exclude_max=True),
+           eps_share=st.floats(0.0, 1.0, exclude_max=True), tau=st.sampled_from([0.0, 1e-12]))
+    def test_matches_reference_at_other_block_sizes(self, block, n, eps0, eps_share, tau):
+        # leaf blocks of every width up to 31, not only under 16; _entry_error
+        # reads BLOCK, so the tolerance follows it
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "BLOCK", block)
+            self._assert_matches_reference(n, eps0, eps_share * eps0, tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-12])
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    def test_cut_leaf_columns_at_other_block_sizes(self, block, tau):
+        # at (400, 4, 3.99) the cut leaves a leaf fewer columns than its
+        # shifted copies span, at every block size above 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "BLOCK", block)
+            self._assert_matches_reference(400, 4.0, 3.99, tau)
+
     @settings(deadline=None, max_examples=150)
     @given(n=st.integers(2, 60), m_share=st.floats(0.0, 1.0),
            eps0=st.floats(0.05, 3.0), eps_share=st.floats(0.0, 1.0, exclude_max=True))
