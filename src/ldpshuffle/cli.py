@@ -185,8 +185,14 @@ def _cmd_estimate(args):
     level_count(args.d)
     check_count(args.k, "change budget k", high=args.d)
     scale_factor(args.epsilon)
-    h, t, u = read_reports(args.reports, args.d)
-    estimates = estimate_marginals(accumulate_arrays(h, t, u, args.d), args.epsilon, args.k)
+    # the stream's histogram: each row with the count of its reports. Past
+    # the reader's table each report is a row, so the index is as long as
+    # the file, and it is freed before the tree is filled
+    index, h, t, u = read_reports(args.reports, args.d)
+    counts = np.bincount(index, minlength=len(h))
+    del index
+    tree = accumulate_arrays(h, t, u, args.d, counts)
+    estimates = estimate_marginals(tree, args.epsilon, args.k)
     columns = {"t": np.arange(1, args.d + 1), "f_tilde": estimates}
     if args.truth:
         truth = _read_truth(args.truth, args.d)

@@ -10,9 +10,12 @@ JSON-lines file, such as the file input model's change vectors, which
 A report stream over horizon d holds at most 2(2d - 1) distinct lines, one
 per (node, sign) cell of its `SumTree`, so both ends go through a table of
 lines. The writer takes each report as its cell and joins the lines of a
-`line_table`, which formats each cell that occurs once. The reader maps
-each line to a row of a dict of the file's first READ_LINES distinct lines,
-and converts the lines it has not seen in one batch.
+`line_table`, which formats each cell that occurs once. The reader returns
+the stream dictionary-encoded, as rows and one row index per report: the
+rows are the file's first READ_LINES distinct lines, each converted once,
+and past those each report is a row of its own. Once reports are
+anonymized the server needs only their multiset, which is the rows and
+the count of each.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -128,46 +131,54 @@ def json_lines(fh):
 
 
 def read_reports(path, d):
-    """Read a JSON-lines report stream over horizon d into (h, t, u) int64
-    arrays.
+    """Read a JSON-lines report stream over horizon d, dictionary-encoded:
+    (index, h, t, u), int64 arrays where report i of the file is row
+    index[i] of (h, t, u), so that (h[index], t[index], u[index]) are the
+    file's reports in order. A server that counts reports needs only the
+    rows and `np.bincount(index)` (`aggregator.accumulate_arrays`).
 
     Every row must be an object whose h and t are positive int64 integers
     and whose u is -1 or +1; floats, booleans and strings are refused.
     Every row must also address a node of the tree over horizon d
-    (`aggregator.stray_report`), checked once the file is read. Raises
-    ParseError naming the first bad row's 1-based line, a row of bad syntax
-    before any row that addresses no node.
+    (`aggregator.stray_report`), checked once per row once the file is
+    read. Raises ParseError naming the first bad report's 1-based line, a
+    report of bad syntax before any report that addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
     read READ_BYTES at a time and split into lines, each looked up in a
-    dict from line to row. A chunk's lines that the dict lacks are checked
+    dict from line to row: the rows are the file's distinct lines in the
+    order they first occur. A chunk's lines that the dict lacks are checked
     against one pattern for the canonical line and converted with array
     operations in one batch, then kept. The dict holds at most READ_LINES
     lines: once a chunk's new lines would take it past that, as at a large
-    horizon, it is dropped, and each later chunk is checked and converted
-    whole. Any other spelling of the rows sends the whole file again
-    through `parse_report_rows`, which returns the same arrays or names the
-    bad line. A pipe is read into memory first, so that it can be read
-    twice.
+    horizon, it stops growing, and that chunk and each later one are
+    checked and converted whole, each of their reports a row of its own.
+    Any other spelling of the rows sends the whole file again through
+    `parse_report_rows`, which returns the same reports or names the bad
+    line, one row per report. A pipe is read into memory first, so that it
+    can be read twice.
     """
     level_count(d)
     with open_input(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        columns = _read_canonical(fh)
-        if columns is None:
+        encoded = _read_canonical(fh)
+        if encoded is None:
             fh.seek(0)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
-            return parse_report_rows(json_lines(text), d)
-    _check_tree(columns, d, range(1, len(columns[0]) + 1))  # one report per line
-    return columns
+            columns = parse_report_rows(json_lines(text), d)
+            return np.arange(len(columns[0])), *columns
+    index, *columns = encoded
+    _check_tree(columns, d, range(1, len(index) + 1), index)  # one report per line
+    return encoded
 
 
 def _read_canonical(fh):
-    """(h, t, u) of a stream of canonical lines, or None once a line is not
-    canonical."""
+    """(index, h, t, u) of a stream of canonical lines (see `read_reports`),
+    or None once a line is not canonical."""
     table = {}  # line -> its row of known
     known = np.empty((READ_LINES, 3), dtype=np.int64)
-    blocks = [known[:0]]
+    index = []  # each chunk's rows, while the table takes them
+    past = []  # the (reports, 3) chunks converted whole once the table is full
     tail = b""
     while data := fh.read(READ_BYTES):
         chunk = tail + data
@@ -177,31 +188,36 @@ def _read_canonical(fh):
         # path at once, so a file without newlines is not gathered here
         if len(tail) > _MAX_LINE:
             return None
-        if table is not None:
+        if not past:
             lines = chunk.split(b"\n")
             lines.pop()  # the empty piece after the last newline
             try:
-                rows = np.fromiter(map(table.__getitem__, lines), np.intp, len(lines))
+                index.append(np.fromiter(map(table.__getitem__, lines), np.intp, len(lines)))
+                continue
             except KeyError:
                 # convert the chunk's new lines in one batch, if the table
-                # has room for them; else drop it for the rest of the file
+                # has room for them; else leave it for the rest of the file
                 new = [line for line in dict.fromkeys(lines) if line not in table]
-                if len(table) + len(new) > READ_LINES:
-                    table = None
-                else:
+                if len(table) + len(new) <= READ_LINES:
                     values = _convert(b"\n".join(new) + b"\n")
                     if values is None:
                         return None
                     known[len(table):len(table) + len(new)] = values
                     table.update(zip(new, range(len(table), len(table) + len(new))))
-                    rows = np.fromiter(map(table.__getitem__, lines), np.intp, len(lines))
-        block = known[rows] if table is not None else _convert(chunk)
+                    index.append(np.fromiter(map(table.__getitem__, lines), np.intp,
+                                             len(lines)))
+                    continue
+        block = _convert(chunk)
         if block is None:
             return None
-        blocks.append(block)
+        past.append(block)
     if tail:
         return None  # an unterminated last line goes per row
-    return tuple(np.concatenate(blocks).T.copy())
+    columns = [np.concatenate([known[:len(table), j], *(block[:, j] for block in past)])
+               for j in range(3)]
+    past.clear()  # copied into the columns; freed before the index is built
+    index.append(np.arange(len(table), len(columns[0])))
+    return np.concatenate(index), *columns
 
 
 def _convert(chunk):
@@ -214,13 +230,15 @@ def _convert(chunk):
     return np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3)
 
 
-def _check_tree(columns, d, lines):
-    """Raise ParseError naming lines[i] if report i of columns is the first
-    that addresses no node of the tree over horizon d."""
-    bad = stray_report(*columns, d)
+def _check_tree(columns, d, lines, index=None):
+    """Raise ParseError naming lines[i] if report i is the first that
+    addresses no node of the tree over horizon d; report i is row index[i]
+    of columns, or row i if index is None."""
+    bad = stray_report(*columns, d, index)
     if bad is not None:
+        row = bad if index is None else index[bad]
         raise ParseError("report (h=%d, t=%d, u=%d) addresses no node of the tree over "
-                         "horizon %d" % (*(c[bad] for c in columns), d), lines[bad])
+                         "horizon %d" % (*(c[row] for c in columns), d), lines[bad])
 
 
 def parse_report_rows(rows, d):

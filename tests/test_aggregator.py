@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpshuffle.aggregator import (SumTree, accumulate_arrays, dyadic_cover, estimate_marginals,
                                    estimate_weight, stray_report)
@@ -119,6 +121,47 @@ class TestSumTree:
         a = accumulate_arrays(h, t, u, 8)
         b = accumulate_arrays(h[perm], t[perm], u[perm], 8)
         assert np.array_equal(a.counts, b.counts)
+
+    @staticmethod
+    def _rows(d, cells):
+        """(h, t, u) of the given (node, sign) cells of the tree over d."""
+        cells = np.asarray(cells, dtype=np.int64)
+        h, t = (a[cells >> 1] for a in SumTree(d).nodes())
+        return h, t, 2 * (cells & 1) - 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 6).flatmap(lambda e: st.tuples(
+        st.just(1 << e), st.lists(st.tuples(st.integers(0, 4 * (1 << e) - 3),
+                                            st.integers(0, 4)), max_size=30))))
+    def test_counts_equal_repeated_rows(self, tree_rows):
+        # rows may share a cell, and a count may be zero
+        d, rows = tree_rows
+        h, t, u = self._rows(d, [cell for cell, _ in rows])
+        counts = np.array([count for _, count in rows], dtype=np.int64)
+        got = accumulate_arrays(h, t, u, d, counts)
+        want = accumulate_arrays(*(np.repeat(c, counts) for c in (h, t, u)), d)
+        assert np.array_equal(got.counts, want.counts)
+
+    def test_counts_are_exact_past_float_precision(self):
+        # counts near 2^57 over 40 rows take two float64 slices per cell
+        rng = np.random.default_rng(3)
+        cells = rng.integers(0, 14, 40)
+        counts = rng.integers(0, 1 << 57, 40)
+        got = accumulate_arrays(*self._rows(4, cells), 4, counts)
+        want = [0] * 14
+        for cell, count in zip(cells.tolist(), counts.tolist()):
+            want[cell] += count
+        assert got.counts.ravel().tolist() == want
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_stray_row_refused_whatever_its_count(self, count):
+        with pytest.raises(MalformedReportError, match=r"report 2 \(h=2, t=3, u=1\)"):
+            accumulate_arrays([1, 2, 2], [1, 2, 3], [1, -1, 1], 4, [3, 1, count])
+
+    @pytest.mark.parametrize("counts", [[-1, 1], [1], [1, 1, 1]])
+    def test_counts_need_one_non_negative_count_per_report(self, counts):
+        with pytest.raises(InvalidParameterError, match="counts"):
+            accumulate_arrays([1, 1], [1, 2], [1, 1], 4, counts)
 
 
 class TestDyadicCover:

@@ -285,28 +285,36 @@ class TestSimulateAndEstimate:
         assert code == 2
         assert f"cannot write {path}" in err
 
+    # explicit ids, so that a case added anywhere in the table leaves every
+    # other case its name
     @pytest.mark.parametrize("bad", [
-        ["--d", "4", "--k", "8"],
+        pytest.param(["--d", "4", "--k", "8"], id="bad0"),
         # a subnormal epsilon whose debiasing factor overflows
-        ["--d", "4", "--k", "1", "--epsilon", "1e-320"],
-        ["--d", "4", "--k", "1", "--input-model", "step-function", "--step-time", "0"],
-        ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "MISSING"],
+        pytest.param(["--d", "4", "--k", "1", "--epsilon", "1e-320"], id="bad1"),
+        pytest.param(["--d", "4", "--k", "1", "--input-model", "step-function",
+                      "--step-time", "0"], id="bad2"),
+        pytest.param(["--d", "4", "--k", "1", "--input-model", "file",
+                      "--input-path", "MISSING"], id="bad3"),
         # one file named twice is refused before either is touched
-        ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "in.jsonl",
-         "--reports-path", "in.jsonl", "--trials", "2"],
-        ["--d", "4", "--k", "1", "--input-model", "file", "--input-path", "in.jsonl",
-         "--output", "in.jsonl"],
-        ["--d", "4", "--k", "1", "--output", "reports.jsonl"],
+        pytest.param(["--d", "4", "--k", "1", "--input-model", "file", "--input-path",
+                      "in.jsonl", "--reports-path", "in.jsonl", "--trials", "2"], id="bad4"),
+        pytest.param(["--d", "4", "--k", "1", "--input-model", "file", "--input-path",
+                      "in.jsonl", "--output", "in.jsonl"], id="bad5"),
+        pytest.param(["--d", "4", "--k", "1", "--output", "reports.jsonl"], id="bad6"),
         # a normal epsilon whose estimates overflow: 3 levels times its factor
-        ["--d", "4", "--k", "1", "--epsilon", "3e-308"],
+        pytest.param(["--d", "4", "--k", "1", "--epsilon", "3e-308"], id="bad7"),
         # a step time or an input path the input model would ignore
-        ["--d", "4", "--k", "1", "--step-time", "3"],
-        ["--d", "4", "--k", "1", "--input-model", "worst-case-sparse", "--step-time", "3"],
-        ["--d", "4", "--k", "1", "--input-path", "in.jsonl"],
-        ["--d", "4", "--k", "1", "--input-model", "step-function", "--input-path", "in.jsonl"],
-        ["--d", "4", "--k", "1", "--input-path", "MISSING", "--step-time", "3"],
+        pytest.param(["--d", "4", "--k", "1", "--step-time", "3"], id="bad8"),
+        pytest.param(["--d", "4", "--k", "1", "--input-model", "worst-case-sparse",
+                      "--step-time", "3"], id="bad9"),
+        pytest.param(["--d", "4", "--k", "1", "--input-path", "in.jsonl"], id="bad10"),
+        pytest.param(["--d", "4", "--k", "1", "--input-model", "step-function",
+                      "--input-path", "in.jsonl"], id="bad11"),
+        pytest.param(["--d", "4", "--k", "1", "--input-path", "MISSING", "--step-time", "3"],
+                     id="bad12"),
         # a row whose boolean state would reach 2
-        ["--d", "4", "--k", "2", "--input-model", "file", "--input-path", "twice.jsonl"],
+        pytest.param(["--d", "4", "--k", "2", "--input-model", "file",
+                      "--input-path", "twice.jsonl"], id="bad13"),
     ])
     def test_failed_simulate_keeps_existing_outputs(self, capsys, tmp_path, bad):
         files = {"run.json": b'{"earlier": "results"}\n',
@@ -349,11 +357,13 @@ class TestSimulateAndEstimate:
 
     @pytest.mark.parametrize("argv", [
         # scale_factor(3e-308) is finite, but 4 levels times it is not
-        ["--n", "10", "--d", "8", "--k", "1", "--epsilon", "3e-308", "--seed", "1"],
+        pytest.param(["--n", "10", "--d", "8", "--k", "1", "--epsilon", "3e-308",
+                      "--seed", "1"], id="argv0"),
         # the weight times n = 10 overflows
-        ["--n", "10", "--d", "1", "--k", "1", "--epsilon", "1e-307"],
+        pytest.param(["--n", "10", "--d", "1", "--k", "1", "--epsilon", "1e-307"], id="argv1"),
         # every estimate is finite, the error bound is not
-        ["--n", "1", "--d", "1", "--k", "1", "--epsilon", "2.5e-308", "--beta", "1e-300"],
+        pytest.param(["--n", "1", "--d", "1", "--k", "1", "--epsilon", "2.5e-308",
+                      "--beta", "1e-300"], id="argv2"),
     ])
     def test_simulate_overflowing_epsilon_exits_2(self, capsys, tmp_path, argv):
         output = tmp_path / "run.json"
@@ -551,6 +561,29 @@ class TestEstimateBadInput:
         assert code == 2
         assert "line 2" in err and "(h=2, t=3, u=1)" in err
         assert out == ""
+
+    # at d = 4 (1, 5, 1) lies past the horizon and (2, 3, 1) is misaligned
+    @pytest.mark.parametrize("fourth,named", [((2, 3, 1), (4, "h=2, t=3, u=1")),
+                                              ((1, 1, -1), (9, "h=1, t=5, u=1"))])
+    def test_earliest_stray_line_is_named_across_the_cap(self, capsys, monkeypatch,
+                                                         tmp_path, fourth, named):
+        # chunks of 64 bytes hold two or three lines, so line 4 is read in
+        # the second; a table of 6 lines is full at line 8, and lines 8 on
+        # are rows of their own. The stray (2, 3, 1) is a table row only
+        # when it is the fourth line; it comes again past the cap, after
+        # (1, 5, 1), and the earliest stray line is named either way
+        rows = [(1, 1, 1), (1, 2, -1), (1, 1, 1), fourth, (1, 3, 1), (1, 4, 1), (2, 2, 1),
+                (3, 4, -1), (1, 5, 1), (2, 3, 1), (1, 1, 1)]
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("".join(client_mod.REPORT_LINE % row for row in rows))
+        monkeypatch.setattr(client_mod, "READ_LINES", 6)
+        monkeypatch.setattr(client_mod, "READ_BYTES", 64)
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: pytest.fail("per-row parser called"))
+        code, out, err = self._estimate(capsys, reports)
+        assert code == 2 and out == ""
+        assert err == ("error: line %d: report (%s) addresses no node of the tree over "
+                       "horizon 4\n" % named)
 
     def test_truth_with_the_wrong_row_count_exits_2(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"

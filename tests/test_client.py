@@ -275,7 +275,7 @@ class TestReportIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "reports.jsonl"
         write_reports(path, [1, 2], [3, 4], [-1, 1], 4)
-        h, t, u = read_reports(path, 4)
+        h, t, u = read_decoded(path, 4)
         assert np.array_equal(h, [1, 2])
         assert np.array_equal(t, [3, 4])
         assert np.array_equal(u, [-1, 1])
@@ -383,7 +383,7 @@ class TestReaderFuzz:
     def test_read_reports_arrays_or_parse_error(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("fuzz") / "reports.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        self._check(path, lambda p: read_reports(p, WIDE))  # (h, t, u)
+        self._check(path, lambda p: read_decoded(p, WIDE))  # (h, t, u)
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(_CHANGE_ROWS, min_size=1, max_size=3))
@@ -397,6 +397,21 @@ def read_report_rows(path, d):
     """The per-row reader: the reference for the chunked `read_reports`."""
     with open_input(path) as fh:
         return parse_report_rows(json_lines(fh), d)
+
+
+def read_decoded(path, d):
+    """The reports of `read_reports`, decoded from its rows: (h[index],
+    t[index], u[index]), after checking the encoding. Every row is read by
+    some report, and the rows are numbered in the order their reports first
+    occur, which holds for the table's rows, for the rows of their own past
+    it and for the per-row parser's one row per report."""
+    index, *columns = read_reports(path, d)
+    assert index.dtype == np.int64 and index.ndim == 1
+    assert all(c.dtype == np.int64 and c.shape == (len(columns[0]),) for c in columns)
+    rows, first = np.unique(index, return_index=True)
+    assert np.array_equal(rows, np.arange(len(columns[0])))
+    assert np.all(np.diff(first) > 0)
+    return tuple(c[index] for c in columns)
 
 
 # Lines of a report file: the canonical form the writer emits, spellings
@@ -422,6 +437,15 @@ _LINES = (
                 _VALUE, _VALUE, _U)
     | st.sampled_from([b"\n", b"  \n", b"\r\n", b"\r", b'{"h": 1}\n', b"\xff\n"])
     | st.binary(max_size=6)
+)
+
+
+# Canonical lines of a report file over horizon 8: the lines of its 30
+# (node, sign) cells, and lines that address no node.
+_NODES_8 = list(zip(*(c.tolist() for c in SumTree(8).nodes())))
+_TREE_LINES = (
+    st.builds(lambda c: _CANON % (*_NODES_8[c >> 1], 2 * (c & 1) - 1), st.integers(0, 29))
+    | st.sampled_from([_CANON % (2, 3, 1), _CANON % (5, 16, 1), _CANON % (1, 9, -1)])
 )
 
 
@@ -457,7 +481,7 @@ class TestChunkedReportIo:
             data = data[:-1]
         path = tmp_path_factory.mktemp("chunked") / "reports.jsonl"
         path.write_bytes(data)
-        assert _outcome(read_reports, path, d) == _outcome(read_report_rows, path, d)
+        assert _outcome(read_decoded, path, d) == _outcome(read_report_rows, path, d)
 
     def test_canonical_file_skips_the_per_row_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "reports.jsonl"
@@ -467,7 +491,7 @@ class TestChunkedReportIo:
         def refuse(*args):
             raise AssertionError("per-row parser called on a canonical file")
         monkeypatch.setattr(client_mod, "parse_report_rows", refuse)
-        for got, want in zip(read_reports(path, 64), columns):
+        for got, want in zip(read_decoded(path, 64), columns):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tail", [b"\n", b'{"u": 1, "h": 1, "t": 2}\n',
@@ -481,7 +505,7 @@ class TestChunkedReportIo:
         calls = []
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: calls.append(a) or parse_report_rows(*a))
-        assert _outcome(read_reports, path, 64) == _outcome(read_report_rows, path, 64)
+        assert _outcome(read_decoded, path, 64) == _outcome(read_report_rows, path, 64)
         assert len(calls) == (0 if client_mod._CANONICAL_LINES.fullmatch(tail) else 1)
 
     @pytest.mark.parametrize("spacing", [b" ", b"  "])
@@ -499,7 +523,7 @@ class TestChunkedReportIo:
                 fh.write(data)
         got = []
         threads = [threading.Thread(target=feed, daemon=True),
-                   threading.Thread(target=lambda: got.append(_outcome(read_reports, fifo, 64)),
+                   threading.Thread(target=lambda: got.append(_outcome(read_decoded, fifo, 64)),
                                     daemon=True)]
         for thread in threads:
             thread.start()
@@ -516,9 +540,9 @@ class TestChunkedReportIo:
         write_reports(path, *_random_reports(2, 700, 64), 64)
         with open(path, "ab") as fh:
             fh.write(last)
-        want = _outcome(read_reports, path, 64)
+        want = _outcome(read_decoded, path, 64)
         monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
-        assert _outcome(read_reports, path, 64) == want
+        assert _outcome(read_decoded, path, 64) == want
         assert want == _outcome(read_report_rows, path, 64)
 
     @pytest.mark.parametrize("write_rows", [1, 10 ** 9])
@@ -571,10 +595,32 @@ class TestChunkedReportIo:
         real = client_mod._convert
         monkeypatch.setattr(client_mod, "_convert",
                             lambda chunk: converted.append(chunk) or real(chunk))
-        for got, want in zip(read_reports(path, 4), columns):
+        for got, want in zip(read_decoded(path, 4), columns):
             assert np.array_equal(got, want)
         lines = b"".join(converted).splitlines()
         assert len(lines) == len(set(lines)) == 14
+        # one row per distinct line, each counted as often as it occurs
+        index, h, t, u = read_reports(path, 4)
+        assert len(h) == 14 and len(index) == 5000
+        rows = [b'{"h": %d, "t": %d, "u": %d}' % row
+                for row in zip(h.tolist(), t.tolist(), u.tolist())]
+        assert dict(zip(rows, np.bincount(index).tolist())) \
+            == {line: path.read_bytes().splitlines().count(line) for line in rows}
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_TREE_LINES, max_size=60), st.integers(1, 8), st.integers(1, 200))
+    @example([_CANON % (1, 1, 1)] * 3 + [_CANON % (1, t, -1) for t in range(1, 5)]
+             + [_CANON % (1, 1, 1), _CANON % (2, 3, 1)], 4, 40)
+    def test_decoding_equals_the_per_row_parser_across_the_cap(self, tmp_path_factory,
+                                                               lines, read_lines, read_bytes):
+        # a small table and small chunks: most files fill the table part way
+        # through, so their first chunks go through it and the rest whole
+        path = tmp_path_factory.mktemp("cap") / "reports.jsonl"
+        path.write_bytes(b"".join(lines))
+        want = _outcome(read_report_rows, path, 8)
+        with mock.patch.object(client_mod, "READ_LINES", read_lines), \
+                mock.patch.object(client_mod, "READ_BYTES", read_bytes):
+            assert _outcome(read_decoded, path, 8) == want
 
     @pytest.mark.parametrize("read_bytes", [64, 1 << 16])
     def test_full_table_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch,
@@ -588,7 +634,7 @@ class TestChunkedReportIo:
         monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
-        assert _outcome(read_reports, path, 64) == want
+        assert _outcome(read_decoded, path, 64) == want
 
     def test_real_cap_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch):
         # 30000 random cells of the d = 2^12 tree hold about 13800 distinct
@@ -603,7 +649,7 @@ class TestChunkedReportIo:
         want = _outcome(read_report_rows, path, d)
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
-        assert _outcome(read_reports, path, d) == want
+        assert _outcome(read_decoded, path, d) == want
         # a level-2 report carries an even t: named at its line past the cap
         with open(path, "ab") as fh:
             fh.write(_CANON % (2, 3, 1))
@@ -628,7 +674,7 @@ class TestChunkedReportIo:
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: calls.append(a) or parse_report_rows(*a))
         if fault is None:
-            assert _outcome(read_reports, path, 64) == _outcome(read_report_rows, path, 64)
+            assert _outcome(read_decoded, path, 64) == _outcome(read_report_rows, path, 64)
         else:
             with pytest.raises(ParseError) as err:
                 read_reports(path, 64)

@@ -275,10 +275,10 @@ class TestSimulate:
         est_b, _, count_b, _ = run_trial(mixed, 0)
         streams = []
         for cfg, est in ((plain, est_a), (mixed, est_b)):
-            h, t, u = read_reports(cfg.reports_path, cfg.d)
-            tree = accumulate_arrays(h, t, u, cfg.d)
+            index, h, t, u = read_reports(cfg.reports_path, cfg.d)
+            tree = accumulate_arrays(h, t, u, cfg.d, np.bincount(index, minlength=len(h)))
             assert np.array_equal(estimate_marginals(tree, cfg.epsilon, cfg.k), est)
-            streams.append(np.stack((h, t, u), axis=1))
+            streams.append(np.stack((h, t, u), axis=1)[index])
         rows_a, rows_b = streams
         assert len(rows_a) == len(rows_b) == count_a == count_b
         # the same clients at the same levels: one (h, t) multiset, two orders
@@ -308,8 +308,8 @@ class TestSimulate:
         dumped = self._config(trials=1, reports_path=str(tmp_path / "reports.jsonl"))
         draws.clear()
         count = run_trial(dumped, 0)[2]
-        h, _, _ = read_reports(dumped.reports_path, dumped.d)
-        assert sum(draws) == len(h) == count
+        index, *_ = read_reports(dumped.reports_path, dumped.d)
+        assert sum(draws) == len(index) == count
 
     BLOCK_ROWS = (1, 100, 1000)
 
@@ -375,8 +375,8 @@ class TestSimulate:
         cfg = self._config(trials=1, reports_path=str(path))
         results = simulate(cfg)
         estimates, truth, _, _ = run_trial(cfg, 0)
-        h, t, u = read_reports(path, cfg.d)
-        tree = accumulate_arrays(h, t, u, cfg.d)
+        index, h, t, u = read_reports(path, cfg.d)
+        tree = accumulate_arrays(h[index], t[index], u[index], cfg.d)
         offline = estimate_marginals(tree, cfg.epsilon, cfg.k)
         assert np.array_equal(offline, estimates)
         assert results[0].max_abs_error == float(np.abs(truth - offline).max())
