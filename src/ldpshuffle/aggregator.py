@@ -144,12 +144,15 @@ def estimate_marginals(tree, epsilon, k):
     if not isinstance(tree, SumTree):
         raise InvalidParameterError("expected a SumTree")
     d = tree.d
-    # the prefix cover of t holds the level-h node t >> (h-1) exactly when
-    # bit h-1 of t is set (see dyadic_cover)
+    # the prefix cover of t holds the level-h node j = t >> (h-1) exactly
+    # when j is odd (see dyadic_cover). Over t in [0, 2d) viewed as rows of
+    # width w = 2^(h-1), row j holds the t with t >> (h-1) = j, so level h
+    # adds node j's sum to every odd row j in one broadcast add, without
+    # a gather or a (levels, d) temporary
     sums = tree.counts[:, 1] - tree.counts[:, 0]
-    t = np.arange(1, d + 1, dtype=np.int64)
-    total = np.zeros(d, dtype=np.int64)
-    for h in range(1, tree.levels + 1):
-        j = t >> (h - 1)
-        total += np.where(j & 1, sums[tree._offsets[h - 1] + np.maximum(j, 1) - 1], 0)
+    total = np.zeros(2 * d, dtype=np.int64)
+    for shift, offset in enumerate(tree._offsets.tolist()):
+        odd = sums[offset:offset + (d >> shift):2]  # nodes j = 1, 3, 5, ...
+        total.reshape(-1, 2, 1 << shift)[:len(odd), 1] += odd[:, None]
+    total = total[1:d + 1]
     return estimate_weight(epsilon, k, d, int(np.abs(total).max())) * total

@@ -76,12 +76,12 @@ def _cmd_simulate(args):
         if path:
             open_output(path, "a").close()
     results = simulate(config)
-    if config.output_path:
-        write_results(config, results, config.output_path)
-    else:
-        sys.stdout.write(results_to_json(config, results))
-    total = sum(r.wall_time for r in results)
     summary = summarize(results)
+    if config.output_path:
+        write_results(config, results, config.output_path, summary=summary)
+    else:
+        sys.stdout.write(results_to_json(config, results, summary))
+    total = sum(r.wall_time for r in results)
     peak_kb = _peak_rss_kb()
     stages = ", ".join(f"{name} {seconds:.3f}s"
                        for name, seconds in results[0].stage_seconds.items())

@@ -15,7 +15,17 @@ post-shuffle, where the server sees only the histogram of reports, three
 binomial vectors over the tree's nodes draw that histogram directly
 (`_draw_counts`), and last, only when trial 0 is written out, per chunk of
 max(ROWS, 4d) reports one binomial split of every (node, sign) cell and
-one permutation. Equal configs give equal bits.
+one permutation. Equal configs give equal bits. A seed is an integer in
+[0, 2^64), the stream's key; `validate` refuses any other, which would
+replay the trials of the seed it equals modulo 2^64.
+
+The trial's array work is in flat integer idioms: the change subsets
+come from Floyd's algorithm over a (k, n) layout, the truth from one
+bincount over (time, sign) bins, each client's sampled change from a
+flat index into the C-ordered (n, k) change lists. The results file is
+the pure-Python JSON encoder's indented document with each trial's d
+errors printed by the C encoder in the same layout, byte for byte the
+text the pure-Python encoder prints for them.
 """
 
 import dataclasses
@@ -93,6 +103,9 @@ class SimulationConfig:
                            self.step_time, self.input_path)
         check_real(self.beta, "beta", 0.0, 1.0)
         check_count(self.trials, "trials")
+        # the stream keys on 64 bits of the seed, so a seed outside them
+        # would replay another seed's trials
+        check_count(self.seed, "seed", low=0, high=2 ** 64 - 1)
         if self.shuffle_mode not in SHUFFLE_MODES:
             raise InvalidParameterError(
                 f"unknown shuffle mode {self.shuffle_mode!r}; pick from {SHUFFLE_MODES}"
@@ -182,12 +195,16 @@ def read_change_vectors(path, n, d, k):
 def _floyd_subsets(n, d, k, rng):
     """One uniform k-subset of [0, d) per row, by Floyd's algorithm run on
     all n rows at once: k integer draws over the whole population."""
-    cols = np.empty((n, k), dtype=np.int64)
+    # draw i is row i of a (k, n) layout. A draw is taken when it matches
+    # one of the rows above, so the taken clients are the columns of the
+    # flat match positions: one pass over the rows above per step at any
+    # n and k, where `.any(axis=0)` would run an inner loop per row
+    cols = np.empty((k, n), dtype=np.int64)
     for i, j in enumerate(range(d - k, d)):
         pick = rng.integers(0, j + 1, size=n)
-        taken = (cols[:, :i] == pick[:, None]).any(axis=1)
-        cols[:, i] = np.where(taken, j, pick)
-    return cols
+        pick[(cols[:i] == pick).ravel().nonzero()[0] % n] = j
+        cols[i] = pick
+    return cols.T.copy()
 
 
 def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
@@ -252,18 +269,21 @@ def run_trial(config, trial, seconds=None):
                                              config.input_model, stream,
                                              step_time=config.step_time,
                                              input_path=config.input_path)
+    # one bincount over (time, sign) bins: +1 changes at bin t, -1 changes
+    # at span + t; padding (time 0, value 0) lands in bin 0, which is dropped
     span = config.d + 1
-    truth = np.cumsum(np.bincount(times[values > 0], minlength=span)
-                      - np.bincount(times[values < 0], minlength=span))[1:]
+    both = np.bincount((times + span * (values < 0)).ravel(), minlength=2 * span)
+    truth = np.cumsum(both[1:span] - both[span + 1:])
 
     target = stream.integers(1, config.k + 1, size=config.n)
     levels = stream.integers(1, level_count(config.d) + 1, size=config.n)
-    # the sampled change is entry target-1 of the client's list; a padding
-    # entry (time 0) means the client has no change to report
-    rows = np.arange(config.n)
-    signal_t = times[rows, target - 1]
-    signal_v = values[rows, target - 1]
-    del times, values, rows, target  # so the count draw does not stack on them
+    # the sampled change is entry target-1 of the client's list, flat entry
+    # k i + target-1 of the C-ordered (n, k) arrays; a padding entry (time 0)
+    # means the client has no change to report
+    picked = np.arange(0, config.n * config.k, config.k) + (target - 1)
+    signal_t = times.take(picked)
+    signal_v = values.take(picked)
+    del times, values, picked, target  # so the count draw does not stack on them
 
     truth_prob = rr_probability(config.epsilon)
     dump = config.reports_path if trial == 0 else None
@@ -369,39 +389,62 @@ def simulate(config):
 # quantiles rather than a mean.
 # ---------------------------------------------------------------------------
 
+def _quantile(ordered, q):
+    """The q quantile of a sorted list of floats, exactly as numpy's
+    default (linear) method computes it: v = (m - 1) q, then the entries
+    around v blended by the fraction of v, from the nearer end."""
+    v = (len(ordered) - 1) * q
+    i = math.floor(v)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    a, b, gamma = ordered[i], ordered[i + 1], v - i
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 def summarize(results):
-    errs = np.array([r.max_abs_error for r in results])
+    errs = sorted(r.max_abs_error for r in results)
+    middle = len(errs) // 2
     return {
         "trials": len(results),
-        "median_max_abs_error": float(np.median(errs)),
-        "q10_max_abs_error": float(np.quantile(errs, 0.10)),
-        "q90_max_abs_error": float(np.quantile(errs, 0.90)),
-        "bound_satisfied_fraction": float(np.mean([r.bound_satisfied for r in results])),
+        # np.median's value: the middle entry, or the mean of the middle two
+        "median_max_abs_error": errs[middle] if len(errs) % 2
+        else (errs[middle - 1] + errs[middle]) / 2,
+        "q10_max_abs_error": _quantile(errs, 0.10),
+        "q90_max_abs_error": _quantile(errs, 0.90),
+        "bound_satisfied_fraction": sum(r.bound_satisfied for r in results) / len(results),
         "theorem_bound": results[0].theorem_bound,
         "clipped_clients": int(results[0].clipped_clients),
     }
 
 
-def results_to_json(config, results):
-    """Canonical JSON text for a run; every float prints as its exact repr."""
+def results_to_json(config, results, summary=None):
+    """Canonical JSON text for a run; every float prints as its exact repr.
+    The document is indented by the pure-Python encoder; each trial's d
+    errors are printed by the C encoder, in the same layout, and spliced in
+    where the document has its "errors": null."""
     payload = {
         "config": dataclasses.asdict(config),
-        "summary": summarize(results),
+        "summary": summarize(results) if summary is None else summary,
         "trials": [
             {
                 "trial": r.trial,
                 "max_abs_error": r.max_abs_error,
                 "theorem_bound": r.theorem_bound,
                 "bound_satisfied": r.bound_satisfied,
-                "errors": [float(e) for e in r.errors],
+                "errors": None,
             }
             for r in results
         ],
     }
-
     # default: a numpy integer in the config prints as a plain int
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      default=operator.index) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=operator.index)
+    # a string escapes its quotes, so only the trials' keys read "errors": null
+    parts = text.split('"errors": null')
+    indent = "\n" + " " * 8  # an error's line in the indented document
+    errors = (json.dumps(np.asarray(r.errors, dtype=np.float64).tolist(),
+                         separators=("," + indent, ""))[1:-1] for r in results)
+    return "".join(part + f'"errors": [{indent}{body}\n      ]'
+                   for part, body in zip(parts, errors)) + parts[-1] + "\n"
 
 
 # A results CSV row, formatted from the fields of the config and of one
@@ -416,9 +459,10 @@ def results_to_csv(config, results):
     return head + "\n" + "".join(CSV_ROW.format_map(vars(config) | vars(r)) for r in results)
 
 
-def write_results(config, results, path):
-    """Write results to path: CSV when it ends in .csv, JSON otherwise."""
+def write_results(config, results, path, summary=None):
+    """Write results to path: CSV when it ends in .csv, JSON otherwise,
+    with summary (else `summarize(results)`)."""
     text = results_to_csv(config, results) if str(path).endswith(".csv") \
-        else results_to_json(config, results)
+        else results_to_json(config, results, summary)
     with open_output(path) as fh:
         fh.write(text)

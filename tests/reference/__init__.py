@@ -6,6 +6,7 @@ tests check the package against. Nothing under `src/` imports them.
 and swap runners with their enumeration oracles, `core` the checked
 hockey-stick divergence and the advanced composition theorem,
 `amplification` the asymptotic one-bit reference curve, `aggregator` the
-per-report tree updates and the pairwise-merge cover, and `divergence` the
-count pmf and the O(n^3) scan.
+per-report tree updates and the pairwise-merge cover, `divergence` the
+count pmf and the O(n^3) scan, and `harness` numpy's summary, the
+pure-Python results encoder and Floyd's draw over an (n, k) layout.
 """

@@ -399,6 +399,16 @@ class TestSimulateAndEstimate:
         assert out == ""
         assert "overflows" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_simulate_seed_outside_64_bits_exits_2(self, capsys, seed):
+        # the stream keys on 64 bits of the seed, so -1 would replay seed
+        # 2^64 - 1, and 2^64 seed 0
+        code, out, err = _run(capsys, ["simulate", "--n", "10", "--d", "4", "--k", "1",
+                                       "--epsilon", "1.0", "--seed", seed])
+        assert code == 2
+        assert out == ""
+        assert f"seed must be an integer in [0, {2 ** 64 - 1}], got {seed}" in err
+
     def test_simulate_invalid_params_exit_2(self, capsys):
         code, _, err = _run(capsys, [
             "simulate", "--n", "10", "--d", "6", "--k", "1", "--epsilon", "1.0",
@@ -496,6 +506,87 @@ class TestPinnedBytes:
                                    "--output", str(estimates)])
         assert code == 0
         assert _sha256(estimates) == PINNED_ESTIMATES[mode]
+
+
+def _change_rows(n, d):
+    """JSON-lines change vectors for the file model: row i has i % 7
+    alternating changes at steps spread over the horizon, so that rows with
+    more than k changes are clipped."""
+    rows = []
+    for i in range(n):
+        x = [0] * d
+        times = sorted({(i * 3 + c * (d // 7 + 1)) % d for c in range(i % 7)})
+        for c, t in enumerate(times):
+            x[t] = 1 if c % 2 == 0 else -1
+        rows.append(json.dumps({"x": x}) + "\n")
+    return "".join(rows)
+
+
+# sha256 of `simulate`'s stdout JSON and of its --output CSV, two trials
+# each, as the trial and results-file code printed them before the collect
+# path was rewritten in flat integer idioms: every byte must stay as it was.
+# Each config is n, d, k, input model, then extra flags; each pin is the
+# (JSON, CSV) pair.
+PINNED_SIMULATE = {
+    "sparse-none": ("de54e50c4947a2c1aec9b0ed7a9f39cf018f384567565f90479cff766b37e4cb",
+                    "7c64ee8e35fbe240a1dca10592ee8ec9b336a8963e3119df4e9e59b9b583d9ca"),
+    "sparse-post": ("1e91921b1f1743c2830cfeecaaa7028af4545815a22f1a90b55cfe11e29fc2ab",
+                    "cfe7e6c51f142402bc6599ff97ac05cd57997360b95ab5390bc937f941cdfe63"),
+    "random-none": ("7579cab153eb097c47a109d35052799bcb8af31fcb5c126e7a4d907897242d35",
+                    "9e498c42ddc137d257e89f2b36bec3929db7c77274fb0194fac104c88919740a"),
+    "random-post": ("ceb72a8713bc579ccb32aa6859131feba035959adeedffed8913a758a974c528",
+                    "7e857b92a7cf5d0c45ef963f0cf67d85c00000824739f8ee58baa41fc7213b7a"),
+    "step-none": ("a8a97c5be15b53ec0a4a9aa3723a4b586feec81d1f71fe74ff6a5532691f80f0",
+                  "75a99b6bde1d6fbfd67a88c5c13db9b0d01d7fda6aa836036c1921982f8beadd"),
+    "step-post": ("9ae975c96a0d6e5f7a7c7a62e96c39e159247e0b559c1e96142637fcd2fbe116",
+                  "9ce11f0c02e75096fb840bbc04866b8e3d816c7c3dd038e73460b6801f378cfa"),
+    "file-none": ("3a665c2ec9fdf6c21669e8eb3dff276f50a9b8cf741ee63cfcb07aa88dc34352",
+                  "91785adf2d78c440d85f904b2b7e39a32aaa76c902d7eed3050fd71291731d5c"),
+    "file-post": ("dfa4c23ca7b0bb3a2ff6fdb95b55f1b12f700469c3ed618d4e0229d4ecf27ab2",
+                  "af9b413b12a25c741da071c991f92a1ced20731f51f8c5808fd0c6a1970258e3"),
+    "random-k=d-none": ("6594195b4edf1086543ba70defcd59e89967b9bfb4443c3fad8eca4aabccedcd",
+                        "d3cf7ae23220e3b4dd06ec2e1e0bdd32c95800442b537e8efadeaf7efa84c8a8"),
+    "random-k=d-post": ("6418cac23fe2ac62adf3d0025d86ca44baa3c290c23777b721d49c2e4087828d",
+                        "3170cb081769158a18e067d18d9924b0958ee72ab560bb67035b2f8e943e2ce2"),
+}
+SIMULATE_CONFIGS = [
+    pytest.param(("300", "16", "3", "worst-case-sparse"), "none", id="sparse-none"),
+    pytest.param(("300", "16", "3", "worst-case-sparse"), "post-shuffle", id="sparse-post"),
+    pytest.param(("10000", "1024", "4", "random-changes"), "none", id="random-none"),
+    pytest.param(("10000", "1024", "4", "random-changes"), "post-shuffle", id="random-post"),
+    pytest.param(("200", "32", "2", "step-function", "--step-time", "5"), "none",
+                 id="step-none"),
+    pytest.param(("200", "32", "2", "step-function", "--step-time", "5"), "post-shuffle",
+                 id="step-post"),
+    pytest.param(("250", "16", "3", "file", "--input-path", "in.jsonl"), "none",
+                 id="file-none"),
+    pytest.param(("250", "16", "3", "file", "--input-path", "in.jsonl"), "post-shuffle",
+                 id="file-post"),
+    pytest.param(("400", "16", "16", "random-changes"), "none", id="random-k=d-none"),
+    pytest.param(("400", "16", "16", "random-changes"), "post-shuffle", id="random-k=d-post"),
+]
+
+
+def _pinned_simulate_hashes(capsys, config, mode):
+    """(sha256 of the stdout JSON, sha256 of the CSV) of one run of config,
+    from the current directory, which holds the file model's input."""
+    n, d, k, model, *extra = config
+    Path("in.jsonl").write_text(_change_rows(int(n), int(d)))
+    argv = ["simulate", "--n", n, "--d", d, "--k", k, "--epsilon", "1.0", "--seed", "21",
+            "--trials", "2", "--input-model", model, "--shuffle-mode", mode, *extra]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    code, _, _ = _run(capsys, argv + ["--output", "x.csv"])
+    assert code == 0
+    return (hashlib.sha256(out.encode()).hexdigest(), _sha256(Path("x.csv")))
+
+
+class TestPinnedSimulate:
+    @pytest.mark.parametrize("config,mode", SIMULATE_CONFIGS)
+    def test_json_and_csv_bytes(self, capsys, monkeypatch, tmp_path, request, config, mode):
+        monkeypatch.chdir(tmp_path)  # config paths print relative to it
+        name = request.node.callspec.id
+        assert _pinned_simulate_hashes(capsys, config, mode) == PINNED_SIMULATE[name]
 
 
 class TestEstimateBadInput:
@@ -671,6 +762,24 @@ def test_cli_import_loads_no_scipy_module():
     loaded = _python("import sys, ldpshuffle.cli\n"
                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert loaded.strip() == "[]"
+
+
+def test_simulate_and_estimate_load_no_masked_arrays(tmp_path):
+    # numpy.ma took about 9 ms of a first op's setup; the summary's median
+    # and quantiles, which loaded it, are computed without it
+    code = f"""
+import sys
+from ldpshuffle import cli
+common = ["--d", "8", "--k", "1", "--epsilon", "1.0"]
+assert cli.main(["simulate", "--n", "20", *common, "--trials", "3",
+                 "--reports-path", {str(tmp_path / "r.jsonl")!r}]) == 0
+assert cli.main(["estimate", "--reports", {str(tmp_path / "r.jsonl")!r}, *common]) == 0
+print("numpy.ma" in sys.modules, file=sys.stderr)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert run.stderr.strip().splitlines()[-1] == "False"
 
 
 # Holds 256 MiB, then spawns `simulate` and prints its stderr line and this

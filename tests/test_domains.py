@@ -131,6 +131,8 @@ ENTRIES = [
     ("SimulationConfig.k", lambda v: _config(k=v), "count", [9]),
     ("SimulationConfig.epsilon", lambda v: _config(epsilon=v), "budget", [1e-320, 3e-308]),
     ("SimulationConfig.trials", lambda v: _config(trials=v), "count", []),
+    # the stream keys on 64 bits of the seed: past them a seed would alias
+    ("SimulationConfig.seed", lambda v: _config(seed=v), "count0", [2 ** 64, 2.5]),
     ("SimulationConfig.beta", lambda v: _config(beta=v), "unit", []),
     ("generate_inputs.n",
      lambda v: harness.generate_inputs(v, 8, 1, "step-function", _rng()), "count", []),

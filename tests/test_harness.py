@@ -25,6 +25,7 @@ from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_v
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
+from reference import harness as ref_harness
 from reference.client import changes_to_states
 
 
@@ -516,3 +517,53 @@ class TestHistogramDraw:
         assert np.array_equal(truth, np.r_[0, np.full(7, cfg.n)])
         stderr = estimates.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
         assert np.all(np.abs(estimates.mean(axis=0) - truth) <= 3.0 * stderr)
+
+
+# Floats whose reprs the encoder must print as the pure-Python one does:
+# zero, the smallest subnormal and normal, the largest finite scale and
+# integer-valued errors, which a debiased estimate often leaves.
+_SPECIAL_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.0, 7.0, 2.0 ** 53]
+_ERRORS = (st.sampled_from(_SPECIAL_FLOATS) | st.integers(0, 10 ** 6).map(float)
+           | st.floats(allow_nan=True, allow_infinity=True))
+_MAX_ERRORS = st.sampled_from(_SPECIAL_FLOATS) | st.floats(0.0, 1e308)
+# config paths that a textual splice could mistake for the document's errors
+_PATHS = st.none() | st.sampled_from(['"errors": null', 'x", "errors": null, "y',
+                                      "a\\b\\", "r\u00e9sum\u00e9/\u6570\u636e.json"]) | st.text()
+
+
+def _result(trial, d, data):
+    return harness.SimulationResult(
+        trial=trial, max_abs_error=data.draw(_MAX_ERRORS), theorem_bound=data.draw(_MAX_ERRORS),
+        bound_satisfied=data.draw(st.booleans()),
+        errors=np.array(data.draw(st.lists(_ERRORS, min_size=d, max_size=d))),
+        wall_time=1.0, clipped_clients=data.draw(st.integers(0, 10)))
+
+
+class TestResultsDocument:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), trials=st.integers(1, 3), d=st.integers(1, 64))
+    def test_same_text_as_the_pure_python_encoder(self, data, trials, d):
+        config = SimulationConfig(n=data.draw(st.integers(1, 10 ** 4)), d=d, k=1, epsilon=1.0,
+                                  trials=trials, seed=data.draw(st.integers(0, 2 ** 64 - 1)),
+                                  output_path=data.draw(_PATHS),
+                                  reports_path=data.draw(_PATHS), input_path=data.draw(_PATHS))
+        results = [_result(trial, d, data) for trial in range(trials)]
+        assert results_to_json(config, results) == ref_harness.results_to_json(config, results)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), trials=st.integers(1, 40))
+    def test_summary_is_numpys(self, data, trials):
+        # the median and the quantiles computed exactly as numpy does, bit
+        # for bit, without numpy's masked-array module
+        results = [_result(trial, 1, data) for trial in range(trials)]
+        assert harness.summarize(results) == ref_harness.summarize(results)
+
+
+@pytest.mark.parametrize("d,k", [pytest.param(16, k, id=f"k={k}") for k in range(1, 9)]
+                         + [pytest.param(64, 64, id="k=d=64")])
+def test_floyd_draws_as_the_row_layout_did(d, k):
+    # the (k, n) layout reads the same k draws in the same order
+    got = harness._floyd_subsets(500, d, k, RandomnessStream(8, k))
+    want = ref_harness.floyd_subsets(500, d, k, RandomnessStream(8, k))
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
