@@ -1,8 +1,10 @@
 """Server-side aggregation: accumulate reports into a binary tree of
 counts and turn prefix covers of that tree into debiased marginal
-estimates. `stray_report` is the one rule for which reports address a
-node; `SumTree.add`, hence `accumulate_arrays`, and the report reader in
-`client` apply it."""
+estimates. A shuffled stream reaches the server as its histogram, distinct
+reports each with the count of its copies, and the tree counts them in
+int64. `stray_report` is the one rule for which reports address a node;
+`SumTree.add`, hence `accumulate_arrays`, and the report reader in
+`client` apply it to rows, whatever their counts."""
 
 import math
 
@@ -50,50 +52,38 @@ class SumTree:
         if bad is not None:
             raise MalformedReportError(f"report {bad} (h={h[bad]}, t={t[bad]}, u={u[bad]}) "
                                        f"addresses no node of the tree over horizon {self.d}")
-        # count every node's -1 and +1 reports in a bincount over (node,
-        # sign) cells
+        # count every node's -1 and +1 reports over (node, sign) cells, in
+        # integers
         cells = self.cells(h, t, u)
         if counts is None:
             added = np.bincount(cells, minlength=self.counts.size)
         else:
-            # a weighted bincount sums in float64, so each one sums a slice
-            # of `bits` bits of the counts: no sum of len(cells) slices
-            # reaches 2^53, and every one is an exact integer
-            bits = 53 - len(cells).bit_length()
-            top = int(counts.max(initial=0)).bit_length()
             added = np.zeros(self.counts.size, dtype=np.int64)
-            for shift in range(0, top, bits):
-                # counts that fit in one slice are summed as they are
-                part = counts if top <= bits else (counts >> shift) & ((1 << bits) - 1)
-                added += np.bincount(cells, part, self.counts.size).astype(np.int64) << shift
+            np.add.at(added, cells, counts)
         self.counts += added.reshape(-1, 2)
         return cells
 
 
-def stray_report(h, t, u, d, index=None):
+def stray_report(h, t, u, d):
     """Index of the first report (h, t, u), of int64 arrays, that addresses
     no node of the tree over horizon d, or None if every one does. A report
     addresses a node when 1 <= h <= log2(d) + 1, 1 <= t <= d, t is a
-    multiple of the level period 2^(h-1) and u is -1 or +1. Given index,
-    the arrays are rows and report i is row index[i] (a dictionary-encoded
-    stream, `client.read_reports`): the rule runs once per row."""
+    multiple of the level period 2^(h-1) and u is -1 or +1."""
     levels = level_count(d)
     shift = np.clip(h, 1, levels) - 1  # an out-of-range h is refused, not shifted by
-    bad = ((h < 1) | (h > levels) | (t < 1) | (t > d)
-           | (t & ((1 << shift) - 1) != 0) | ((u != 1) & (u != -1)))
-    if index is not None and bad.any():
-        bad = bad[index]
-    bad = np.flatnonzero(bad)
+    bad = np.flatnonzero((h < 1) | (h > levels) | (t < 1) | (t > d)
+                         | (t & ((1 << shift) - 1) != 0) | ((u != 1) & (u != -1)))
     return int(bad[0]) if len(bad) else None
 
 
 def accumulate_arrays(h, t, u, d, counts=None):
     """Vectorized accumulate for reports held as parallel arrays, report i
-    counted counts[i] times (once each if counts is None): the histogram of
-    a dictionary-encoded stream is its rows with `np.bincount(index)`. A
-    report that addresses no node raises MalformedReportError naming its
-    index, whatever its count; counts of another length or below zero raise
-    InvalidParameterError."""
+    counted counts[i] times (once each if counts is None), exactly for any
+    int64 counts whose sum in each (node, sign) cell fits an int64. The
+    histogram of a stream read by `client.read_reports` is its rows with
+    `np.bincount(index)`. A report that addresses no node raises
+    MalformedReportError naming its index, whatever its count; counts of
+    another length or below zero raise InvalidParameterError."""
     h, t, u = (np.asarray(a, dtype=np.int64) for a in (h, t, u))
     if counts is not None:
         counts = np.asarray(counts, dtype=np.int64)

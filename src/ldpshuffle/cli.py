@@ -76,11 +76,11 @@ def _cmd_simulate(args):
         if path:
             open_output(path, "a").close()
     results = simulate(config)
-    summary = summarize(results)
     if config.output_path:
-        write_results(config, results, config.output_path, summary=summary)
+        write_results(config, results, config.output_path)
     else:
-        sys.stdout.write(results_to_json(config, results, summary))
+        sys.stdout.write(results_to_json(config, results))
+    summary = summarize(results)
     total = sum(r.wall_time for r in results)
     peak_kb = _peak_rss_kb()
     stages = ", ".join(f"{name} {seconds:.3f}s"
@@ -185,9 +185,10 @@ def _cmd_estimate(args):
     level_count(args.d)
     check_count(args.k, "change budget k", high=args.d)
     scale_factor(args.epsilon)
-    # the stream's histogram: each row with the count of its reports. Past
-    # the reader's table each report is a row, so the index is as long as
-    # the file, and it is freed before the tree is filled
+    # the stream's histogram: each row with the count of its reports, which
+    # the tree adds in int64. Past the reader's table each report is a row,
+    # so the index is as long as the file, and it is freed before the tree
+    # is filled
     index, h, t, u = read_reports(args.reports, args.d)
     counts = np.bincount(index, minlength=len(h))
     del index

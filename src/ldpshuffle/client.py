@@ -134,15 +134,17 @@ def read_reports(path, d):
     """Read a JSON-lines report stream over horizon d, dictionary-encoded:
     (index, h, t, u), int64 arrays where report i of the file is row
     index[i] of (h, t, u), so that (h[index], t[index], u[index]) are the
-    file's reports in order. A server that counts reports needs only the
-    rows and `np.bincount(index)` (`aggregator.accumulate_arrays`).
+    file's reports in order and the rows are numbered in the order their
+    first reports occur. A server that counts reports needs only the rows
+    and `np.bincount(index)` (`aggregator.accumulate_arrays`).
 
     Every row must be an object whose h and t are positive int64 integers
     and whose u is -1 or +1; floats, booleans and strings are refused.
     Every row must also address a node of the tree over horizon d
     (`aggregator.stray_report`), checked once per row once the file is
-    read. Raises ParseError naming the first bad report's 1-based line, a
-    report of bad syntax before any report that addresses no node.
+    read, so the first bad row's first report is the first bad report.
+    Raises ParseError naming the first bad report's 1-based line, a report
+    of bad syntax before any report that addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
     read READ_BYTES at a time and split into lines, each looked up in a
@@ -168,7 +170,8 @@ def read_reports(path, d):
             columns = parse_report_rows(json_lines(text), d)
             return np.arange(len(columns[0])), *columns
     index, *columns = encoded
-    _check_tree(columns, d, range(1, len(index) + 1), index)  # one report per line
+    # one report per line: a row's line is that of its first report
+    _check_tree(columns, d, lambda row: int((index == row).argmax()) + 1)
     return encoded
 
 
@@ -230,15 +233,13 @@ def _convert(chunk):
     return np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3)
 
 
-def _check_tree(columns, d, lines, index=None):
-    """Raise ParseError naming lines[i] if report i is the first that
-    addresses no node of the tree over horizon d; report i is row index[i]
-    of columns, or row i if index is None."""
-    bad = stray_report(*columns, d, index)
+def _check_tree(columns, d, line):
+    """Raise ParseError naming line(row) if row is the first of columns
+    that addresses no node of the tree over horizon d."""
+    bad = stray_report(*columns, d)
     if bad is not None:
-        row = bad if index is None else index[bad]
         raise ParseError("report (h=%d, t=%d, u=%d) addresses no node of the tree over "
-                         "horizon %d" % (*(c[row] for c in columns), d), lines[bad])
+                         "horizon %d" % (*(c[bad] for c in columns), d), line(bad))
 
 
 def parse_report_rows(rows, d):
@@ -263,5 +264,5 @@ def parse_report_rows(rows, d):
         us.append(u)
         lines.append(lineno)
     columns = tuple(np.array(c, dtype=np.int64) for c in (hs, ts, us))
-    _check_tree(columns, d, lines)
+    _check_tree(columns, d, lines.__getitem__)
     return columns

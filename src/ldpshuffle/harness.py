@@ -16,8 +16,9 @@ binomial vectors over the tree's nodes draw that histogram directly
 (`_draw_counts`), and last, only when trial 0 is written out, per chunk of
 max(ROWS, 4d) reports one binomial split of every (node, sign) cell and
 one permutation. Equal configs give equal bits. A seed is an integer in
-[0, 2^64), the stream's key; `validate` refuses any other, which would
-replay the trials of the seed it equals modulo 2^64.
+[0, 2^64), the stream's key: the stream refuses any other rather than
+replay another seed's trials, and `validate` refuses it before any trial
+runs.
 
 The trial's array work is in flat integer idioms: the change subsets
 come from Floyd's algorithm over a (k, n) layout, the truth from one
@@ -103,8 +104,7 @@ class SimulationConfig:
                            self.step_time, self.input_path)
         check_real(self.beta, "beta", 0.0, 1.0)
         check_count(self.trials, "trials")
-        # the stream keys on 64 bits of the seed, so a seed outside them
-        # would replay another seed's trials
+        # the stream's own check, before any trial runs
         check_count(self.seed, "seed", low=0, high=2 ** 64 - 1)
         if self.shuffle_mode not in SHUFFLE_MODES:
             raise InvalidParameterError(
@@ -417,14 +417,14 @@ def summarize(results):
     }
 
 
-def results_to_json(config, results, summary=None):
+def results_to_json(config, results):
     """Canonical JSON text for a run; every float prints as its exact repr.
     The document is indented by the pure-Python encoder; each trial's d
     errors are printed by the C encoder, in the same layout, and spliced in
     where the document has its "errors": null."""
     payload = {
         "config": dataclasses.asdict(config),
-        "summary": summarize(results) if summary is None else summary,
+        "summary": summarize(results),
         "trials": [
             {
                 "trial": r.trial,
@@ -459,10 +459,9 @@ def results_to_csv(config, results):
     return head + "\n" + "".join(CSV_ROW.format_map(vars(config) | vars(r)) for r in results)
 
 
-def write_results(config, results, path, summary=None):
-    """Write results to path: CSV when it ends in .csv, JSON otherwise,
-    with summary (else `summarize(results)`)."""
+def write_results(config, results, path):
+    """Write results to path: CSV when it ends in .csv, JSON otherwise."""
     text = results_to_csv(config, results) if str(path).endswith(".csv") \
-        else results_to_json(config, results, summary)
+        else results_to_json(config, results)
     with open_output(path) as fh:
         fh.write(text)

@@ -6,7 +6,7 @@ references in `tests/reference/randomizer.py`.
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .core import check_count
 
 
 class RandomnessStream:
@@ -19,8 +19,8 @@ class RandomnessStream:
     """
 
     def __init__(self, seed, stream=0):
-        self.seed = int(seed) & _MASK64
-        self.stream = int(stream) & _MASK64
+        self.seed = check_count(seed, "seed", low=0, high=2 ** 64 - 1)
+        self.stream = check_count(stream, "stream id", low=0, high=2 ** 64 - 1)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

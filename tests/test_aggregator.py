@@ -143,15 +143,18 @@ class TestSumTree:
         assert np.array_equal(got.counts, want.counts)
 
     def test_counts_are_exact_past_float_precision(self):
-        # counts near 2^57 over 40 rows take two float64 slices per cell
+        # counts near 2^57 over 40 rows, past float64's 53-bit mantissa
         rng = np.random.default_rng(3)
         cells = rng.integers(0, 14, 40)
         counts = rng.integers(0, 1 << 57, 40)
-        got = accumulate_arrays(*self._rows(4, cells), 4, counts)
-        want = [0] * 14
-        for cell, count in zip(cells.tolist(), counts.tolist()):
-            want[cell] += count
-        assert got.counts.ravel().tolist() == want
+        # and rows whose counts sum to exactly 2^63 - 1 in cell 5
+        at_max = np.array([5, 5, 5, 2]), np.array([1 << 62, (1 << 62) - 2, 1, 7])
+        for cells, counts in [(cells, counts), at_max]:
+            got = accumulate_arrays(*self._rows(4, cells), 4, counts)
+            want = [0] * 14
+            for cell, count in zip(cells.tolist(), counts.tolist()):
+                want[cell] += count
+            assert got.counts.ravel().tolist() == want
 
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_stray_row_refused_whatever_its_count(self, count):

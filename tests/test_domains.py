@@ -134,6 +134,9 @@ ENTRIES = [
     # the stream keys on 64 bits of the seed: past them a seed would alias
     ("SimulationConfig.seed", lambda v: _config(seed=v), "count0", [2 ** 64, 2.5]),
     ("SimulationConfig.beta", lambda v: _config(beta=v), "unit", []),
+    # the stream's key is the pair: past 64 bits a half would alias
+    ("RandomnessStream.seed", lambda v: RandomnessStream(v, 0), "count0", [2 ** 64, 2.5]),
+    ("RandomnessStream.stream", lambda v: RandomnessStream(0, v), "count0", [2 ** 64, 2.5]),
     ("generate_inputs.n",
      lambda v: harness.generate_inputs(v, 8, 1, "step-function", _rng()), "count", []),
     ("generate_inputs.d",

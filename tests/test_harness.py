@@ -436,6 +436,13 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError, match="unknown shuffle mode 'x'"):
             self._config(shuffle_mode="x").validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_run_trial_refuses_a_seed_outside_64_bits(self, seed):
+        # run_trial does not validate its config; the stream refuses the
+        # seed rather than replay seed mod 2^64
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run_trial(self._config(seed=seed), 0)
+
 
 def _signals(n, d, k, input_model, seed, **kw):
     """(signal_t, signal_v, levels) of a population, drawn as run_trial does."""

@@ -1,8 +1,11 @@
 """The benchmark's span tracer patches functions by module attribute; every
 attribute it names must exist and be callable, so renaming or moving a
-traced function fails here rather than only in a benchmark run, and a
-traced report dump must still count what it wrote."""
+traced function fails here rather than only in a benchmark run, a traced
+report dump must still count what it wrote, and one smoke-size op of each
+workload must run under the tracer, so that a change to a traced
+function's arguments or return shape fails here too."""
 
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -10,17 +13,18 @@ import pytest
 
 from ldpshuffle import cli
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
+workloads = _load("workloads")
 PATCHES = spans.Tracer()._patches()
 
 
@@ -59,3 +63,19 @@ def test_tracer_counts_a_streamed_dump(capsys, tmp_path, mode):
     emitted = rows if mode == "none" else 0
     assert work["randomizer.coins"].get("draws", 0) == emitted
     assert work["kernels.emit_reports"].get("reports", 0) == emitted
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_smoke_op_runs_under_the_tracer(tmp_path, name):
+    # as perfbench/run.py runs a traced op; every span's work counter runs too
+    workload = workloads.WORKLOADS[name](0, str(tmp_path), smoke=True)
+    tracer = spans.Tracer()
+
+    @contextlib.contextmanager
+    def traced():
+        with tracer.installed(), tracer.op(0):
+            yield
+
+    workload.op(0, traced)
+    assert tracer.check_op(0)
+    spans.layer_metrics(tracer, [0])
