@@ -31,7 +31,8 @@ def check_count(value, name, low=1, high=None):
     """value as an int, if it is a Python or numpy integer (never a bool) in
     [low, high]; high None means no upper limit."""
     if not (_is_integer(value) and value >= low and (high is None or value <= high)):
-        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        top = f"{high:g}" if isinstance(high, float) else high
+        span = f">= {low}" if high is None else f"in [{low}, {top}]"
         raise InvalidParameterError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
 

@@ -14,23 +14,36 @@ b = e^eps p - q, is `_forward_sum`, the module's one hockey-stick sum. The
 backward sum of pair m is the forward sum of pair n-1-m by bit-flip
 symmetry.
 
-The cut. R_m sums N independent Bernoullis whose odds, e^e0 for the m ones
-and e^-e0 for the zeros, are all at most w = e^e0, so R_m(x) is
-proportional to the elementary symmetric polynomial e_x of the odds. Every
-x-subset arises x times as an (x-1)-subset plus one element not in it, so
-x e_x <= (N-x+1) w e_{x-1} and R_m(x)/R_m(x-1) <= (N-x+1) w/x. A forward
-term is positive only where that ratio exceeds b/a, so, for every m, only
-at x < n / (1 + (b/a) e^-e0) = n (1 - e^(eps-e0)) / (1 - e^-2e0). A prefix
-of a convolution depends only on the prefixes of its operands, so every
-pmf the scan forms is kept on [0, cut] alone; the terms past the cut are
-<= 0 in exact arithmetic and add exactly 0. `_cut` widens the cut for the
-entry error eta below, so that no term rounding could make positive is
-dropped either, and it forms the cut from logs of e^(eps-e0),
-1 - e^(eps-e0) and 1 - e^-(eps+e0), never from e^e0 or e^eps. At the
-accountant's epsilon on the verify grid n in {1000, 2000, 3000},
-e0 in {0.25, 0.5} the cut keeps 1.4 to 41% of the support; without it
-that grid's windowed scans took 75.5 ms, not 10.5 ms, and a bar = 0 scan
-at n = 10^4 took 1.05 s, not 0.39 s (one thread of a 2-core Xeon).
+The cut. R_m sums N independent Bernoullis, m ones with odds e^e0 and
+N-m zeros with odds e^-e0, so R_m(x) is proportional to the elementary
+symmetric polynomial e_x of the odds. Every x-subset arises x times as an
+(x-1)-subset T plus one element not in T, so
+x e_x = sum_{|T|=x-1} e_T sum_{i not in T} o_i. Each odd in T is at least
+e^-e0, so the odds outside T sum to at most S_m - (x-1) e^-e0, where
+S_m = m e^e0 + (N-m) e^-e0 is the odds sum, and
+R_m(x)/R_m(x-1) <= (S_m - (x-1) e^-e0)/x. A forward term is positive only
+where that ratio exceeds b/a, that is at x < (S_m + e^-e0)/(b/a + e^-e0).
+S_m rises in m, so no pair m <= hi has a positive term at
+x >= (hi + (n-hi) e^-2e0) / ((b/a) e^-e0 + e^-2e0). Bounding every odd by
+e^e0 instead gives x e_x <= (N-x+1) e^e0 e_{x-1} and, for every pair, the
+global cut x < n / (1 + (b/a) e^-e0) = n (1 - e^(eps-e0)) / (1 - e^-2e0);
+the range bound is the smaller exactly where hi <= n - n / (1 + (b/a) e^-e0).
+A range [lo, hi] of the split keeps its shared pmf, and a leaf its
+columns, on [0, cut(hi)], the lesser of the two bounds (`_range_cut`). A
+child's hi is at most its parent's, so its cut is too, and a prefix of a
+convolution depends only on the prefixes of its operands: each range's
+prefix is formed from its parent's alone, and the terms dropped past a
+pair's cut are <= 0 in exact arithmetic and add exactly 0, to the deltas
+and to the bars. Both bounds are widened for the entry error eta below
+(`_log_tilt`), so that no term rounding could make positive is dropped
+either, and are formed from logs of e^(eps-e0), 1 - e^(eps-e0) and
+1 - e^-(eps+e0), never from e^e0 or e^eps; where e^-2e0 and (b/a) e^-e0
+both underflow, every range takes the global cut. At the accountant's
+epsilon on the verify grid n in {1000, 2000, 3000}, e0 in {0.25, 0.5} the
+windowed scans reach no leaf block and about 105 windows, against 147
+blocks and about 470 windows under the global cut alone, and the grid
+takes 3.9-4.3 ms, not 13.9-14.8 ms (medians of 40 passes in each of 3
+interleaved processes per version; one thread of a 2-core Xeon).
 
 The window. `divergence_bounds(n, e0, eps, bar)` also drops tails, so
 that no pair's bar exceeds bar. With a + b = (p - q)(1 + e^eps), taken as
@@ -62,16 +75,18 @@ S depends on K alone and the halving split makes at most two distinct K,
 so S is built once per K; one product of its (K+1) x (K+1) matrix with
 K+1 shifted copies of the shared pmf (overlapping rows of one strided
 view of a zero-padded buffer, so no copy is made) gives every R_m of the
-block, and one `_forward_sum` call finishes it. With L = cut + 1 that is
+block, and one `_forward_sum` call finishes it. With L = cut(hi) + 1 that is
 about 2n/BLOCK `np.convolve` calls and n/BLOCK matrix products, at most
 about L n/2 multiply-adds per split level and BLOCK L per pair in the
 blocks, and O(n log n) memory: one pmf prefix per level, one binomial for
 each of O(log n) sizes and a block's (BLOCK x L) buffers; a window
-shortens L to the pmf's window. At n = 10^4, e0 = 0.5, at the accountant's epsilon for
-delta = 1e-4 and at eps = 0.05, a scan takes 0.39-0.42 s and 0.50-0.53 s
-at bar = 0 and 0.053-0.058 s and 0.11-0.12 s at certify's bar (one thread
-of a 2-core Xeon, numpy 2.4.6; medians of 9 and of 11 interleaved runs
-on a shared host).
+shortens L to the pmf's window. At n = 10^4, e0 = 0.5, at the
+accountant's epsilon for delta = 1e-4 and at eps = 0.05, a scan takes
+0.36-0.38 s and 0.73-0.75 s at bar = 0 and 6.2-6.6 ms and 0.10-0.11 s at
+certify's bar, against 0.51-0.55 s, 0.80-0.83 s, 49-76 ms and
+0.11-0.12 s under the global cut alone (one thread of a 2-core Xeon,
+numpy 2.4.6; medians of 3 runs in each of 3 interleaved processes per
+version on a shared host).
 
 Precision. Each binomial is a convolution power of one report's pmf
 [p, q]: Bin(s, q) is Bin(s//2, q) convolved with Bin(s - s//2, q). Until
@@ -104,11 +119,14 @@ ORACLE_MAX_N = 10_000
 EXP_SAFE = 700.0
 
 # The split stops at ranges of at most this many pairs and finishes each
-# with one matrix product. The certify grid took 11.2-14.5 ms at 16 (one
-# thread, interleaved runs), 33 ms at 4 and 80 ms at 1. 32 cut it to
-# 8.7-11.6 ms and the windowed scans at n = 10^4 by a fifth to a third, but
-# slowed the bar = 0 scan at n = 10^4, e0 = 0.5 and the accountant's epsilon
-# from 0.39-0.42 s to 0.44-0.53 s (at eps = 0.05 both took 0.50-0.53 s).
+# with one matrix product. Under the range cuts the certify grid reaches no
+# such range, so the larger scans set it: at n = 10^4, e0 = 0.5, 32 took the
+# windowed scan at eps = 0.05 from 99 to 73 ms but the bar = 0 scan there
+# from 440 to 578 ms, and moved the bar = 0 scans at the accountant's
+# epsilon (n = 3000 and 10^4) and at eps = 0.05 (n = 3000) by 5-11%, within
+# their spread (medians of 11 interleaved runs, one thread). Smaller blocks
+# are slower: under the global cut alone the grid took 33 ms at 4 and 80 ms
+# at 1, against 11-14.5 ms at 16.
 BLOCK = 16
 
 
@@ -119,20 +137,42 @@ def _entry_error(n, epsilon0):
     return n * (3.0 + epsilon0) * u + ((math.ceil(math.log2(n)) + 1) * n + 2 * BLOCK) * u
 
 
-def _cut(n, epsilon0, epsilon):
-    """Last x at which a forward term of any pair can come out positive:
-    the largest integer x <= n / (1 + rho (b/a) e^-e0), with
-    (b/a) e^-e0 = e^(eps-e0) (1 - e^-(eps+e0)) / (1 - e^(eps-e0)) and
+def _log_tilt(n, epsilon0, epsilon):
+    """log(rho (b/a) e^-e0), with (b/a) e^-e0 =
+    e^(eps-e0) (1 - e^-(eps+e0)) / (1 - e^(eps-e0)) and
     rho = (1 - eta) / (1 + eta) for the entry error eta of the module
     docstring, since a computed term is positive only where
-    R(x) (1 + eta) a > R(x-1) (1 - eta) b."""
+    R(x) (1 + eta) a > R(x-1) (1 - eta) b; None where eta >= 1."""
     eta = _entry_error(n, epsilon0)
     if eta >= 1.0:
+        return None
+    return (math.log1p(-eta) - math.log1p(eta) + (epsilon - epsilon0)
+            + math.log(-math.expm1(-epsilon - epsilon0))
+            - math.log(-math.expm1(epsilon - epsilon0)))
+
+
+def _cut(n, epsilon0, epsilon):
+    """Last x at which a forward term of any pair can come out positive:
+    the largest integer x <= n / (1 + rho (b/a) e^-e0) (`_log_tilt`)."""
+    log_tilt = _log_tilt(n, epsilon0, epsilon)
+    if log_tilt is None:
         return n - 1
-    log_ratio = (math.log1p(-eta) - math.log1p(eta) + (epsilon - epsilon0)
-                 + math.log(-math.expm1(-epsilon - epsilon0))
-                 - math.log(-math.expm1(epsilon - epsilon0)))
-    return min(n - 1, math.floor(n * math.exp(-np.logaddexp(0.0, log_ratio))))
+    return min(n - 1, math.floor(n * math.exp(-np.logaddexp(0.0, log_tilt))))
+
+
+def _range_cut(n, epsilon0, epsilon):
+    """The function hi -> last x at which a forward term of a pair m <= hi
+    can come out positive: the largest integer x at most `_cut` and at most
+    (hi + (n-hi) e^-2e0) / (rho (b/a) e^-e0 + e^-2e0) (module docstring).
+    Where both terms of that denominator underflow, it is `_cut` for every
+    hi."""
+    last = _cut(n, epsilon0, epsilon)
+    log_tilt = _log_tilt(n, epsilon0, epsilon)
+    log_den = -math.inf if log_tilt is None else np.logaddexp(log_tilt, -2.0 * epsilon0)
+    if log_den < -EXP_SAFE:
+        return lambda hi: last
+    zeros, scale = math.exp(-2.0 * epsilon0), math.exp(-log_den)
+    return lambda hi: min(last, math.floor((hi + (n - hi) * zeros) * scale))
 
 
 def _forward_sum(R, a, b, log_b=None):
@@ -193,7 +233,7 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
         # log, and a + b is infinite, so that nothing but exact zeros is dropped
         b, log_b = None, epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
         scale = math.inf
-    length = _cut(n, epsilon0, epsilon) + 1
+    cut = _range_cut(n, epsilon0, epsilon)
     depth = math.ceil(math.log2(n))
     tau_node = bar / scale / (4 * (depth + 2))
     binomials = {0: np.ones(1), 1: np.array([p, q])}
@@ -234,7 +274,7 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
 
     def scan(lo, hi, probs, start, spent):
         # probs[i] is entry start + i of the count pmf shared by R_lo .. R_hi
-        # (lo reports holding 1, n-1-hi holding 0), cut to [0, length), and
+        # (lo reports holding 1, n-1-hi holding 0), cut to [0, cut(hi)], and
         # spent the mass the windows on the way here dropped. Where its
         # window is empty, every term is 0
         first, last, dropped = _window(probs, tau_node)
@@ -243,23 +283,25 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
             lost[lo:hi + 1] = spent
             return
         base, start = probs[first:last], start + first
-        width, room = hi - lo, length - start
+        width = hi - lo
         if width >= BLOCK:
             mid = (lo + hi) // 2
             # the left half adds hi - mid reports holding 0, the right half
-            # mid + 1 - lo holding 1; keep is how many child entries precede the cut
+            # mid + 1 - lo holding 1; keep is how many child entries precede
+            # the child's own cut, which is never above this range's
             for sub, (offset, kept, cost) in (((lo, mid), binomial_slice(hi - mid, False)),
                                               ((mid + 1, hi), binomial_slice(mid + 1 - lo, True))):
-                keep = room - offset
-                child = np.convolve(base, kept[:keep])[:keep] if keep > 0 else kept[:0]
+                keep = cut(sub[1]) + 1 - start - offset
+                child = np.convolve(base[:keep], kept[:keep])[:keep] if keep > 0 else kept[:0]
                 scan(*sub, child, start + offset, spent + cost)
             return
         # row s of shifted is base moved right by width - s; column i is
-        # entry start + i of R_lo .. R_hi, up to the cut or to n - 1
+        # entry start + i of R_lo .. R_hi, up to cut(hi) or to n - 1
         padded = np.zeros(len(base) + 2 * width)
         padded[width:width + len(base)] = base
         # the rows overlap in padded's memory: shifted must never be written to
-        shifted = np.ndarray((width + 1, min(room, len(base) + width)), buffer=padded,
+        columns = min(cut(hi) + 1 - start, len(base) + width)
+        shifted = np.ndarray((width + 1, columns), buffer=padded,
                              strides=(padded.itemsize, padded.itemsize))
         forward[lo:hi + 1] = _forward_sum(block(width) @ shifted, a, b, log_b)
         lost[lo:hi + 1] = spent

@@ -101,6 +101,14 @@ class TestBound:
         assert code == 2
         assert "error" in err
 
+    def test_population_below_two_names_the_float_bound(self, capsys):
+        # the accountant's n only has to convert to a float, so the upper end
+        # of its range is a float and prints like check_real's
+        code, out, err = _run(capsys, ["bound", "--eps0", "0.5", "--n", "1", "--delta", "1e-6"])
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer in [2, 1.79769e+308], got 1" in err
+
 
 class TestVerifyAmplification:
     def test_single_point_passes(self, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ldpshuffle import divergence
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import _cut, _entry_error, divergence_bounds, divergence_scan
+from ldpshuffle.divergence import (_cut, _entry_error, _range_cut, divergence_bounds,
+                                   divergence_scan)
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
@@ -165,7 +166,8 @@ class TestDivergenceScan:
            tau=st.sampled_from([1e-18, 1e-12, 1e-6, 1e-3]))
     def test_bar_covers_the_mass_the_windows_drop(self, n, eps0, eps_share, tau):
         # with a forward sum that returns each row's mass, the scan gives the
-        # mass of R_m on [0, cut] (or of R_n-1-m, whichever is larger); the
+        # mass of R_m on [0, cut(hi)], hi the last pair of m's leaf range (or
+        # that of R_n-1-m, whichever is larger); the
         # windowed R_m is below the exact one entrywise, so the mass it lacks
         # is its L1 distance from it, which the bar over a + b must cover.
         # n > BLOCK, so that the split windows pmfs and binomial slices
@@ -229,6 +231,41 @@ class TestDivergenceScan:
         past = slice(_cut(n, eps0, eps) + 1, n + 1)
         forward = count_pmf(n, m, *terms) - math.exp(eps) * count_pmf(n, m + 1, *terms)
         assert np.all(forward[past] <= 0.0)
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(2, 60), hi_share=st.floats(0.0, 1.0), m_share=st.floats(0.0, 1.0),
+           eps0=st.floats(0.05, 3.0), eps_share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_no_forward_term_past_the_range_cut_is_positive(self, n, hi_share, m_share,
+                                                            eps0, eps_share):
+        # R rises by at most (S_m - (x-1) e^-e0) / x from x-1 to x, with
+        # S_m = m e^e0 + (N-m) e^-e0 the odds sum of its N = n-1 reports;
+        # S_m rises in m, so no pair m <= hi has a positive term past hi's
+        # cut, which is never above the cut of every pair
+        eps, reports = eps_share * eps0, n - 1
+        hi = round(hi_share * reports)
+        m = round(m_share * hi)
+        x = np.arange(1, n)
+        R = count_pmf(reports, m, *_pmf_terms(reports, eps0))
+        odds = m * math.exp(eps0) + (reports - m) * math.exp(-eps0)
+        assert np.all(x * R[1:] <= (odds - (x - 1) * math.exp(-eps0)) * R[:-1] * (1 + 1e-12))
+        cut = _range_cut(n, eps0, eps)(hi)
+        assert cut <= _cut(n, eps0, eps)
+        terms = _pmf_terms(n, eps0)
+        forward = count_pmf(n, m, *terms) - math.exp(eps) * count_pmf(n, m + 1, *terms)
+        assert np.all(forward[cut + 1:] <= 0.0)
+
+    @pytest.mark.parametrize("eps0", [0.25, 0.5])
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_range_cuts_at_the_accountants_epsilon(self, n, eps0):
+        # where the range cuts prune most: the windowed scan reaches no leaf
+        # block on this grid, yet every delta stays within its bar of the
+        # bar = 0 scan, whose worst pair matches the reference
+        eps = amplify_shuffle(eps0, n, 1e-4).epsilon_central
+        exact = divergence_scan(n, eps0, eps)
+        scan, bars = divergence_bounds(n, eps0, eps, 1e-16)
+        assert np.all(np.abs(scan - exact) <= bars + _entry_error(n, eps0) * exact)
+        ref = reference_divergence_scan(n, eps0, eps)
+        assert exact.max() == pytest.approx(ref.max(), rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_worst_pair_matches_reference_at_scale(self, n):
