@@ -41,18 +41,34 @@ either, and are formed from logs of e^(eps-e0), 1 - e^(eps-e0) and
 both underflow, every range takes the global cut. At the accountant's
 epsilon on the verify grid n in {1000, 2000, 3000}, e0 in {0.25, 0.5} the
 windowed scans reach no leaf block and about 105 windows, against 147
-blocks and about 470 windows under the global cut alone, and the grid
-takes 3.9-4.3 ms, not 13.9-14.8 ms (medians of 40 passes in each of 3
-interleaved processes per version; one thread of a 2-core Xeon).
+blocks and about 470 windows under the global cut alone. With the builds
+windowed (below) the grid takes 2.2-5.3 ms, against 2.7-6.0 ms with every
+binomial built in full, 11-17% less in each of 3 interleaved processes on
+a host whose speed swung twofold between them (medians of 40 passes; one
+thread of a 2-core Xeon); when the range cuts came in, the global cut
+alone took 13.9-14.8 ms.
 
 The window. `divergence_bounds(n, e0, eps, bar)` also drops tails, so
 that no pair's bar exceeds bar. With a + b = (p - q)(1 + e^eps), taken as
 infinite where e^eps would overflow, and D = ceil(log2 n), every pmf the
-split forms, and every binomial slice it convolves with (windowed once
-per size), loses its leading and trailing runs of cumulative mass
-<= tau_node = (bar / (a + b)) / (4 (D + 2)). A root-to-leaf path windows
-at most D pmfs and D slices, so E_m, the mass dropped on pair m's path, is
-at most 4 D tau_node < bar / (a + b). The bound, in three lines:
+split forms loses its leading and trailing runs of cumulative mass
+<= tau_node = (bar / (a + b)) / (4 (D + 2)). Every binomial it convolves
+with is windowed as it is built (`_binomials`): Bin(s, q) is the
+convolution of the kept windows B1' and B2' of its halves, less its own
+runs of mass <= tau_build = tau_node / (2n). With d1 and d2 the masses the
+halves lack, B1*B2 - B1'*B2' = (B1 - B1')*B2 + B1'*(B2 - B2'), and
+convolving with a nonnegative vector of mass at most 1 raises no L1 norm,
+so ||B1*B2 - B1'*B2'||_1 <= d1 + d2. A build of size s < n, whose halving
+tree holds s - 1 convolutions, so lacks at most (s - 1) 2 tau_build
+< tau_node, less than one window of tau_node may drop, and a block's row
+S_j, made of builds of sizes j and K - j, lacks less than tau_node too. A
+root-to-leaf path windows at most D + 1 pmfs and D builds and ends in at
+most one block row, so E_m, the mass dropped on pair m's path, is at most
+3 (D + 1) tau_node < bar / (a + b). Each build carries the mass it lacks,
+1 - (1 - d1)(1 - d2) = d1 + d2 - d1 d2 plus its own runs, and checks that
+its convolution holds (1 - d1)(1 - d2), the product of its halves' kept
+masses, within `PROB_TOLERANCE`, with the total that finding its window
+reads. The bound, in three lines:
 convolution with a probability vector keeps mass and every quantity is
 nonnegative, so the windowed R'_m <= R_m entrywise and
 ||R_m - R'_m||_1 <= E_m; a term max(a R(x) - b R(x-1), 0) moves by at most
@@ -78,18 +94,23 @@ view of a zero-padded buffer, so no copy is made) gives every R_m of the
 block, and one `_forward_sum` call finishes it. With L = cut(hi) + 1 that is
 about 2n/BLOCK `np.convolve` calls and n/BLOCK matrix products, at most
 about L n/2 multiply-adds per split level and BLOCK L per pair in the
-blocks, and O(n log n) memory: one pmf prefix per level, one binomial for
-each of O(log n) sizes and a block's (BLOCK x L) buffers; a window
-shortens L to the pmf's window. At n = 10^4, e0 = 0.5, at the
-accountant's epsilon for delta = 1e-4 and at eps = 0.05, a scan takes
-0.36-0.38 s and 0.73-0.75 s at bar = 0 and 6.2-6.6 ms and 0.10-0.11 s at
-certify's bar, against 0.51-0.55 s, 0.80-0.83 s, 49-76 ms and
-0.11-0.12 s under the global cut alone (one thread of a 2-core Xeon,
-numpy 2.4.6; medians of 3 runs in each of 3 interleaved processes per
-version on a shared host).
+blocks, and O(n log n) memory: one pmf prefix per level, the window of one
+binomial for each size built and a block's (BLOCK x L) buffers; a window
+shortens L to the pmf's window. At certify's bar the builds keep windows,
+not full binomials: 2556 of the 10644 entries of the 22 sizes built at
+n = 10^4, e0 = 0.5. There, at the accountant's epsilon for delta = 1e-4, a
+certification takes 1.5-3.4 ms, against 4.9-8.2 ms with every binomial
+built in full, and 19-44 ms against 24-48 ms at e0 = 0.25; the bar = 0
+scans at n = 10^4, e0 = 0.5, at the accountant's epsilon and at
+eps = 0.05, take 0.31 s and 0.41-0.44 s, and the windowed one at
+eps = 0.05 0.10-0.19 s, each within 5% of its time with full builds, as is
+the bar = 0 scan at n = 3000, eps = 0.05, 73-78 ms (one thread of a
+2-core Xeon, numpy 2.4.6; medians of 3 to 20 runs in each of 3 interleaved
+processes per version on a shared host).
 
 Precision. Each binomial is a convolution power of one report's pmf
-[p, q]: Bin(s, q) is Bin(s//2, q) convolved with Bin(s - s//2, q). Until
+[p, q]: Bin(s, q) is Bin(s//2, q) convolved with Bin(s - s//2, q), or
+their windows. Until
 the final hockey-stick sum only sums of nonnegative products are formed,
 so there is no cancellation. An entry of R_m is a degree-(n-1) polynomial
 in p and q with nonnegative coefficients, so rounding p and q by relative
@@ -192,14 +213,48 @@ def _forward_sum(R, a, b, log_b=None):
 
 def _window(values, tau):
     """Bounds [first, last) of values without their leading and trailing
-    runs of cumulative mass <= tau (empty if the runs meet), and the mass
-    of the two runs. values are nonnegative, so each cumsum is monotone."""
+    runs of cumulative mass <= tau (empty if the runs meet), the mass of the
+    two runs and the total mass. values are nonnegative, so each cumsum is
+    monotone, and ends above tau (or no entries) leave nothing to drop."""
+    if not len(values) or values[0] > tau and values[-1] > tau:
+        return 0, len(values), 0.0, float(values.sum())
     head = values.cumsum()
     first = int(head.searchsorted(tau, "right"))
     tail = values[::-1].cumsum()
     trail = int(tail.searchsorted(tau, "right"))
     dropped = (head[first - 1] if first else 0.0) + (tail[trail - 1] if trail else 0.0)
-    return first, len(values) - trail, float(dropped)
+    return first, len(values) - trail, float(dropped), float(head[-1])
+
+
+def _binomials(p, q, tau):
+    """The builder of windowed binomials: size, ones -> (first, kept,
+    dropped), with kept the entries of Bin(size, q), the count pmf of size
+    reports that all hold 0, from index first on, or those of Bin(size, p),
+    its reverse, if ones; dropped is the mass they lack, their L1 distance
+    from the exact pmf. Bin(size, q) is the convolution of the kept windows
+    of Bin(size//2, q) and Bin(size - size//2, q), whose mass must be the
+    product of theirs, less its leading and trailing runs of mass <= tau
+    (module docstring, "The window"). Each build is memoised."""
+    builds = {0: (0, np.ones(1), 0.0), 1: (0, np.array([p, q]), 0.0)}
+
+    def binomial(size, ones=False):
+        if size not in builds:
+            low, kept_low, dropped_low = binomial(size // 2)
+            high, kept_high, dropped_high = binomial(size - size // 2)
+            probs = np.convolve(kept_low, kept_high)
+            first, last, dropped, total = _window(probs, tau)
+            mass = (1.0 - dropped_low) * (1.0 - dropped_high)
+            if not abs(total - mass) <= PROB_TOLERANCE:  # also catches nan
+                raise ArithmeticError(f"count distribution sums to {total!r}, not {mass!r}, "
+                                      f"outside tolerance {PROB_TOLERANCE}")
+            builds[size] = (low + high + first, probs[first:last],
+                            dropped_low + dropped_high - dropped_low * dropped_high + dropped)
+        first, kept, dropped = builds[size]
+        if ones:
+            return size + 1 - first - len(kept), kept[::-1], dropped
+        return first, kept, dropped
+
+    return binomial
 
 
 def divergence_scan(n, epsilon0, epsilon):
@@ -236,40 +291,24 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
     cut = _range_cut(n, epsilon0, epsilon)
     depth = math.ceil(math.log2(n))
     tau_node = bar / scale / (4 * (depth + 2))
-    binomials = {0: np.ones(1), 1: np.array([p, q])}
-    windows = {}
+    # a build of size s windows s - 1 convolutions at tau_node / (2n) each,
+    # so it drops less than tau_node (module docstring)
+    binomial = _binomials(p, q, tau_node / (2 * n))
     blocks = {}
-
-    def binomial(size):
-        # Bin(size, q), the count pmf of size reports that all hold 0, as a
-        # convolution power of one report's [p, q]; reversed, it is Bin(size, p)
-        if size not in binomials:
-            probs = np.convolve(binomial(size // 2), binomial(size - size // 2))
-            total = float(probs.sum())
-            if not abs(total - 1.0) <= PROB_TOLERANCE:  # also catches nan
-                raise ArithmeticError(f"count distribution sums to {total!r}, "
-                                      f"outside tolerance {PROB_TOLERANCE}")
-            binomials[size] = probs
-        return binomials[size]
-
-    def binomial_slice(size, ones):
-        # Bin(size, q) windowed, or reversed Bin(size, p) if ones: the index
-        # of its first kept entry, the kept entries and the mass dropped
-        if size not in windows:
-            probs = binomial(size)
-            first, last, dropped = _window(probs, tau_node)
-            windows[size] = (first, probs[first:last], dropped)
-        first, kept, dropped = windows[size]
-        if ones:
-            return size + 1 - first - len(kept), kept[::-1], dropped
-        return first, kept, dropped
 
     def block(width):
         # row j is S_j = Bin(j, p) * Bin(width - j, q), reversed, so that
-        # row j times the shifted copies of a block's shared pmf is R_lo+j
+        # row j times the shifted copies of a block's shared pmf is R_lo+j;
+        # costs[j] is the mass the builds of its two binomials dropped
         if width not in blocks:
-            blocks[width] = np.stack([np.convolve(binomial(j)[::-1], binomial(width - j))
-                                      for j in range(width + 1)])[:, ::-1].copy()
+            rows, costs = np.zeros((width + 1, width + 1)), np.zeros(width + 1)
+            for j in range(width + 1):
+                (ones, kept_ones, cost_ones), (zeros, kept_zeros, cost_zeros) = (
+                    binomial(j, True), binomial(width - j))
+                row = np.convolve(kept_ones, kept_zeros)
+                rows[j, ones + zeros:ones + zeros + len(row)] = row
+                costs[j] = cost_ones + cost_zeros
+            blocks[width] = rows[:, ::-1].copy(), costs
         return blocks[width]
 
     def scan(lo, hi, probs, start, spent):
@@ -277,7 +316,7 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
         # (lo reports holding 1, n-1-hi holding 0), cut to [0, cut(hi)], and
         # spent the mass the windows on the way here dropped. Where its
         # window is empty, every term is 0
-        first, last, dropped = _window(probs, tau_node)
+        first, last, dropped, _ = _window(probs, tau_node)
         spent += dropped
         if first >= last:
             lost[lo:hi + 1] = spent
@@ -289,8 +328,8 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
             # the left half adds hi - mid reports holding 0, the right half
             # mid + 1 - lo holding 1; keep is how many child entries precede
             # the child's own cut, which is never above this range's
-            for sub, (offset, kept, cost) in (((lo, mid), binomial_slice(hi - mid, False)),
-                                              ((mid + 1, hi), binomial_slice(mid + 1 - lo, True))):
+            for sub, (offset, kept, cost) in (((lo, mid), binomial(hi - mid)),
+                                              ((mid + 1, hi), binomial(mid + 1 - lo, True))):
                 keep = cut(sub[1]) + 1 - start - offset
                 child = np.convolve(base[:keep], kept[:keep])[:keep] if keep > 0 else kept[:0]
                 scan(*sub, child, start + offset, spent + cost)
@@ -303,13 +342,15 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
         columns = min(cut(hi) + 1 - start, len(base) + width)
         shifted = np.ndarray((width + 1, columns), buffer=padded,
                              strides=(padded.itemsize, padded.itemsize))
-        forward[lo:hi + 1] = _forward_sum(block(width) @ shifted, a, b, log_b)
-        lost[lo:hi + 1] = spent
+        rows, costs = block(width)
+        forward[lo:hi + 1] = _forward_sum(rows @ shifted, a, b, log_b)
+        lost[lo:hi + 1] = spent + costs
 
     scan(0, n - 1, np.ones(1), 0, 0.0)
     # the backward sum of pair m is the forward sum of pair n-1-m; the bar
     # covers the rounding of the cumsums (at most n + 1 terms), of the
-    # sums of lost and of a + b
+    # masses the builds carry (at most D levels), of the sums of lost and
+    # of a + b
     mass = np.maximum(lost, lost[::-1]) * (1.0 + 2 * (n + 4 * depth + 8) * 2.0 ** -53)
     bars = np.multiply(mass, scale, out=np.zeros(n), where=mass > 0.0)
     return np.maximum(forward, forward[::-1]), bars

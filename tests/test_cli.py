@@ -18,7 +18,7 @@ import ldpshuffle.cli as cli
 import ldpshuffle.client as client_mod
 import ldpshuffle.harness as harness
 from ldpshuffle.amplification import AmplificationResult, amplify_shuffle
-from ldpshuffle.divergence import CertificationRecord
+from ldpshuffle.divergence import CertificationRecord, certify_amplification
 from ldpshuffle.errors import ParseError
 
 
@@ -139,6 +139,9 @@ class TestVerifyAmplification:
         record = json.loads(out)
         assert set(record) == {f.name for f in dataclasses.fields(CertificationRecord)}
         assert (record["n"], record["eps0"], record["delta_target"]) == (100, 0.5, 1e-4)
+        # printed from the record's own fields, byte for byte its asdict form
+        assert out == json.dumps(dataclasses.asdict(certify_amplification(100, 0.5, 1e-4)),
+                                 sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("text", ["", "# n,eps0,delta\n\n# nothing else\n"])
     def test_empty_grid_exits_2_naming_the_file(self, capsys, tmp_path, text):

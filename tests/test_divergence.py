@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.divergence import certify_amplification, divergence_scan, worst_case_divergence
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.randomizer import RandomnessStream
@@ -145,6 +146,15 @@ class TestCertification:
         record = certify_amplification(n, eps0, 1e-4)
         assert (record.passed, record.regime, record.claimed_epsilon) == PINNED_VERDICTS[n, eps0]
         assert 0.0 <= record.delta_bar <= 1e-12 * record.delta_target
+
+    @pytest.mark.parametrize("eps0", [0.25, 0.5])
+    def test_certifies_at_the_cap(self, eps0):
+        # the oracle's largest n, where the builds' windows drop the most
+        record = certify_amplification(10_000, eps0, 1e-4)
+        claim = amplify_shuffle(eps0, 10_000, 1e-4)
+        assert record.passed
+        assert (record.claimed_epsilon, record.regime) == (claim.epsilon_central, claim.regime)
+        assert record.exact_delta + record.delta_bar <= record.delta_target
 
     def test_amplified_claim_certifies(self):
         record = certify_amplification(1000, 0.25, 1e-4)

@@ -179,6 +179,61 @@ class TestDivergenceScan:
         lost = bars / _scale(eps0, eps)
         assert np.all(exact - kept <= lost + 2 * _entry_error(n, eps0) * exact)
 
+    @settings(deadline=None, max_examples=100)
+    @given(size=st.integers(2, 300), eps0=st.floats(0.05, 3.0),
+           tau=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]), ones=st.booleans())
+    def test_windowed_build_drops_at_most_its_share(self, size, eps0, tau, ones):
+        # a build of size s windows s - 1 convolutions, each losing runs of
+        # mass <= tau at both ends, and convolving windows loses at most the
+        # sum of what each lacks, so the kept entries lie below Bin(s, q)
+        # (or Bin(s, p)) and miss at most dropped <= 2 tau (s - 1) of its mass
+        log_p, log_q, lgam = _pmf_terms(size, eps0)
+        p, q = math.exp(log_p), math.exp(log_q)
+        first, kept, dropped = divergence._binomials(p, q, tau)(size, ones)
+        exact = count_pmf(size, size if ones else 0, log_p, log_q, lgam)
+        window = np.zeros(size + 1)
+        window[first:first + len(kept)] = kept
+        assert np.all(window <= exact * (1 + 1e-10) + 1e-300)
+        assert np.abs(exact - window).sum() <= dropped + 1e-12
+        assert dropped <= 2 * tau * (size - 1)
+        if tau == 0.0:
+            assert dropped == 0.0
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-3])
+    def test_build_whose_mass_is_off_raises(self, tau):
+        # a coin whose two sides do not sum to 1 builds no count pmf
+        with pytest.raises(ArithmeticError):
+            divergence._binomials(0.6, 0.5, tau)(8)
+
+    @pytest.mark.parametrize("eps0", [0.25, 0.5, 2.0])
+    def test_builds_drop_mass_at_a_large_bar(self, eps0):
+        # at the bars of the property below the builds really drop mass, not
+        # only the shared pmfs' windows
+        n, bar = 300, 1e-3
+        tau_node = bar / _scale(eps0, 0.0) / (4 * (math.ceil(math.log2(n)) + 2))
+        log_p, log_q, _ = _pmf_terms(n, eps0)
+        binomial = divergence._binomials(math.exp(log_p), math.exp(log_q), tau_node / (2 * n))
+        assert binomial(n // 2)[2] > 0.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(2, 300), eps0=st.floats(0.05, 4.0),
+           eps_share=st.floats(0.0, 1.0, exclude_max=True),
+           bar=st.floats(1e-8, 1e-3))
+    def test_windowed_builds_within_their_bar_of_reference(self, n, eps0, eps_share, bar):
+        # bars this large window the binomials as they are built, and every
+        # delta stays within its bar, and every bar within bar; at bar = 0
+        # only exact zeros are dropped, so the deltas are those of a scan that
+        # forms every binomial and pmf in full, up to the order of rounding
+        eps = eps_share * eps0
+        self._assert_matches_reference(n, eps0, eps, bar / _scale(eps0, eps))
+        scan = divergence_scan(n, eps0, eps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "_window",
+                          lambda values, tau: (0, len(values), 0.0, float(values.sum())))
+            full = divergence_scan(n, eps0, eps)
+        assert np.all((scan == 0.0) == (full == 0.0))
+        assert np.all(np.abs(scan - full) <= 1e-12 * full)
+
     @pytest.mark.parametrize("eps0,eps", [(0.25, 0.05), (0.5, 0.2), (1.0, 0.3)])
     def test_windowed_scan_within_its_bar_at_the_cap(self, eps0, eps):
         exact = divergence_scan(10_000, eps0, eps)
