@@ -188,9 +188,9 @@ def _cmd_estimate(args):
     check_count(args.k, "change budget k", high=args.d)
     scale_factor(args.epsilon)
     # the stream's histogram: each row with the count of its reports, which
-    # the tree adds in int64. Past the reader's table each report is a row,
-    # so the index is as long as the file, and it is freed before the tree
-    # is filled
+    # the tree adds in int64. Past the reader's cap each report is a row, so
+    # the index is as long as the file, and it is freed before the tree is
+    # filled
     index, h, t, u = read_reports(args.reports, args.d)
     counts = np.bincount(index, minlength=len(h))
     del index

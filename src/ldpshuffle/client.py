@@ -8,14 +8,15 @@ JSON-lines file, such as the file input model's change vectors, which
 `harness.read_change_vectors` clips to the change budget.
 
 A report stream over horizon d holds at most 2(2d - 1) distinct lines, one
-per (node, sign) cell of its `SumTree`, so both ends go through a table of
-lines. The writer takes each report as its cell and joins the lines of a
-`line_table`, which formats each cell that occurs once. The reader returns
-the stream dictionary-encoded, as rows and one row index per report: the
-rows are the file's first READ_LINES distinct lines, each converted once,
-and past those each report is a row of its own. Once reports are
-anonymized the server needs only their multiset, which is the rows and
-the count of each.
+per (node, sign) cell of its `SumTree`, so both ends go through the tree's
+table of lines, `line_table`. The writer takes each report as its cell and
+joins the lines of the cells that occur, each formatted once. The reader
+returns the stream dictionary-encoded, as rows and one row index per
+report: for a tree of at most READ_LINES cells the rows are its cells, and
+each report is looked up by its line; a chunk of the file that holds a
+line off that table, and every chunk of a larger tree, is converted whole,
+each report a row of its own. Once reports are anonymized the server needs
+only their multiset, which is the rows and the count of each.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -29,7 +30,7 @@ import re
 
 import numpy as np
 
-from .aggregator import stray_report
+from .aggregator import SumTree, stray_report
 from .core import level_count
 from .errors import InvalidParameterError, ParseError
 
@@ -49,12 +50,12 @@ _CANONICAL_LINES = re.compile(
     rb'(?:\{"h": [1-9][0-9]{0,17}, "t": [1-9][0-9]{0,17}, "u": -?1\}\n)*')
 _MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
 
-# Reports joined per write, bytes read per chunk, and distinct lines the
-# reader's line table holds; none changes a result, and all keep the buffers
-# of one file small. The cap also keeps the reader fast: on one thread of a
-# 2-core Xeon, a table without it read 1.4-2.0x slower at d = 2^14 (n = 800)
-# and 2.7-4.3x slower at d = 2^16 (n = 200), with a 10-42 MB larger RSS rise,
-# mostly in dict lookups in a 262k-line table; at d <= 2^12 it was within noise.
+# Reports joined per write, bytes read per chunk, and the most (node, sign)
+# cells of a tree whose line table the reader looks lines up in (d <= 2^11);
+# none changes a result, and all keep the buffers of one file small. The cap
+# also keeps the reader fast: past it, dict lookups in a table of hundreds of
+# thousands of lines (262k at d = 2^16) ran slower than converting each
+# chunk whole and raised RSS by tens of MB more.
 WRITE_ROWS = 1 << 14
 READ_BYTES = 1 << 16
 READ_LINES = 1 << 13
@@ -76,12 +77,11 @@ def line_table(tree, cells, table=None):
     return table
 
 
-def write_report_arrays(path, cells, lines, mode="w"):
-    """Write reports held as an array of their (node, sign) cells as JSON
-    lines, the line of each from the table `lines` (`line_table`) and no
-    client identifier, WRITE_ROWS reports at a time, replacing the file
-    (mode "w") or appending to it (mode "a")."""
-    with open_output(path, mode) as fh:
+def write_report_arrays(path, cells, lines):
+    """Append reports held as an array of their (node, sign) cells to a file
+    as JSON lines, the line of each from the table `lines` (`line_table`)
+    and no client identifier, WRITE_ROWS reports at a time."""
+    with open_output(path, "a") as fh:
         for lo in range(0, len(cells), WRITE_ROWS):
             fh.write("".join(lines[cells[lo:lo + WRITE_ROWS]].tolist()))
 
@@ -134,9 +134,13 @@ def read_reports(path, d):
     """Read a JSON-lines report stream over horizon d, dictionary-encoded:
     (index, h, t, u), int64 arrays where report i of the file is row
     index[i] of (h, t, u), so that (h[index], t[index], u[index]) are the
-    file's reports in order and the rows are numbered in the order their
-    first reports occur. A server that counts reports needs only the rows
-    and `np.bincount(index)` (`aggregator.accumulate_arrays`).
+    file's reports in order. When the tree over d has at most READ_LINES
+    (node, sign) cells, the rows start with its cells in storage order
+    (`SumTree.nodes()`, -1 before +1), some perhaps read by no report.
+    After them, or from the first row for a larger tree, come the reports
+    of each chunk converted whole (below), a row each, in file order. A
+    server that counts reports needs only the rows and `np.bincount(index)`
+    (`aggregator.accumulate_arrays`).
 
     Every row must be an object whose h and t are positive int64 integers
     and whose u is -1 or +1; floats, booleans and strings are refused.
@@ -147,14 +151,13 @@ def read_reports(path, d):
     of bad syntax before any report that addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
-    read READ_BYTES at a time and split into lines, each looked up in a
-    dict from line to row: the rows are the file's distinct lines in the
-    order they first occur. A chunk's lines that the dict lacks are checked
-    against one pattern for the canonical line and converted with array
-    operations in one batch, then kept. The dict holds at most READ_LINES
-    lines: once a chunk's new lines would take it past that, as at a large
-    horizon, it stops growing, and that chunk and each later one are
-    checked and converted whole, each of their reports a row of its own.
+    read READ_BYTES at a time. Under the cap the tree's table (the
+    `line_table` of every cell) is built before the first read, and each
+    chunk is split into lines, each looked up in it. A chunk that holds a
+    line off the table, such as a report that addresses no node, and every
+    chunk past the cap, is checked against one pattern for the canonical
+    line and converted whole with array operations. Which path a chunk
+    takes depends on d and on the chunk's own lines, never on earlier ones.
     Any other spelling of the rows sends the whole file again through
     `parse_report_rows`, which returns the same reports or names the bad
     line, one row per report. A pipe is read into memory first, so that it
@@ -163,7 +166,7 @@ def read_reports(path, d):
     level_count(d)
     with open_input(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        encoded = _read_canonical(fh)
+        encoded = _read_canonical(fh, d)
         if encoded is None:
             fh.seek(0)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
@@ -175,13 +178,21 @@ def read_reports(path, d):
     return encoded
 
 
-def _read_canonical(fh):
-    """(index, h, t, u) of a stream of canonical lines (see `read_reports`),
-    or None once a line is not canonical."""
-    table = {}  # line -> its row of known
-    known = np.empty((READ_LINES, 3), dtype=np.int64)
-    index = []  # each chunk's rows, while the table takes them
-    past = []  # the (reports, 3) chunks converted whole once the table is full
+def _read_canonical(fh, d):
+    """(index, h, t, u) of a stream of canonical lines over horizon d (see
+    `read_reports`), or None once a line is not canonical."""
+    table, rows = {}, [np.empty((0, 3), dtype=np.int64)]
+    if 4 * int(d) - 2 <= READ_LINES:
+        # row c is (node, sign) cell c of the tree, found by its line; zip
+        # drops the empty piece after the last newline
+        tree = SumTree(d)
+        text = "".join(line_table(tree, np.arange(tree.counts.size)).tolist())
+        table = dict(zip(text.encode().split(b"\n"), range(tree.counts.size)))
+        h, t = tree.nodes()
+        rows[0] = np.stack([h.repeat(2), t.repeat(2), np.tile([-1, 1], len(h))], axis=1)
+    size = len(table)  # the rows so far
+    # each looked-up chunk's rows, or (start, stop) of a chunk's own rows
+    index = [np.empty(0, dtype=np.intp)]
     tail = b""
     while data := fh.read(READ_BYTES):
         chunk = tail + data
@@ -191,36 +202,26 @@ def _read_canonical(fh):
         # path at once, so a file without newlines is not gathered here
         if len(tail) > _MAX_LINE:
             return None
-        if not past:
+        if table:
             lines = chunk.split(b"\n")
             lines.pop()  # the empty piece after the last newline
             try:
                 index.append(np.fromiter(map(table.__getitem__, lines), np.intp, len(lines)))
                 continue
             except KeyError:
-                # convert the chunk's new lines in one batch, if the table
-                # has room for them; else leave it for the rest of the file
-                new = [line for line in dict.fromkeys(lines) if line not in table]
-                if len(table) + len(new) <= READ_LINES:
-                    values = _convert(b"\n".join(new) + b"\n")
-                    if values is None:
-                        return None
-                    known[len(table):len(table) + len(new)] = values
-                    table.update(zip(new, range(len(table), len(table) + len(new))))
-                    index.append(np.fromiter(map(table.__getitem__, lines), np.intp,
-                                             len(lines)))
-                    continue
+                pass  # a line off the tree's table: the chunk is converted whole
         block = _convert(chunk)
         if block is None:
             return None
-        past.append(block)
+        rows.append(block)
+        index.append((size, size + len(block)))
+        size += len(block)
     if tail:
         return None  # an unterminated last line goes per row
-    columns = [np.concatenate([known[:len(table), j], *(block[:, j] for block in past)])
-               for j in range(3)]
-    past.clear()  # copied into the columns; freed before the index is built
-    index.append(np.arange(len(table), len(columns[0])))
-    return np.concatenate(index), *columns
+    columns = [np.concatenate([block[:, j] for block in rows]) for j in range(3)]
+    rows.clear()  # copied into the columns; freed before the ranges are filled in
+    return np.concatenate([np.arange(*part) if type(part) is tuple else part
+                           for part in index]), *columns
 
 
 def _convert(chunk):

@@ -41,12 +41,7 @@ either, and are formed from logs of e^(eps-e0), 1 - e^(eps-e0) and
 both underflow, every range takes the global cut. At the accountant's
 epsilon on the verify grid n in {1000, 2000, 3000}, e0 in {0.25, 0.5} the
 windowed scans reach no leaf block and about 105 windows, against 147
-blocks and about 470 windows under the global cut alone. With the builds
-windowed (below) the grid takes 2.2-5.3 ms, against 2.7-6.0 ms with every
-binomial built in full, 11-17% less in each of 3 interleaved processes on
-a host whose speed swung twofold between them (medians of 40 passes; one
-thread of a 2-core Xeon); when the range cuts came in, the global cut
-alone took 13.9-14.8 ms.
+blocks and about 470 windows under the global cut alone.
 
 The window. `divergence_bounds(n, e0, eps, bar)` also drops tails, so
 that no pair's bar exceeds bar. With a + b = (p - q)(1 + e^eps), taken as
@@ -98,15 +93,8 @@ blocks, and O(n log n) memory: one pmf prefix per level, the window of one
 binomial for each size built and a block's (BLOCK x L) buffers; a window
 shortens L to the pmf's window. At certify's bar the builds keep windows,
 not full binomials: 2556 of the 10644 entries of the 22 sizes built at
-n = 10^4, e0 = 0.5. There, at the accountant's epsilon for delta = 1e-4, a
-certification takes 1.5-3.4 ms, against 4.9-8.2 ms with every binomial
-built in full, and 19-44 ms against 24-48 ms at e0 = 0.25; the bar = 0
-scans at n = 10^4, e0 = 0.5, at the accountant's epsilon and at
-eps = 0.05, take 0.31 s and 0.41-0.44 s, and the windowed one at
-eps = 0.05 0.10-0.19 s, each within 5% of its time with full builds, as is
-the bar = 0 scan at n = 3000, eps = 0.05, 73-78 ms (one thread of a
-2-core Xeon, numpy 2.4.6; medians of 3 to 20 runs in each of 3 interleaved
-processes per version on a shared host).
+n = 10^4, e0 = 0.5. The README gives the scans' timings, and
+`BENCH_24.json` the benchmark's.
 
 Precision. Each binomial is a convolution power of one report's pmf
 [p, q]: Bin(s, q) is Bin(s//2, q) convolved with Bin(s - s//2, q), or
@@ -141,13 +129,10 @@ EXP_SAFE = 700.0
 
 # The split stops at ranges of at most this many pairs and finishes each
 # with one matrix product. Under the range cuts the certify grid reaches no
-# such range, so the larger scans set it: at n = 10^4, e0 = 0.5, 32 took the
-# windowed scan at eps = 0.05 from 99 to 73 ms but the bar = 0 scan there
-# from 440 to 578 ms, and moved the bar = 0 scans at the accountant's
-# epsilon (n = 3000 and 10^4) and at eps = 0.05 (n = 3000) by 5-11%, within
-# their spread (medians of 11 interleaved runs, one thread). Smaller blocks
-# are slower: under the global cut alone the grid took 33 ms at 4 and 80 ms
-# at 1, against 11-14.5 ms at 16.
+# such range, so the larger scans set it: at n = 10^4, e0 = 0.5, 32 sped up
+# the windowed scan at eps = 0.05 by about a quarter but slowed the bar = 0
+# scan there by about a third (one thread). Smaller blocks, more and smaller
+# products, are slower.
 BLOCK = 16
 
 

@@ -257,11 +257,12 @@ def run_trial(config, trial, seconds=None):
     """Run one seeded trial; returns (estimates, truth, reports emitted,
     clipped). Under shuffle mode none each block of clients is emitted,
     folded into the tree and dropped, and trial 0 writes its stream to
-    config.reports_path, if set, block by block. Under post-shuffle the
-    tree's histogram is drawn directly (`_draw_counts`) and trial 0's
-    stream is drawn from it (`_write_shuffled`). A dict passed as seconds
-    receives the seconds of the trial's stages: inputs, counts (the tree),
-    estimate and dump (summed over the blocks under mode none).
+    config.reports_path, if set, block by block, into the file it empties
+    once its inputs are drawn. Under post-shuffle the tree's histogram is
+    drawn directly (`_draw_counts`) and trial 0's stream is drawn from it
+    (`_write_shuffled`). A dict passed as seconds receives the seconds of
+    the trial's stages: inputs, counts (the tree), estimate and dump (summed
+    over the blocks under mode none).
     """
     start = time.perf_counter()
     stream = RandomnessStream(config.seed, trial)
@@ -269,6 +270,9 @@ def run_trial(config, trial, seconds=None):
                                              config.input_model, stream,
                                              step_time=config.step_time,
                                              input_path=config.input_path)
+    dump = config.reports_path if trial == 0 else None
+    if dump:
+        open_output(dump).close()  # emptied once: every block or chunk appends
     # one bincount over (time, sign) bins: +1 changes at bin t, -1 changes
     # at span + t; padding (time 0, value 0) lands in bin 0, which is dropped
     span = config.d + 1
@@ -286,7 +290,6 @@ def run_trial(config, trial, seconds=None):
     del times, values, picked, target  # so the count draw does not stack on them
 
     truth_prob = rr_probability(config.epsilon)
-    dump = config.reports_path if trial == 0 else None
     rows = max(ROWS, 4 * config.d)
     located, dumped = time.perf_counter(), 0.0
     if config.shuffle_mode == "post-shuffle":
@@ -312,7 +315,7 @@ def run_trial(config, trial, seconds=None):
                 mark = time.perf_counter()
                 fresh = np.flatnonzero(empty & (tree.counts.ravel() > 0))
                 lines = line_table(tree, fresh, lines)
-                write_report_arrays(dump, cells, lines, mode="a" if lo else "w")
+                write_report_arrays(dump, cells, lines)
                 dumped += time.perf_counter() - mark
             del reports, cells  # so that no two blocks are held at once
     counted = time.perf_counter()
@@ -347,10 +350,10 @@ def _draw_counts(signal_t, signal_v, levels, truth_prob, d, stream):
 
 
 def _write_shuffled(path, tree, stream, rows):
-    """Write a uniform arrangement of the reports in tree. Each report goes
-    to a uniform one of ceil(total / rows) chunks by binomial splits of
-    every (node, sign) cell; each chunk is then permuted, so that the
-    concatenation is a uniform permutation. The chunks are written as
+    """Append a uniform arrangement of the reports in tree to path. Each
+    report goes to a uniform one of ceil(total / rows) chunks by binomial
+    splits of every (node, sign) cell; each chunk is then permuted, so that
+    the concatenation is a uniform permutation. The chunks are written as
     cells, through one line table of the cells that hold a report."""
     counts = tree.counts.ravel()  # per node: its -1 reports, then its +1 reports
     lines = line_table(tree, np.flatnonzero(counts))
@@ -359,8 +362,7 @@ def _write_shuffled(path, tree, stream, rows):
         take = stream.generator.binomial(counts, 1.0 / left) if left > 1 else counts
         counts = counts - take
         cells = np.repeat(np.arange(len(take)), take)
-        write_report_arrays(path, cells[stream.permutation(len(cells))], lines,
-                            mode="w" if left == chunks else "a")
+        write_report_arrays(path, cells[stream.permutation(len(cells))], lines)
 
 
 def simulate(config):

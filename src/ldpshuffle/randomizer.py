@@ -24,9 +24,6 @@ class RandomnessStream:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def __repr__(self):
-        return f"RandomnessStream(seed={self.seed}, stream={self.stream})"
-
     @property
     def generator(self):
         """The underlying numpy Generator, for vectorized bulk draws."""

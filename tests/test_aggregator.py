@@ -225,6 +225,11 @@ class TestEstimateMarginals:
             got = estimate_marginals(tree, 0.7, 3)
             assert np.array_equal(got, _cover_loop_estimates(tree, 0.7, 3, d))
 
+    @pytest.mark.parametrize("tree", [None, np.zeros((7, 2), dtype=np.int64)])
+    def test_refuses_anything_but_a_tree(self, tree):
+        with pytest.raises(InvalidParameterError, match="expected a SumTree"):
+            estimate_marginals(tree, 1.0, 1)
+
     def test_zero_tree_estimates_zero(self):
         est = estimate_marginals(SumTree(8), 1.0, 2)
         assert np.all(est == 0.0)

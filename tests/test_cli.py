@@ -670,22 +670,24 @@ class TestEstimateBadInput:
     def test_earliest_stray_line_is_named_across_the_cap(self, capsys, monkeypatch,
                                                          tmp_path, fourth, named):
         # chunks of 64 bytes hold two or three lines, so line 4 is read in
-        # the second; a table of 6 lines is full at line 8, and lines 8 on
-        # are rows of their own. The stray (2, 3, 1) is a table row only
-        # when it is the fourth line; it comes again past the cap, after
-        # (1, 5, 1), and the earliest stray line is named either way
+        # the second. The d = 4 tree has 14 cells: under a cap of 14 the
+        # chunks of its lines are looked up in its table and a chunk with a
+        # stray line is converted whole; under a cap of 6 every chunk is.
+        # The stray (2, 3, 1) comes again after (1, 5, 1), and the earliest
+        # stray line is named either way
         rows = [(1, 1, 1), (1, 2, -1), (1, 1, 1), fourth, (1, 3, 1), (1, 4, 1), (2, 2, 1),
                 (3, 4, -1), (1, 5, 1), (2, 3, 1), (1, 1, 1)]
         reports = tmp_path / "reports.jsonl"
         reports.write_text("".join(client_mod.REPORT_LINE % row for row in rows))
-        monkeypatch.setattr(client_mod, "READ_LINES", 6)
         monkeypatch.setattr(client_mod, "READ_BYTES", 64)
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
-        code, out, err = self._estimate(capsys, reports)
-        assert code == 2 and out == ""
-        assert err == ("error: line %d: report (%s) addresses no node of the tree over "
-                       "horizon 4\n" % named)
+        for read_lines in (14, 6):
+            monkeypatch.setattr(client_mod, "READ_LINES", read_lines)
+            code, out, err = self._estimate(capsys, reports)
+            assert code == 2 and out == ""
+            assert err == ("error: line %d: report (%s) addresses no node of the tree over "
+                           "horizon 4\n" % named)
 
     def test_truth_with_the_wrong_row_count_exits_2(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"

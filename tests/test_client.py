@@ -401,16 +401,24 @@ def read_report_rows(path, d):
 
 def read_decoded(path, d):
     """The reports of `read_reports`, decoded from its rows: (h[index],
-    t[index], u[index]), after checking the encoding. Every row is read by
-    some report, and the rows are numbered in the order their reports first
-    occur, which holds for the table's rows, for the rows of their own past
-    it and for the per-row parser's one row per report."""
-    index, *columns = read_reports(path, d)
+    t[index], u[index]), after checking the encoding. A canonical file over
+    a tree of at most READ_LINES cells is read through the tree's table, so
+    its rows start with the tree's cells in storage order; every later row,
+    and every row of a larger tree or of the per-row parser, is read by one
+    report, in file order."""
+    per_row, parse = [], client_mod.parse_report_rows
+    with mock.patch.object(client_mod, "parse_report_rows",
+                           lambda *a: per_row.append(a) or parse(*a)):
+        index, *columns = read_reports(path, d)
     assert index.dtype == np.int64 and index.ndim == 1
     assert all(c.dtype == np.int64 and c.shape == (len(columns[0]),) for c in columns)
-    rows, first = np.unique(index, return_index=True)
-    assert np.array_equal(rows, np.arange(len(columns[0])))
-    assert np.all(np.diff(first) > 0)
+    cells = 0
+    if not per_row and 4 * d - 2 <= client_mod.READ_LINES:
+        h, t = SumTree(d).nodes()
+        cells = 4 * d - 2
+        for got, want in zip(columns, (h.repeat(2), t.repeat(2), np.tile([-1, 1], d * 2 - 1))):
+            assert np.array_equal(got[:cells], want)
+    assert np.array_equal(index[index >= cells], np.arange(cells, len(columns[0])))
     return tuple(c[index] for c in columns)
 
 
@@ -586,35 +594,33 @@ class TestChunkedReportIo:
             read_reports(path, 4)
         assert err.value.line_number == 601
 
-    def test_each_distinct_line_is_converted_once(self, tmp_path, monkeypatch):
-        # d = 4 has 14 distinct lines, converted in batches as chunks bring them
+    def test_no_line_of_a_tree_file_is_converted(self, tmp_path, monkeypatch):
+        # d = 4 has 14 (node, sign) cells, each looked up by its line in the
+        # tree's table, so no line of a file of its reports is converted
         path = tmp_path / "reports.jsonl"
         columns = _random_reports(5, 5000, 4)
         write_reports(path, *columns, 4)
-        converted = []
-        real = client_mod._convert
         monkeypatch.setattr(client_mod, "_convert",
-                            lambda chunk: converted.append(chunk) or real(chunk))
+                            lambda chunk: pytest.fail("a line of the tree converted"))
         for got, want in zip(read_decoded(path, 4), columns):
             assert np.array_equal(got, want)
-        lines = b"".join(converted).splitlines()
-        assert len(lines) == len(set(lines)) == 14
-        # one row per distinct line, each counted as often as it occurs
+        # one row per cell, each counted as often as its line occurs
         index, h, t, u = read_reports(path, 4)
         assert len(h) == 14 and len(index) == 5000
         rows = [b'{"h": %d, "t": %d, "u": %d}' % row
                 for row in zip(h.tolist(), t.tolist(), u.tolist())]
-        assert dict(zip(rows, np.bincount(index).tolist())) \
+        assert dict(zip(rows, np.bincount(index, minlength=14).tolist())) \
             == {line: path.read_bytes().splitlines().count(line) for line in rows}
 
     @settings(deadline=None, max_examples=200)
-    @given(st.lists(_TREE_LINES, max_size=60), st.integers(1, 8), st.integers(1, 200))
+    @given(st.lists(_TREE_LINES, max_size=60), st.integers(26, 34), st.integers(1, 200))
     @example([_CANON % (1, 1, 1)] * 3 + [_CANON % (1, t, -1) for t in range(1, 5)]
-             + [_CANON % (1, 1, 1), _CANON % (2, 3, 1)], 4, 40)
+             + [_CANON % (1, 1, 1), _CANON % (2, 3, 1)], 30, 40)
     def test_decoding_equals_the_per_row_parser_across_the_cap(self, tmp_path_factory,
                                                                lines, read_lines, read_bytes):
-        # a small table and small chunks: most files fill the table part way
-        # through, so their first chunks go through it and the rest whole
+        # a cap on either side of the d = 8 tree's 30 cells, and small
+        # chunks: under it a stray line sends its chunk whole between chunks
+        # looked up in the table, past it every chunk goes whole
         path = tmp_path_factory.mktemp("cap") / "reports.jsonl"
         path.write_bytes(b"".join(lines))
         want = _outcome(read_report_rows, path, 8)
@@ -625,8 +631,8 @@ class TestChunkedReportIo:
     @pytest.mark.parametrize("read_bytes", [64, 1 << 16])
     def test_full_table_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch,
                                                           read_bytes):
-        # a table of 4 lines overflows in the first chunk, or after a few
-        # chunks of about two lines; every later chunk is converted whole
+        # at a cap of 4 cells the d = 64 tree has no table: every chunk, of
+        # about two lines or of the whole file, is converted whole
         path = tmp_path / "reports.jsonl"
         write_reports(path, *_random_reports(6, 700, 64), 64)
         want = _outcome(read_report_rows, path, 64)
@@ -637,15 +643,14 @@ class TestChunkedReportIo:
         assert _outcome(read_decoded, path, 64) == want
 
     def test_real_cap_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch):
-        # 30000 random cells of the d = 2^12 tree hold about 13800 distinct
-        # lines, so the table fills at READ_LINES itself and later chunks are
-        # converted whole
+        # the d = 2^12 tree has 16382 cells, past READ_LINES itself, so the
+        # chunks of 30000 random cells of it are converted whole
         d = 1 << 12
         tree = SumTree(d)
+        assert tree.counts.size > client_mod.READ_LINES
         cells = np.random.default_rng(8).integers(0, tree.counts.size, 30000)
         path = tmp_path / "reports.jsonl"
         write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
-        assert len(set(path.read_bytes().splitlines())) > client_mod.READ_LINES
         want = _outcome(read_report_rows, path, d)
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
@@ -667,7 +672,8 @@ class TestChunkedReportIo:
         write_reports(path, *_random_reports(7, 700, 64), 64)
         with open(path, "ab") as fh:
             fh.write(bad + _CANON % (1, 1, 1))
-        # chunks of about two lines: the table is full a few lines in
+        # chunks of about two lines, and a cap of 4 cells: the d = 64 tree
+        # has no table, so every chunk is converted whole
         monkeypatch.setattr(client_mod, "READ_LINES", 4)
         monkeypatch.setattr(client_mod, "READ_BYTES", 64)
         calls = []

@@ -334,6 +334,20 @@ class TestSimulate:
         assert got[2] == want[2]
         assert got_path.read_bytes() == want_path.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["none", "post-shuffle"])
+    def test_dump_replaces_an_earlier_file(self, monkeypatch, tmp_path, mode):
+        # the trial empties its dump once, and every block or chunk of its
+        # stream appends: a file that held something ends as a fresh one does
+        monkeypatch.setattr(harness, "ROWS", 1)
+        fresh, old = tmp_path / "fresh.jsonl", tmp_path / "old.jsonl"
+        old.write_bytes(b'{"h": 1, "t": 1, "u": 1}\n' * 5000)
+        for path in (fresh, old):
+            cfg = self._config(n=300, d=16, k=3, shuffle_mode=mode, reports_path=str(path))
+            reports = run_trial(cfg, 0)[2]
+        assert reports > 4 * cfg.d  # more than one block or chunk
+        assert old.read_bytes() == fresh.read_bytes()
+        assert fresh.read_bytes().count(b"\n") == reports
+
     @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
     def test_chunked_shuffle_is_a_uniform_arrangement(self, monkeypatch, chunks):
         # a tree over d = 2 holding 7 reports: two level-1 clients put
@@ -344,7 +358,7 @@ class TestSimulate:
         drawn = []
         h, t = tree.nodes()
         monkeypatch.setattr(harness, "write_report_arrays",
-                            lambda path, cells, lines, mode="w": drawn.extend(
+                            lambda path, cells, lines: drawn.extend(
                                 zip(h[cells >> 1], t[cells >> 1], 2 * (cells & 1) - 1)))
         rows = [(1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1), (2, 2, 1),
                 (2, 2, 1)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ldpshuffle import divergence
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import (_cut, _entry_error, _range_cut, divergence_bounds,
+from ldpshuffle.divergence import (_cut, _entry_error, _log_tilt, _range_cut, divergence_bounds,
                                    divergence_scan)
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
@@ -321,6 +321,24 @@ class TestDivergenceScan:
         assert np.all(np.abs(scan - exact) <= bars + _entry_error(n, eps0) * exact)
         ref = reference_divergence_scan(n, eps0, eps)
         assert exact.max() == pytest.approx(ref.max(), rel=1e-8, abs=0.0)
+
+    def test_cuts_keep_the_support_where_rounding_swamps_every_entry(self):
+        # at n = 10, e0 = 1e16 the entry error eta is about 11, so no term is
+        # trusted to be <= 0 and both cuts keep every x. q underflows to 0,
+        # so R_m is a point mass at m and adjacent pairs are disjoint: every
+        # delta is 1
+        assert _entry_error(10, 1e16) >= 1.0
+        assert _log_tilt(10, 1e16, 1.0) is None
+        assert _cut(10, 1e16, 1.0) == 9
+        assert [_range_cut(10, 1e16, 1.0)(hi) for hi in range(10)] == [9] * 10
+        assert np.array_equal(divergence_scan(10, 1e16, 1.0), np.ones(10))
+
+    def test_range_cut_is_the_global_cut_where_its_denominator_underflows(self):
+        # at e0 = 1000, eps = 0 both e^-2e0 and rho (b/a) e^-e0 underflow
+        log_tilt = _log_tilt(10, 1000.0, 0.0)
+        assert log_tilt is not None and np.logaddexp(log_tilt, -2000.0) < -divergence.EXP_SAFE
+        assert [_range_cut(10, 1000.0, 0.0)(hi) for hi in range(10)] \
+            == [_cut(10, 1000.0, 0.0)] * 10
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_worst_pair_matches_reference_at_scale(self, n):
