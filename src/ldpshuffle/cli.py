@@ -191,8 +191,10 @@ def _cmd_estimate(args):
     # the tree adds in int64. Past the reader's cap each report is a row, so
     # the index is as long as the file, and it is freed before the tree is
     # filled
+    start = time.perf_counter()
     index, h, t, u = read_reports(args.reports, args.d)
     counts = np.bincount(index, minlength=len(h))
+    reports = len(index)
     del index
     tree = accumulate_arrays(h, t, u, args.d, counts)
     estimates = estimate_marginals(tree, args.epsilon, args.k)
@@ -210,6 +212,8 @@ def _cmd_estimate(args):
     finally:
         if out is not sys.stdout:
             out.close()
+    print(f"estimate: {reports} reports read as {len(h)} rows in "
+          f"{time.perf_counter() - start:.3f}s, peak RSS {_peak_rss_kb()} KB", file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,11 +12,12 @@ per (node, sign) cell of its `SumTree`, so both ends go through the tree's
 table of lines, `line_table`. The writer takes each report as its cell and
 joins the lines of the cells that occur, each formatted once. The reader
 returns the stream dictionary-encoded, as rows and one row index per
-report: for a tree of at most READ_LINES cells the rows are its cells, and
-each report is looked up by its line; a chunk of the file that holds a
-line off that table, and every chunk of a larger tree, is converted whole,
-each report a row of its own. Once reports are anonymized the server needs
-only their multiset, which is the rows and the count of each.
+report: for a tree of at most READ_LINES cells the rows are its cells, each
+report's cell is read off its line's bytes by numpy arithmetic, and a chunk
+of the file is taken only if it equals the table lines of its cells byte
+for byte. Any other chunk, and every chunk of a larger tree, is converted
+whole, each report a row of its own. Once reports are anonymized the
+server needs only their multiset, which is the rows and the count of each.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -51,21 +52,31 @@ _CANONICAL_LINES = re.compile(
 _MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
 
 # Reports joined per write, bytes read per chunk, and the most (node, sign)
-# cells of a tree whose line table the reader looks lines up in (d <= 2^11);
-# none changes a result, and all keep the buffers of one file small. The cap
-# also keeps the reader fast: past it, dict lookups in a table of hundreds of
-# thousands of lines (262k at d = 2^16) ran slower than converting each
-# chunk whole and raised RSS by tens of MB more.
+# cells of a tree whose rows are the reader's (d <= 2^11); none changes a
+# result, and all keep the buffers of one file small. Under the cap a read
+# holds, checks and counts a row per cell of the tree whatever the file
+# holds, so a higher cap slowed files of few reports or many cells: past
+# the cap a one-report file at d = 2^12 read in 0.14 ms and a 300,000-report
+# file at d = 2^14 in 135 ms; under caps of 2^15 and 2^17 they took 1.5 ms
+# and 215 ms (the read sweep of BENCH_26.json).
 WRITE_ROWS = 1 << 14
 READ_BYTES = 1 << 16
 READ_LINES = 1 << 13
+# The value of each byte as a digit (0 for any other byte), and 10 for a
+# digit byte (1 for any other): a canonical line's h is _DIGIT[b6] *
+# _PLACE[b7] + _DIGIT[b7] of its bytes 6 and 7.
+_DIGIT = np.zeros(256, dtype=np.int64)
+_DIGIT[48:58] = np.arange(10)
+_PLACE = np.ones(256, dtype=np.int64)
+_PLACE[48:58] = 10
 
 
 def line_table(tree, cells, table=None):
     """Put the `REPORT_LINE` of each of the given (node, sign) cells of tree
     (`SumTree.cells`) into table, an object array indexed by cell (a new one
     holding None at every other cell, if table is None), and return it: what
-    `write_report_arrays` looks reports up in."""
+    `write_report_arrays` looks reports up in, and what the reader checks
+    each chunk against."""
     if table is None:
         table = np.empty(tree.counts.size, dtype=object)
     h, t = tree.nodes()
@@ -151,13 +162,16 @@ def read_reports(path, d):
     of bad syntax before any report that addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
-    read READ_BYTES at a time. Under the cap the tree's table (the
-    `line_table` of every cell) is built before the first read, and each
-    chunk is split into lines, each looked up in it. A chunk that holds a
-    line off the table, such as a report that addresses no node, and every
-    chunk past the cap, is checked against one pattern for the canonical
-    line and converted whole with array operations. Which path a chunk
-    takes depends on d and on the chunk's own lines, never on earlier ones.
+    read READ_BYTES at a time. Under the cap each line's cell is computed
+    from the bytes at the canonical line's fixed offsets (`_cells`), and
+    the chunk is taken only if it equals, byte for byte, the lines of those
+    cells in the writer's own `line_table`, each formatted when a chunk
+    first reads it: a line is taken only if it is a cell's own line. Any
+    other chunk, such as one holding a report that addresses no node, and
+    every chunk past the cap, is checked against one pattern for the
+    canonical line and converted whole with array operations. Which path a
+    chunk takes depends on d and on the chunk's own lines, never on earlier
+    ones.
     Any other spelling of the rows sends the whole file again through
     `parse_report_rows`, which returns the same reports or names the bad
     line, one row per report. A pipe is read into memory first, so that it
@@ -181,17 +195,17 @@ def read_reports(path, d):
 def _read_canonical(fh, d):
     """(index, h, t, u) of a stream of canonical lines over horizon d (see
     `read_reports`), or None once a line is not canonical."""
-    table, rows = {}, [np.empty((0, 3), dtype=np.int64)]
+    tree, rows = None, [np.empty((0, 3), dtype=np.int64)]
     if 4 * int(d) - 2 <= READ_LINES:
-        # row c is (node, sign) cell c of the tree, found by its line; zip
-        # drops the empty piece after the last newline
+        # row c is (node, sign) cell c of the tree; lines[c] is its line,
+        # formatted once a chunk first reads it
         tree = SumTree(d)
-        text = "".join(line_table(tree, np.arange(tree.counts.size)).tolist())
-        table = dict(zip(text.encode().split(b"\n"), range(tree.counts.size)))
+        lines = np.empty(tree.counts.size, dtype=object)
+        known = np.zeros(tree.counts.size, dtype=bool)
         h, t = tree.nodes()
         rows[0] = np.stack([h.repeat(2), t.repeat(2), np.tile([-1, 1], len(h))], axis=1)
-    size = len(table)  # the rows so far
-    # each looked-up chunk's rows, or (start, stop) of a chunk's own rows
+    size = len(rows[0])  # the rows so far
+    # each taken chunk's cells, or (start, stop) of a chunk's own rows
     index = [np.empty(0, dtype=np.intp)]
     tail = b""
     while data := fh.read(READ_BYTES):
@@ -202,14 +216,19 @@ def _read_canonical(fh, d):
         # path at once, so a file without newlines is not gathered here
         if len(tail) > _MAX_LINE:
             return None
-        if table:
-            lines = chunk.split(b"\n")
-            lines.pop()  # the empty piece after the last newline
-            try:
-                index.append(np.fromiter(map(table.__getitem__, lines), np.intp, len(lines)))
+        if not chunk:
+            continue
+        cells = _cells(chunk, tree) if tree is not None else None
+        if cells is not None:
+            fresh = cells[~known[cells]]
+            if len(fresh):
+                fresh = np.flatnonzero(np.bincount(fresh))
+                line_table(tree, fresh, lines)
+                known[fresh] = True
+            # the cells hold only if their lines are the chunk, byte for byte
+            if "".join(lines[cells].tolist()).encode() == chunk:
+                index.append(cells)
                 continue
-            except KeyError:
-                pass  # a line off the tree's table: the chunk is converted whole
         block = _convert(chunk)
         if block is None:
             return None
@@ -222,6 +241,33 @@ def _read_canonical(fh, d):
     rows.clear()  # copied into the columns; freed before the ranges are filled in
     return np.concatenate([np.arange(*part) if type(part) is tuple else part
                            for part in index]), *columns
+
+
+def _cells(chunk, tree):
+    """The (node, sign) cell of tree of each line of chunk, a run of whole
+    lines, read at the fixed offsets of the canonical line, or None if a
+    line is too short to be one. `{"h": H, "t": T, "u": U}` is 21 + |H| +
+    |T| + |U| bytes: H is at bytes 6 and 7, and with e its newline, U's
+    sign is at e - 3 and T's digits end at e - 10 - (U < 0). A byte that is
+    not a digit reads as 0, so T's digits are read at a width of d's, and
+    any other line still maps to some cell, whose own line it is not."""
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    # each line at least 24 bytes keeps every byte read below in its line,
+    # but for T's leading bytes at a width past 14 digits, kept in the chunk
+    if ends[0] < 24 or (ends[1:] - ends[:-1]).min(initial=25) < 25:
+        return None
+    at = np.concatenate(([6], ends[:-1] + 7))
+    h, second = _DIGIT.take(buf.take(at)), buf.take(at + 1)
+    h = h * _PLACE.take(second) + _DIGIT.take(second)
+    neg = buf.take(ends - 3) == ord("-")
+    at = ends - 10 - neg
+    t = _DIGIT.take(buf.take(at))
+    for place in 10 ** np.arange(1, len(str(tree.d))):
+        at = np.maximum(at - 1, 0)
+        t += place * _DIGIT.take(buf.take(at))
+    h = np.minimum(np.maximum(h, 1), tree.levels)
+    return np.minimum(np.maximum(tree.cells(h, t, ~neg), 0), tree.counts.size - 1)
 
 
 def _convert(chunk):

@@ -518,6 +518,31 @@ class TestPinnedBytes:
         assert code == 0
         assert _sha256(estimates) == PINNED_ESTIMATES[mode]
 
+    @pytest.mark.parametrize("read_lines", [client_mod.READ_LINES, 4])
+    def test_estimate_states_its_run_on_stderr_only(self, capsys, monkeypatch, tmp_path,
+                                                    read_lines):
+        # the CSV on stdout is the pinned one, byte for byte, whether the
+        # d = 16 tree's 62 cells are its rows or, past a cap of 4, each report
+        monkeypatch.setattr(harness, "ROWS", 1)
+        monkeypatch.setattr(client_mod, "WRITE_ROWS", 50)
+        reports = tmp_path / "reports.jsonl"
+        code, _, _ = _run(capsys, ["simulate", "--n", "200", "--d", "16", "--k", "3",
+                                   "--epsilon", "1.0", "--seed", "7",
+                                   "--shuffle-mode", "post-shuffle",
+                                   "--reports-path", str(reports),
+                                   "--output", str(tmp_path / "run.json")])
+        assert code == 0
+        truth = tmp_path / "truth.txt"
+        truth.write_text("".join(f"{(i * 7) % 11 - 5}\n" for i in range(16)))
+        monkeypatch.setattr(client_mod, "READ_LINES", read_lines)
+        code, out, err = _run(capsys, ["estimate", "--reports", str(reports), "--d", "16",
+                                       "--k", "3", "--epsilon", "1.0", "--truth", str(truth)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ESTIMATES["post-shuffle"]
+        rows = 62 if read_lines > 4 else 1236
+        assert re.fullmatch(r"estimate: 1236 reports read as %d rows in \d+\.\d{3}s, "
+                            r"peak RSS \d+ KB\n" % rows, err)
+
 
 def _change_rows(n, d):
     """JSON-lines change vectors for the file model: row i has i % 7

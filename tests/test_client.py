@@ -612,6 +612,52 @@ class TestChunkedReportIo:
         assert dict(zip(rows, np.bincount(index, minlength=14).tolist())) \
             == {line: path.read_bytes().splitlines().count(line) for line in rows}
 
+    @pytest.mark.parametrize("e", range(12))
+    def test_every_cell_under_the_cap_is_found_by_its_bytes(self, tmp_path, monkeypatch, e):
+        # horizons d = 2^0 ... 2^11, whose t has one to four digits and h one
+        # or two: each cell's line, written one to three times in a random
+        # order, is found by arithmetic on its bytes and never converted
+        d = 1 << e
+        tree = SumTree(d)
+        assert tree.counts.size <= client_mod.READ_LINES
+        counts = 1 + np.arange(tree.counts.size) % 3
+        cells = np.random.default_rng(e).permutation(np.repeat(np.arange(len(counts)), counts))
+        path = tmp_path / "reports.jsonl"
+        write_report_arrays(path, cells, line_table(tree, np.arange(len(counts))))
+        monkeypatch.setattr(client_mod, "_convert",
+                            lambda chunk: pytest.fail("a line of the tree converted"))
+        monkeypatch.setattr(client_mod, "parse_report_rows",
+                            lambda *a: pytest.fail("per-row parser called"))
+        index, h, t, u = read_reports(path, d)
+        assert np.array_equal(np.bincount(index, minlength=len(h)), counts)
+        assert np.array_equal(index, cells)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.integers(0, 4 * 64 - 3), min_size=1, max_size=12),
+           st.sampled_from(["change", "insert", "delete"]), st.integers(0, 1 << 20),
+           st.sampled_from(b'0123456789- ,:"{}htu\n') | st.integers(0, 255),
+           st.sampled_from([1 << 16, 40]))
+    @example([1], "change", 22, ord("2"), 1 << 16)  # {"h": 1, "t": 1, "u": 2}
+    @example([1], "change", 18, ord("x"), 1 << 16)  # the bytes read give cell 1
+    @example([5], "change", 14, ord("5"), 1 << 16)  # (1, 3, 1) read as (1, 5, 1)
+    @example([253, 0], "insert", 7, ord("0"), 40)  # h = 70, past the tree
+    @example([3, 3], "delete", 2, 0, 40)  # {"": 1, ...}
+    def test_one_byte_off_a_canonical_file_reads_as_the_per_row_parser(
+            self, tmp_path_factory, cells, edit, at, byte, read_bytes):
+        # a byte changed, inserted or deleted in a canonical d = 64 file: a
+        # near-canonical line is never taken for the line of a cell
+        tree = SumTree(64)
+        cells = np.array(cells)
+        path = tmp_path_factory.mktemp("near") / "reports.jsonl"
+        write_report_arrays(path, cells, line_table(tree, cells))
+        data = path.read_bytes()
+        at %= len(data) + (edit == "insert")
+        new = bytes([byte]) if edit != "delete" else b""
+        path.write_bytes(data[:at] + new + data[at + (edit != "insert"):])
+        want = _outcome(read_report_rows, path, 64)
+        with mock.patch.object(client_mod, "READ_BYTES", read_bytes):
+            assert _outcome(read_decoded, path, 64) == want
+
     @settings(deadline=None, max_examples=200)
     @given(st.lists(_TREE_LINES, max_size=60), st.integers(26, 34), st.integers(1, 200))
     @example([_CANON % (1, 1, 1)] * 3 + [_CANON % (1, t, -1) for t in range(1, 5)]
