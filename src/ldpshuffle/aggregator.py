@@ -43,6 +43,15 @@ class SumTree:
         shift = h - 1
         return 2 * (self._offsets[shift] + (t >> shift) - 1) + (u > 0)
 
+    def reports(self, cells):
+        """The report (h, t, u) of each (node, sign) cell of this tree, of an
+        int64 array of indices into `counts.ravel()`: the inverse of `cells`,
+        with h and t those `nodes` gives the cell's row."""
+        row = cells >> 1
+        h = self._offsets.searchsorted(row, "right")
+        shift = h - 1
+        return h, (row - self._offsets[shift] + 1) << shift, 2 * (cells & 1) - 1
+
     def add(self, h, t, u, counts=None):
         """Count reports (h, t, u), of int64 arrays, into this tree, each
         counts[i] times (once if counts is None), and return their cells;

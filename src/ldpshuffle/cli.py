@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import resource
 import sys
@@ -55,12 +56,17 @@ def _peak_rss_kb():
     exec, where the kernel provides it. Linux carries ru_maxrss over from the
     process that spawned this one, so it is only the fallback."""
     try:
-        with open("/proc/self/status", "rb") as fh:
-            for line in fh:
-                if line.startswith(b"VmHWM:"):
-                    return int(line.split()[1])
+        fd = os.open("/proc/self/status", os.O_RDONLY)
+        try:
+            # the kernel hands over the whole status, about 1.5 KB, in one read
+            status = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
     except OSError:
-        pass
+        status = b""
+    at = status.find(b"\nVmHWM:")
+    if at >= 0:
+        return int(status[at + 7:status.find(b"\n", at + 1)].split()[0])
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
@@ -110,6 +116,10 @@ def _cmd_bound(args):
 
 
 def _verify_points(args):
+    """Each point (n, eps0, delta, claim) to certify: claim is the
+    accountant's `amplify_shuffle(eps0, n, delta)`, which checks a grid row,
+    or None for the point the flags give, which `certify_amplification`
+    then checks."""
     if args.grid:
         with open_input(args.grid) as fh:
             reader = csv.reader(fh)
@@ -121,32 +131,33 @@ def _verify_points(args):
                         n, eps0, delta = row
                         n, eps0, delta = int(n), float(eps0), float(delta)
                         check_count(n, "n", low=2, high=ORACLE_MAX_N)
-                        amplify_shuffle(eps0, n, delta)
+                        claim = amplify_shuffle(eps0, n, delta)
                     except InvalidParameterError as exc:
                         raise ParseError(str(exc), reader.line_num) from exc
                     except ValueError as exc:
                         raise ParseError("expected a row n,eps0,delta with an integer n",
                                          reader.line_num) from exc
-                    yield n, eps0, delta
+                    yield n, eps0, delta, claim
             except csv.Error as exc:
                 raise ParseError(f"malformed CSV: {exc}", reader.line_num) from exc
     else:
         if args.n is None or args.eps0 is None or args.delta is None:
             raise InvalidParameterError("need --n, --eps0 and --delta (or --grid)")
-        yield args.n, args.eps0, args.delta
+        yield args.n, args.eps0, args.delta, None
 
 
 def _cmd_verify(args):
     if args.grid and (args.n, args.eps0, args.delta) != (None, None, None):
         raise InvalidParameterError("--grid takes no --n, --eps0 or --delta")
-    # every grid row is checked first, so that a bad row fails before any scan
+    # every grid row is checked first, so that a bad row fails before any
+    # scan; the claim that checked it is the one certified
     points = list(_verify_points(args))
     if not points:
         raise InvalidParameterError(f"grid {args.grid} holds no n,eps0,delta row")
     all_passed = True
-    for n, eps0, delta in points:
+    for n, eps0, delta, claim in points:
         start = time.perf_counter()
-        record = certify_amplification(n, eps0, delta)
+        record = certify_amplification(n, eps0, delta, claim)
         seconds = time.perf_counter() - start
         # the record holds only scalars, so its own field dict serves, with
         # no deep copy

@@ -79,12 +79,11 @@ def line_table(tree, cells, table=None):
     each chunk against."""
     if table is None:
         table = np.empty(tree.counts.size, dtype=object)
-    h, t = tree.nodes()
     # WRITE_ROWS cells at a time, so that only the lines outlive their values
     for lo in range(0, len(cells), WRITE_ROWS):
         part = cells[lo:lo + WRITE_ROWS]
-        table[part] = [REPORT_LINE % row for row in zip(
-            h[part >> 1].tolist(), t[part >> 1].tolist(), (2 * (part & 1) - 1).tolist())]
+        table[part] = [REPORT_LINE % row
+                       for row in zip(*(a.tolist() for a in tree.reports(part)))]
     return table
 
 

@@ -51,6 +51,21 @@ class TestSumTree:
             got = accumulate_arrays(h, t, np.ones(len(h), dtype=np.int64), d)
             assert np.array_equal(got.counts, [[0, 1]] * len(h))
 
+    @pytest.mark.parametrize("exponent", range(13))
+    def test_reports_invert_cells(self, exponent):
+        # each cell's report is (h, t) of its row by `nodes`, with u from its
+        # sign bit, on random subsets of the cells, repeats and order kept
+        d = 1 << exponent
+        tree = SumTree(d)
+        h, t = tree.nodes()
+        rng = np.random.default_rng(exponent)
+        for size in (0, 1, 7, tree.counts.size, 3 * tree.counts.size):
+            cells = rng.integers(0, tree.counts.size, size=size)
+            got = tree.reports(cells)
+            want = (h[cells >> 1], t[cells >> 1], 2 * (cells & 1) - 1)
+            assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(tree.cells(*got), cells)
+
     def test_two_reports_same_node(self):
         tree = accumulate([Report(2, 2, 1), Report(2, 2, 1)], 4)
         assert node(tree, 2, 1) == 2

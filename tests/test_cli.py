@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import ldpshuffle.cli as cli
 import ldpshuffle.client as client_mod
+import ldpshuffle.divergence as divergence
 import ldpshuffle.harness as harness
 from ldpshuffle.amplification import AmplificationResult, amplify_shuffle
 from ldpshuffle.divergence import CertificationRecord, certify_amplification
@@ -205,8 +207,10 @@ class TestVerifyAmplification:
     @given(st.text(st.characters(blacklist_categories=("Cs",))))
     @example("x" * 131073 + ",0.25,1e-4\n")
     @example('"unterminated,1,2\n100,0.5,1e-4\n')
+    @example("# n,eps0,delta\n100,0.5,1e-4\n 2 , 3 ,0.5\n")
     def test_grid_parse_fuzz(self, tmp_path_factory, text):
-        # parsing only: the points are collected, none is certified
+        # parsing only: the points are collected, none is certified; each
+        # carries the accountant's claim that checked it
         grid = tmp_path_factory.mktemp("grid") / "grid.csv"
         grid.write_bytes(text.encode("utf-8"))
         try:
@@ -214,8 +218,37 @@ class TestVerifyAmplification:
         except ParseError as exc:
             assert isinstance(exc.line_number, int)
             return
-        for n, eps0, delta in points:
+        for n, eps0, delta, claim in points:
             assert type(n) is int and type(eps0) is float and type(delta) is float
+            assert claim == amplify_shuffle(eps0, n, delta)
+
+    def test_each_grid_point_runs_the_accountant_and_the_oracle_once(self, capsys,
+                                                                      monkeypatch, tmp_path):
+        # the claim that checks a row is the one certified, and nothing is
+        # kept from one run for the next
+        calls = {"amplify_shuffle": 0, "divergence_bounds": 0}
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        points = [(100, 0.25, 1e-4), (150, 0.5, 1e-4), (200, 0.5, 1e-6)]
+        want = "".join(json.dumps(dataclasses.asdict(certify_amplification(*point)),
+                                  sort_keys=True) + "\n" for point in points)
+        spy(cli, "amplify_shuffle")
+        spy(divergence, "amplify_shuffle")
+        spy(divergence, "divergence_bounds")
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(f"{n},{eps0!r},{delta!r}\n" for n, eps0, delta in points))
+        for run in (1, 2):
+            code, out, _ = _run(capsys, ["verify-amplification", "--grid", str(grid)])
+            assert code == 0
+            assert out == want
+            assert calls == {"amplify_shuffle": 3 * run, "divergence_bounds": 3 * run}
 
     def test_missing_grid_exits_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["verify-amplification", "--grid",
@@ -844,3 +877,24 @@ def test_simulate_peak_rss_is_its_own():
     assert int(own) >= 256 * 1024
     peak = int(re.search(r"peak RSS (\d+) KB", line).group(1))
     assert 0 < peak < 128 * 1024
+
+
+def _vmhwm_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_peak_rss_is_vmhwm_else_ru_maxrss(monkeypatch):
+    # both only rise, so a value read between two readings lies between them
+    before = _vmhwm_kb()
+    peak = cli._peak_rss_kb()
+    assert before <= peak <= _vmhwm_kb()
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc")
+    monkeypatch.setattr(cli.os, "open", unreadable)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = cli._peak_rss_kb()
+    monkeypatch.undo()
+    assert before <= peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import asdict
 
@@ -6,7 +7,9 @@ import pytest
 from scipy.stats import chisquare
 
 from ldpshuffle.amplification import amplify_shuffle
-from ldpshuffle.divergence import certify_amplification, divergence_scan, worst_case_divergence
+from ldpshuffle import divergence
+from ldpshuffle.divergence import (certify_amplification, divergence_bounds, divergence_scan,
+                                    worst_case_divergence)
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.randomizer import RandomnessStream
 
@@ -139,8 +142,57 @@ PINNED_VERDICTS = {
     (5000, 0.5): (True, "general", 0.2165559207654326),
 }
 
+# repr of exact_delta and delta_bar, bit for bit as the oracle gave them, on
+# the certify grid and at the oracle's cap; delta = 1e-4
+PINNED_DELTAS = {
+    (1000, 0.25): ("0.0", "2.792800835478145e-18"),
+    (1000, 0.5): ("0.0", "1.295764419488417e-20"),
+    (2000, 0.25): ("0.0", "6.332123467586526e-18"),
+    (2000, 0.5): ("0.0", "1.2501548093681281e-18"),
+    (3000, 0.25): ("0.0", "7.654677573785864e-18"),
+    (3000, 0.5): ("0.0", "2.57158690770839e-18"),
+    (10_000, 0.25): ("3.451836199787119e-19", "1.8320880410867596e-17"),
+    (10_000, 0.5): ("0.0", "1.2896442257204018e-17"),
+}
+
+# sha256 of deltas.tobytes() + bars.tobytes() from divergence_bounds(n,
+# eps0, eps, bar), as the oracle gave them; bar = 0 is the full scan
+PINNED_BOUNDS = {
+    (2, math.log(3.0), 0.0, 0.0):
+        "9fef6b66276265c70839fa3d22a3c3c057abbe2769df50c2b24b9ad19a0fbabe",
+    (37, 0.6, 0.2, 0.0): "a4eaf070700d151df37a044b9e32399aa4a95d4c96bd622ef3e3d76e96a85ec5",
+    (500, 0.1, 0.0, 1e-8): "8ebae83ae357f04146685c5362afa06961b812a25106f301e02ba2bcedba6991",
+    (300, 1.0, 0.3, 1e-6): "2d487e25cf1e63b396fc90a447f72cf1b691d2a73eb7ad7a5cf556b003ccf3b1",
+    (1000, 0.5, 0.05, 0.0): "a829582160c9d3d40b6d7028fe9987386d91a67e771639f86cd6ececd17a5c73",
+    (1000, 0.25, 0.1279897639110036, 1e-16):
+        "2c3e37a9dab4882fa31f6f71f153d7b0054b6324b15222934ba5a2baec6cbff5",
+    (2000, 0.5, 0.2, 1e-10): "e28e29d7481fc3acb9a99145edbdc90717c6e80dad4d29d2cd76ab2d9f8e7043",
+    (3000, 2.0, 0.9, 1e-3): "060727938b4449ce6ab7cfa945e8cc4c8ed70e93d125fdf6fe7abbe66a3dce9d",
+    (10_000, 0.5, 0.05, 1e-14):
+        "d3607a96dfcb446ee5cdfd3cdd3d2262e0bbfad6384cf29e1c4cac38aeaac175",
+}
+
 
 class TestCertification:
+    @pytest.mark.parametrize("n,eps0", sorted(PINNED_DELTAS))
+    def test_deltas_and_bars_pinned(self, n, eps0):
+        record = certify_amplification(n, eps0, 1e-4)
+        assert (repr(record.exact_delta), repr(record.delta_bar)) == PINNED_DELTAS[n, eps0]
+
+    @pytest.mark.parametrize("point", sorted(PINNED_BOUNDS))
+    def test_bounds_pinned(self, point):
+        deltas, bars = divergence_bounds(*point)
+        assert hashlib.sha256(deltas.tobytes() + bars.tobytes()).hexdigest() == \
+            PINNED_BOUNDS[point]
+
+    @pytest.mark.parametrize("n,eps0,delta", [(1000, 0.25, 1e-4), (100, 0.5, 1e-6),
+                                              (2, 5.0, 1e-4)])
+    def test_a_given_claim_is_the_one_certified(self, monkeypatch, n, eps0, delta):
+        claim = amplify_shuffle(eps0, n, delta)
+        record = certify_amplification(n, eps0, delta)
+        monkeypatch.setattr(divergence, "amplify_shuffle", None)  # not called again
+        assert certify_amplification(n, eps0, delta, claim) == record
+
     @pytest.mark.parametrize("n,eps0", sorted(PINNED_VERDICTS))
     def test_verdicts_unchanged_by_the_window(self, n, eps0):
         record = certify_amplification(n, eps0, 1e-4)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpshuffle import divergence
@@ -110,6 +110,43 @@ class TestEmitReports:
             with pytest.raises(InvalidParameterError):
                 emit_reports(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
                              np.ones(3, dtype=np.int64), np.zeros(shape), 0.7, 4)
+
+
+def _two_cumsum_window(values, tau):
+    """`divergence._window` as a plain reference: both cumsums formed
+    whatever the ends hold, each run found in its own."""
+    if not len(values) or values[0] > tau and values[-1] > tau:
+        return 0, len(values), 0.0, float(values.sum())
+    head = values.cumsum()
+    first = int(head.searchsorted(tau, "right"))
+    tail = values[::-1].cumsum()
+    trail = int(tail.searchsorted(tau, "right"))
+    dropped = (head[first - 1] if first else 0.0) + (tail[trail - 1] if trail else 0.0)
+    return first, len(values) - trail, float(dropped), float(head[-1])
+
+
+class TestWindow:
+    @settings(deadline=None, max_examples=300)
+    @given(values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                                     st.floats(0.0, 1e-12), st.floats(0.0, 1e-300)),
+                           max_size=40),
+           tau=st.one_of(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 0.5, 50.0]),
+                         st.floats(0.0, 2.0)))
+    @example(values=[], tau=0.0)
+    @example(values=[], tau=1.0)
+    @example(values=[0.5, 0.2, 0.3], tau=0.25)        # first above, last above
+    @example(values=[0.1, 0.5, 0.4], tau=0.25)        # first below, last above
+    @example(values=[0.4, 0.5, 0.1], tau=0.25)        # first above, last below
+    @example(values=[0.1, 0.8, 0.1], tau=0.25)        # both below
+    @example(values=[1e-3, 2e-3, 1e-3], tau=0.25)     # all mass below tau
+    @example(values=[0.0, 0.0, 0.0], tau=0.0)
+    @example(values=[0.3, 0.4, 0.3], tau=0.3)         # ends equal to tau
+    def test_equals_the_two_cumsum_reference(self, values, tau):
+        values = np.array(values, dtype=float)
+        got, want = divergence._window(values, tau), _two_cumsum_window(values, tau)
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got[:2] == want[:2]
+        assert (repr(got[2]), repr(got[3])) == (repr(want[2]), repr(want[3]))
 
 
 class TestDivergenceScan:
