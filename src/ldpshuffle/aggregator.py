@@ -64,11 +64,8 @@ class SumTree:
         # count every node's -1 and +1 reports over (node, sign) cells, in
         # integers
         cells = self.cells(h, t, u)
-        if counts is None:
-            added = np.bincount(cells, minlength=self.counts.size)
-        else:
-            added = np.zeros(self.counts.size, dtype=np.int64)
-            np.add.at(added, cells, counts)
+        added = np.zeros(self.counts.size, dtype=np.int64)
+        np.add.at(added, cells, 1 if counts is None else counts)
         self.counts += added.reshape(-1, 2)
         return cells
 

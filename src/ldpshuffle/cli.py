@@ -4,7 +4,9 @@ Subcommands: simulate (end-to-end pipeline runs), bound (closed-form
 amplification calculator), verify-amplification (exact-oracle soundness
 checks), cover (debug dyadic covers), estimate (offline aggregation of a
 report file). Exit codes: 0 success, 2 invalid or out-of-regime
-parameters, 3 a verification check failed.
+parameters, 3 a verification check failed, 141 stdout was closed before
+the output was written (128 + SIGPIPE, as a shell reports a process that
+the signal ends).
 """
 
 import argparse
@@ -27,8 +29,9 @@ from .client import INT64_MAX, check_distinct_paths, open_input, open_output, re
 from .core import check_count, level_count, scale_factor
 from .divergence import ORACLE_MAX_N, certify_amplification
 from .errors import InvalidParameterError, ParseError
-from .harness import (INPUT_MODELS, SHUFFLE_MODES, SimulationConfig, results_to_json, simulate,
-                      summarize, trial_bytes, write_results)
+from .harness import (INPUT_MODELS, SHUFFLE_MODES, SimulationConfig, _check_memory,
+                      _estimate_bytes, results_to_json, simulate, summarize, trial_bytes,
+                      write_results)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -198,6 +201,7 @@ def _cmd_estimate(args):
     level_count(args.d)
     check_count(args.k, "change budget k", high=args.d)
     scale_factor(args.epsilon)
+    _check_memory(_estimate_bytes(args.d), f"an estimate over horizon {args.d}")
     # the stream's histogram: each row with the count of its reports, which
     # the tree adds in int64. Past the reader's cap each report is a row, so
     # the index is as long as the file, and it is freed before the tree is
@@ -293,10 +297,19 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return globals()[args.handler](args)
+        code = globals()[args.handler](args)
+        sys.stdout.flush()  # so that a closed stdout is met here, not at exit
+        return code
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # the reader of stdout is gone: what is left of the output goes
+        # nowhere, and the exit code is a shell's for a process SIGPIPE ends
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -12,11 +12,10 @@ per (node, sign) cell of its `SumTree`, so both ends go through the tree's
 table of lines, `line_table`. The writer takes each report as its cell and
 joins the lines of the cells that occur, each formatted once. The reader
 returns the stream dictionary-encoded, as rows and one row index per
-report: for a tree of at most READ_LINES cells the rows are its cells, each
-report's cell is read off its line's bytes by numpy arithmetic, and a chunk
-of the file is taken only if it equals the table lines of its cells byte
-for byte. Any other chunk, and every chunk of a larger tree, is converted
-whole, each report a row of its own. Once reports are anonymized the
+report: for a tree of at most READ_LINES cells the rows are its cells, and
+each report's cell is read off its line's bytes by numpy arithmetic (a
+chunk that is not the table lines of its cells is converted whole); past
+the cap each report is a row of its own. Once reports are anonymized the
 server needs only their multiset, which is the rows and the count of each.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
@@ -54,11 +53,11 @@ _MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
 # Reports joined per write, bytes read per chunk, and the most (node, sign)
 # cells of a tree whose rows are the reader's (d <= 2^11); none changes a
 # result, and all keep the buffers of one file small. Under the cap a read
-# holds, checks and counts a row per cell of the tree whatever the file
-# holds, so a higher cap slowed files of few reports or many cells: past
-# the cap a one-report file at d = 2^12 read in 0.14 ms and a 300,000-report
-# file at d = 2^14 in 135 ms; under caps of 2^15 and 2^17 they took 1.5 ms
-# and 215 ms (the read sweep of BENCH_26.json).
+# holds and counts a row per cell of the tree whatever the file holds, so a
+# higher cap slowed files of few reports or many cells: past the cap a
+# one-report file at d = 2^12 read in 0.14 ms and a 300,000-report file at
+# d = 2^14 in 135 ms; under caps of 2^15 and 2^17 they took 1.5 ms and
+# 215 ms (the read sweep of BENCH_26.json).
 WRITE_ROWS = 1 << 14
 READ_BYTES = 1 << 16
 READ_LINES = 1 << 13
@@ -145,20 +144,19 @@ def read_reports(path, d):
     (index, h, t, u), int64 arrays where report i of the file is row
     index[i] of (h, t, u), so that (h[index], t[index], u[index]) are the
     file's reports in order. When the tree over d has at most READ_LINES
-    (node, sign) cells, the rows start with its cells in storage order
-    (`SumTree.nodes()`, -1 before +1), some perhaps read by no report.
-    After them, or from the first row for a larger tree, come the reports
-    of each chunk converted whole (below), a row each, in file order. A
-    server that counts reports needs only the rows and `np.bincount(index)`
-    (`aggregator.accumulate_arrays`).
+    (node, sign) cells, the rows are its cells in storage order
+    (`SumTree.nodes()`, -1 before +1), some perhaps read by no report, and
+    index[i] is report i's cell; for a larger tree, or a file read by the
+    per-row parser, the rows are the file's reports in order and index is
+    `np.arange`. A server that counts reports needs only the rows and
+    `np.bincount(index)` (`aggregator.accumulate_arrays`).
 
     Every row must be an object whose h and t are positive int64 integers
     and whose u is -1 or +1; floats, booleans and strings are refused.
-    Every row must also address a node of the tree over horizon d
-    (`aggregator.stray_report`), checked once per row once the file is
-    read, so the first bad row's first report is the first bad report.
-    Raises ParseError naming the first bad report's 1-based line, a report
-    of bad syntax before any report that addresses no node.
+    Every report must also address a node of the tree over horizon d
+    (`aggregator.stray_report`). Raises ParseError naming the first bad
+    report's 1-based line, a report of bad syntax before any report that
+    addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
     read READ_BYTES at a time. Under the cap each line's cell is computed
@@ -170,7 +168,7 @@ def read_reports(path, d):
     every chunk past the cap, is checked against one pattern for the
     canonical line and converted whole with array operations. Which path a
     chunk takes depends on d and on the chunk's own lines, never on earlier
-    ones.
+    ones. Each converted chunk is checked against the tree as it is read.
     Any other spelling of the rows sends the whole file again through
     `parse_report_rows`, which returns the same reports or names the bad
     line, one row per report. A pipe is read into memory first, so that it
@@ -185,27 +183,20 @@ def read_reports(path, d):
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
             columns = parse_report_rows(json_lines(text), d)
             return np.arange(len(columns[0])), *columns
-    index, *columns = encoded
-    # one report per line: a row's line is that of its first report
-    _check_tree(columns, d, lambda row: int((index == row).argmax()) + 1)
     return encoded
 
 
 def _read_canonical(fh, d):
     """(index, h, t, u) of a stream of canonical lines over horizon d (see
     `read_reports`), or None once a line is not canonical."""
-    tree, rows = None, [np.empty((0, 3), dtype=np.int64)]
-    if 4 * int(d) - 2 <= READ_LINES:
-        # row c is (node, sign) cell c of the tree; lines[c] is its line,
-        # formatted once a chunk first reads it
-        tree = SumTree(d)
+    tree = SumTree(d) if 4 * int(d) - 2 <= READ_LINES else None
+    if tree is not None:
+        # lines[c] is cell c's line, formatted once a chunk first reads it
         lines = np.empty(tree.counts.size, dtype=object)
         known = np.zeros(tree.counts.size, dtype=bool)
-        h, t = tree.nodes()
-        rows[0] = np.stack([h.repeat(2), t.repeat(2), np.tile([-1, 1], len(h))], axis=1)
-    size = len(rows[0])  # the rows so far
-    # each taken chunk's cells, or (start, stop) of a chunk's own rows
-    index = [np.empty(0, dtype=np.intp)]
+    # each chunk's cells under the cap, its (h, t, u) columns past it
+    parts = [np.empty(0 if tree is not None else (3, 0), dtype=np.int64)]
+    stray = None  # the ParseError of the first report that addresses no node
     tail = b""
     while data := fh.read(READ_BYTES):
         chunk = tail + data
@@ -226,20 +217,29 @@ def _read_canonical(fh, d):
                 known[fresh] = True
             # the cells hold only if their lines are the chunk, byte for byte
             if "".join(lines[cells].tolist()).encode() == chunk:
-                index.append(cells)
+                parts.append(cells)
                 continue
-        block = _convert(chunk)
-        if block is None:
+        columns = _convert(chunk)
+        if columns is None:
             return None
-        rows.append(block)
-        index.append((size, size + len(block)))
-        size += len(block)
+        if stray is None:
+            try:
+                # every chunk before it is in parts, a column entry per report
+                _check_tree(columns, d,
+                            lambda row: sum(part.shape[-1] for part in parts) + row + 1)
+            except ParseError as exc:
+                stray = exc  # raised unless a later line is not canonical
+            else:
+                parts.append(columns if tree is None else tree.cells(*columns))
     if tail:
         return None  # an unterminated last line goes per row
-    columns = [np.concatenate([block[:, j] for block in rows]) for j in range(3)]
-    rows.clear()  # copied into the columns; freed before the ranges are filled in
-    return np.concatenate([np.arange(*part) if type(part) is tuple else part
-                           for part in index]), *columns
+    if stray is not None:
+        raise stray
+    if tree is not None:
+        return np.concatenate(parts), *tree.reports(np.arange(tree.counts.size))
+    columns = np.concatenate(parts, axis=1)
+    parts.clear()  # copied into the columns; freed before the index is made
+    return np.arange(columns.shape[1]), *columns
 
 
 def _cells(chunk, tree):
@@ -270,13 +270,13 @@ def _cells(chunk, tree):
 
 
 def _convert(chunk):
-    """The (rows, 3) int64 array of a run of canonical lines, or None if
-    chunk is not one."""
+    """The (h, t, u) columns of a run of canonical lines, as one C-ordered
+    (3, lines) int64 array, or None if chunk is not one."""
     if not _CANONICAL_LINES.fullmatch(chunk):
         return None
     # the chunk is validated: only digits, signs and blanks are left
     digits = chunk.translate(None, b'{}"htu:,')
-    return np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3)
+    return np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3).T.copy()
 
 
 def _check_tree(columns, d, line):

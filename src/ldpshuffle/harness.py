@@ -2,6 +2,14 @@
 client -> (optional shuffle) -> server pipeline, measured against the
 closed-form error bound.
 
+Each client is exactly eps/2-LDP, not just eps-LDP: its transcript holds
+one randomized-response report, true with probability `rr_probability(eps)`
+= e^(eps/2) / (1 + e^(eps/2)), and fair signs otherwise, at a level and
+target change that do not depend on its input, so two inputs' transcript
+probabilities differ by at most p / (1 - p) = e^(eps/2), a ratio two inputs
+with different signal nodes attain (the exact enumeration in the tests
+pins it).
+
 Reproducibility contract: every trial draws from its own counter-based
 stream keyed by (seed, trial), consumed in a fixed order that depends on
 the shuffle mode. Both modes start with input generation (k integer draws
@@ -112,11 +120,7 @@ class SimulationConfig:
             )
         check_distinct_paths((self.input_path, self.output_path, self.reports_path),
                              "input, output and reports")
-        need = trial_bytes(self.n, self.d, self.k, bool(self.reports_path))
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > memory:
-            raise InvalidParameterError(f"a trial may hold {need} bytes, more than "
-                                        f"the {memory} bytes of physical memory")
+        _check_memory(trial_bytes(self.n, self.d, self.k, bool(self.reports_path)), "a trial")
         # after the memory check, which bounds n; an estimate sums at most n reports
         estimate_weight(self.epsilon, self.k, self.d, self.n)
         theorem_error_bound(self.n, self.d, self.k, self.epsilon, self.beta)
@@ -251,6 +255,26 @@ def trial_bytes(n, d, k, dump=False):
     its at most n d reports."""
     table = 4 * d + 14 * min(4 * d, n * d) if dump else 0
     return 8 * (4 * n * k + 12 * n + 15 * max(ROWS, 4 * d) + 40 * d + table) + (4 << 20)
+
+
+def _estimate_bytes(d):
+    """An upper bound on the bytes of `estimate`'s arrays over horizon d:
+    the tree and the counts it adds (8 words a timestep),
+    `estimate_marginals`' node sums, prefix totals, their magnitudes and
+    the estimates (6 words), and the CSV columns t, the truth as a list of
+    ints and as an array, and the absolute error (9 words), plus 4 MB. The
+    reader's arrays are not in it: under its cap (d <= 2^11) they fit in
+    the 4 MB, and past it they grow with the file, not with d."""
+    return 8 * 23 * d + (4 << 20)
+
+
+def _check_memory(need, what):
+    """Refuse, before it starts, a run (what names it) whose bound of need
+    bytes exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise InvalidParameterError(f"{what} may hold {need} bytes, more than "
+                                    f"the {memory} bytes of physical memory")
 
 
 def run_trial(config, trial, seconds=None):

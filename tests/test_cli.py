@@ -686,6 +686,18 @@ class TestEstimateBadInput:
         assert out == "" and message in err
         assert not output.exists()
 
+    def test_horizon_past_physical_memory_refused_before_the_reports_are_read(
+            self, capsys, monkeypatch, tmp_path):
+        # the tree alone over d = 2^50 would take 32 PiB
+        monkeypatch.setattr(cli, "read_reports", lambda *a: pytest.fail("reports read"))
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        code, out, err = _run(capsys, ["estimate", "--reports", str(reports),
+                                       "--d", str(1 << 50), "--epsilon", "1.0", "--k", "1"])
+        assert code == 2 and out == ""
+        assert re.search(r"an estimate over horizon 1125899906842624 may hold \d+ bytes, "
+                         r"more than the \d+ bytes of physical memory", err)
+
     def test_missing_reports_file(self, capsys, tmp_path):
         code, _, err = self._estimate(capsys, tmp_path / "missing.jsonl")
         assert code == 2
@@ -825,6 +837,23 @@ def _python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=300).stdout
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a d = 2^16 CSV is far more than a pipe holds, so the writer meets the
+    # closed pipe while it writes
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "ldpshuffle.cli", "estimate", "--reports",
+                             str(reports), "--d", "65536", "--epsilon", "1", "--k", "1"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"t,f_tilde\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_cli_import_loads_no_scipy_module():

@@ -263,6 +263,14 @@ class TestTranscriptEnumeration:
         eps = 1.0
         assert max_transcript_ratio(4, 2, eps) <= math.exp(eps) + 1e-9
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d,k", [(2, 1), (4, 1), (4, 2), (8, 2)])
+    def test_transcript_ratio_is_exactly_half_the_budget(self, d, k, eps):
+        # one report of a transcript is randomized response at eps/2 and
+        # every other is a fair sign, so the worst ratio is e^(eps/2),
+        # attained by two inputs whose signal nodes differ
+        assert max_transcript_ratio(d, k, eps) == pytest.approx(math.exp(eps / 2), rel=1e-9)
+
 
 def write_reports(path, h, t, u, d):
     """Write reports held as (h, t, u) arrays of the tree over horizon d."""
@@ -707,6 +715,32 @@ class TestChunkedReportIo:
         with pytest.raises(ParseError, match=r"\(h=2, t=3, u=1\) addresses no node") as err:
             read_reports(path, d)
         assert err.value.line_number == 30001
+
+    @pytest.mark.parametrize("d", [1 << 11, 1 << 12])
+    def test_first_stray_is_named_unless_a_later_line_is_not_canonical(self, tmp_path,
+                                                                        monkeypatch, d):
+        # chunks of about two lines, under the cap (d = 2^11) and past it:
+        # of two reports that address no node, in different chunks, the
+        # first is named at its line without the per-row parser
+        good = [_CANON % (1, t, 1) for t in range(1, 9)]
+        lines = good[:3] + [_CANON % (2, 3, 1)] + good[3:6] + [_CANON % (1, d + 1, -1)] \
+            + good[6:]
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(b"".join(lines))
+        monkeypatch.setattr(client_mod, "READ_BYTES", 64)
+        with monkeypatch.context() as patched:
+            patched.setattr(client_mod, "parse_report_rows",
+                            lambda *a: pytest.fail("per-row parser called"))
+            with pytest.raises(ParseError, match=r"\(h=2, t=3, u=1\) addresses no node") as err:
+                read_reports(path, d)
+        assert err.value.line_number == 4
+        # a later line that is not canonical sends the file per row, whose
+        # syntax error comes before either stray report
+        with open(path, "ab") as fh:
+            fh.write(b'{"h": 1, "t": 1, "u": 1.0}\n')
+        with pytest.raises(ParseError, match="expected integer fields h, t, u") as err:
+            read_reports(path, d)
+        assert err.value.line_number == len(lines) + 1
 
     @pytest.mark.parametrize("bad,fault", [
         (b'{"h": 1, "t": 1, "u": 1.0}\n', "line 701: expected integer fields h, t, u"),
