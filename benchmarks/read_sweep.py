@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Read sweep: seconds and peak-RSS rise of reading a report file the way
-`estimate` does (`client.read_reports`, `np.bincount(index)`,
-`aggregator.accumulate_arrays`), for source trees side by side.
+"""Read sweep: seconds and peak-RSS rise of the `estimate` subcommand over
+a report file, for source trees side by side. Each call is
+`cli.main(["estimate", ..., "--output", os.devnull])` in process, the
+whole subcommand (read, accumulate, estimate and CSV write, with its
+stderr line discarded), so that trees whose reader returns different
+shapes run the same call.
 
     python3 benchmarks/read_sweep.py --tree parent=/path/to/parent/src \\
         --tree change=src --tree change-cap17=src:131072 \\
@@ -11,9 +14,9 @@ A tree is NAME=SRC or NAME=SRC:CAP, where CAP replaces `client.READ_LINES`
 in its processes. Each file holds uniform random (node, sign) cells of the
 tree over d = 2^e, written once by the first tree's writer. Each (tree,
 file) pair runs in a fresh process of this one script, pinned to one CPU
-with one BLAS thread: the VmHWM rise over its first read (the process's
+with one BLAS thread: the VmHWM rise over its first call (the process's
 history moves glibc's mmap threshold, so only rises from one script
-compare), then the median and min of repeated reads. The trees' order
+compare), then the median and min of repeated calls. The trees' order
 rotates from round to round. Prints one JSON line per process and writes
 all of them, with the medians over rounds, to --output.
 """
@@ -27,24 +30,26 @@ import sys
 import tempfile
 
 WORKER = r"""
-import json, statistics, sys, time
-src, path, d, calls, cap = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
+import contextlib, json, os, statistics, sys, time
+src, path, d, calls, cap = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
 sys.path.insert(0, src)
-import numpy as np
-from ldpshuffle import client
-from ldpshuffle.aggregator import accumulate_arrays
+from ldpshuffle import cli, client
 if cap:
     client.READ_LINES = int(cap)
+argv = ["estimate", "--reports", path, "--d", d, "--k", "1", "--epsilon", "1.0",
+        "--output", os.devnull]
 
 def hwm_kb():
     with open("/proc/self/status", "rb") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:"))
 
 def read():
-    start = time.perf_counter()
-    index, h, t, u = client.read_reports(path, d)
-    accumulate_arrays(h, t, u, d, np.bincount(index, minlength=len(h)))
-    return time.perf_counter() - start
+    with open(os.devnull, "w") as err, contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        seconds = time.perf_counter() - start
+    assert code == 0, code
+    return seconds
 
 before = hwm_kb()
 first = read()

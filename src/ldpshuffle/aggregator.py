@@ -1,10 +1,10 @@
 """Server-side aggregation: accumulate reports into a binary tree of
 counts and turn prefix covers of that tree into debiased marginal
 estimates. A shuffled stream reaches the server as its histogram, distinct
-reports each with the count of its copies, and the tree counts them in
-int64. `stray_report` is the one rule for which reports address a node;
-`SumTree.add`, hence `accumulate_arrays`, and the report reader in
-`client` apply it to rows, whatever their counts."""
+reports each with the count of its copies (`client.read_reports`), and the
+tree counts them in int64. `stray_report` is the one rule for which reports
+address a node; `SumTree.add`, hence `accumulate_arrays`, and the report
+reader in `client` apply it to rows, whatever their counts."""
 
 import math
 
@@ -85,11 +85,12 @@ def stray_report(h, t, u, d):
 def accumulate_arrays(h, t, u, d, counts=None):
     """Vectorized accumulate for reports held as parallel arrays, report i
     counted counts[i] times (once each if counts is None), exactly for any
-    int64 counts whose sum in each (node, sign) cell fits an int64. The
-    histogram of a stream read by `client.read_reports` is its rows with
-    `np.bincount(index)`. A report that addresses no node raises
-    MalformedReportError naming its index, whatever its count; counts of
-    another length or below zero raise InvalidParameterError."""
+    int64 counts whose sum in each (node, sign) cell fits an int64, such as
+    the histogram (counts, h, t, u) `client.read_reports` returns, whose at
+    most 4d - 2 distinct rows are checked here again. A report that
+    addresses no node raises MalformedReportError naming its index,
+    whatever its count; counts of another length or below zero raise
+    InvalidParameterError."""
     h, t, u = (np.asarray(a, dtype=np.int64) for a in (h, t, u))
     if counts is not None:
         counts = np.asarray(counts, dtype=np.int64)

@@ -201,16 +201,12 @@ def _cmd_estimate(args):
     level_count(args.d)
     check_count(args.k, "change budget k", high=args.d)
     scale_factor(args.epsilon)
-    _check_memory(_estimate_bytes(args.d), f"an estimate over horizon {args.d}")
-    # the stream's histogram: each row with the count of its reports, which
-    # the tree adds in int64. Past the reader's cap each report is a row, so
-    # the index is as long as the file, and it is freed before the tree is
-    # filled
+    bound = _estimate_bytes(args.d)
+    _check_memory(bound, f"an estimate over horizon {args.d}")
+    # the stream's histogram: each distinct report with its count, which
+    # the tree adds in int64
     start = time.perf_counter()
-    index, h, t, u = read_reports(args.reports, args.d)
-    counts = np.bincount(index, minlength=len(h))
-    reports = len(index)
-    del index
+    counts, h, t, u = read_reports(args.reports, args.d)
     tree = accumulate_arrays(h, t, u, args.d, counts)
     estimates = estimate_marginals(tree, args.epsilon, args.k)
     columns = {"t": np.arange(1, args.d + 1), "f_tilde": estimates}
@@ -227,8 +223,9 @@ def _cmd_estimate(args):
     finally:
         if out is not sys.stdout:
             out.close()
-    print(f"estimate: {reports} reports read as {len(h)} rows in "
-          f"{time.perf_counter() - start:.3f}s, peak RSS {_peak_rss_kb()} KB", file=sys.stderr)
+    print(f"estimate: {counts.sum()} reports read as {len(h)} rows in "
+          f"{time.perf_counter() - start:.3f}s, memory bound {bound} B, "
+          f"peak RSS {_peak_rss_kb()} KB", file=sys.stderr)
     return EXIT_OK
 
 

@@ -11,12 +11,12 @@ A report stream over horizon d holds at most 2(2d - 1) distinct lines, one
 per (node, sign) cell of its `SumTree`, so both ends go through the tree's
 table of lines, `line_table`. The writer takes each report as its cell and
 joins the lines of the cells that occur, each formatted once. The reader
-returns the stream dictionary-encoded, as rows and one row index per
-report: for a tree of at most READ_LINES cells the rows are its cells, and
-each report's cell is read off its line's bytes by numpy arithmetic (a
-chunk that is not the table lines of its cells is converted whole); past
-the cap each report is a row of its own. Once reports are anonymized the
-server needs only their multiset, which is the rows and the count of each.
+returns the stream's histogram, since once reports are anonymized the
+server needs only their multiset: it counts each chunk's cells into one
+vector over the tree as it reads it, so its memory is bounded by d and one
+chunk. Under a cap of READ_LINES cells each line's cell is read off its
+bytes by numpy arithmetic (a chunk that is not its cells' table lines is
+converted whole); past the cap every chunk is converted whole.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -31,7 +31,6 @@ import re
 import numpy as np
 
 from .aggregator import SumTree, stray_report
-from .core import level_count
 from .errors import InvalidParameterError, ParseError
 
 
@@ -51,10 +50,10 @@ _CANONICAL_LINES = re.compile(
 _MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
 
 # Reports joined per write, bytes read per chunk, and the most (node, sign)
-# cells of a tree whose rows are the reader's (d <= 2^11); none changes a
-# result, and all keep the buffers of one file small. Under the cap a read
-# holds and counts a row per cell of the tree whatever the file holds, so a
-# higher cap slowed files of few reports or many cells: past the cap a
+# cells of a tree whose lines the reader looks up (d <= 2^11); none changes
+# a result, and all keep the buffers of one file small. When the reader
+# still returned a row per cell of the tree under the cap, a higher cap
+# slowed files of few reports or many cells: past the cap a
 # one-report file at d = 2^12 read in 0.14 ms and a 300,000-report file at
 # d = 2^14 in 135 ms; under caps of 2^15 and 2^17 they took 1.5 ms and
 # 215 ms (the read sweep of BENCH_26.json).
@@ -140,16 +139,14 @@ def json_lines(fh):
 
 
 def read_reports(path, d):
-    """Read a JSON-lines report stream over horizon d, dictionary-encoded:
-    (index, h, t, u), int64 arrays where report i of the file is row
-    index[i] of (h, t, u), so that (h[index], t[index], u[index]) are the
-    file's reports in order. When the tree over d has at most READ_LINES
-    (node, sign) cells, the rows are its cells in storage order
-    (`SumTree.nodes()`, -1 before +1), some perhaps read by no report, and
-    index[i] is report i's cell; for a larger tree, or a file read by the
-    per-row parser, the rows are the file's reports in order and index is
-    `np.arange`. A server that counts reports needs only the rows and
-    `np.bincount(index)` (`aggregator.accumulate_arrays`).
+    """Read a JSON-lines report stream over horizon d as its histogram:
+    (counts, h, t, u), int64 arrays holding each distinct report (h[i],
+    t[i], u[i]) of the file once, with the count counts[i] >= 1 of its
+    lines, in the tree's storage order (`SumTree.nodes()`, -1 before +1).
+    The file's order is not kept: the multiset is what
+    `aggregator.accumulate_arrays(h, t, u, d, counts)` counts. Each chunk
+    is counted into one int64 vector per (node, sign) cell as it is read,
+    so only the per-row parser holds an array of one entry per report.
 
     Every row must be an object whose h and t are positive int64 integers
     and whose u is -1 or +1; floats, booleans and strings are refused.
@@ -159,43 +156,43 @@ def read_reports(path, d):
     addresses no node.
 
     A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
-    read READ_BYTES at a time. Under the cap each line's cell is computed
-    from the bytes at the canonical line's fixed offsets (`_cells`), and
-    the chunk is taken only if it equals, byte for byte, the lines of those
-    cells in the writer's own `line_table`, each formatted when a chunk
-    first reads it: a line is taken only if it is a cell's own line. Any
-    other chunk, such as one holding a report that addresses no node, and
-    every chunk past the cap, is checked against one pattern for the
-    canonical line and converted whole with array operations. Which path a
-    chunk takes depends on d and on the chunk's own lines, never on earlier
-    ones. Each converted chunk is checked against the tree as it is read.
-    Any other spelling of the rows sends the whole file again through
-    `parse_report_rows`, which returns the same reports or names the bad
-    line, one row per report. A pipe is read into memory first, so that it
-    can be read twice.
+    read READ_BYTES at a time. When the tree has at most READ_LINES cells,
+    each line's cell is computed from the bytes at the canonical line's
+    fixed offsets (`_cells`), and the chunk is taken only if it equals,
+    byte for byte, the lines of those cells in the writer's own
+    `line_table`, each formatted when a chunk first reads it: a line is
+    taken only if it is a cell's own line. Any other chunk, such as one
+    holding a report that addresses no node, and every chunk past the cap,
+    is checked against one pattern for the canonical line, converted whole
+    with array operations and checked against the tree. Which path a chunk
+    takes depends on d and on the chunk's own lines, never on earlier
+    ones. Any other spelling of the rows sends the whole file again through
+    `parse_report_rows`, which counts the same reports or names the bad
+    line. A pipe is read into memory first, so that it can be read twice.
     """
-    level_count(d)
+    tree = SumTree(d)
+    counts = tree.counts.ravel()  # one int64 count per (node, sign) cell
     with open_input(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        encoded = _read_canonical(fh, d)
-        if encoded is None:
+        if not _read_canonical(fh, tree, counts):
+            counts[:] = 0
             fh.seek(0)
             text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
-            columns = parse_report_rows(json_lines(text), d)
-            return np.arange(len(columns[0])), *columns
-    return encoded
+            np.add.at(counts, tree.cells(*parse_report_rows(json_lines(text), d)), 1)
+    cells = np.flatnonzero(counts)
+    return counts[cells], *tree.reports(cells)
 
 
-def _read_canonical(fh, d):
-    """(index, h, t, u) of a stream of canonical lines over horizon d (see
-    `read_reports`), or None once a line is not canonical."""
-    tree = SumTree(d) if 4 * int(d) - 2 <= READ_LINES else None
-    if tree is not None:
+def _read_canonical(fh, tree, counts):
+    """Count a stream of canonical lines into counts, a vector over the
+    (node, sign) cells of tree (see `read_reports`), and return True, or
+    return False once a line is not canonical."""
+    lines = None
+    if tree.counts.size <= READ_LINES:
         # lines[c] is cell c's line, formatted once a chunk first reads it
         lines = np.empty(tree.counts.size, dtype=object)
         known = np.zeros(tree.counts.size, dtype=bool)
-    # each chunk's cells under the cap, its (h, t, u) columns past it
-    parts = [np.empty(0 if tree is not None else (3, 0), dtype=np.int64)]
+    reports = 0  # the reports counted, all of them before the chunk
     stray = None  # the ParseError of the first report that addresses no node
     tail = b""
     while data := fh.read(READ_BYTES):
@@ -205,10 +202,10 @@ def _read_canonical(fh, d):
         # an unfinished line longer than any canonical one ends the fast
         # path at once, so a file without newlines is not gathered here
         if len(tail) > _MAX_LINE:
-            return None
+            return False
         if not chunk:
             continue
-        cells = _cells(chunk, tree) if tree is not None else None
+        cells = _cells(chunk, tree) if lines is not None else None
         if cells is not None:
             fresh = cells[~known[cells]]
             if len(fresh):
@@ -216,30 +213,26 @@ def _read_canonical(fh, d):
                 line_table(tree, fresh, lines)
                 known[fresh] = True
             # the cells hold only if their lines are the chunk, byte for byte
-            if "".join(lines[cells].tolist()).encode() == chunk:
-                parts.append(cells)
-                continue
-        columns = _convert(chunk)
-        if columns is None:
-            return None
+            if "".join(lines[cells].tolist()).encode() != chunk:
+                cells = None
+        if cells is None:
+            columns = _convert(chunk)
+            if columns is None:
+                return False
+            if stray is None:
+                try:
+                    _check_tree(columns, tree.d, lambda row: reports + row + 1)
+                    cells = tree.cells(*columns)
+                except ParseError as exc:
+                    stray = exc  # raised unless a later line is not canonical
         if stray is None:
-            try:
-                # every chunk before it is in parts, a column entry per report
-                _check_tree(columns, d,
-                            lambda row: sum(part.shape[-1] for part in parts) + row + 1)
-            except ParseError as exc:
-                stray = exc  # raised unless a later line is not canonical
-            else:
-                parts.append(columns if tree is None else tree.cells(*columns))
+            np.add.at(counts, cells, 1)
+            reports += len(cells)
     if tail:
-        return None  # an unterminated last line goes per row
+        return False  # an unterminated last line goes per row
     if stray is not None:
         raise stray
-    if tree is not None:
-        return np.concatenate(parts), *tree.reports(np.arange(tree.counts.size))
-    columns = np.concatenate(parts, axis=1)
-    parts.clear()  # copied into the columns; freed before the index is made
-    return np.arange(columns.shape[1]), *columns
+    return True
 
 
 def _cells(chunk, tree):

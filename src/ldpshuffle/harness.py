@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals, estimate_weight
-from .client import (check_distinct_paths, json_lines, line_table, open_input, open_output,
-                     write_report_arrays)
+from .client import (READ_BYTES, READ_LINES, check_distinct_paths, json_lines, line_table,
+                     open_input, open_output, write_report_arrays)
 from .core import check_count, check_real, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
 from .kernels import emit_reports
@@ -258,14 +258,19 @@ def trial_bytes(n, d, k, dump=False):
 
 
 def _estimate_bytes(d):
-    """An upper bound on the bytes of `estimate`'s arrays over horizon d:
-    the tree and the counts it adds (8 words a timestep),
-    `estimate_marginals`' node sums, prefix totals, their magnitudes and
-    the estimates (6 words), and the CSV columns t, the truth as a list of
-    ints and as an array, and the absolute error (9 words), plus 4 MB. The
-    reader's arrays are not in it: under its cap (d <= 2^11) they fit in
-    the 4 MB, and past it they grow with the file, not with d."""
-    return 8 * 23 * d + (4 << 20)
+    """An upper bound on the bytes `estimate` holds over horizon d for a
+    file of canonical report lines (a pipe is read into memory whole, and
+    another spelling goes through the per-row parser, a Python row per
+    report), in words a timestep: the reader's count of each (node, sign)
+    cell (4) and, under its cap, its line table, a slot, a mask byte and a
+    str of at most 112 bytes a cell (61); the at most 4d - 2 distinct rows
+    and counts it returns, with the temporaries of `SumTree.reports` (40);
+    `accumulate_arrays`' tree, the counts it adds and its check's
+    temporaries (32); `estimate_marginals`' arrays (6); the CSV columns
+    with the truth as ints (9). Plus one READ_BYTES chunk with its copies
+    and per-line arrays (16 READ_BYTES), and 4 MB."""
+    table = 61 * d if 4 * d - 2 <= READ_LINES else 0
+    return 8 * (91 * d + table) + 16 * READ_BYTES + (4 << 20)
 
 
 def _check_memory(need, what):

@@ -555,7 +555,8 @@ class TestPinnedBytes:
     def test_estimate_states_its_run_on_stderr_only(self, capsys, monkeypatch, tmp_path,
                                                     read_lines):
         # the CSV on stdout is the pinned one, byte for byte, whether the
-        # d = 16 tree's 62 cells are its rows or, past a cap of 4, each report
+        # d = 16 tree's lines are looked up or, past a cap of 4, converted;
+        # either way the rows are the 62 distinct reports of the stream
         monkeypatch.setattr(harness, "ROWS", 1)
         monkeypatch.setattr(client_mod, "WRITE_ROWS", 50)
         reports = tmp_path / "reports.jsonl"
@@ -572,9 +573,9 @@ class TestPinnedBytes:
                                        "--k", "3", "--epsilon", "1.0", "--truth", str(truth)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ESTIMATES["post-shuffle"]
-        rows = 62 if read_lines > 4 else 1236
-        assert re.fullmatch(r"estimate: 1236 reports read as %d rows in \d+\.\d{3}s, "
-                            r"peak RSS \d+ KB\n" % rows, err)
+        assert re.fullmatch(r"estimate: 1236 reports read as 62 rows in \d+\.\d{3}s, "
+                            r"memory bound %d B, peak RSS \d+ KB\n"
+                            % harness._estimate_bytes(16), err)
 
 
 def _change_rows(n, d):

@@ -283,7 +283,8 @@ class TestReportIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "reports.jsonl"
         write_reports(path, [1, 2], [3, 4], [-1, 1], 4)
-        h, t, u = read_decoded(path, 4)
+        counts, h, t, u = read_histogram(path, 4)
+        assert np.array_equal(counts, [1, 1])
         assert np.array_equal(h, [1, 2])
         assert np.array_equal(t, [3, 4])
         assert np.array_equal(u, [-1, 1])
@@ -365,9 +366,11 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=2), inner, max_size=3),
     max_leaves=6,
 )
-# The widest power-of-two horizon an int64 t can reach: under it the tree
-# bounds h and t least, so most rows that pass the syntax checks are read.
-WIDE = 1 << 62
+# A wide power-of-two horizon, past the reader's cap, whose count of each
+# (node, sign) cell a read still holds in 2 MB: under it the tree bounds h
+# and t less than under 4 or 64, so more rows that pass the syntax checks
+# are read.
+WIDE = 1 << 16
 # near the int64 edge too, since the readers hand their values to numpy
 _FIELDS = st.sampled_from([-1, 0, 1]) | st.integers(2 ** 63 - 2, 2 ** 64) | _JSON_SCALARS
 _OBJECTS = st.dictionaries(st.text(max_size=2), _JSON_VALUES, max_size=3)
@@ -391,7 +394,7 @@ class TestReaderFuzz:
     def test_read_reports_arrays_or_parse_error(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("fuzz") / "reports.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        self._check(path, lambda p: read_decoded(p, WIDE))  # (h, t, u)
+        self._check(path, lambda p: read_histogram(p, WIDE))  # (counts, h, t, u)
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(_CHANGE_ROWS, min_size=1, max_size=3))
@@ -407,27 +410,35 @@ def read_report_rows(path, d):
         return parse_report_rows(json_lines(fh), d)
 
 
-def read_decoded(path, d):
-    """The reports of `read_reports`, decoded from its rows: (h[index],
-    t[index], u[index]), after checking the encoding. A canonical file over
-    a tree of at most READ_LINES cells is read through the tree's table, so
-    its rows start with the tree's cells in storage order; every later row,
-    and every row of a larger tree or of the per-row parser, is read by one
-    report, in file order."""
-    per_row, parse = [], client_mod.parse_report_rows
-    with mock.patch.object(client_mod, "parse_report_rows",
-                           lambda *a: per_row.append(a) or parse(*a)):
-        index, *columns = read_reports(path, d)
-    assert index.dtype == np.int64 and index.ndim == 1
-    assert all(c.dtype == np.int64 and c.shape == (len(columns[0]),) for c in columns)
-    cells = 0
-    if not per_row and 4 * d - 2 <= client_mod.READ_LINES:
-        h, t = SumTree(d).nodes()
-        cells = 4 * d - 2
-        for got, want in zip(columns, (h.repeat(2), t.repeat(2), np.tile([-1, 1], d * 2 - 1))):
-            assert np.array_equal(got[:cells], want)
-    assert np.array_equal(index[index >= cells], np.arange(cells, len(columns[0])))
-    return tuple(c[index] for c in columns)
+def histogram(columns, d):
+    """The histogram of reports (h, t, u) of the tree over horizon d, as
+    `read_reports` returns it: (counts, h, t, u) of the (node, sign) cells
+    they fill, in storage order, each with its count."""
+    tree = SumTree(d)
+    counts = np.bincount(tree.cells(*columns), minlength=tree.counts.size)
+    cells = np.flatnonzero(counts)
+    return counts[cells], *tree.reports(cells)
+
+
+def row_histogram(path, d):
+    """The histogram of the per-row reader's reports."""
+    return histogram(read_report_rows(path, d), d)
+
+
+def read_histogram(path, d):
+    """The histogram of `read_reports`, after checking it: its rows are
+    distinct cells of the tree in storage order, each counted at least
+    once, and it is exactly the per-row reader's histogram."""
+    counts, *columns = read_reports(path, d)
+    assert all(c.dtype == np.int64 and c.shape == counts.shape for c in columns)
+    assert (np.diff(SumTree(d).cells(*columns)) > 0).all() and (counts >= 1).all()
+    try:
+        want = row_histogram(path, d)
+    except ParseError as exc:
+        raise AssertionError(f"read_reports read a file the per-row reader refuses: {exc}")
+    for got, expected in zip((counts, *columns), want):
+        assert np.array_equal(got, expected)
+    return counts, *columns
 
 
 # Lines of a report file: the canonical form the writer emits, spellings
@@ -469,7 +480,7 @@ def _outcome(read, path, d):
     try:
         columns = read(path, d)
     except ParseError as exc:
-        return "error", exc.line_number
+        return "error", exc.line_number, str(exc)
     assert all(c.dtype == np.int64 and c.ndim == 1 for c in columns)
     return "arrays", [c.tolist() for c in columns]
 
@@ -497,7 +508,7 @@ class TestChunkedReportIo:
             data = data[:-1]
         path = tmp_path_factory.mktemp("chunked") / "reports.jsonl"
         path.write_bytes(data)
-        assert _outcome(read_decoded, path, d) == _outcome(read_report_rows, path, d)
+        assert _outcome(read_histogram, path, d) == _outcome(row_histogram, path, d)
 
     def test_canonical_file_skips_the_per_row_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "reports.jsonl"
@@ -507,7 +518,7 @@ class TestChunkedReportIo:
         def refuse(*args):
             raise AssertionError("per-row parser called on a canonical file")
         monkeypatch.setattr(client_mod, "parse_report_rows", refuse)
-        for got, want in zip(read_decoded(path, 64), columns):
+        for got, want in zip(read_histogram(path, 64), histogram(columns, 64)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tail", [b"\n", b'{"u": 1, "h": 1, "t": 2}\n',
@@ -521,7 +532,7 @@ class TestChunkedReportIo:
         calls = []
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: calls.append(a) or parse_report_rows(*a))
-        assert _outcome(read_decoded, path, 64) == _outcome(read_report_rows, path, 64)
+        assert _outcome(read_histogram, path, 64) == _outcome(row_histogram, path, 64)
         assert len(calls) == (0 if client_mod._CANONICAL_LINES.fullmatch(tail) else 1)
 
     @pytest.mark.parametrize("spacing", [b" ", b"  "])
@@ -539,14 +550,16 @@ class TestChunkedReportIo:
                 fh.write(data)
         got = []
         threads = [threading.Thread(target=feed, daemon=True),
-                   threading.Thread(target=lambda: got.append(_outcome(read_decoded, fifo, 64)),
+                   # the pipe is read once, so it is compared with the
+                   # per-row reader's histogram of the same bytes in a file
+                   threading.Thread(target=lambda: got.append(_outcome(read_reports, fifo, 64)),
                                     daemon=True)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=20)
         assert not any(thread.is_alive() for thread in threads)
-        assert got == [_outcome(read_report_rows, path, 64)]
+        assert got == [_outcome(row_histogram, path, 64)]
 
     @pytest.mark.parametrize("read_bytes", [1, 7, 10 ** 9])
     @pytest.mark.parametrize("last", [b"", b'{"h": 3, "t": 64, "u": -1}\n',
@@ -556,10 +569,10 @@ class TestChunkedReportIo:
         write_reports(path, *_random_reports(2, 700, 64), 64)
         with open(path, "ab") as fh:
             fh.write(last)
-        want = _outcome(read_decoded, path, 64)
+        want = _outcome(read_histogram, path, 64)
         monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
-        assert _outcome(read_decoded, path, 64) == want
-        assert want == _outcome(read_report_rows, path, 64)
+        assert _outcome(read_histogram, path, 64) == want
+        assert want == _outcome(row_histogram, path, 64)
 
     @pytest.mark.parametrize("write_rows", [1, 10 ** 9])
     def test_write_chunk_size_changes_nothing(self, tmp_path, monkeypatch, write_rows):
@@ -610,14 +623,14 @@ class TestChunkedReportIo:
         write_reports(path, *columns, 4)
         monkeypatch.setattr(client_mod, "_convert",
                             lambda chunk: pytest.fail("a line of the tree converted"))
-        for got, want in zip(read_decoded(path, 4), columns):
+        for got, want in zip(read_histogram(path, 4), histogram(columns, 4)):
             assert np.array_equal(got, want)
         # one row per cell, each counted as often as its line occurs
-        index, h, t, u = read_reports(path, 4)
-        assert len(h) == 14 and len(index) == 5000
+        counts, h, t, u = read_reports(path, 4)
+        assert len(h) == 14 and counts.sum() == 5000
         rows = [b'{"h": %d, "t": %d, "u": %d}' % row
                 for row in zip(h.tolist(), t.tolist(), u.tolist())]
-        assert dict(zip(rows, np.bincount(index, minlength=14).tolist())) \
+        assert dict(zip(rows, counts.tolist())) \
             == {line: path.read_bytes().splitlines().count(line) for line in rows}
 
     @pytest.mark.parametrize("e", range(12))
@@ -636,9 +649,9 @@ class TestChunkedReportIo:
                             lambda chunk: pytest.fail("a line of the tree converted"))
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
-        index, h, t, u = read_reports(path, d)
-        assert np.array_equal(np.bincount(index, minlength=len(h)), counts)
-        assert np.array_equal(index, cells)
+        read, h, t, u = read_reports(path, d)
+        assert np.array_equal(read, counts)
+        assert np.array_equal(tree.cells(h, t, u), np.arange(len(counts)))
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(st.integers(0, 4 * 64 - 3), min_size=1, max_size=12),
@@ -662,9 +675,9 @@ class TestChunkedReportIo:
         at %= len(data) + (edit == "insert")
         new = bytes([byte]) if edit != "delete" else b""
         path.write_bytes(data[:at] + new + data[at + (edit != "insert"):])
-        want = _outcome(read_report_rows, path, 64)
+        want = _outcome(row_histogram, path, 64)
         with mock.patch.object(client_mod, "READ_BYTES", read_bytes):
-            assert _outcome(read_decoded, path, 64) == want
+            assert _outcome(read_histogram, path, 64) == want
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(_TREE_LINES, max_size=60), st.integers(26, 34), st.integers(1, 200))
@@ -677,10 +690,10 @@ class TestChunkedReportIo:
         # looked up in the table, past it every chunk goes whole
         path = tmp_path_factory.mktemp("cap") / "reports.jsonl"
         path.write_bytes(b"".join(lines))
-        want = _outcome(read_report_rows, path, 8)
+        want = _outcome(row_histogram, path, 8)
         with mock.patch.object(client_mod, "READ_LINES", read_lines), \
                 mock.patch.object(client_mod, "READ_BYTES", read_bytes):
-            assert _outcome(read_decoded, path, 8) == want
+            assert _outcome(read_histogram, path, 8) == want
 
     @pytest.mark.parametrize("read_bytes", [64, 1 << 16])
     def test_full_table_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch,
@@ -689,12 +702,12 @@ class TestChunkedReportIo:
         # about two lines or of the whole file, is converted whole
         path = tmp_path / "reports.jsonl"
         write_reports(path, *_random_reports(6, 700, 64), 64)
-        want = _outcome(read_report_rows, path, 64)
+        want = _outcome(row_histogram, path, 64)
         monkeypatch.setattr(client_mod, "READ_LINES", 4)
         monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
-        assert _outcome(read_decoded, path, 64) == want
+        assert _outcome(read_histogram, path, 64) == want
 
     def test_real_cap_reads_equal_to_the_per_row_parser(self, tmp_path, monkeypatch):
         # the d = 2^12 tree has 16382 cells, past READ_LINES itself, so the
@@ -705,10 +718,10 @@ class TestChunkedReportIo:
         cells = np.random.default_rng(8).integers(0, tree.counts.size, 30000)
         path = tmp_path / "reports.jsonl"
         write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
-        want = _outcome(read_report_rows, path, d)
+        want = _outcome(row_histogram, path, d)
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: pytest.fail("per-row parser called"))
-        assert _outcome(read_decoded, path, d) == want
+        assert _outcome(read_histogram, path, d) == want
         # a level-2 report carries an even t: named at its line past the cap
         with open(path, "ab") as fh:
             fh.write(_CANON % (2, 3, 1))
@@ -760,7 +773,7 @@ class TestChunkedReportIo:
         monkeypatch.setattr(client_mod, "parse_report_rows",
                             lambda *a: calls.append(a) or parse_report_rows(*a))
         if fault is None:
-            assert _outcome(read_decoded, path, 64) == _outcome(read_report_rows, path, 64)
+            assert _outcome(read_histogram, path, 64) == _outcome(row_histogram, path, 64)
         else:
             with pytest.raises(ParseError) as err:
                 read_reports(path, 64)

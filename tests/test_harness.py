@@ -16,7 +16,7 @@ from scipy.stats import chi2_contingency, chisquare
 import ldpshuffle
 import ldpshuffle.harness as harness
 from ldpshuffle.aggregator import SumTree, accumulate_arrays, estimate_marginals
-from ldpshuffle.client import read_reports
+from ldpshuffle.client import READ_LINES, json_lines, open_input, parse_report_rows, read_reports
 from ldpshuffle.core import level_count, rr_probability, scale_factor
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
@@ -144,16 +144,19 @@ class TestGenerateInputs:
             generate_inputs(5, 8, 1, "adversarial", RandomnessStream(5, 0))
 
 
-# Prints how far one run_trial call raises this process's peak RSS, in
-# bytes, and trial_bytes for its config. The peak is VmHWM, which starts
-# afresh at exec; ru_maxrss would start at the forking process's peak.
-_RSS_RISE = """
-import sys
-from ldpshuffle.harness import SimulationConfig, run_trial, trial_bytes
-
+# This process's peak RSS in KB: VmHWM, which starts afresh at exec;
+# ru_maxrss would start at the forking process's peak.
+_PEAK = """
 def peak():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+# Prints how far one run_trial call raises this process's peak RSS, in
+# bytes, and trial_bytes for its config.
+_RSS_RISE = _PEAK + """
+import sys
+from ldpshuffle.harness import SimulationConfig, run_trial, trial_bytes
 
 n, d, k, mode, path = sys.argv[1:]
 cfg = SimulationConfig(n=int(n), d=int(d), k=int(k), epsilon=1.0, shuffle_mode=mode,
@@ -176,6 +179,38 @@ def test_trial_bytes_bounds_a_trial(tmp_path, n, d, k, mode, dump):
                           path], env=env, capture_output=True, text=True, check=True)
     rise, bound = map(int, out.stdout.split())
     assert 0 < rise <= bound
+
+
+# Prints the exit code of one `estimate` of a report file, how far it
+# raises this process's peak RSS, in bytes, and _estimate_bytes for its
+# horizon.
+_ESTIMATE_RISE = _PEAK + """
+import os, sys
+from ldpshuffle import cli
+from ldpshuffle.harness import _estimate_bytes
+
+d, path = sys.argv[1:]
+before = peak()
+code = cli.main(["estimate", "--reports", path, "--d", d, "--k", "1", "--epsilon", "1.0",
+                 "--output", os.devnull])
+print(code, (peak() - before) * 1024, _estimate_bytes(int(d)))
+"""
+
+
+def test_estimate_bytes_bounds_an_estimate_past_the_cap(tmp_path):
+    # a post-shuffle dump of 400 clients over d = 2^14, about 880k reports
+    # in 25 MB, read in a fresh process past the reader's cap: the rise is
+    # bounded by d, not by the file
+    d = 1 << 14
+    assert 4 * d - 2 > READ_LINES
+    path = tmp_path / "reports.jsonl"
+    run_trial(SimulationConfig(n=400, d=d, k=1, epsilon=1.0, shuffle_mode="post-shuffle",
+                               reports_path=str(path)), 0)
+    env = dict(os.environ, PYTHONPATH=str(Path(ldpshuffle.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _ESTIMATE_RISE, str(d), str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    code, rise, bound = map(int, out.stdout.split())
+    assert code == 0 and 0 < rise <= bound
 
 
 class TestSimulate:
@@ -276,10 +311,12 @@ class TestSimulate:
         est_b, _, count_b, _ = run_trial(mixed, 0)
         streams = []
         for cfg, est in ((plain, est_a), (mixed, est_b)):
-            index, h, t, u = read_reports(cfg.reports_path, cfg.d)
-            tree = accumulate_arrays(h, t, u, cfg.d, np.bincount(index, minlength=len(h)))
+            counts, h, t, u = read_reports(cfg.reports_path, cfg.d)
+            tree = accumulate_arrays(h, t, u, cfg.d, counts)
             assert np.array_equal(estimate_marginals(tree, cfg.epsilon, cfg.k), est)
-            streams.append(np.stack((h, t, u), axis=1)[index])
+            # the file's order, which its histogram does not keep, row by row
+            with open_input(cfg.reports_path) as fh:
+                streams.append(np.stack(parse_report_rows(json_lines(fh), cfg.d), axis=1))
         rows_a, rows_b = streams
         assert len(rows_a) == len(rows_b) == count_a == count_b
         # the same clients at the same levels: one (h, t) multiset, two orders
@@ -309,8 +346,8 @@ class TestSimulate:
         dumped = self._config(trials=1, reports_path=str(tmp_path / "reports.jsonl"))
         draws.clear()
         count = run_trial(dumped, 0)[2]
-        index, *_ = read_reports(dumped.reports_path, dumped.d)
-        assert sum(draws) == len(index) == count
+        counts, *_ = read_reports(dumped.reports_path, dumped.d)
+        assert sum(draws) == counts.sum() == count
 
     BLOCK_ROWS = (1, 100, 1000)
 
@@ -390,8 +427,8 @@ class TestSimulate:
         cfg = self._config(trials=1, reports_path=str(path))
         results = simulate(cfg)
         estimates, truth, _, _ = run_trial(cfg, 0)
-        index, h, t, u = read_reports(path, cfg.d)
-        tree = accumulate_arrays(h[index], t[index], u[index], cfg.d)
+        counts, h, t, u = read_reports(path, cfg.d)
+        tree = accumulate_arrays(h, t, u, cfg.d, counts)
         offline = estimate_marginals(tree, cfg.epsilon, cfg.k)
         assert np.array_equal(offline, estimates)
         assert results[0].max_abs_error == float(np.abs(truth - offline).max())
