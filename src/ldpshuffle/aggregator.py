@@ -21,14 +21,20 @@ class SumTree:
     Level h (1 = leaves) has d / 2^(h-1) nodes; node (h, j) covers
     timesteps [(j-1) * 2^(h-1) + 1, j * 2^(h-1)], and its reports carry
     t = j * 2^(h-1). Storage is one zeros-initialized (2d - 1, 2) int64
-    array `counts`, level by level from offset `_offsets[h - 1]`.
+    array `counts`, level by level from offset `_offsets[h - 1]`; a horizon
+    whose array cannot be allocated raises InvalidParameterError.
     """
 
     def __init__(self, d):
         self.levels = level_count(d)
         self.d = int(d)
         self._offsets = np.concatenate(([0], np.cumsum(self.d >> np.arange(self.levels - 1))))
-        self.counts = np.zeros((2 * self.d - 1, 2), dtype=np.int64)
+        try:
+            self.counts = np.zeros((2 * self.d - 1, 2), dtype=np.int64)
+        except (ValueError, MemoryError) as exc:
+            raise InvalidParameterError(f"the tree over horizon {self.d} needs "
+                                        f"{16 * (2 * self.d - 1)} bytes, more than can be "
+                                        "allocated") from exc
 
     def nodes(self):
         """(h, t) of every node in storage order, as two int64 arrays: its

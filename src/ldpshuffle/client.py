@@ -12,11 +12,13 @@ per (node, sign) cell of its `SumTree`, so both ends go through the tree's
 table of lines, `line_table`. The writer takes each report as its cell and
 joins the lines of the cells that occur, each formatted once. The reader
 returns the stream's histogram, since once reports are anonymized the
-server needs only their multiset: it counts each chunk's cells into one
-vector over the tree as it reads it, so its memory is bounded by d and one
-chunk. Under a cap of READ_LINES cells each line's cell is read off its
-bytes by numpy arithmetic (a chunk that is not its cells' table lines is
-converted whole); past the cap every chunk is converted whole.
+server needs only their multiset: it reads its input once, a chunk of
+whole lines at a time, and counts each chunk's cells into one vector over
+the tree, so its memory is bounded by d and one chunk, for a file or a
+pipe and for any spelling of the rows. Under a cap of READ_LINES cells
+each line's cell is read off its bytes by numpy arithmetic; a chunk that
+is not its cells' table lines, and every chunk past the cap, is converted
+whole if its lines are canonical and parsed one row at a time if not.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -24,6 +26,7 @@ emitter `kernels.emit_reports` is what a mode-none simulation runs.
 """
 
 import io
+import itertools
 import json
 import os
 import re
@@ -47,16 +50,14 @@ REPORT_LINE = '{"h": %d, "t": %d, "u": %d}\n'
 # the tree's: h and t have 1 to 18 digits and no leading zero.
 _CANONICAL_LINES = re.compile(
     rb'(?:\{"h": [1-9][0-9]{0,17}, "t": [1-9][0-9]{0,17}, "u": -?1\}\n)*')
-_MAX_LINE = len(REPORT_LINE % (10 ** 18 - 1, 10 ** 18 - 1, -1))
 
 # Reports joined per write, bytes read per chunk, and the most (node, sign)
 # cells of a tree whose lines the reader looks up (d <= 2^11); none changes
-# a result, and all keep the buffers of one file small. When the reader
-# still returned a row per cell of the tree under the cap, a higher cap
-# slowed files of few reports or many cells: past the cap a
-# one-report file at d = 2^12 read in 0.14 ms and a 300,000-report file at
-# d = 2^14 in 135 ms; under caps of 2^15 and 2^17 they took 1.5 ms and
-# 215 ms (the read sweep of BENCH_26.json).
+# a result, and all keep the buffers of one file small. A cap of 2^15
+# (d <= 2^13) reads a 300,000-report file at d = 2^12 in 52 ms against
+# 78 ms, but raises its RSS by 3.2 MB against 1.9 MB (5.6 against 2.9 MB
+# at d = 2^13), and reads 300 reports at d = 2^13 in 10.1 against 9.4 ms
+# (the `estimate` read sweep of BENCH_30.json), so the cap stays.
 WRITE_ROWS = 1 << 14
 READ_BYTES = 1 << 16
 READ_LINES = 1 << 13
@@ -123,11 +124,11 @@ def check_distinct_paths(paths, names):
         raise InvalidParameterError(f"{names} paths must differ")
 
 
-def json_lines(fh):
-    """Yield (1-based line number, decoded value) for each non-blank line
-    of an open text file; a line that is not JSON raises ParseError with
-    its line number."""
-    for lineno, line in enumerate(fh, start=1):
+def json_lines(fh, start=1):
+    """Yield (line number, decoded value) for each non-blank line of an
+    open text file, or of any iterable of its lines, numbered from start;
+    a line that is not JSON raises ParseError with its line number."""
+    for lineno, line in enumerate(fh, start=start):
         line = line.strip()
         if not line:
             continue
@@ -141,12 +142,10 @@ def json_lines(fh):
 def read_reports(path, d):
     """Read a JSON-lines report stream over horizon d as its histogram:
     (counts, h, t, u), int64 arrays holding each distinct report (h[i],
-    t[i], u[i]) of the file once, with the count counts[i] >= 1 of its
+    t[i], u[i]) of the input once, with the count counts[i] >= 1 of its
     lines, in the tree's storage order (`SumTree.nodes()`, -1 before +1).
-    The file's order is not kept: the multiset is what
-    `aggregator.accumulate_arrays(h, t, u, d, counts)` counts. Each chunk
-    is counted into one int64 vector per (node, sign) cell as it is read,
-    so only the per-row parser holds an array of one entry per report.
+    The input's order is not kept: the multiset is what
+    `aggregator.accumulate_arrays(h, t, u, d, counts)` counts.
 
     Every row must be an object whose h and t are positive int64 integers
     and whose u is -1 or +1; floats, booleans and strings are refused.
@@ -155,84 +154,65 @@ def read_reports(path, d):
     report's 1-based line, a report of bad syntax before any report that
     addresses no node.
 
-    A file of canonical lines (`REPORT_LINE`, as the writer emits them) is
-    read READ_BYTES at a time. When the tree has at most READ_LINES cells,
-    each line's cell is computed from the bytes at the canonical line's
-    fixed offsets (`_cells`), and the chunk is taken only if it equals,
-    byte for byte, the lines of those cells in the writer's own
-    `line_table`, each formatted when a chunk first reads it: a line is
-    taken only if it is a cell's own line. Any other chunk, such as one
-    holding a report that addresses no node, and every chunk past the cap,
-    is checked against one pattern for the canonical line, converted whole
-    with array operations and checked against the tree. Which path a chunk
-    takes depends on d and on the chunk's own lines, never on earlier
-    ones. Any other spelling of the rows sends the whole file again through
-    `parse_report_rows`, which counts the same reports or names the bad
-    line. A pipe is read into memory first, so that it can be read twice.
+    The input, a file or a pipe, is read once, one chunk at a time: at
+    most READ_BYTES and then the rest of the line they end in, so that a
+    chunk is a run of whole lines. Each chunk's cells are counted into one
+    int64 vector per (node, sign) cell of the tree, so only one chunk's
+    rows are held. The cheapest reader that accepts a chunk takes it.
+    When the tree has at most READ_LINES cells, each line's cell is
+    computed from the bytes at the canonical line's fixed offsets
+    (`_cells`), and the chunk is taken only if it equals, byte for byte,
+    the lines of those cells in the writer's own `line_table`, each
+    formatted when a chunk first reads it: a line is taken only if it is a
+    cell's own line. Otherwise a chunk of canonical lines (`REPORT_LINE`)
+    is converted whole with array operations (`_convert`), and any other
+    chunk goes one row at a time through `parse_rows`, its lines numbered
+    as a text file's (a line ends in \\n, \\r or \\r\\n). Either is then
+    checked against the tree (`_check_tree`). Which path a chunk takes
+    depends on d and on the chunk's own lines, never on earlier ones. A
+    syntax error is raised when it is met; the first report that addresses
+    no node is raised once the input is read.
     """
     tree = SumTree(d)
     counts = tree.counts.ravel()  # one int64 count per (node, sign) cell
-    with open_input(path, "rb") as raw:
-        fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        if not _read_canonical(fh, tree, counts):
-            counts[:] = 0
-            fh.seek(0)
-            text = io.TextIOWrapper(fh, encoding="utf-8", errors="replace")
-            np.add.at(counts, tree.cells(*parse_report_rows(json_lines(text), d)), 1)
-    cells = np.flatnonzero(counts)
-    return counts[cells], *tree.reports(cells)
-
-
-def _read_canonical(fh, tree, counts):
-    """Count a stream of canonical lines into counts, a vector over the
-    (node, sign) cells of tree (see `read_reports`), and return True, or
-    return False once a line is not canonical."""
     lines = None
     if tree.counts.size <= READ_LINES:
         # lines[c] is cell c's line, formatted once a chunk first reads it
         lines = np.empty(tree.counts.size, dtype=object)
         known = np.zeros(tree.counts.size, dtype=bool)
-    reports = 0  # the reports counted, all of them before the chunk
+    read = 0  # the lines read, all of them before the chunk
     stray = None  # the ParseError of the first report that addresses no node
-    tail = b""
-    while data := fh.read(READ_BYTES):
-        chunk = tail + data
-        cut = chunk.rfind(b"\n") + 1
-        chunk, tail = chunk[:cut], chunk[cut:]
-        # an unfinished line longer than any canonical one ends the fast
-        # path at once, so a file without newlines is not gathered here
-        if len(tail) > _MAX_LINE:
-            return False
-        if not chunk:
-            continue
-        cells = _cells(chunk, tree) if lines is not None else None
-        if cells is not None:
-            fresh = cells[~known[cells]]
-            if len(fresh):
-                fresh = np.flatnonzero(np.bincount(fresh))
-                line_table(tree, fresh, lines)
-                known[fresh] = True
-            # the cells hold only if their lines are the chunk, byte for byte
-            if "".join(lines[cells].tolist()).encode() != chunk:
-                cells = None
-        if cells is None:
-            columns = _convert(chunk)
-            if columns is None:
-                return False
+    with open_input(path, "rb") as fh:
+        while chunk := fh.read(READ_BYTES) + fh.readline():
+            cells = None
+            if lines is not None and chunk.endswith(b"\n"):
+                cells = _cells(chunk, tree)
+            if cells is not None:
+                fresh = cells[~known[cells]]
+                if len(fresh):
+                    fresh = np.flatnonzero(np.bincount(fresh))
+                    line_table(tree, fresh, lines)
+                    known[fresh] = True
+                # the cells hold only if their lines are the chunk, byte for byte
+                if "".join(lines[cells].tolist()).encode() != chunk:
+                    cells = None
+            if cells is None:
+                columns, line, taken = _columns(chunk, read + 1)
+                if stray is None:
+                    try:
+                        _check_tree(columns, d, line)
+                        cells = tree.cells(*columns)
+                    except ParseError as exc:
+                        stray = exc  # raised unless a later line has bad syntax
+            else:
+                taken = len(cells)
             if stray is None:
-                try:
-                    _check_tree(columns, tree.d, lambda row: reports + row + 1)
-                    cells = tree.cells(*columns)
-                except ParseError as exc:
-                    stray = exc  # raised unless a later line is not canonical
-        if stray is None:
-            np.add.at(counts, cells, 1)
-            reports += len(cells)
-    if tail:
-        return False  # an unterminated last line goes per row
+                np.add.at(counts, cells, 1)
+            read += taken
     if stray is not None:
         raise stray
-    return True
+    cells = np.flatnonzero(counts)
+    return counts[cells], *tree.reports(cells)
 
 
 def _cells(chunk, tree):
@@ -272,6 +252,21 @@ def _convert(chunk):
     return np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 3).T.copy()
 
 
+def _columns(chunk, first):
+    """The (h, t, u) columns of chunk, a run of whole lines whose first is
+    line first, with the line of each row as a function of its index and
+    the count of lines: converted whole if every line is canonical, and
+    otherwise one row at a time."""
+    columns = _convert(chunk)
+    if columns is not None:
+        return columns, lambda row: first + row, len(columns[0])
+    text = io.StringIO(chunk.decode("utf-8", "replace"), newline=None)
+    # the lines json_lines numbers, counted as it takes them, blank or not
+    taken = itertools.count()
+    columns, lines = parse_rows(json_lines((line for line, _ in zip(text, taken)), first))
+    return columns, lines.__getitem__, next(taken)
+
+
 def _check_tree(columns, d, line):
     """Raise ParseError naming line(row) if row is the first of columns
     that addresses no node of the tree over horizon d."""
@@ -281,11 +276,11 @@ def _check_tree(columns, d, line):
                          "horizon %d" % (*(c[bad] for c in columns), d), line(bad))
 
 
-def parse_report_rows(rows, d):
-    """(h, t, u) arrays from the (line number, decoded row) pairs of
-    `json_lines`, one row at a time: the path for every spelling of the
-    rows JSON allows, and the reference for the chunked one; the arrays are
-    then checked against the tree over horizon d as in `read_reports`."""
+def parse_rows(rows):
+    """The (h, t, u) int64 columns of the (line number, decoded row) pairs
+    of `json_lines`, one row at a time, and the list of each row's line:
+    the reader's path for every spelling of the rows JSON allows. The rows
+    are not checked against the tree."""
     hs, ts, us, lines = [], [], [], []
     for lineno, row in rows:
         try:
@@ -302,6 +297,4 @@ def parse_report_rows(rows, d):
         ts.append(t)
         us.append(u)
         lines.append(lineno)
-    columns = tuple(np.array(c, dtype=np.int64) for c in (hs, ts, us))
-    _check_tree(columns, d, lines.__getitem__)
-    return columns
+    return tuple(np.array(c, dtype=np.int64) for c in (hs, ts, us)), lines

@@ -258,17 +258,20 @@ def trial_bytes(n, d, k, dump=False):
 
 
 def _estimate_bytes(d):
-    """An upper bound on the bytes `estimate` holds over horizon d for a
-    file of canonical report lines (a pipe is read into memory whole, and
-    another spelling goes through the per-row parser, a Python row per
-    report), in words a timestep: the reader's count of each (node, sign)
-    cell (4) and, under its cap, its line table, a slot, a mask byte and a
-    str of at most 112 bytes a cell (61); the at most 4d - 2 distinct rows
-    and counts it returns, with the temporaries of `SumTree.reports` (40);
-    `accumulate_arrays`' tree, the counts it adds and its check's
-    temporaries (32); `estimate_marginals`' arrays (6); the CSV columns
-    with the truth as ints (9). Plus one READ_BYTES chunk with its copies
-    and per-line arrays (16 READ_BYTES), and 4 MB."""
+    """An upper bound on the bytes `estimate` holds over horizon d, for a
+    file or a pipe and for any spelling of the rows, in words a timestep:
+    the reader's count of each (node, sign) cell (4) and, under its cap,
+    its line table, a slot, a mask byte and a str of at most 112 bytes a
+    cell (61); the at most 4d - 2 distinct rows and counts it returns,
+    with the temporaries of `SumTree.reports` (40); `accumulate_arrays`'
+    tree, the counts it adds and its check's temporaries (32);
+    `estimate_marginals`' arrays (6); the CSV columns with the truth as
+    ints (9). Plus one chunk, READ_BYTES and the rest of the line they
+    end in: converted, with its copies and per-line arrays, or, if it goes
+    per row, with its decoded text and its rows as Python ints and lists,
+    taken one line at a time (16 READ_BYTES either way); and 4 MB. A line
+    longer than READ_BYTES is held whole, as is a run of lines ended by a
+    lone \\r, which one chunk holds."""
     table = 61 * d if 4 * d - 2 <= READ_LINES else 0
     return 8 * (91 * d + table) + 16 * READ_BYTES + (4 << 20)
 

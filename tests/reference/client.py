@@ -1,8 +1,10 @@
-"""The scalar per-client protocol, one timestep at a time, and exact
-transcript oracles for small horizons.
+"""The scalar per-client protocol, one timestep at a time, exact
+transcript oracles for small horizons, and the whole-file per-row report
+parser.
 
 `client_update` is the reference for `ldpshuffle.kernels.emit_reports`:
-fed the same coins, both emit the same reports.
+fed the same coins, both emit the same reports. `parse_report_rows` is the
+reference for the chunked `ldpshuffle.client.read_reports`.
 """
 
 import itertools
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ldpshuffle.client import INT64_MAX, _check_tree
 from ldpshuffle.core import check_budget, check_count, level_count, rr_probability
-from ldpshuffle.errors import InvalidParameterError
+from ldpshuffle.errors import InvalidParameterError, ParseError
 
 from reference.randomizer import binary_rr, uniform_sign
 
@@ -222,3 +225,29 @@ def max_transcript_ratio(d, k, epsilon):
                 if pa > 0.0:
                     worst = max(worst, pa / pb)
     return worst
+
+
+def parse_report_rows(rows, d):
+    """(h, t, u) int64 arrays from the (line number, decoded row) pairs of
+    `json_lines` over a whole file, one row at a time, then checked against
+    the tree over horizon d: a bad row raises ParseError at its line, and a
+    report that addresses no node only once every row has been read."""
+    hs, ts, us, lines = [], [], [], []
+    for lineno, row in rows:
+        try:
+            h, t, u = row["h"], row["t"], row["u"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError("expected an object with fields h, t, u", lineno) from exc
+        if type(h) is not int or type(t) is not int or type(u) is not int:
+            raise ParseError("expected integer fields h, t, u", lineno)
+        if not (0 < h <= INT64_MAX and 0 < t <= INT64_MAX):
+            raise ParseError(f"h and t must be positive integers, got h={h}, t={t}", lineno)
+        if u != 1 and u != -1:
+            raise ParseError(f"report value must be -1 or +1, got {u}", lineno)
+        hs.append(h)
+        ts.append(t)
+        us.append(u)
+        lines.append(lineno)
+    columns = tuple(np.array(c, dtype=np.int64) for c in (hs, ts, us))
+    _check_tree(columns, d, lines.__getitem__)
+    return columns

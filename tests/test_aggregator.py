@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ldpshuffle.aggregator import (SumTree, accumulate_arrays, dyadic_cover, estimate_marginals,
                                    estimate_weight, stray_report)
+from ldpshuffle.client import read_reports
 from ldpshuffle.core import level_count, scale_factor
 from ldpshuffle.errors import InvalidParameterError, MalformedReportError
 from ldpshuffle.randomizer import RandomnessStream
@@ -28,6 +29,22 @@ class TestSumTree:
     def test_rejects_bad_horizon(self):
         with pytest.raises(InvalidParameterError):
             SumTree(6)
+
+    @pytest.mark.parametrize("e", [50, 62])
+    def test_refuses_a_horizon_it_cannot_allocate(self, tmp_path, e):
+        # the 2(2d - 1) int64 counts at d = 2^50 (32 PiB) and 2^62 are past
+        # any address space (numpy raises MemoryError and ValueError); the
+        # tree, the accumulator and the reader refuse them alike
+        d = 1 << e
+        match = f"the tree over horizon {d} needs {16 * (2 * d - 1)} bytes"
+        with pytest.raises(InvalidParameterError, match=match):
+            SumTree(d)
+        with pytest.raises(InvalidParameterError, match=match):
+            accumulate_arrays([1], [1], [1], d)
+        path = tmp_path / "reports.jsonl"
+        path.write_text('{"h": 1, "t": 1, "u": 1}\n')
+        with pytest.raises(InvalidParameterError, match=match):
+            read_reports(path, d)
 
     def test_empty_stream_gives_zero_tree(self):
         tree = accumulate([], 4)

@@ -751,7 +751,7 @@ class TestEstimateBadInput:
         reports = tmp_path / "reports.jsonl"
         reports.write_text("".join(client_mod.REPORT_LINE % row for row in rows))
         monkeypatch.setattr(client_mod, "READ_BYTES", 64)
-        monkeypatch.setattr(client_mod, "parse_report_rows",
+        monkeypatch.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))
         for read_lines in (14, 6):
             monkeypatch.setattr(client_mod, "READ_LINES", read_lines)

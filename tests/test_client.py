@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import ldpshuffle.client as client_mod
 import ldpshuffle.core as core
 from ldpshuffle.aggregator import SumTree
-from ldpshuffle.client import (json_lines, line_table, open_input, parse_report_rows,
-                               read_reports, write_report_arrays)
+from ldpshuffle.client import (json_lines, line_table, open_input, read_reports,
+                               write_report_arrays)
 from ldpshuffle.core import rr_probability
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import read_change_vectors
@@ -23,7 +23,8 @@ import reference.client as reference_client
 from conftest import ScriptedStream
 from reference.client import (ClientState, ProtocolError, Report, changes_to_states,
                               client_setup, client_update, enumerate_change_sequences,
-                              exact_transcript_distribution, max_transcript_ratio, run_client)
+                              exact_transcript_distribution, max_transcript_ratio,
+                              parse_report_rows, run_client)
 
 
 class TestReport:
@@ -485,6 +486,33 @@ def _outcome(read, path, d):
     return "arrays", [c.tolist() for c in columns]
 
 
+def _spy_rows(monkeypatch):
+    """Record, as a list of its (line number, row) pairs, the rows of each
+    call of the reader's per-row parser."""
+    calls = []
+    parse = client_mod.parse_rows
+
+    def spy(rows):
+        calls.append(list(rows))
+        return parse(calls[-1])
+    monkeypatch.setattr(client_mod, "parse_rows", spy)
+    return calls
+
+
+def _chunk_rows(path, read_bytes, lineno):
+    """The (line number, decoded row) pairs of the non-blank lines of the
+    chunk that holds line lineno of a file read as chunks of read_bytes
+    bytes and the rest of the line they end in."""
+    data, start, first = path.read_bytes(), 0, 1
+    while True:
+        end = data.find(b"\n", start + read_bytes) + 1 or len(data)
+        lines = data[start:end].splitlines()
+        if lineno < first + len(lines):
+            return [(first + i, json.loads(line)) for i, line in enumerate(lines)
+                    if line.strip()]
+        start, first = end, first + len(lines)
+
+
 def _random_reports(seed, n, d):
     """n reports of the tree over horizon d: t a multiple of the level period."""
     rng = np.random.default_rng(seed)
@@ -510,6 +538,21 @@ class TestChunkedReportIo:
         path.write_bytes(data)
         assert _outcome(read_histogram, path, d) == _outcome(row_histogram, path, d)
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_LINES, max_size=20), st.sampled_from([1, 7, 40]), st.sampled_from([4, 64]))
+    @example([b"\n", b"\n", b'{"h": 1,  "t": 1, "u": 1}\n', b'{"h": 1}\n'], 1, 4)
+    @example([b"\r", b'{"h": 1,  "t": 1, "u": 1}\n', b'{"h": 1}\n'], 1, 4)
+    def test_lines_are_numbered_across_small_chunks(self, tmp_path_factory, lines, read_bytes,
+                                                    d):
+        # chunks of one line or a few, so that a chunk goes per row and a
+        # later one names a line: every line of a chunk, blank or ended by a
+        # lone \r, counts toward the numbers of the lines after it
+        path = tmp_path_factory.mktemp("small") / "reports.jsonl"
+        path.write_bytes(b"".join(lines))
+        want = _outcome(row_histogram, path, d)
+        with mock.patch.object(client_mod, "READ_BYTES", read_bytes):
+            assert _outcome(read_histogram, path, d) == want
+
     def test_canonical_file_skips_the_per_row_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "reports.jsonl"
         columns = _random_reports(0, 5000, 64)
@@ -517,23 +560,27 @@ class TestChunkedReportIo:
 
         def refuse(*args):
             raise AssertionError("per-row parser called on a canonical file")
-        monkeypatch.setattr(client_mod, "parse_report_rows", refuse)
+        monkeypatch.setattr(client_mod, "parse_rows", refuse)
         for got, want in zip(read_histogram(path, 64), histogram(columns, 64)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tail", [b"\n", b'{"u": 1, "h": 1, "t": 2}\n',
                                       b'{"h": 8, "t": 2, "u": 1}\n'])
-    def test_any_other_line_sends_the_whole_file_per_row(self, tmp_path, monkeypatch, tail):
-        # a canonical line outside the tree is named without a second read
+    def test_any_other_line_sends_its_chunk_per_row(self, tmp_path, monkeypatch, tail):
+        # a canonical line outside the tree is named without the per-row
+        # parser; any other line sends only the chunk that holds it, here
+        # the second of the file's two
         path = tmp_path / "reports.jsonl"
         write_reports(path, *_random_reports(1, 3000, 64), 64)
         with open(path, "ab") as fh:
             fh.write(tail)
-        calls = []
-        monkeypatch.setattr(client_mod, "parse_report_rows",
-                            lambda *a: calls.append(a) or parse_report_rows(*a))
+        calls = _spy_rows(monkeypatch)
         assert _outcome(read_histogram, path, 64) == _outcome(row_histogram, path, 64)
-        assert len(calls) == (0 if client_mod._CANONICAL_LINES.fullmatch(tail) else 1)
+        if client_mod._CANONICAL_LINES.fullmatch(tail):
+            assert calls == []
+        else:
+            want = _chunk_rows(path, client_mod.READ_BYTES, 3001)
+            assert calls == [want] and 1 < want[0][0] < 3000
 
     @pytest.mark.parametrize("spacing", [b" ", b"  "])
     def test_pipe_is_read_once(self, tmp_path, spacing):
@@ -609,7 +656,7 @@ class TestChunkedReportIo:
         write_reports(path, *_random_reports(4, 600, 4), 4)
         with open(path, "ab") as fh:
             fh.write(_CANON % (2, 3, 1) + _CANON % (1, 1, 1))
-        monkeypatch.setattr(client_mod, "parse_report_rows",
+        monkeypatch.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))
         with pytest.raises(ParseError, match=r"\(h=2, t=3, u=1\) addresses no node") as err:
             read_reports(path, 4)
@@ -647,7 +694,7 @@ class TestChunkedReportIo:
         write_report_arrays(path, cells, line_table(tree, np.arange(len(counts))))
         monkeypatch.setattr(client_mod, "_convert",
                             lambda chunk: pytest.fail("a line of the tree converted"))
-        monkeypatch.setattr(client_mod, "parse_report_rows",
+        monkeypatch.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))
         read, h, t, u = read_reports(path, d)
         assert np.array_equal(read, counts)
@@ -705,7 +752,7 @@ class TestChunkedReportIo:
         want = _outcome(row_histogram, path, 64)
         monkeypatch.setattr(client_mod, "READ_LINES", 4)
         monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
-        monkeypatch.setattr(client_mod, "parse_report_rows",
+        monkeypatch.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))
         assert _outcome(read_histogram, path, 64) == want
 
@@ -719,7 +766,7 @@ class TestChunkedReportIo:
         path = tmp_path / "reports.jsonl"
         write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
         want = _outcome(row_histogram, path, d)
-        monkeypatch.setattr(client_mod, "parse_report_rows",
+        monkeypatch.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))
         assert _outcome(read_histogram, path, d) == want
         # a level-2 report carries an even t: named at its line past the cap
@@ -742,12 +789,12 @@ class TestChunkedReportIo:
         path.write_bytes(b"".join(lines))
         monkeypatch.setattr(client_mod, "READ_BYTES", 64)
         with monkeypatch.context() as patched:
-            patched.setattr(client_mod, "parse_report_rows",
+            patched.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))
             with pytest.raises(ParseError, match=r"\(h=2, t=3, u=1\) addresses no node") as err:
                 read_reports(path, d)
         assert err.value.line_number == 4
-        # a later line that is not canonical sends the file per row, whose
+        # a later line that is not canonical sends its chunk per row, whose
         # syntax error comes before either stray report
         with open(path, "ab") as fh:
             fh.write(b'{"h": 1, "t": 1, "u": 1.0}\n')
@@ -759,8 +806,8 @@ class TestChunkedReportIo:
         (b'{"h": 1, "t": 1, "u": 1.0}\n', "line 701: expected integer fields h, t, u"),
         (b'{"h": 1, "t": 1}\n', "line 701: expected an object with fields h, t, u"),
         (b"\n", None), (b'{"h": 1,  "t": 2, "u": 1}\n', None)])
-    def test_other_line_past_a_full_table_goes_per_row(self, tmp_path, monkeypatch, bad,
-                                                        fault):
+    def test_other_line_past_a_full_table_sends_its_chunk_per_row(self, tmp_path,
+                                                                   monkeypatch, bad, fault):
         path = tmp_path / "reports.jsonl"
         write_reports(path, *_random_reports(7, 700, 64), 64)
         with open(path, "ab") as fh:
@@ -769,13 +816,12 @@ class TestChunkedReportIo:
         # has no table, so every chunk is converted whole
         monkeypatch.setattr(client_mod, "READ_LINES", 4)
         monkeypatch.setattr(client_mod, "READ_BYTES", 64)
-        calls = []
-        monkeypatch.setattr(client_mod, "parse_report_rows",
-                            lambda *a: calls.append(a) or parse_report_rows(*a))
+        calls = _spy_rows(monkeypatch)
         if fault is None:
             assert _outcome(read_histogram, path, 64) == _outcome(row_histogram, path, 64)
         else:
             with pytest.raises(ParseError) as err:
                 read_reports(path, 64)
             assert fault in str(err.value) and err.value.line_number == 701
-        assert len(calls) == 1
+        # only the rows of the chunk of line 701, read once
+        assert calls == [_chunk_rows(path, 64, 701)]

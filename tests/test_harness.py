@@ -16,7 +16,7 @@ from scipy.stats import chi2_contingency, chisquare
 import ldpshuffle
 import ldpshuffle.harness as harness
 from ldpshuffle.aggregator import SumTree, accumulate_arrays, estimate_marginals
-from ldpshuffle.client import READ_LINES, json_lines, open_input, parse_report_rows, read_reports
+from ldpshuffle.client import READ_LINES, json_lines, open_input, read_reports
 from ldpshuffle.core import level_count, rr_probability, scale_factor
 from ldpshuffle.errors import InvalidParameterError, ParseError
 from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
@@ -26,7 +26,7 @@ from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
 from reference import harness as ref_harness
-from reference.client import changes_to_states
+from reference.client import changes_to_states, parse_report_rows
 
 
 def _write_rows(path, rows):
@@ -197,18 +197,35 @@ print(code, (peak() - before) * 1024, _estimate_bytes(int(d)))
 """
 
 
-def test_estimate_bytes_bounds_an_estimate_past_the_cap(tmp_path):
-    # a post-shuffle dump of 400 clients over d = 2^14, about 880k reports
-    # in 25 MB, read in a fresh process past the reader's cap: the rise is
-    # bounded by d, not by the file
+@pytest.fixture(scope="module")
+def past_cap_dump(tmp_path_factory):
+    """A post-shuffle dump of 400 clients over d = 2^14, about 880k reports
+    in 25 MB, whose tree is past the reader's cap."""
     d = 1 << 14
     assert 4 * d - 2 > READ_LINES
-    path = tmp_path / "reports.jsonl"
+    path = tmp_path_factory.mktemp("dump") / "reports.jsonl"
     run_trial(SimulationConfig(n=400, d=d, k=1, epsilon=1.0, shuffle_mode="post-shuffle",
                                reports_path=str(path)), 0)
+    return d, path
+
+
+@pytest.mark.parametrize("source", ["path", "pipe", "respelled"])
+def test_estimate_bytes_bounds_an_estimate_past_the_cap(tmp_path, past_cap_dump, source):
+    # the dump read in a fresh process by its path, through a pipe, and
+    # re-spelled with two blanks after each comma, so that every chunk goes
+    # through the per-row parser (its first 250,000 lines, to keep the
+    # parse near a second): each rise is bounded by d, not by the input
+    d, path = past_cap_dump
+    stdin = None
+    if source == "pipe":
+        stdin, path = path.read_bytes(), "/dev/stdin"
+    elif source == "respelled":
+        lines = path.read_bytes().splitlines(keepends=True)[:250_000]
+        path = tmp_path / "respelled.jsonl"
+        path.write_bytes(b"".join(lines).replace(b", ", b",  "))
     env = dict(os.environ, PYTHONPATH=str(Path(ldpshuffle.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _ESTIMATE_RISE, str(d), str(path)], env=env,
-                         capture_output=True, text=True, check=True)
+                         input=stdin, capture_output=True, check=True, timeout=120)
     code, rise, bound = map(int, out.stdout.split())
     assert code == 0 and 0 < rise <= bound
 
