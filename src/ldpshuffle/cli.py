@@ -37,9 +37,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
-# A truth count: optional sign and ASCII digits only, so that int() never
-# reads a spelling such as "1_0" or "1e3", and within the int64 range.
-_TRUTH_COUNT = re.compile(r"[+-]?[0-9]+")
+# A truth count: a sign and at most 19 ASCII digits past any leading zeros,
+# so that int() never reads "1_0", "1e3" or more digits than it converts.
+_TRUTH_COUNT = re.compile(r"([+-]?)0*([0-9]{1,19})")
 
 
 def _print_json(value):
@@ -186,7 +186,8 @@ def _read_truth(path, d):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            value = int(line) if _TRUTH_COUNT.fullmatch(line) else None
+            count = _TRUTH_COUNT.fullmatch(line)
+            value = int(count[1] + count[2]) if count else None
             if value is None or not -INT64_MAX - 1 <= value <= INT64_MAX:
                 raise ParseError(f"expected one int64 integer count, got {line!r}", lineno)
             values.append(value)

@@ -134,8 +134,9 @@ def json_lines(fh, start=1):
             continue
         try:
             value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+        except (ValueError, RecursionError) as exc:  # also an int past 4300 digits, deep nesting
+            why = getattr(exc, "msg", str(exc).split(";")[0])  # not its advice to Python code
+            raise ParseError(f"invalid JSON: {why}", lineno) from exc
         yield lineno, value
 
 

@@ -18,12 +18,12 @@ index and the per-client level. Under shuffle mode none, where the server
 sees each client's linked reports, one report coin per emitted report
 follows in client-major order; coins are drawn a block of about
 max(ROWS, 4d) reports at a time, and Philox yields the same values in
-chunks as in one draw, so no mode-none output depends on ROWS. Under
-post-shuffle, where the server sees only the histogram of reports, three
-binomial vectors over the tree's nodes draw that histogram directly
-(`_draw_counts`), and last, only when trial 0 is written out, per chunk of
-max(ROWS, 4d) reports one binomial split of every (node, sign) cell and
-one permutation. Equal configs give equal bits. A seed is an integer in
+chunks as in one draw. Under post-shuffle, where the server sees only the
+histogram of reports, three binomial vectors over the tree's nodes draw it
+directly (`_draw_counts`), the last draw: trial 0's dump is that histogram
+in (node, sign) cell order (`_write_sorted`), a function of the multiset
+the shuffler releases, so it leaks nothing more. No output depends on ROWS.
+Equal configs give equal bits. A seed is an integer in
 [0, 2^64), the stream's key: the stream refuses any other rather than
 replay another seed's trials, and `validate` refuses it before any trial
 runs.
@@ -59,9 +59,8 @@ from .randomizer import RandomnessStream
 INPUT_MODELS = ("worst-case-sparse", "random-changes", "step-function", "file")
 SHUFFLE_MODES = ("none", "post-shuffle")
 
-# a trial's one report buffer holds about max(ROWS, 4d) reports: the
-# mode-none emission block, on which no output depends, and the post-shuffle
-# chunk, which sets the shuffle draws
+# a trial holds about max(ROWS, 4d) reports at a time, in an emission block
+# (mode none) or a dump's write (post-shuffle); no output depends on it
 ROWS = 1 << 16
 
 
@@ -246,15 +245,14 @@ def generate_inputs(n, d, k, input_model, rng, step_time=None, input_path=None):
 
 def trial_bytes(n, d, k, dump=False):
     """An upper bound on the bytes a trial holds: its change lists and
-    per-client arrays, one report buffer of at most 5/4 max(ROWS, 4d)
-    reports at 12 words each (a mode-none block holds under max(ROWS, 4d)
-    + d; a post-shuffle chunk is binomial, past 5/4 of its mean bound with
-    probability below e^-600), the tree and the writer. A trial that dumps
-    its reports also holds a line table: a slot for each of the 2(2d - 1)
-    cells, and a str of at most 112 bytes for each cell that holds one of
-    its at most n d reports."""
+    per-client arrays, one report buffer of at most max(ROWS, 4d) + d
+    reports at 12 words each (a mode-none block, or a post-shuffle dump's
+    write of at most max(ROWS, 4d)), the tree and the writer. A trial that
+    dumps its reports also holds a line table: a slot for each of the
+    2(2d - 1) cells, and a str of at most 112 bytes for each cell that
+    holds one of its at most n d reports."""
     table = 4 * d + 14 * min(4 * d, n * d) if dump else 0
-    return 8 * (4 * n * k + 12 * n + 15 * max(ROWS, 4 * d) + 40 * d + table) + (4 << 20)
+    return 8 * (4 * n * k + 12 * n + 12 * (max(ROWS, 4 * d) + d) + 40 * d + table) + (4 << 20)
 
 
 def _estimate_bytes(d):
@@ -291,10 +289,10 @@ def run_trial(config, trial, seconds=None):
     folded into the tree and dropped, and trial 0 writes its stream to
     config.reports_path, if set, block by block, into the file it empties
     once its inputs are drawn. Under post-shuffle the tree's histogram is
-    drawn directly (`_draw_counts`) and trial 0's stream is drawn from it
-    (`_write_shuffled`). A dict passed as seconds receives the seconds of
-    the trial's stages: inputs, counts (the tree), estimate and dump (summed
-    over the blocks under mode none).
+    drawn directly (`_draw_counts`) and trial 0's stream is written from it
+    in cell order (`_write_sorted`). A dict passed as seconds receives the
+    seconds of the trial's stages: inputs, counts (the tree), estimate and
+    dump (summed over the blocks under mode none).
     """
     start = time.perf_counter()
     stream = RandomnessStream(config.seed, trial)
@@ -304,7 +302,7 @@ def run_trial(config, trial, seconds=None):
                                              input_path=config.input_path)
     dump = config.reports_path if trial == 0 else None
     if dump:
-        open_output(dump).close()  # emptied once: every block or chunk appends
+        open_output(dump).close()  # emptied once: every block or write appends
     # one bincount over (time, sign) bins: +1 changes at bin t, -1 changes
     # at span + t; padding (time 0, value 0) lands in bin 0, which is dropped
     span = config.d + 1
@@ -328,7 +326,7 @@ def run_trial(config, trial, seconds=None):
         tree = _draw_counts(signal_t, signal_v, levels, truth_prob, config.d, stream)
         if dump:
             mark = time.perf_counter()
-            _write_shuffled(dump, tree, stream, rows)
+            _write_sorted(dump, tree, rows)
             dumped = time.perf_counter() - mark
     else:
         ends = np.cumsum(config.d >> (levels - 1))
@@ -381,20 +379,14 @@ def _draw_counts(signal_t, signal_v, levels, truth_prob, d, stream):
     return tree
 
 
-def _write_shuffled(path, tree, stream, rows):
-    """Append a uniform arrangement of the reports in tree to path. Each
-    report goes to a uniform one of ceil(total / rows) chunks by binomial
-    splits of every (node, sign) cell; each chunk is then permuted, so that
-    the concatenation is a uniform permutation. The chunks are written as
-    cells, through one line table of the cells that hold a report."""
-    counts = tree.counts.ravel()  # per node: its -1 reports, then its +1 reports
-    lines = line_table(tree, np.flatnonzero(counts))
-    chunks = -(-int(counts.sum()) // rows)
-    for left in range(chunks, 0, -1):
-        take = stream.generator.binomial(counts, 1.0 / left) if left > 1 else counts
-        counts = counts - take
-        cells = np.repeat(np.arange(len(take)), take)
-        write_report_arrays(path, cells[stream.permutation(len(cells))], lines)
+def _write_sorted(path, tree, rows):
+    """Append the reports in tree to path in (node, sign) cell order, rows at
+    a time, through one line table of the cells that hold a report."""
+    ends = tree.counts.ravel().cumsum()  # per node: its -1 reports, then its +1
+    lines = line_table(tree, np.flatnonzero(tree.counts.ravel()))
+    for lo in range(0, ends[-1], rows):
+        cells = ends.searchsorted(np.arange(lo, min(lo + rows, ends[-1])), "right")
+        write_report_arrays(path, cells, lines)
 
 
 def simulate(config):

@@ -503,16 +503,18 @@ class TestSimulateAndEstimate:
 
 # sha256 of the report dumps and estimate CSVs of a writer that formatted
 # every report from its (h, t, u) values: the line table must leave every
-# byte of them as it was. The small configs are cut into blocks (mode none)
-# or chunks (post-shuffle) of 4d = 64 reports, which the writer joins 50 at
-# a time; the large ones use the default sizes, two blocks or chunks each.
+# byte of them as it was. A post-shuffle dump is its histogram in (node,
+# sign) cell order, and a dump's order changes no estimate. The small
+# configs are cut into blocks (mode none) or writes (post-shuffle) of
+# 4d = 64 reports, which the writer joins 50 at a time; the large ones use
+# the default sizes, two blocks or writes each.
 PINNED_DUMPS = {
     ("none", "small"): "d39fd07dc9ace308140e9c063df85512a0b466f9f030842881a3f12d11ef68ae",
     ("none", "large"): "8787a621037853db54e43062d42256b17ad8488ed7eac3f20b76768a0afc651e",
     ("post-shuffle", "small"):
-        "b8186a91e9c8f179163cd7fb70a6da1cb86f99979a5942660ef4841bd644a9fa",
+        "36ff5eea6347b2b900298038a4887ebff6cadedeab83c72a6e961c42c7d8d52b",
     ("post-shuffle", "large"):
-        "bcacd6f23cf4a156ae3ac463bb90ddf2366cfcddf2ffd106b8e8e0a3d7fe0059",
+        "9e30a8eea59c8f9aa764b737dc723a8556f8a7c5606fde850b54dff0e0a386ed",
 }
 PINNED_ESTIMATES = {
     "none": "f177942d3621b869b2799c17099dd9f51a8dd5f5f068a08b73148e1bd707759f",
@@ -541,7 +543,7 @@ class TestPinnedBytes:
         assert _sha256(reports) == PINNED_DUMPS[mode, size]
         if size == "large":
             return
-        assert reports.read_bytes().count(b"\n") == 1236  # about 20 blocks or chunks
+        assert reports.read_bytes().count(b"\n") == 1236  # about 20 blocks or writes
         truth = tmp_path / "truth.txt"
         truth.write_text("".join(f"{(i * 7) % 11 - 5}\n" for i in range(16)))
         estimates = tmp_path / "estimates.csv"
@@ -831,6 +833,36 @@ class TestEstimateBadInput:
         code, _, err = self._estimate(capsys, reports, tmp_path / "missing.txt")
         assert code == 2
         assert "cannot read" in err
+
+
+# An integer of 5000 digits, past the 4300 that int() converts, on line 2
+# of each reader's input: (the input's lines, the argv that reads it as
+# the file at {}, with the valid report file at {reports}).
+_HUGE = "1" * 5000
+_HUGE_INPUTS = {
+    "report file": ('{"h": 1, "t": 1, "u": 1}\n{"h": 1, "t": %s, "u": 1}\n' % _HUGE,
+                    "estimate --reports {} --d 4 --epsilon 1.0 --k 1"),
+    "change-vector file": ('{"x": [0, 1, 0, 0]}\n{"x": [0, %s, 0, 0]}\n' % _HUGE,
+                           "simulate --n 2 --d 4 --k 1 --epsilon 1.0 --input-model file "
+                           "--input-path {}"),
+    "truth file": (f"1\n{_HUGE}\n1\n1\n",
+                   "estimate --reports {reports} --d 4 --epsilon 1.0 --k 1 --truth {}"),
+    "grid row": (f"100,0.25,1e-4\n{_HUGE},0.25,1e-4\n", "verify-amplification --grid {}"),
+}
+
+
+@pytest.mark.parametrize("reader", _HUGE_INPUTS)
+def test_a_5000_digit_integer_exits_2_naming_its_line(capsys, tmp_path, reader):
+    # every reader refuses the line with exit code 2, where int() alone would
+    # raise a ValueError that ends the run in a traceback
+    text, argv = _HUGE_INPUTS[reader]
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = _run(capsys, argv.format(path, reports=reports).split())
+    assert code == 2 and out == ""
+    assert "line 2" in err and "Traceback" not in err
 
 
 def _python(code):

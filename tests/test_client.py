@@ -306,6 +306,14 @@ class TestReportIo:
         with pytest.raises(ParseError):
             read_reports(path, 4)
 
+    @pytest.mark.parametrize("line", ["1" * 5000, "[" * 100_000])
+    def test_json_lines_names_a_line_json_cannot_hold(self, line):
+        # an integer past the 4300 digits int() converts raises a ValueError
+        # that is not a JSONDecodeError, and deep nesting a RecursionError
+        with pytest.raises(ParseError) as err:
+            list(json_lines(["1\n", line + "\n"]))
+        assert err.value.line_number == 2
+
     @pytest.mark.parametrize("row", [
         '{"h": 1.7, "t": 1, "u": 1}',
         '{"h": 1, "t": true, "u": 1}',

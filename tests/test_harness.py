@@ -19,9 +19,10 @@ from ldpshuffle.aggregator import SumTree, accumulate_arrays, estimate_marginals
 from ldpshuffle.client import READ_LINES, json_lines, open_input, read_reports
 from ldpshuffle.core import level_count, rr_probability, scale_factor
 from ldpshuffle.errors import InvalidParameterError, ParseError
-from ldpshuffle.harness import (SimulationConfig, generate_inputs, read_change_vectors,
-                                results_to_csv, results_to_json, run_trial, simulate,
-                                theorem_error_bound, trial_bytes, write_results)
+from ldpshuffle.harness import (SHUFFLE_MODES, SimulationConfig, generate_inputs,
+                                read_change_vectors, results_to_csv, results_to_json,
+                                run_trial, simulate, theorem_error_bound, trial_bytes,
+                                write_results)
 from ldpshuffle.kernels import emit_reports
 from ldpshuffle.randomizer import RandomnessStream
 
@@ -302,7 +303,7 @@ class TestSimulate:
         # bound is the one it had before the table; a dump adds a slot per
         # cell and a str per cell it can fill, at most one per report
         for n, d, k in ((10 ** 6, 1 << 12, 1), (64, 1 << 16, 1), (1, 1 << 20, 2)):
-            words = 4 * n * k + 12 * n + 15 * max(harness.ROWS, 4 * d) + 40 * d
+            words = 4 * n * k + 12 * n + 12 * (max(harness.ROWS, 4 * d) + d) + 40 * d
             assert trial_bytes(n, d, k) == 8 * words + (4 << 20)
             table = 4 * d + 14 * min(4 * d, n * d)
             assert trial_bytes(n, d, k, dump=True) == 8 * (words + table) + (4 << 20)
@@ -341,8 +342,7 @@ class TestSimulate:
         assert not np.array_equal(ht_a, ht_b)
         assert sorted(map(tuple, ht_a)) == sorted(map(tuple, ht_b))
 
-    def test_one_coin_per_report_and_no_permutation_unless_dumped(self, monkeypatch,
-                                                                  tmp_path):
+    def test_one_coin_per_report_and_no_permutation(self, monkeypatch, tmp_path):
         draws = []
         uniform = RandomnessStream.uniform
 
@@ -351,13 +351,29 @@ class TestSimulate:
             return uniform(stream, size)
 
         def refuse(stream, n):
-            raise AssertionError("permutation drawn for a stream nobody writes")
+            raise AssertionError("a trial drew a permutation")
 
         monkeypatch.setattr(RandomnessStream, "uniform", counting)
         monkeypatch.setattr(RandomnessStream, "permutation", refuse)
-        # post-shuffle draws the histogram, not one coin per report
+        # post-shuffle draws the histogram, not one coin per report, and its
+        # dump draws nothing: the stream ends where the histogram's draw does
+        drawn = []
+        draw_counts = harness._draw_counts
+
+        def counts_then_state(*args):
+            tree = draw_counts(*args)
+            drawn.append((args[-1], repr(args[-1].generator.bit_generator.state)))
+            return tree
+
+        monkeypatch.setattr(harness, "_draw_counts", counts_then_state)
         run_trial(self._config(shuffle_mode="post-shuffle", trials=2), 0)
+        shuffled = self._config(shuffle_mode="post-shuffle", trials=1,
+                                reports_path=str(tmp_path / "shuffled.jsonl"))
+        count = run_trial(shuffled, 0)[2]
         assert draws == []
+        assert read_reports(shuffled.reports_path, shuffled.d)[0].sum() == count
+        stream, state = drawn[-1]
+        assert repr(stream.generator.bit_generator.state) == state
         cfg = self._config(shuffle_mode="none", trials=2)
         assert run_trial(cfg, 0)[2] == sum(draws)
         dumped = self._config(trials=1, reports_path=str(tmp_path / "reports.jsonl"))
@@ -370,27 +386,29 @@ class TestSimulate:
 
     @pytest.mark.parametrize("block", BLOCK_ROWS)
     def test_results_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
-        # mode none only: the post-shuffle chunk size sets the shuffle draws.
-        # A trial holds max(ROWS, 4d) reports at a time: the three buffer
-        # sizes differ, and each splits the trial's reports into blocks
-        want_path, got_path = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
-        cfg = self._config(n=300, d=16, k=3, shuffle_mode="none",
-                           reports_path=str(want_path))
-        sizes = {max(rows, 4 * cfg.d) for rows in self.BLOCK_ROWS}
-        assert len(sizes) == len(self.BLOCK_ROWS)
-        want = run_trial(cfg, 0)
-        assert max(sizes) < want[2]
-        cfg.reports_path = str(got_path)
-        monkeypatch.setattr(harness, "ROWS", block)
-        got = run_trial(cfg, 0)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-        assert got_path.read_bytes() == want_path.read_bytes()
+        # in either mode a trial holds max(ROWS, 4d) reports at a time: the
+        # three buffer sizes differ, and each splits the trial's reports into
+        # blocks (none) or writes (post-shuffle)
+        for mode in SHUFFLE_MODES:
+            want_path, got_path = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+            cfg = self._config(n=300, d=16, k=3, shuffle_mode=mode,
+                               reports_path=str(want_path))
+            sizes = {max(rows, 4 * cfg.d) for rows in self.BLOCK_ROWS}
+            assert len(sizes) == len(self.BLOCK_ROWS)
+            want = run_trial(cfg, 0)
+            assert max(sizes) < want[2]
+            cfg.reports_path = str(got_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "ROWS", block)
+                got = run_trial(cfg, 0)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert got_path.read_bytes() == want_path.read_bytes()
 
     @pytest.mark.parametrize("mode", ["none", "post-shuffle"])
     def test_dump_replaces_an_earlier_file(self, monkeypatch, tmp_path, mode):
-        # the trial empties its dump once, and every block or chunk of its
+        # the trial empties its dump once, and every block or write of its
         # stream appends: a file that held something ends as a fresh one does
         monkeypatch.setattr(harness, "ROWS", 1)
         fresh, old = tmp_path / "fresh.jsonl", tmp_path / "old.jsonl"
@@ -398,33 +416,28 @@ class TestSimulate:
         for path in (fresh, old):
             cfg = self._config(n=300, d=16, k=3, shuffle_mode=mode, reports_path=str(path))
             reports = run_trial(cfg, 0)[2]
-        assert reports > 4 * cfg.d  # more than one block or chunk
+        assert reports > 4 * cfg.d  # more than one block or write
         assert old.read_bytes() == fresh.read_bytes()
         assert fresh.read_bytes().count(b"\n") == reports
 
-    @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
-    def test_chunked_shuffle_is_a_uniform_arrangement(self, monkeypatch, chunks):
-        # a tree over d = 2 holding 7 reports: two level-1 clients put
-        # +1, +1 on leaf 1 and +1, -1 on leaf 2, three level-2 clients put
-        # +1 on the root; that multiset has 7! / (3! 2!) = 420 arrangements
-        tree = SumTree(2)
-        tree.counts[:] = [[0, 2], [1, 1], [0, 3]]
-        drawn = []
-        h, t = tree.nodes()
-        monkeypatch.setattr(harness, "write_report_arrays",
-                            lambda path, cells, lines: drawn.extend(
-                                zip(h[cells >> 1], t[cells >> 1], 2 * (cells & 1) - 1)))
-        rows = [(1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 2, -1), (2, 2, 1), (2, 2, 1),
-                (2, 2, 1)]
-        index = {order: i for i, order in enumerate(set(itertools.permutations(rows)))}
-        assert len(index) == 420
-        stream = RandomnessStream(23, chunks)
-        counts = np.zeros(len(index), dtype=np.int64)
-        for _ in range(15 * len(index)):
-            drawn.clear()
-            harness._write_shuffled("unused", tree, stream, -(-7 // chunks))
-            counts[index[tuple(tuple(int(v) for v in row) for row in drawn)]] += 1
-        assert chisquare(counts).pvalue > 0.001
+    @pytest.mark.parametrize("rows", [1, harness.ROWS])
+    def test_post_shuffle_dump_is_in_cell_order(self, monkeypatch, tmp_path, rows):
+        # the shuffler releases a multiset, and the dump is that multiset
+        # sorted by (node, sign) cell: its lines' cells never fall, and its
+        # histogram is the tree the trial estimated from
+        monkeypatch.setattr(harness, "ROWS", rows)
+        path = tmp_path / "reports.jsonl"
+        cfg = self._config(n=300, d=16, k=3, shuffle_mode="post-shuffle",
+                           reports_path=str(path))
+        estimates, _, count, _ = run_trial(cfg, 0)
+        with open_input(path) as fh:
+            h, t, u = parse_report_rows(json_lines(fh), cfg.d)
+        cells = SumTree(cfg.d).cells(h, t, u)
+        assert len(cells) == count > 4 * cfg.d
+        assert (np.diff(cells) >= 0).all()
+        counts, h, t, u = read_reports(path, cfg.d)
+        tree = accumulate_arrays(h, t, u, cfg.d, counts)
+        assert np.array_equal(estimate_marginals(tree, cfg.epsilon, cfg.k), estimates)
 
     def test_anonymized_stream_has_no_client_field(self, tmp_path):
         path = tmp_path / "reports.jsonl"
