@@ -28,7 +28,7 @@ from .amplification import amplify_group, amplify_shuffle, rdp_bound
 from .client import INT64_MAX, check_distinct_paths, open_input, open_output, read_reports
 from .core import check_count, level_count, scale_factor
 from .divergence import ORACLE_MAX_N, certify_amplification
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, quote
 from .harness import (INPUT_MODELS, SHUFFLE_MODES, SimulationConfig, _check_memory,
                       _estimate_bytes, results_to_json, simulate, summarize, trial_bytes,
                       write_results)
@@ -189,7 +189,8 @@ def _read_truth(path, d):
             count = _TRUTH_COUNT.fullmatch(line)
             value = int(count[1] + count[2]) if count else None
             if value is None or not -INT64_MAX - 1 <= value <= INT64_MAX:
-                raise ParseError(f"expected one int64 integer count, got {line!r}", lineno)
+                raise ParseError(f"expected one int64 integer count, got {quote(repr(line))}",
+                                 lineno)
             values.append(value)
     if len(values) != d:
         raise InvalidParameterError(f"truth file has {len(values)} rows, expected {d}")

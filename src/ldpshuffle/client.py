@@ -34,7 +34,7 @@ import re
 import numpy as np
 
 from .aggregator import SumTree, stray_report
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, quote
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +155,12 @@ def read_reports(path, d):
     report's 1-based line, a report of bad syntax before any report that
     addresses no node.
 
-    The input, a file or a pipe, is read once, one chunk at a time: at
-    most READ_BYTES and then the rest of the line they end in, so that a
-    chunk is a run of whole lines. Each chunk's cells are counted into one
-    int64 vector per (node, sign) cell of the tree, so only one chunk's
-    rows are held. The cheapest reader that accepts a chunk takes it.
-    When the tree has at most READ_LINES cells, each line's cell is
+    The input, a file or a pipe, is read once, one chunk of whole lines
+    at a time (`_chunks`): the partial line the last chunk left and
+    READ_BYTES, cut after their last line end. Each chunk's cells are
+    counted into one int64 vector per (node, sign) cell of the tree, so
+    only one chunk's rows are held. The cheapest reader that accepts a
+    chunk takes it. When the tree has at most READ_LINES cells, each line's cell is
     computed from the bytes at the canonical line's fixed offsets
     (`_cells`), and the chunk is taken only if it equals, byte for byte,
     the lines of those cells in the writer's own `line_table`, each
@@ -184,7 +184,7 @@ def read_reports(path, d):
     read = 0  # the lines read, all of them before the chunk
     stray = None  # the ParseError of the first report that addresses no node
     with open_input(path, "rb") as fh:
-        while chunk := fh.read(READ_BYTES) + fh.readline():
+        for chunk in _chunks(fh):
             cells = None
             if lines is not None and chunk.endswith(b"\n"):
                 cells = _cells(chunk, tree)
@@ -214,6 +214,26 @@ def read_reports(path, d):
         raise stray
     cells = np.flatnonzero(counts)
     return counts[cells], *tree.reports(cells)
+
+
+def _chunks(fh):
+    """The chunks of an open binary file, each a run of whole lines: what
+    the last chunk left of its window and the next READ_BYTES, cut after
+    the window's last line end, a \\n or a lone \\r that is not its last
+    byte (which may begin a \\r\\n), so that no \\r\\n is split. A window
+    with no line end is read on to the next \\n and taken whole."""
+    rest = b""
+    while block := fh.read(READ_BYTES):
+        window = rest + block
+        cut = max(window.rfind(b"\n"), window.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            rest = window[cut:]
+            yield window[:cut]
+        else:
+            rest = b""
+            yield window + fh.readline()
+    if rest:
+        yield rest
 
 
 def _cells(chunk, tree):
@@ -291,9 +311,10 @@ def parse_rows(rows):
         if type(h) is not int or type(t) is not int or type(u) is not int:
             raise ParseError("expected integer fields h, t, u", lineno)
         if not (0 < h <= INT64_MAX and 0 < t <= INT64_MAX):
-            raise ParseError(f"h and t must be positive integers, got h={h}, t={t}", lineno)
+            raise ParseError(f"h and t must be positive integers, got h={quote(str(h))}, "
+                             f"t={quote(str(t))}", lineno)
         if u != 1 and u != -1:
-            raise ParseError(f"report value must be -1 or +1, got {u}", lineno)
+            raise ParseError(f"report value must be -1 or +1, got {quote(str(u))}", lineno)
         hs.append(h)
         ts.append(t)
         us.append(u)

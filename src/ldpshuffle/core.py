@@ -16,7 +16,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, quote
 
 # Max |sum - 1| accepted before a count distribution is rejected; accepting,
 # or silently renormalizing, more would mask convolution bugs.
@@ -33,7 +33,8 @@ def check_count(value, name, low=1, high=None):
     if not (_is_integer(value) and value >= low and (high is None or value <= high)):
         top = f"{high:g}" if isinstance(high, float) else high
         span = f">= {low}" if high is None else f"in [{low}, {top}]"
-        raise InvalidParameterError(f"{name} must be an integer {span}, got {value!r}")
+        raise InvalidParameterError(
+            f"{name} must be an integer {span}, got {quote(repr(value))}")
     return int(value)
 
 

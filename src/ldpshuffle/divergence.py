@@ -37,18 +37,17 @@ pair's cut are <= 0 in exact arithmetic and add exactly 0, to the deltas
 and to the bars. Both bounds are widened for the entry error eta below
 (`_log_tilt`), so that no term rounding could make positive is dropped
 either, and are formed from logs of e^(eps-e0), 1 - e^(eps-e0) and
-1 - e^-(eps+e0), never from e^e0 or e^eps; where e^-2e0 and (b/a) e^-e0
-both underflow, every range takes the global cut. A child range whose
-cut leaves it no entry has only 0 terms, and is not scanned. At the
+1 - e^-(eps+e0), never from e^e0 or e^eps. A child range whose cut
+leaves it no entry has only 0 terms, and is not scanned. At the
 accountant's epsilon on the verify grid n in {1000, 2000, 3000},
 e0 in {0.25, 0.5} the six windowed scans reach no leaf block and window
 62 shared pmfs and 92 builds in all, against 147 blocks and about 470
 windows under the global cut alone.
 
 The window. `divergence_bounds(n, e0, eps, bar)` also drops tails, so
-that no pair's bar exceeds bar. With a + b = (p - q)(1 + e^eps), taken as
-infinite where e^eps would overflow, and D = ceil(log2 n), every pmf the
-split forms loses its leading and trailing runs of cumulative mass
+that no pair's bar exceeds bar. With a + b = (p - q)(1 + e^eps) and
+D = ceil(log2 n), every pmf the split forms loses its leading and
+trailing runs of cumulative mass
 <= tau_node = (bar / (a + b)) / (4 (D + 2)). Every binomial it convolves
 with is windowed as it is built (`_binomials`): Bin(s, q) is the
 convolution of the kept windows B1' and B2' of its halves, less its own
@@ -73,9 +72,8 @@ a |R - R'|(x) + b |R - R'|(x-1), so |delta_m - delta'_m| <= (a + b) E_m;
 the bar is that, with E_m inflated for the relative rounding of the
 cumsums that find the windows, and eta below applies on top.
 `certify_amplification` passes bar = 1e-12 delta_target. `divergence_scan`
-is the bar = 0 call, as is in effect every call where e^eps would
-overflow: it drops exact zeros alone, at both ends of every pmf, and its
-bars are 0. A range whose window is empty has only 0 terms.
+is the bar = 0 call: it drops exact zeros alone, at both ends of every
+pmf, and its bars are 0. A range whose window is empty has only 0 terms.
 
 The split. Every R_m comes from one split over m: for m in [lo, hi], all
 R_m share the pmf of the first lo reports (ones) and the last n-1-hi
@@ -113,7 +111,14 @@ most about (D + 1) n terms per sum all told, and a block adds two sums of
 at most BLOCK terms each (S_j and the matrix product), so every entry above
 the underflow range is within relative eta = n r + ((D + 1) n + 2 BLOCK) u.
 At eps >= e0 every delta is exactly zero, since P_m/P_{m+1} <= p/q = e^e0.
-The oracle is capped at n <= 10000.
+
+The domain. The oracle is capped at n <= 10000 and, for a scan at
+eps < e0, at e0 <= EXP_SAFE = 700. Past that cap q < e^-700, about
+1e-304, so a one-bit report equals its input to float precision. Inside
+the domain one arithmetic path serves: e^eps <= e^700, so b and a + b
+are finite; log(rho (b/a) e^-e0) > eps - e0 - 3 eta > -701, so the
+range cut's scale is finite; and eta < 1e-9, so rounding never swamps an
+entry.
 """
 
 import math
@@ -122,11 +127,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplification import amplify_shuffle
-from .core import PROB_TOLERANCE, check_budget, check_count
+from .core import PROB_TOLERANCE, check_budget, check_count, check_real
 
 ORACLE_MAX_N = 10_000
 
-# Above this epsilon the scan never forms e^eps (it overflows past ~709.78).
+# The largest e0 a scan below e0 takes (module docstring, "The domain"):
+# e^x overflows past x ~ 709.78, and past e0 = 700 q < e^-700 ~ 1e-304, so
+# that a one-bit report equals its input to float precision.
 EXP_SAFE = 700.0
 
 # The split stops at ranges of at most this many pairs and finishes each
@@ -150,53 +157,35 @@ def _log_tilt(n, epsilon0, epsilon):
     e^(eps-e0) (1 - e^-(eps+e0)) / (1 - e^(eps-e0)) and
     rho = (1 - eta) / (1 + eta) for the entry error eta of the module
     docstring, since a computed term is positive only where
-    R(x) (1 + eta) a > R(x-1) (1 - eta) b; None where eta >= 1."""
+    R(x) (1 + eta) a > R(x-1) (1 - eta) b."""
     eta = _entry_error(n, epsilon0)
-    if eta >= 1.0:
-        return None
     return (math.log1p(-eta) - math.log1p(eta) + (epsilon - epsilon0)
             + math.log(-math.expm1(-epsilon - epsilon0))
             - math.log(-math.expm1(epsilon - epsilon0)))
 
 
-def _cut(n, epsilon0, epsilon, log_tilt=None):
+def _cut(n, epsilon0, epsilon):
     """Last x at which a forward term of any pair can come out positive:
-    the largest integer x <= n / (1 + rho (b/a) e^-e0) (`_log_tilt`, which
-    a caller that holds it passes)."""
-    if log_tilt is None:
-        log_tilt = _log_tilt(n, epsilon0, epsilon)
-    if log_tilt is None:
-        return n - 1
+    the largest integer x <= n / (1 + rho (b/a) e^-e0) (`_log_tilt`)."""
+    log_tilt = _log_tilt(n, epsilon0, epsilon)
     return min(n - 1, math.floor(n * math.exp(-np.logaddexp(0.0, log_tilt))))
 
 
 def _range_cut(n, epsilon0, epsilon):
     """The function hi -> last x at which a forward term of a pair m <= hi
     can come out positive: the largest integer x at most `_cut` and at most
-    (hi + (n-hi) e^-2e0) / (rho (b/a) e^-e0 + e^-2e0) (module docstring).
-    Where both terms of that denominator underflow, it is `_cut` for every
-    hi."""
-    log_tilt = _log_tilt(n, epsilon0, epsilon)
-    last = _cut(n, epsilon0, epsilon, log_tilt)
-    log_den = -math.inf if log_tilt is None else np.logaddexp(log_tilt, -2.0 * epsilon0)
-    if log_den < -EXP_SAFE:
-        return lambda hi: last
+    (hi + (n-hi) e^-2e0) / (rho (b/a) e^-e0 + e^-2e0) (module docstring)."""
+    last = _cut(n, epsilon0, epsilon)
+    log_den = np.logaddexp(_log_tilt(n, epsilon0, epsilon), -2.0 * epsilon0)
     zeros, scale = math.exp(-2.0 * epsilon0), math.exp(-log_den)
     return lambda hi: min(last, math.floor((hi + (n - hi) * zeros) * scale))
 
 
-def _forward_sum(R, a, b, log_b=None):
+def _forward_sum(R, a, b):
     """sum_x max(a R(x) - b R(x-1), 0), with R(-1) = 0, for each row R of
-    an array of nonnegative pmf prefixes (one row per pair). Where
-    b = e^eps p - q would overflow (eps past EXP_SAFE), b is None and
-    log_b is its log; its products with R, which are small, are then
-    formed in log space."""
+    an array of nonnegative pmf prefixes (one row per pair)."""
     terms = a * R
-    if log_b is None:
-        terms[..., 1:] -= b * R[..., :-1]
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            terms[..., 1:] -= np.exp(log_b + np.log(np.maximum(R[..., :-1], 0.0)))
+    terms[..., 1:] -= b * R[..., :-1]
     return np.maximum(terms, 0.0, out=terms).sum(axis=-1)
 
 
@@ -261,7 +250,8 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
     """`divergence_scan` with every pmf windowed so that no pair's bar
     exceeds bar (module docstring); returns (deltas, bars), each computed
     delta within its bar of the exact one (rounding eta aside). At bar = 0
-    every bar is 0."""
+    every bar is 0. At epsilon >= epsilon0 every delta is 0; below it
+    epsilon0 must be at most EXP_SAFE (module docstring, "The domain")."""
     n = check_count(n, "n", low=2, high=ORACLE_MAX_N)
     epsilon0 = check_budget(epsilon0, "epsilon0")
     epsilon = check_budget(epsilon, zero_ok=True)
@@ -269,18 +259,13 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
     forward, lost = np.zeros(n), np.zeros(n)
     if epsilon >= epsilon0:
         return forward, lost
+    check_real(epsilon0, "epsilon0 above epsilon", 0.0, EXP_SAFE, "(]")
     # q from e^-e0, not 1 - p, which is 0 once p rounds to 1
     log_p = -math.log1p(math.exp(-epsilon0))
     p, q = math.exp(log_p), math.exp(log_p - epsilon0)
     a = -p * math.expm1(epsilon - epsilon0)          # p - e^eps q
-    if epsilon <= EXP_SAFE:                          # b = e^eps p - q
-        b, log_b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0), None
-        scale = math.tanh(epsilon0 / 2.0) * (1.0 + math.exp(epsilon))  # a + b
-    else:
-        # e^eps would overflow: b = e^eps p (1 - e^-(eps+e0)) is carried as its
-        # log, and a + b is infinite, so that nothing but exact zeros is dropped
-        b, log_b = None, epsilon + log_p + math.log1p(-math.exp(-epsilon - epsilon0))
-        scale = math.inf
+    b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0)  # e^eps p - q
+    scale = math.tanh(epsilon0 / 2.0) * (1.0 + math.exp(epsilon))  # a + b
     cut = _range_cut(n, epsilon0, epsilon)
     depth = math.ceil(math.log2(n))
     tau_node = bar / scale / (4 * (depth + 2))
@@ -341,7 +326,7 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
         shifted = np.ndarray((width + 1, columns), buffer=padded,
                              strides=(padded.itemsize, padded.itemsize))
         rows, costs = block(width)
-        forward[lo:hi + 1] = _forward_sum(rows @ shifted, a, b, log_b)
+        forward[lo:hi + 1] = _forward_sum(rows @ shifted, a, b)
         lost[lo:hi + 1] = spent + costs
 
     scan(0, n - 1, np.ones(1), 0, 0.0)
@@ -350,8 +335,7 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
     # masses the builds carry (at most D levels), of the sums of lost and
     # of a + b
     mass = np.maximum(lost, lost[::-1]) * (1.0 + 2 * (n + 4 * depth + 8) * 2.0 ** -53)
-    bars = np.multiply(mass, scale, out=np.zeros(n), where=mass > 0.0)
-    return np.maximum(forward, forward[::-1]), bars
+    return np.maximum(forward, forward[::-1]), mass * scale
 
 
 def worst_case_divergence(n, epsilon0, epsilon):

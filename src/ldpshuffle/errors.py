@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote a value read from an input."""
+
+
+def quote(text):
+    """text, or its first 40 characters and "..." if it is longer, so that
+    a message stays short whatever an input held."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class InvalidParameterError(ValueError):

@@ -264,12 +264,13 @@ def _estimate_bytes(d):
     with the temporaries of `SumTree.reports` (40); `accumulate_arrays`'
     tree, the counts it adds and its check's temporaries (32);
     `estimate_marginals`' arrays (6); the CSV columns with the truth as
-    ints (9). Plus one chunk, READ_BYTES and the rest of the line they
-    end in: converted, with its copies and per-line arrays, or, if it goes
-    per row, with its decoded text and its rows as Python ints and lists,
-    taken one line at a time (16 READ_BYTES either way); and 4 MB. A line
-    longer than READ_BYTES is held whole, as is a run of lines ended by a
-    lone \\r, which one chunk holds."""
+    ints (9). Plus one chunk, READ_BYTES and the partial line the last
+    chunk left (`client._chunks`): converted, with its copies and per-line
+    arrays, or, if it goes per row, with its decoded text and its rows as
+    Python ints and lists, taken one line at a time (16 READ_BYTES either
+    way); and 4 MB. A line longer than READ_BYTES is held whole, and in a
+    file whose lines end in a lone \\r, so are the lines after it up to
+    the next \\n."""
     table = 61 * d if 4 * d - 2 <= READ_LINES else 0
     return 8 * (91 * d + table) + 16 * READ_BYTES + (4 << 20)
 

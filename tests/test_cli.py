@@ -134,6 +134,16 @@ class TestVerifyAmplification:
         assert record["delta_bar"] == 0.0
         assert record["passed"] is True
 
+    def test_local_budget_past_the_scan_domain_is_certified_without_a_scan(self, capsys):
+        # the accountant claims eps0 itself here, as at every eps0 past
+        # ~355, and every delta is 0 there: the scan's cap of 700 is not met
+        code, out, _ = _run(capsys, ["verify-amplification", "--n", "1000",
+                                     "--eps0", "800", "--delta", "1e-4"])
+        assert code == 0
+        assert out == ('{"claimed_epsilon": 800.0, "delta_bar": 0.0, "delta_target": 0.0001, '
+                       '"eps0": 800.0, "exact_delta": 0.0, "n": 1000, "passed": true, '
+                       '"regime": "no-amplification"}\n')
+
     def test_keys_are_the_record_fields(self, capsys):
         code, out, _ = _run(capsys, ["verify-amplification", "--n", "100",
                                      "--eps0", "0.5", "--delta", "1e-4"])
@@ -835,34 +845,68 @@ class TestEstimateBadInput:
         assert "cannot read" in err
 
 
-# An integer of 5000 digits, past the 4300 that int() converts, on line 2
-# of each reader's input: (the input's lines, the argv that reads it as
-# the file at {}, with the valid report file at {reports}).
-_HUGE = "1" * 5000
+# Each reader's input, with a slot on line 2 and the value that makes it
+# valid there, and the argv that reads it as the file at {}, with the valid
+# report file at {reports}.
 _HUGE_INPUTS = {
-    "report file": ('{"h": 1, "t": 1, "u": 1}\n{"h": 1, "t": %s, "u": 1}\n' % _HUGE,
+    "report file": (b'{"h": 1, "t": 1, "u": 1}\n{"h": 1, "t": %s, "u": 1}\n', b"1",
                     "estimate --reports {} --d 4 --epsilon 1.0 --k 1"),
-    "change-vector file": ('{"x": [0, 1, 0, 0]}\n{"x": [0, %s, 0, 0]}\n' % _HUGE,
+    "change-vector file": (b'{"x": [0, 1, 0, 0]}\n{"x": [0, %s, 0, 0]}\n', b"1",
                            "simulate --n 2 --d 4 --k 1 --epsilon 1.0 --input-model file "
                            "--input-path {}"),
-    "truth file": (f"1\n{_HUGE}\n1\n1\n",
+    "truth file": (b"1\n%s\n1\n1\n", b"1",
                    "estimate --reports {reports} --d 4 --epsilon 1.0 --k 1 --truth {}"),
-    "grid row": (f"100,0.25,1e-4\n{_HUGE},0.25,1e-4\n", "verify-amplification --grid {}"),
+    "grid row": (b"100,0.25,1e-4\n%s,0.25,1e-4\n", b"100", "verify-amplification --grid {}"),
 }
+# An integer of 5000 digits, past the 4300 that int() converts.
+_HUGE = b"1" * 5000
+# Hostile inputs, each a function of a reader's (template, valid value).
+_HOSTILE = {
+    "lone-cr": lambda text, valid: (text % valid).replace(b"\n", b"\r"),
+    "invalid-utf8": lambda text, valid: text % b"\xff\xfe",
+    "nul": lambda text, valid: text % (valid + b"\x00"),
+    "bom": lambda text, valid: b"\xef\xbb\xbf" + text % valid,
+    "2^63": lambda text, valid: text % b"9223372036854775808",
+    "1e400": lambda text, valid: text % b"1e400",
+    "empty": lambda text, valid: b"",
+    "long-number": lambda text, valid: text % (b"1" * (client_mod.READ_BYTES + 1)),
+    "long-blanks": lambda text, valid: text % (b" " * client_mod.READ_BYTES + valid),
+}
+
+
+def _read_hostile(capsys, tmp_path, reader, data):
+    argv = _HUGE_INPUTS[reader][2]
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    return _run(capsys, argv.format(path, reports=reports).split())
 
 
 @pytest.mark.parametrize("reader", _HUGE_INPUTS)
 def test_a_5000_digit_integer_exits_2_naming_its_line(capsys, tmp_path, reader):
     # every reader refuses the line with exit code 2, where int() alone would
     # raise a ValueError that ends the run in a traceback
-    text, argv = _HUGE_INPUTS[reader]
-    reports = tmp_path / "reports.jsonl"
-    reports.write_text('{"h": 1, "t": 1, "u": 1}\n')
-    path = tmp_path / "input"
-    path.write_text(text)
-    code, out, err = _run(capsys, argv.format(path, reports=reports).split())
+    code, out, err = _read_hostile(capsys, tmp_path, reader, _HUGE_INPUTS[reader][0] % _HUGE)
     assert code == 2 and out == ""
     assert "line 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("hostile", _HOSTILE)
+@pytest.mark.parametrize("reader", _HUGE_INPUTS)
+def test_hostile_input_exits_0_or_2_with_a_short_message(capsys, tmp_path, reader, hostile):
+    # whatever a file holds, a reader takes it or refuses it with exit code
+    # 2 and a message that names a line wherever the file has one and
+    # quotes at most a bounded part of it
+    text, valid, _ = _HUGE_INPUTS[reader]
+    data = _HOSTILE[hostile](text, valid)
+    code, _, err = _read_hostile(capsys, tmp_path, reader, data)
+    assert code in (0, 2) and "Traceback" not in err and len(err) <= 500
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) <= 160
+        if data:
+            assert re.search(r"\bline \d+: ", err)
 
 
 def _python(code):

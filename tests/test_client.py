@@ -332,6 +332,22 @@ class TestReportIo:
             read_reports(path, 4)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("row,message", [
+        ('{"h": 1, "t": 9223372036854775808, "u": 1}',
+         "line 1: h and t must be positive integers, got h=1, t=9223372036854775808"),
+        ('{"h": %s, "t": %s, "u": 1}' % ("7" * 4000, "8" * 4000),
+         "line 1: h and t must be positive integers, got h=%s..., t=%s..."
+         % ("7" * 40, "8" * 40)),
+        ('{"h": 1, "t": 1, "u": %s}' % ("9" * 4000),
+         "line 1: report value must be -1 or +1, got %s..." % ("9" * 40)),
+    ])
+    def test_a_value_is_quoted_up_to_40_characters(self, tmp_path, row, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row + "\n")
+        with pytest.raises(ParseError) as err:
+            read_reports(path, 4)
+        assert str(err.value) == message
+
     # the last three are misaligned: a level-h report carries a multiple of 2^(h-1)
     @pytest.mark.parametrize("row", ['{"h": 4, "t": 4, "u": 1}', '{"h": 1, "t": 5, "u": 1}',
                                      '{"h": 9, "t": 256, "u": 1}', '{"h": 2, "t": 3, "u": 1}',
@@ -509,11 +525,22 @@ def _spy_rows(monkeypatch):
 
 def _chunk_rows(path, read_bytes, lineno):
     """The (line number, decoded row) pairs of the non-blank lines of the
-    chunk that holds line lineno of a file read as chunks of read_bytes
-    bytes and the rest of the line they end in."""
-    data, start, first = path.read_bytes(), 0, 1
+    chunk that holds line lineno of a file read in chunks of whole lines:
+    the partial line the last chunk left and the next read_bytes bytes, cut
+    after their last \\n or a later lone \\r that is not their last byte,
+    or, with no line end, read on to the next \\n; the last chunk is what
+    the file has left."""
+    data, start, read, first = path.read_bytes(), 0, 0, 1
     while True:
-        end = data.find(b"\n", start + read_bytes) + 1 or len(data)
+        if read == len(data):
+            end = len(data)
+        else:
+            read = min(read + read_bytes, len(data))
+            window = data[start:read]
+            ends = [i + 1 for i, byte in enumerate(window)
+                    if byte == 10 or byte == 13 and i + 1 < len(window) and window[i + 1] != 10]
+            end = start + max(ends) if ends else data.find(b"\n", read) + 1 or len(data)
+            read = max(read, end)
         lines = data[start:end].splitlines()
         if lineno < first + len(lines):
             return [(first + i, json.loads(line)) for i, line in enumerate(lines)

@@ -183,7 +183,8 @@ ENTRIES = [
      lambda v: ref_divergence.shuffled_rr_count_distribution(5, 2, v), "budget", []),
     ("divergence_scan.n", lambda v: divergence.divergence_scan(v, 0.5, 0.1), "count",
      [1, 10 ** 5]),
-    ("divergence_scan.eps0", lambda v: divergence.divergence_scan(20, v, 0.1), "budget", []),
+    ("divergence_scan.eps0", lambda v: divergence.divergence_scan(20, v, 0.1), "budget",
+     [800.0]),
     ("divergence_scan.epsilon",
      lambda v: divergence.divergence_scan(20, 0.5, v), "budget0", []),
     ("divergence_bounds.bar",
@@ -246,6 +247,17 @@ def test_checks_return_plain_python_scalars():
     assert type(core.check_real(np.float64(0.5), "x", 0.0, 1.0)) is float
     assert core.check_real(1, "x", 0.0, 1.0, "(]") == 1.0
     assert core.level_count(np.int64(8)) == 4
+
+
+def test_a_long_count_is_quoted_up_to_40_characters():
+    # a grid row's n reaches check_count with up to 4300 digits
+    message = "n must be an integer in [1, 10], got "
+    with pytest.raises(InvalidParameterError) as err:
+        core.check_count(3 * 10 ** 4000, "n", high=10)
+    assert str(err.value) == message + "3" + "0" * 39 + "..."
+    with pytest.raises(InvalidParameterError) as err:
+        core.check_count(3 * 10 ** 38, "n", high=10)
+    assert str(err.value) == message + "3" + "0" * 38
 
 
 def test_domain_checks_live_in_core():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from ldpshuffle import divergence
 from ldpshuffle.amplification import amplify_shuffle
 from ldpshuffle.core import level_count, rr_probability
-from ldpshuffle.divergence import (_cut, _entry_error, _log_tilt, _range_cut, divergence_bounds,
+from ldpshuffle.divergence import (_cut, _entry_error, _range_cut, divergence_bounds,
                                    divergence_scan)
 from ldpshuffle.errors import InvalidParameterError
 from ldpshuffle.kernels import emit_reports
@@ -210,7 +211,7 @@ class TestDivergenceScan:
         # n > BLOCK, so that the split windows pmfs and binomial slices
         eps = eps_share * eps0
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(divergence, "_forward_sum", lambda R, a, b, log_b=None: R.sum(axis=-1))
+            patch.setattr(divergence, "_forward_sum", lambda R, a, b: R.sum(axis=-1))
             exact = divergence_scan(n, eps0, eps)
             kept, bars = divergence_bounds(n, eps0, eps, tau * _scale(eps0, eps))
         lost = bars / _scale(eps0, eps)
@@ -359,24 +360,6 @@ class TestDivergenceScan:
         ref = reference_divergence_scan(n, eps0, eps)
         assert exact.max() == pytest.approx(ref.max(), rel=1e-8, abs=0.0)
 
-    def test_cuts_keep_the_support_where_rounding_swamps_every_entry(self):
-        # at n = 10, e0 = 1e16 the entry error eta is about 11, so no term is
-        # trusted to be <= 0 and both cuts keep every x. q underflows to 0,
-        # so R_m is a point mass at m and adjacent pairs are disjoint: every
-        # delta is 1
-        assert _entry_error(10, 1e16) >= 1.0
-        assert _log_tilt(10, 1e16, 1.0) is None
-        assert _cut(10, 1e16, 1.0) == 9
-        assert [_range_cut(10, 1e16, 1.0)(hi) for hi in range(10)] == [9] * 10
-        assert np.array_equal(divergence_scan(10, 1e16, 1.0), np.ones(10))
-
-    def test_range_cut_is_the_global_cut_where_its_denominator_underflows(self):
-        # at e0 = 1000, eps = 0 both e^-2e0 and rho (b/a) e^-e0 underflow
-        log_tilt = _log_tilt(10, 1000.0, 0.0)
-        assert log_tilt is not None and np.logaddexp(log_tilt, -2000.0) < -divergence.EXP_SAFE
-        assert [_range_cut(10, 1000.0, 0.0)(hi) for hi in range(10)] \
-            == [_cut(10, 1000.0, 0.0)] * 10
-
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_worst_pair_matches_reference_at_scale(self, n):
         claimed = amplify_shuffle(0.5, n, 1e-4).epsilon_central
@@ -413,16 +396,29 @@ class TestDivergenceScan:
         (errors,) = _high_precision_errors(n, 0.5, eps, (0, 1, n - 2), scan)
         assert max(errors) <= 2e-13
 
-    @pytest.mark.parametrize("eps0,eps", [(800.0, 750.0), (720.0, 715.0)])
-    def test_epsilon_past_float_exp_range(self, eps0, eps):
-        # e^eps overflows a float here, so the scan must never form it
-        scan = divergence_scan(10, eps0, eps)
-        assert np.all(np.isfinite(scan))
-        assert np.all((scan >= 0.0) & (scan <= 1.0))
-        (errors,) = _high_precision_errors(10, eps0, eps, range(10), scan)
+    @pytest.mark.parametrize("eps,ms", [(695.0, range(10)), (699.999, (0, 1, 8, 9))])
+    def test_near_the_top_of_the_domain(self, eps, ms):
+        # e0 = EXP_SAFE, where e^eps is largest and q ~ 1e-304. At 699.999
+        # the deltas of pairs 2 to 7 are of order q^2, below the float
+        # range, and the scan gives them 0
+        scan = divergence_scan(10, divergence.EXP_SAFE, eps)
+        (errors,) = _high_precision_errors(10, divergence.EXP_SAFE, eps, ms, scan)
         assert max(errors) <= 1e-9
+        assert not np.delete(scan, ms).any()
 
-    def test_large_local_budget_is_deterministic_count(self):
-        # at e0 = 800 the lie probability underflows to 0, so the count is the
-        # number of ones and adjacent pairs are disjoint point masses
-        assert divergence_scan(20, 800.0, 1.0) == pytest.approx(np.ones(20), abs=0.0)
+    @pytest.mark.parametrize("eps", [0.0, 699.0])
+    def test_at_the_cap_and_the_top_of_the_domain(self, eps):
+        # every factor e^eps, a + b and the range cut's scale is finite at
+        # n = 10^4, e0 = EXP_SAFE, and no operation warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan, bars = divergence_bounds(10_000, divergence.EXP_SAFE, eps, 0.0)
+        assert np.all(np.isfinite(scan)) and np.all((scan >= 0.0) & (scan <= 1.0))
+        assert scan.max() > 0.0 and not bars.any()
+
+    def test_scan_past_the_domain_is_refused(self):
+        # past e0 = EXP_SAFE a one-bit report equals its input to float
+        # precision; only the scan at eps >= e0, all zeros, is taken there
+        with pytest.raises(InvalidParameterError, match=r"\(0, 700\]"):
+            divergence_scan(10, 800.0, 750.0)
+        assert not divergence_scan(10, 800.0, 800.0).any()
