@@ -179,20 +179,22 @@ def _cmd_cover(args):
 
 def _read_truth(path, d):
     """True counts, one int64 integer per line; blank lines and # comments
-    skip."""
+    skip. A bad line, or a row past the d-th, raises ParseError naming it."""
     values = []
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            if len(values) == d:
+                raise ParseError(f"truth file has more than {d} rows", lineno)
             count = _TRUTH_COUNT.fullmatch(line)
             value = int(count[1] + count[2]) if count else None
             if value is None or not -INT64_MAX - 1 <= value <= INT64_MAX:
-                raise ParseError(f"expected one int64 integer count, got {quote(repr(line))}",
+                raise ParseError(f"expected one int64 integer count, got {quote(line)}",
                                  lineno)
             values.append(value)
-    if len(values) != d:
+    if len(values) < d:
         raise InvalidParameterError(f"truth file has {len(values)} rows, expected {d}")
     return np.array(values, dtype=np.int64)
 

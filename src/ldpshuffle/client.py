@@ -155,24 +155,24 @@ def read_reports(path, d):
     report's 1-based line, a report of bad syntax before any report that
     addresses no node.
 
-    The input, a file or a pipe, is read once, one chunk of whole lines
-    at a time (`_chunks`): the partial line the last chunk left and
-    READ_BYTES, cut after their last line end. Each chunk's cells are
-    counted into one int64 vector per (node, sign) cell of the tree, so
-    only one chunk's rows are held. The cheapest reader that accepts a
-    chunk takes it. When the tree has at most READ_LINES cells, each line's cell is
-    computed from the bytes at the canonical line's fixed offsets
-    (`_cells`), and the chunk is taken only if it equals, byte for byte,
-    the lines of those cells in the writer's own `line_table`, each
-    formatted when a chunk first reads it: a line is taken only if it is a
-    cell's own line. Otherwise a chunk of canonical lines (`REPORT_LINE`)
-    is converted whole with array operations (`_convert`), and any other
-    chunk goes one row at a time through `parse_rows`, its lines numbered
-    as a text file's (a line ends in \\n, \\r or \\r\\n). Either is then
-    checked against the tree (`_check_tree`). Which path a chunk takes
-    depends on d and on the chunk's own lines, never on earlier ones. A
-    syntax error is raised when it is met; the first report that addresses
-    no node is raised once the input is read.
+    The input, a file or a pipe, is read once, one chunk of whole lines at
+    a time (`_chunks`), of at most 2 max(READ_BYTES, the longest line)
+    bytes. Each chunk's cells are counted into one int64 vector per (node,
+    sign) cell of the tree, so only one chunk's rows are held. The cheapest
+    reader that accepts a chunk takes it. When the tree has at most
+    READ_LINES cells, each line's cell is computed from the bytes at the
+    canonical line's fixed offsets (`_cells`), and the chunk is taken only
+    if it equals, byte for byte, the lines of those cells in the writer's
+    own `line_table`, each formatted when a chunk first reads it: a line is
+    taken only if it is a cell's own line. Otherwise a chunk of canonical
+    lines (`REPORT_LINE`) is converted whole with array operations
+    (`_convert`), and any other chunk goes one row at a time through
+    `parse_rows`, its lines numbered as a text file's (a line ends in \\n,
+    \\r or \\r\\n). Either is then checked against the tree
+    (`_check_tree`). Which path a chunk takes depends on d and on the
+    chunk's own lines, never on earlier ones. A syntax error is raised when
+    it is met; the first report that addresses no node is raised once the
+    input is read.
     """
     tree = SumTree(d)
     counts = tree.counts.ravel()  # one int64 count per (node, sign) cell
@@ -217,21 +217,19 @@ def read_reports(path, d):
 
 
 def _chunks(fh):
-    """The chunks of an open binary file, each a run of whole lines: what
-    the last chunk left of its window and the next READ_BYTES, cut after
-    the window's last line end, a \\n or a lone \\r that is not its last
-    byte (which may begin a \\r\\n), so that no \\r\\n is split. A window
-    with no line end is read on to the next \\n and taken whole."""
+    """The chunks of an open binary file, each a run of whole lines: the
+    partial line the last chunk left and the next max(READ_BYTES, its
+    length) bytes, cut after their last \\n or a later lone \\r that is not
+    their last byte (which may begin a \\r\\n), or carried whole into the
+    next read if they hold no line end. Reads double while a line runs on,
+    so a chunk holds at most 2 max(READ_BYTES, the longest line) bytes."""
     rest = b""
-    while block := fh.read(READ_BYTES):
+    while block := fh.read(max(READ_BYTES, len(rest))):
         window = rest + block
         cut = max(window.rfind(b"\n"), window.rfind(b"\r", 0, -1)) + 1
+        rest = window[cut:]
         if cut:
-            rest = window[cut:]
             yield window[:cut]
-        else:
-            rest = b""
-            yield window + fh.readline()
     if rest:
         yield rest
 
@@ -311,10 +309,10 @@ def parse_rows(rows):
         if type(h) is not int or type(t) is not int or type(u) is not int:
             raise ParseError("expected integer fields h, t, u", lineno)
         if not (0 < h <= INT64_MAX and 0 < t <= INT64_MAX):
-            raise ParseError(f"h and t must be positive integers, got h={quote(str(h))}, "
-                             f"t={quote(str(t))}", lineno)
+            raise ParseError(f"h and t must be positive integers, got h={quote(h)}, "
+                             f"t={quote(t)}", lineno)
         if u != 1 and u != -1:
-            raise ParseError(f"report value must be -1 or +1, got {quote(str(u))}", lineno)
+            raise ParseError(f"report value must be -1 or +1, got {quote(u)}", lineno)
         hs.append(h)
         ts.append(t)
         us.append(u)

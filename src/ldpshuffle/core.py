@@ -34,7 +34,7 @@ def check_count(value, name, low=1, high=None):
         top = f"{high:g}" if isinstance(high, float) else high
         span = f">= {low}" if high is None else f"in [{low}, {top}]"
         raise InvalidParameterError(
-            f"{name} must be an integer {span}, got {quote(repr(value))}")
+            f"{name} must be an integer {span}, got {quote(value)}")
     return int(value)
 
 
@@ -51,7 +51,7 @@ def check_real(value, name, low, high, ends="()"):
                 and (x < high if ends[1] == ")" else x <= high)):
             return x
     raise InvalidParameterError(
-        f"{name} must be a real in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+        f"{name} must be a real in {ends[0]}{low:g}, {high:g}{ends[1]}, got {quote(value)}")
 
 
 def check_budget(value, name="epsilon", zero_ok=False):
@@ -68,7 +68,7 @@ def level_count(d):
     """Number of tree levels over a horizon of d leaves, log2(d) + 1; the
     one check that d is a power of two."""
     if not is_power_of_two(d):
-        raise InvalidParameterError(f"horizon must be a power of two, got {d!r}")
+        raise InvalidParameterError(f"horizon must be a power of two, got {quote(d)}")
     return int(d).bit_length()
 
 

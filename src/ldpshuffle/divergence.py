@@ -114,11 +114,13 @@ At eps >= e0 every delta is exactly zero, since P_m/P_{m+1} <= p/q = e^e0.
 
 The domain. The oracle is capped at n <= 10000 and, for a scan at
 eps < e0, at e0 <= EXP_SAFE = 700. Past that cap q < e^-700, about
-1e-304, so a one-bit report equals its input to float precision. Inside
-the domain one arithmetic path serves: e^eps <= e^700, so b and a + b
-are finite; log(rho (b/a) e^-e0) > eps - e0 - 3 eta > -701, so the
-range cut's scale is finite; and eta < 1e-9, so rounding never swamps an
-entry.
+1e-304, so a one-bit report equals its input to float precision. A scan
+at the least float, e0 = 5e-324, is refused too: its half rounds to 0, so
+a + b = tanh(e0/2) (1 + e^eps) is 0, and every larger e0 gives a positive
+a + b. Inside the domain one arithmetic path serves: e^eps <= e^700, so b
+and a + b are finite; log(rho (b/a) e^-e0) > eps - e0 - 3 eta > -701,
+so the range cut's scale is finite; and eta < 1e-9, so rounding never
+swamps an entry.
 """
 
 import math
@@ -128,6 +130,7 @@ import numpy as np
 
 from .amplification import amplify_shuffle
 from .core import PROB_TOLERANCE, check_budget, check_count, check_real
+from .errors import InvalidParameterError
 
 ORACLE_MAX_N = 10_000
 
@@ -251,7 +254,8 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
     exceeds bar (module docstring); returns (deltas, bars), each computed
     delta within its bar of the exact one (rounding eta aside). At bar = 0
     every bar is 0. At epsilon >= epsilon0 every delta is 0; below it
-    epsilon0 must be at most EXP_SAFE (module docstring, "The domain")."""
+    epsilon0 must be at most EXP_SAFE, and above 5e-324, the least float,
+    at which a + b underflows (module docstring, "The domain")."""
     n = check_count(n, "n", low=2, high=ORACLE_MAX_N)
     epsilon0 = check_budget(epsilon0, "epsilon0")
     epsilon = check_budget(epsilon, zero_ok=True)
@@ -266,6 +270,9 @@ def divergence_bounds(n, epsilon0, epsilon, bar):
     a = -p * math.expm1(epsilon - epsilon0)          # p - e^eps q
     b = p * math.expm1(epsilon) + math.tanh(epsilon0 / 2.0)  # e^eps p - q
     scale = math.tanh(epsilon0 / 2.0) * (1.0 + math.exp(epsilon))  # a + b
+    if scale == 0.0:  # tanh(e0 / 2) underflows, at the least e0 alone
+        raise InvalidParameterError(f"epsilon0 above epsilon is too small to scan, got "
+                                    f"{epsilon0!r}: a + b underflows to 0")
     cut = _range_cut(n, epsilon0, epsilon)
     depth = math.ceil(math.log2(n))
     tau_node = bar / scale / (4 * (depth + 2))

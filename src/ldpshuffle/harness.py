@@ -160,8 +160,8 @@ def read_change_vectors(path, n, d, k):
     Returns (times, values, number of clipped rows): row i holds the
     1-based times and the values of client i's changes in time order,
     padded with zeros. A row with more than k changes is clipped: it keeps
-    its first k. Malformed rows, and rows whose boolean state would leave
-    {0, 1}, raise ParseError with their line number.
+    its first k. Malformed rows, rows whose boolean state would leave
+    {0, 1}, and a row past the n-th raise ParseError with their line number.
     """
     times = np.zeros((n, k), dtype=np.int64)
     values = np.zeros((n, k), dtype=np.int64)
@@ -169,6 +169,8 @@ def read_change_vectors(path, n, d, k):
     rows = 0
     with open_input(path) as fh:
         for lineno, row in json_lines(fh):
+            if rows == n:
+                raise ParseError(f"expected {n} rows, found more", lineno)
             if not isinstance(row, dict) or "x" not in row:
                 raise ParseError('expected an object with an "x" array', lineno)
             x = row["x"]
@@ -186,11 +188,10 @@ def read_change_vectors(path, n, d, k):
             if len(cols) > k:
                 cols = cols[:k]
                 clipped += 1
-            if rows < n:
-                times[rows, :len(cols)] = cols + 1
-                values[rows, :len(cols)] = x[cols]
+            times[rows, :len(cols)] = cols + 1
+            values[rows, :len(cols)] = x[cols]
             rows += 1
-    if rows != n:
+    if rows < n:
         raise ParseError(f"expected {n} rows, found {rows}")
     return times, values, clipped
 
@@ -268,9 +269,9 @@ def _estimate_bytes(d):
     chunk left (`client._chunks`): converted, with its copies and per-line
     arrays, or, if it goes per row, with its decoded text and its rows as
     Python ints and lists, taken one line at a time (16 READ_BYTES either
-    way); and 4 MB. A line longer than READ_BYTES is held whole, and in a
-    file whose lines end in a lone \\r, so are the lines after it up to
-    the next \\n."""
+    way); and 4 MB. A chunk holds at most twice the longest line, whatever
+    the line ends, so with a longest line of L > READ_BYTES bytes the
+    chunk's term is 16 L in place of 16 READ_BYTES."""
     table = 61 * d if 4 * d - 2 <= READ_LINES else 0
     return 8 * (91 * d + table) + 16 * READ_BYTES + (4 << 20)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ldpshuffle.cli as cli
@@ -510,6 +510,16 @@ class TestSimulateAndEstimate:
         assert "expected 2 rows, found 1" in err
         assert out == ""
 
+    def test_input_file_with_too_many_rows_names_the_first_extra(self, capsys, tmp_path):
+        inputs = tmp_path / "inputs.jsonl"
+        inputs.write_text('{"x": [0, 1, 0, 0]}\n\n{"x": [1, 0, 0, 0]}\n{"x": 1}\n')
+        code, out, err = _run(capsys, [
+            "simulate", "--n", "2", "--d", "4", "--k", "1", "--epsilon", "1.0",
+            "--input-model", "file", "--input-path", str(inputs),
+        ])
+        assert code == 2 and out == ""
+        assert err == "error: line 4: expected 2 rows, found more\n"
+
 
 # sha256 of the report dumps and estimate CSVs of a writer that formatted
 # every report from its (h, t, u) values: the line table must leave every
@@ -780,6 +790,11 @@ class TestEstimateBadInput:
         code, _, err = self._estimate(capsys, reports, truth)
         assert code == 2
         assert "truth file has 2 rows, expected 4" in err
+        # a row past d is named by its line, before the rest is read
+        truth.write_text("0\n1\n2\n\n3\n4\n")
+        code, _, err = self._estimate(capsys, reports, truth)
+        assert code == 2
+        assert err == "error: line 6: truth file has more than 4 rows\n"
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         reports = tmp_path / "reports.jsonl"
@@ -900,10 +915,40 @@ def test_hostile_input_exits_0_or_2_with_a_short_message(capsys, tmp_path, reade
     # quotes at most a bounded part of it
     text, valid, _ = _HUGE_INPUTS[reader]
     data = _HOSTILE[hostile](text, valid)
-    code, _, err = _read_hostile(capsys, tmp_path, reader, data)
+    _check_outcome(data, *_read_hostile(capsys, tmp_path, reader, data))
+
+
+# Runs of bytes a file may hold after a valid prefix: any short run, line
+# ends of every spelling, a NUL, an invalid UTF-8 byte, and lines longer
+# than READ_BYTES.
+_HOSTILE_TAILS = st.lists(
+    st.binary(max_size=12)
+    | st.sampled_from([b"\r", b"\n", b"\r\n", b"\x00", b"\xff", b"1", b",", b" "])
+    | st.sampled_from([b" ", b"1", b"\xff"]).map(lambda c: c * (client_mod.READ_BYTES + 1)),
+    max_size=12).map(b"".join)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(list(_HUGE_INPUTS)), _HOSTILE_TAILS)
+@example("report file", b"\r" + b" " * (client_mod.READ_BYTES + 1) + b"\r\x00\r")
+@example("change-vector file", b"\r\n" + b"1" * (client_mod.READ_BYTES + 1))
+@example("truth file", b"1")  # a row past d
+@example("grid row", b"\x00\xff\r,")
+def test_any_bytes_after_a_valid_prefix_exit_0_or_2(capsys, tmp_path, reader, tail):
+    # capsys and tmp_path are shared by the examples: each run reads its
+    # own output and rewrites the files it reads
+    text, valid, _ = _HUGE_INPUTS[reader]
+    data = text % valid + tail
+    _check_outcome(data, *_read_hostile(capsys, tmp_path, reader, data))
+
+
+def _check_outcome(data, code, out, err):
+    """A run that read data either took it (exit code 0) or refused it with
+    exit code 2 and one short error line, naming a line if data has one."""
     assert code in (0, 2) and "Traceback" not in err and len(err) <= 500
     if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert len(err) <= 160
         if data:
             assert re.search(r"\bline \d+: ", err)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -526,21 +527,22 @@ def _spy_rows(monkeypatch):
 def _chunk_rows(path, read_bytes, lineno):
     """The (line number, decoded row) pairs of the non-blank lines of the
     chunk that holds line lineno of a file read in chunks of whole lines:
-    the partial line the last chunk left and the next read_bytes bytes, cut
-    after their last \\n or a later lone \\r that is not their last byte,
-    or, with no line end, read on to the next \\n; the last chunk is what
-    the file has left."""
+    the partial line the last chunk left and the next max(read_bytes, its
+    length) bytes, cut after their last \\n or a later lone \\r that is
+    not their last byte, or carried whole into the next read if they hold
+    none; the last chunk is what the file has left."""
     data, start, read, first = path.read_bytes(), 0, 0, 1
     while True:
         if read == len(data):
             end = len(data)
         else:
-            read = min(read + read_bytes, len(data))
+            read = min(read + max(read_bytes, read - start), len(data))
             window = data[start:read]
             ends = [i + 1 for i, byte in enumerate(window)
                     if byte == 10 or byte == 13 and i + 1 < len(window) and window[i + 1] != 10]
-            end = start + max(ends) if ends else data.find(b"\n", read) + 1 or len(data)
-            read = max(read, end)
+            if not ends:
+                continue
+            end = start + max(ends)
         lines = data[start:end].splitlines()
         if lineno < first + len(lines):
             return [(first + i, json.loads(line)) for i, line in enumerate(lines)
@@ -655,6 +657,38 @@ class TestChunkedReportIo:
         monkeypatch.setattr(client_mod, "READ_BYTES", read_bytes)
         assert _outcome(read_histogram, path, 64) == want
         assert want == _outcome(row_histogram, path, 64)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.binary(max_size=90) | st.sampled_from([b"\n", b"\r", b"\r\n"]),
+                    max_size=30), st.sampled_from([1, 7, 64]))
+    @example([b"x" * 200, b"\r", b"y\r"], 64)
+    @example([b"x\r", b"\n" + b"y" * 100], 7)
+    def test_chunks_are_whole_lines_of_at_most_twice_the_longest(self, parts, read_bytes):
+        # any bytes, spelled with any line ends: the chunks are the file,
+        # each but the last ends a line and splits no \r\n, and each holds
+        # at most 2 max(READ_BYTES, the longest line) bytes
+        data = b"".join(parts)
+        with mock.patch.object(client_mod, "READ_BYTES", read_bytes):
+            chunks = list(client_mod._chunks(io.BytesIO(data)))
+        assert b"".join(chunks) == data and b"" not in chunks
+        longest = max(map(len, data.splitlines(keepends=True)), default=0)
+        assert max(map(len, chunks), default=0) <= 2 * max(read_bytes, longest)
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert chunk.endswith(b"\n") or chunk.endswith(b"\r") and not after.startswith(b"\n")
+
+    def test_a_line_with_no_end_is_read_in_doubling_reads(self):
+        # a 16 MiB line with no line end is one chunk, read in about
+        # log2(its length / READ_BYTES) reads, not its length / READ_BYTES
+        class Counted(io.BytesIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return super().read(size)
+        data = b"x" * (16 << 20)
+        fh = Counted(data)
+        assert list(client_mod._chunks(fh)) == [data]
+        assert fh.reads <= math.log2(len(data) / client_mod.READ_BYTES) + 3
 
     @pytest.mark.parametrize("write_rows", [1, 10 ** 9])
     def test_write_chunk_size_changes_nothing(self, tmp_path, monkeypatch, write_rows):

@@ -189,6 +189,8 @@ ENTRIES = [
      lambda v: divergence.divergence_scan(20, 0.5, v), "budget0", []),
     ("divergence_bounds.bar",
      lambda v: divergence.divergence_bounds(20, 0.5, 0.1, v), "budget0", []),
+    ("divergence_bounds.eps0",
+     lambda v: divergence.divergence_bounds(20, v, 0.0, 1e-12), "budget", [800.0, 5e-324]),
     ("worst_case_divergence.n",
      lambda v: divergence.worst_case_divergence(v, 0.5, 0.1), "count", [1]),
     ("certify_amplification.n",
@@ -258,6 +260,14 @@ def test_a_long_count_is_quoted_up_to_40_characters():
     with pytest.raises(InvalidParameterError) as err:
         core.check_count(3 * 10 ** 38, "n", high=10)
     assert str(err.value) == message + "3" + "0" * 38
+    # an int Python refuses to print (past 4300 digits) is named by its size
+    for check, text in [(lambda v: core.check_count(v, "n", high=10), message),
+                        (lambda v: core.check_real(v, "x", 0.0, 1.0), "x must be a real in "
+                         "(0, 1), got "),
+                        (core.level_count, "horizon must be a power of two, got ")]:
+        with pytest.raises(InvalidParameterError) as err:
+            check(10 ** 5000)
+        assert str(err.value) == text + "an integer of 5001 digits"
 
 
 def test_domain_checks_live_in_core():

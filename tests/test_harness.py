@@ -210,22 +210,28 @@ def past_cap_dump(tmp_path_factory):
     return d, path
 
 
-@pytest.mark.parametrize("source", ["path", "pipe", "respelled", "lone-cr"])
+@pytest.mark.parametrize("source", ["path", "pipe", "respelled", "lone-cr", "lone-cr-long"])
 def test_estimate_bytes_bounds_an_estimate_past_the_cap(tmp_path, past_cap_dump, source):
     # the dump read in a fresh process by its path, through a pipe,
-    # re-spelled with two blanks after each comma, and with each line ended
-    # by a lone \r, so that every chunk goes through the per-row parser (its
+    # re-spelled with two blanks after each comma, with each line ended by a
+    # lone \r, and so with 70,000 blanks before line 1, a line longer than
+    # READ_BYTES, so that every chunk goes through the per-row parser (its
     # first 250,000 lines, to keep the parse near a second): each rise is
     # bounded by d, not by the input
     d, path = past_cap_dump
     stdin = None
     if source == "pipe":
         stdin, path = path.read_bytes(), "/dev/stdin"
-    elif source in ("respelled", "lone-cr"):
+    elif source != "path":
         data = b"".join(path.read_bytes().splitlines(keepends=True)[:250_000])
         path = tmp_path / f"{source}.jsonl"
-        path.write_bytes(data.replace(b", ", b",  ") if source == "respelled"
-                         else data.replace(b"\n", b"\r"))
+        if source == "respelled":
+            data = data.replace(b", ", b",  ")
+        else:
+            data = data.replace(b"\n", b"\r")
+        if source == "lone-cr-long":
+            data = b" " * 70_000 + data
+        path.write_bytes(data)
     env = dict(os.environ, PYTHONPATH=str(Path(ldpshuffle.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _ESTIMATE_RISE, str(d), str(path)], env=env,
                          input=stdin, capture_output=True, check=True, timeout=120)

@@ -422,3 +422,13 @@ class TestDivergenceScan:
         with pytest.raises(InvalidParameterError, match=r"\(0, 700\]"):
             divergence_scan(10, 800.0, 750.0)
         assert not divergence_scan(10, 800.0, 800.0).any()
+
+    @pytest.mark.parametrize("bar", [0.0, 1e-12])
+    def test_scan_at_the_least_float_is_refused(self, bar):
+        # half of e0 = 5e-324 rounds to 0, so a + b is 0 and no bar can be
+        # scaled by it; twice that e0 is scanned, to zeros
+        with pytest.raises(InvalidParameterError, match="a \\+ b underflows"):
+            divergence_bounds(10, 5e-324, 0.0, bar)
+        assert not divergence_bounds(10, 5e-324, 5e-324, bar)[0].any()
+        scan, bars = divergence_bounds(10, 1e-323, 0.0, bar)
+        assert not scan.any() and np.all((bars >= 0.0) & (bars <= bar))
