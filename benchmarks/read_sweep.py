@@ -12,11 +12,13 @@ shapes run the same call.
 
 A tree is NAME=SRC or NAME=SRC:CAP, where CAP replaces `client.READ_LINES`
 in its processes. Each file holds uniform random (node, sign) cells of the
-tree over d = 2^e, written once by the first tree's writer. Each (tree,
-file) pair runs in a fresh process of this one script, pinned to one CPU
-with one BLAS thread: the VmHWM rise over its first call (the process's
-history moves glibc's mmap threshold, so only rises from one script
-compare), then the median and min of repeated calls. The trees' order
+tree over d = 2^e, written once in canonical lines from the first tree's
+`SumTree.reports` and `client.REPORT_LINE`, names that do not change with
+the writer's API. Each (tree, file) pair runs in a fresh process of this
+one script, pinned to one CPU with one BLAS thread: the VmHWM rise over
+its first call (the process's history moves glibc's mmap threshold, so
+only rises from one script compare), then the median and min of repeated
+calls. The trees' order
 rotates from round to round. Prints one JSON line per process and writes
 all of them, with the medians over rounds, to --output.
 """
@@ -63,10 +65,12 @@ print(json.dumps({"first_s": first, "median_s": statistics.median(times),
 def _write(src, path, d, reports, seed):
     code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np\n"
             "from ldpshuffle.aggregator import SumTree\n"
-            "from ldpshuffle.client import line_table, write_report_arrays\n"
+            "from ldpshuffle.client import REPORT_LINE\n"
             f"tree = SumTree({d})\n"
             f"cells = np.random.default_rng({seed}).integers(0, tree.counts.size, {reports})\n"
-            f"write_report_arrays({path!r}, cells, line_table(tree, np.unique(cells)))\n")
+            "rows = zip(*(c.tolist() for c in tree.reports(cells)))\n"
+            f"with open({path!r}, 'w') as fh:\n"
+            "    fh.write(''.join(REPORT_LINE % row for row in rows))\n")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

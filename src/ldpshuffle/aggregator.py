@@ -20,9 +20,10 @@ class SumTree:
 
     Level h (1 = leaves) has d / 2^(h-1) nodes; node (h, j) covers
     timesteps [(j-1) * 2^(h-1) + 1, j * 2^(h-1)], and its reports carry
-    t = j * 2^(h-1). Storage is one zeros-initialized (2d - 1, 2) int64
-    array `counts`, level by level from offset `_offsets[h - 1]`; a horizon
-    whose array cannot be allocated raises InvalidParameterError.
+    t = j * 2^(h-1). Storage is one zeros-initialized, C-ordered
+    (2d - 1, 2) int64 array `counts`, level by level from offset
+    `_offsets[h - 1]`; a horizon whose array cannot be allocated raises
+    InvalidParameterError.
     """
 
     def __init__(self, d):
@@ -67,12 +68,10 @@ class SumTree:
         if bad is not None:
             raise MalformedReportError(f"report {bad} (h={h[bad]}, t={t[bad]}, u={u[bad]}) "
                                        f"addresses no node of the tree over horizon {self.d}")
-        # count every node's -1 and +1 reports over (node, sign) cells, in
-        # integers
+        # count every node's -1 and +1 reports in place, in integers, over
+        # the (node, sign) cells of a flat view of the C-ordered counts
         cells = self.cells(h, t, u)
-        added = np.zeros(self.counts.size, dtype=np.int64)
-        np.add.at(added, cells, 1 if counts is None else counts)
-        self.counts += added.reshape(-1, 2)
+        np.add.at(self.counts.reshape(-1), cells, 1 if counts is None else counts)
         return cells
 
 

@@ -8,9 +8,11 @@ JSON-lines file, such as the file input model's change vectors, which
 `harness.read_change_vectors` clips to the change budget.
 
 A report stream over horizon d holds at most 2(2d - 1) distinct lines, one
-per (node, sign) cell of its `SumTree`, so both ends go through the tree's
-table of lines, `line_table`. The writer takes each report as its cell and
-joins the lines of the cells that occur, each formatted once. The reader
+per (node, sign) cell of its `SumTree`, so both ends go through one
+`LineTable` per file, the one owner of the rule for formatting lines: a
+cell's line is formatted once, on the first lookup that meets the cell,
+and a cell never looked up is never formatted. The writer takes each
+report as its cell and joins the table's lines of the cells. The reader
 returns the stream's histogram, since once reports are anonymized the
 server needs only their multiset: it reads its input once, a chunk of
 whole lines at a time, and counts each chunk's cells into one vector over
@@ -70,25 +72,32 @@ _PLACE = np.ones(256, dtype=np.int64)
 _PLACE[48:58] = 10
 
 
-def line_table(tree, cells, table=None):
-    """Put the `REPORT_LINE` of each of the given (node, sign) cells of tree
-    (`SumTree.cells`) into table, an object array indexed by cell (a new one
-    holding None at every other cell, if table is None), and return it: what
+class LineTable:
+    """The `REPORT_LINE` of each (node, sign) cell of tree (`SumTree.cells`),
+    each formatted once, on the first lookup that meets its cell:
+    `table[cells]` is the object array of the given cells' lines. What
     `write_report_arrays` looks reports up in, and what the reader checks
     each chunk against."""
-    if table is None:
-        table = np.empty(tree.counts.size, dtype=object)
-    # WRITE_ROWS cells at a time, so that only the lines outlive their values
-    for lo in range(0, len(cells), WRITE_ROWS):
-        part = cells[lo:lo + WRITE_ROWS]
-        table[part] = [REPORT_LINE % row
-                       for row in zip(*(a.tolist() for a in tree.reports(part)))]
-    return table
+
+    def __init__(self, tree):
+        self._tree = tree
+        self._lines = np.empty(tree.counts.size, dtype=object)
+        self._known = np.zeros(tree.counts.size, dtype=bool)
+
+    def __getitem__(self, cells):
+        fresh = np.flatnonzero(np.bincount(cells[~self._known[cells]]))
+        # WRITE_ROWS cells at a time, so that only the lines outlive their values
+        for lo in range(0, len(fresh), WRITE_ROWS):
+            part = fresh[lo:lo + WRITE_ROWS]
+            self._lines[part] = [REPORT_LINE % row
+                                 for row in zip(*(a.tolist() for a in self._tree.reports(part)))]
+        self._known[fresh] = True
+        return self._lines[cells]
 
 
 def write_report_arrays(path, cells, lines):
     """Append reports held as an array of their (node, sign) cells to a file
-    as JSON lines, the line of each from the table `lines` (`line_table`)
+    as JSON lines, the line of each from lines, the file's `LineTable`,
     and no client identifier, WRITE_ROWS reports at a time."""
     with open_output(path, "a") as fh:
         for lo in range(0, len(cells), WRITE_ROWS):
@@ -163,24 +172,19 @@ def read_reports(path, d):
     READ_LINES cells, each line's cell is computed from the bytes at the
     canonical line's fixed offsets (`_cells`), and the chunk is taken only
     if it equals, byte for byte, the lines of those cells in the writer's
-    own `line_table`, each formatted when a chunk first reads it: a line is
-    taken only if it is a cell's own line. Otherwise a chunk of canonical
-    lines (`REPORT_LINE`) is converted whole with array operations
-    (`_convert`), and any other chunk goes one row at a time through
-    `parse_rows`, its lines numbered as a text file's (a line ends in \\n,
-    \\r or \\r\\n). Either is then checked against the tree
-    (`_check_tree`). Which path a chunk takes depends on d and on the
+    own `LineTable`: a line is taken only if it is a cell's own line.
+    Otherwise a chunk of canonical lines (`REPORT_LINE`) is converted whole
+    with array operations (`_convert`), and any other chunk goes one row at
+    a time through `parse_rows`, its lines numbered as a text file's (a
+    line ends in \\n, \\r or \\r\\n). Either is then checked against the
+    tree (`_check_tree`). Which path a chunk takes depends on d and on the
     chunk's own lines, never on earlier ones. A syntax error is raised when
     it is met; the first report that addresses no node is raised once the
     input is read.
     """
     tree = SumTree(d)
     counts = tree.counts.ravel()  # one int64 count per (node, sign) cell
-    lines = None
-    if tree.counts.size <= READ_LINES:
-        # lines[c] is cell c's line, formatted once a chunk first reads it
-        lines = np.empty(tree.counts.size, dtype=object)
-        known = np.zeros(tree.counts.size, dtype=bool)
+    lines = LineTable(tree) if tree.counts.size <= READ_LINES else None
     read = 0  # the lines read, all of them before the chunk
     stray = None  # the ParseError of the first report that addresses no node
     with open_input(path, "rb") as fh:
@@ -188,15 +192,9 @@ def read_reports(path, d):
             cells = None
             if lines is not None and chunk.endswith(b"\n"):
                 cells = _cells(chunk, tree)
-            if cells is not None:
-                fresh = cells[~known[cells]]
-                if len(fresh):
-                    fresh = np.flatnonzero(np.bincount(fresh))
-                    line_table(tree, fresh, lines)
-                    known[fresh] = True
-                # the cells hold only if their lines are the chunk, byte for byte
-                if "".join(lines[cells].tolist()).encode() != chunk:
-                    cells = None
+            # the cells hold only if their lines are the chunk, byte for byte
+            if cells is not None and "".join(lines[cells].tolist()).encode() != chunk:
+                cells = None
             if cells is None:
                 columns, line, taken = _columns(chunk, read + 1)
                 if stray is None:

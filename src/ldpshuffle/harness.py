@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregator import SumTree, accumulate_arrays, estimate_marginals, estimate_weight
-from .client import (READ_BYTES, READ_LINES, check_distinct_paths, json_lines, line_table,
+from .client import (READ_BYTES, READ_LINES, LineTable, check_distinct_paths, json_lines,
                      open_input, open_output, write_report_arrays)
 from .core import check_count, check_real, level_count, rr_probability, scale_factor
 from .errors import InvalidParameterError, ParseError
@@ -249,11 +249,12 @@ def trial_bytes(n, d, k, dump=False):
     per-client arrays, one report buffer of at most max(ROWS, 4d) + d
     reports at 12 words each (a mode-none block, or a post-shuffle dump's
     write of at most max(ROWS, 4d)), the tree and the writer. A trial that
-    dumps its reports also holds a line table: a slot for each of the
-    2(2d - 1) cells, and a str of at most 112 bytes for each cell that
-    holds one of its at most n d reports."""
-    table = 4 * d + 14 * min(4 * d, n * d) if dump else 0
-    return 8 * (4 * n * k + 12 * n + 12 * (max(ROWS, 4 * d) + d) + 40 * d + table) + (4 << 20)
+    dumps its reports also holds, for the whole dump, its `LineTable`: a
+    slot and a mask byte for each of the 2(2d - 1) cells, and a str of at
+    most 112 bytes for each cell that holds one of its at most n d
+    reports."""
+    table = 36 * d + 112 * min(4 * d, n * d) if dump else 0
+    return 8 * (4 * n * k + 12 * n + 12 * (max(ROWS, 4 * d) + d) + 40 * d) + table + (4 << 20)
 
 
 def _estimate_bytes(d):
@@ -289,12 +290,13 @@ def run_trial(config, trial, seconds=None):
     """Run one seeded trial; returns (estimates, truth, reports emitted,
     clipped). Under shuffle mode none each block of clients is emitted,
     folded into the tree and dropped, and trial 0 writes its stream to
-    config.reports_path, if set, block by block, into the file it empties
-    once its inputs are drawn. Under post-shuffle the tree's histogram is
-    drawn directly (`_draw_counts`) and trial 0's stream is written from it
-    in cell order (`_write_sorted`). A dict passed as seconds receives the
-    seconds of the trial's stages: inputs, counts (the tree), estimate and
-    dump (summed over the blocks under mode none).
+    config.reports_path, if set, block by block, through one `LineTable`
+    for the whole file, into the file it empties once its inputs are
+    drawn. Under post-shuffle the tree's histogram is drawn directly
+    (`_draw_counts`) and trial 0's stream is written from it in cell order
+    (`_write_sorted`). A dict passed as seconds receives the seconds of the
+    trial's stages: inputs, counts (the tree), estimate and dump (summed
+    over the blocks under mode none).
     """
     start = time.perf_counter()
     stream = RandomnessStream(config.seed, trial)
@@ -335,18 +337,14 @@ def run_trial(config, trial, seconds=None):
         # block i holds the clients whose last report falls in (i rows, (i+1) rows]
         cuts = np.searchsorted(ends, np.arange(0, ends[-1], rows), side="right").tolist()
         tree = SumTree(config.d)
-        lines = None  # the dump's line table, one for the whole file
+        lines = LineTable(tree) if dump else None  # one table for the whole file
         for lo, hi in zip(cuts, cuts[1:] + [config.n]):
             count = int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
             reports = emit_reports(signal_t[lo:hi], signal_v[lo:hi], levels[lo:hi],
                                    stream.uniform(size=count), truth_prob, config.d)
-            empty = tree.counts.ravel() == 0 if dump else None
             cells = tree.add(*reports)
             if dump:
-                # format only the cells that this block is the first to fill
                 mark = time.perf_counter()
-                fresh = np.flatnonzero(empty & (tree.counts.ravel() > 0))
-                lines = line_table(tree, fresh, lines)
                 write_report_arrays(dump, cells, lines)
                 dumped += time.perf_counter() - mark
             del reports, cells  # so that no two blocks are held at once
@@ -383,9 +381,11 @@ def _draw_counts(signal_t, signal_v, levels, truth_prob, d, stream):
 
 def _write_sorted(path, tree, rows):
     """Append the reports in tree to path in (node, sign) cell order, rows at
-    a time, through one line table of the cells that hold a report."""
+    a time, through one `LineTable`, first looked up at every cell that
+    holds a report, so that their lines are formatted in one batch."""
     ends = tree.counts.ravel().cumsum()  # per node: its -1 reports, then its +1
-    lines = line_table(tree, np.flatnonzero(tree.counts.ravel()))
+    lines = LineTable(tree)
+    lines[np.flatnonzero(tree.counts.ravel())]  # the lookup formats them all at once
     for lo in range(0, ends[-1], rows):
         cells = ends.searchsorted(np.arange(lo, min(lo + rows, ends[-1])), "right")
         write_report_arrays(path, cells, lines)

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 import ldpshuffle.client as client_mod
 import ldpshuffle.core as core
+import ldpshuffle.harness as harness
 from ldpshuffle.aggregator import SumTree
-from ldpshuffle.client import (json_lines, line_table, open_input, read_reports,
+from ldpshuffle.client import (LineTable, json_lines, open_input, read_reports,
                                write_report_arrays)
 from ldpshuffle.core import rr_probability
 from ldpshuffle.errors import InvalidParameterError, ParseError
-from ldpshuffle.harness import read_change_vectors
+from ldpshuffle.harness import SimulationConfig, read_change_vectors, run_trial
 from ldpshuffle.randomizer import RandomnessStream
 
 import reference.client as reference_client
@@ -278,7 +279,7 @@ def write_reports(path, h, t, u, d):
     """Write reports held as (h, t, u) arrays of the tree over horizon d."""
     tree = SumTree(d)
     cells = tree.cells(*(np.asarray(c, dtype=np.int64) for c in (h, t, u)))
-    write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
+    write_report_arrays(path, cells, LineTable(tree))
 
 
 class TestReportIo:
@@ -379,6 +380,41 @@ class TestReportIo:
         path = tmp_path / "missing" / "reports.jsonl"
         with pytest.raises(InvalidParameterError, match="cannot write .*reports.jsonl"):
             write_reports(path, [1], [1], [1], 4)
+
+
+class TestLineTable:
+    @pytest.mark.parametrize("case", ["none", "post-shuffle", "read"])
+    def test_each_line_is_formatted_once_and_only_for_cells_that_occur(
+            self, tmp_path, monkeypatch, case):
+        # one table serves a mode-none dump of several blocks, a post-shuffle
+        # dump of several writes, or a read of many small chunks; every line
+        # it formats is a row put through REPORT_LINE, so count those rows
+        path = tmp_path / "reports.jsonl"
+        monkeypatch.setattr(harness, "ROWS", 1)  # blocks and writes of 4d reports
+        cfg = SimulationConfig(n=40, d=64, k=2, epsilon=1.0, trials=1, seed=3,
+                               input_model="random-changes", reports_path=str(path),
+                               shuffle_mode="post-shuffle" if case == "post-shuffle" else "none")
+        formatted = []
+
+        class Counted(str):
+            def __mod__(self, row):
+                formatted.append(row)
+                return str.__mod__(self, row)
+
+        with monkeypatch.context() as patch:
+            if case != "read":
+                patch.setattr(client_mod, "REPORT_LINE", Counted(client_mod.REPORT_LINE))
+            reports = run_trial(cfg, 0)[2]
+        if case == "read":
+            monkeypatch.setattr(client_mod, "READ_BYTES", 64)  # a chunk of two or three lines
+            monkeypatch.setattr(client_mod, "REPORT_LINE", Counted(client_mod.REPORT_LINE))
+            read_reports(path, cfg.d)
+        with open_input(path) as fh:
+            occur = set(zip(*(c.tolist() for c in parse_report_rows(json_lines(fh), cfg.d))))
+        assert reports > 2 * 4 * cfg.d  # three blocks or writes or more
+        assert len(occur) < SumTree(cfg.d).counts.size  # some cells never occur
+        assert len(formatted) == len(set(formatted))
+        assert set(formatted) == occur
 
 
 # JSON values of the kinds a corrupt line can hold. Rows are drawn as report
@@ -711,7 +747,7 @@ class TestChunkedReportIo:
         cells = np.array(cells, dtype=np.int64)
         path = tmp_path_factory.mktemp("writer") / "reports.jsonl"
         with mock.patch.object(client_mod, "WRITE_ROWS", write_rows):
-            write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
+            write_report_arrays(path, cells, LineTable(tree))
         h, t = tree.nodes()
         want = "".join(json.dumps({"h": int(h[c >> 1]), "t": int(t[c >> 1]),
                                    "u": 2 * (c & 1) - 1}, sort_keys=True) + "\n"
@@ -760,7 +796,7 @@ class TestChunkedReportIo:
         counts = 1 + np.arange(tree.counts.size) % 3
         cells = np.random.default_rng(e).permutation(np.repeat(np.arange(len(counts)), counts))
         path = tmp_path / "reports.jsonl"
-        write_report_arrays(path, cells, line_table(tree, np.arange(len(counts))))
+        write_report_arrays(path, cells, LineTable(tree))
         monkeypatch.setattr(client_mod, "_convert",
                             lambda chunk: pytest.fail("a line of the tree converted"))
         monkeypatch.setattr(client_mod, "parse_rows",
@@ -786,7 +822,7 @@ class TestChunkedReportIo:
         tree = SumTree(64)
         cells = np.array(cells)
         path = tmp_path_factory.mktemp("near") / "reports.jsonl"
-        write_report_arrays(path, cells, line_table(tree, cells))
+        write_report_arrays(path, cells, LineTable(tree))
         data = path.read_bytes()
         at %= len(data) + (edit == "insert")
         new = bytes([byte]) if edit != "delete" else b""
@@ -833,7 +869,7 @@ class TestChunkedReportIo:
         assert tree.counts.size > client_mod.READ_LINES
         cells = np.random.default_rng(8).integers(0, tree.counts.size, 30000)
         path = tmp_path / "reports.jsonl"
-        write_report_arrays(path, cells, line_table(tree, np.unique(cells)))
+        write_report_arrays(path, cells, LineTable(tree))
         want = _outcome(row_histogram, path, d)
         monkeypatch.setattr(client_mod, "parse_rows",
                             lambda *a: pytest.fail("per-row parser called"))

@@ -308,13 +308,14 @@ class TestSimulate:
 
     def test_only_a_dump_is_charged_a_line_table(self, tmp_path, monkeypatch):
         # a trial that writes no report file builds no line table, so its
-        # bound is the one it had before the table; a dump adds a slot per
-        # cell and a str per cell it can fill, at most one per report
+        # bound is the one it had before the table; a dump adds a slot and a
+        # mask byte per cell and a str per cell it can fill, at most one per
+        # report
         for n, d, k in ((10 ** 6, 1 << 12, 1), (64, 1 << 16, 1), (1, 1 << 20, 2)):
             words = 4 * n * k + 12 * n + 12 * (max(harness.ROWS, 4 * d) + d) + 40 * d
             assert trial_bytes(n, d, k) == 8 * words + (4 << 20)
-            table = 4 * d + 14 * min(4 * d, n * d)
-            assert trial_bytes(n, d, k, dump=True) == 8 * (words + table) + (4 << 20)
+            table = 8 * 4 * d + 4 * d + 112 * min(4 * d, n * d)
+            assert trial_bytes(n, d, k, dump=True) == 8 * words + table + (4 << 20)
         # so a host with room for the trial but not for the table refuses
         # only the config that dumps
         cfg = self._config(n=64, d=1 << 16, k=1, trials=1)
