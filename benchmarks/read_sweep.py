@@ -11,10 +11,14 @@ shapes run the same call.
         --exponents 6-16 --reports 1,300,300000 --rounds 5 --output sweep.json
 
 A tree is NAME=SRC or NAME=SRC:CAP, where CAP replaces `client.READ_LINES`
-in its processes. Each file holds uniform random (node, sign) cells of the
-tree over d = 2^e, written once in canonical lines from the first tree's
-`SumTree.reports` and `client.REPORT_LINE`, names that do not change with
-the writer's API. Each (tree, file) pair runs in a fresh process of this
+in its processes. Each size of file is written twice, holding the same
+uniform random (node, sign) cells of the tree over d = 2^e: once in
+their random order ("random") and once sorted into cell order ("cell"),
+the order of a post-shuffle dump, so that the reader's check runs both
+one line per report and one line per run of a cell. Both are written in
+canonical lines from the first tree's `SumTree.reports` and
+`client.REPORT_LINE`, names that do not change with the writer's API.
+Each (tree, file) pair runs in a fresh process of this
 one script, pinned to one CPU with one BLAS thread: the VmHWM rise over
 its first call (the process's history moves glibc's mmap threshold, so
 only rises from one script compare), then the median and min of repeated
@@ -62,15 +66,20 @@ print(json.dumps({"first_s": first, "median_s": statistics.median(times),
 """
 
 
-def _write(src, path, d, reports, seed):
+ORDERS = ("random", "cell")
+
+
+def _write(src, paths, d, reports, seed):
+    """Write the same random cells to paths, one per order of ORDERS."""
     code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np\n"
             "from ldpshuffle.aggregator import SumTree\n"
             "from ldpshuffle.client import REPORT_LINE\n"
             f"tree = SumTree({d})\n"
             f"cells = np.random.default_rng({seed}).integers(0, tree.counts.size, {reports})\n"
-            "rows = zip(*(c.tolist() for c in tree.reports(cells)))\n"
-            f"with open({path!r}, 'w') as fh:\n"
-            "    fh.write(''.join(REPORT_LINE % row for row in rows))\n")
+            f"for path, order in zip({paths!r}, (cells, np.sort(cells))):\n"
+            "    rows = zip(*(c.tolist() for c in tree.reports(order)))\n"
+            "    with open(path, 'w') as fh:\n"
+            "        fh.write(''.join(REPORT_LINE % row for row in rows))\n")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
@@ -103,18 +112,21 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for e in exponents:
             for n in sizes:
-                d, path = 1 << e, os.path.join(tmp, f"d{e}_n{n}.jsonl")
-                _write(trees[0][1], path, d, n, seed=e)
+                d = 1 << e
+                paths = [os.path.join(tmp, f"d{e}_n{n}_{order}.jsonl") for order in ORDERS]
+                _write(trees[0][1], paths, d, n, seed=e)
                 calls = 5 if n >= 100_000 else 200
-                for r in range(args.rounds):
-                    for name, src, cap in trees[r % len(trees):] + trees[:r % len(trees)]:
-                        row = {"d": f"2^{e}", "reports": n, "tree": name, "round": r + 1,
-                               **_measure(src, cap, path, d, calls, args.cpu)}
-                        print(json.dumps(row), flush=True)
-                        results.append(row)
+                for order, path in zip(ORDERS, paths):
+                    for r in range(args.rounds):
+                        for name, src, cap in trees[r % len(trees):] + trees[:r % len(trees)]:
+                            row = {"d": f"2^{e}", "reports": n, "order": order, "tree": name,
+                                   "round": r + 1,
+                                   **_measure(src, cap, path, d, calls, args.cpu)}
+                            print(json.dumps(row), flush=True)
+                            results.append(row)
     summary = {}
     for row in results:
-        key = f"d={row['d']} reports={row['reports']}"
+        key = f"d={row['d']} reports={row['reports']} order={row['order']}"
         summary.setdefault(key, {}).setdefault(row["tree"], []).append(row)
     summary = {key: {tree: {"median_s": statistics.median(r["median_s"] for r in rows),
                             "rss_rise_mb": statistics.median(r["rss_rise_mb"] for r in rows)}

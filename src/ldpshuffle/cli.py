@@ -210,7 +210,8 @@ def _cmd_estimate(args):
     # the stream's histogram: each distinct report with its count, which
     # the tree adds in int64
     start = time.perf_counter()
-    counts, h, t, u = read_reports(args.reports, args.d)
+    chunks = {}  # the chunks each reader took
+    counts, h, t, u = read_reports(args.reports, args.d, chunks)
     tree = accumulate_arrays(h, t, u, args.d, counts)
     estimates = estimate_marginals(tree, args.epsilon, args.k)
     columns = {"t": np.arange(1, args.d + 1), "f_tilde": estimates}
@@ -228,8 +229,9 @@ def _cmd_estimate(args):
         if out is not sys.stdout:
             out.close()
     print(f"estimate: {counts.sum()} reports read as {len(h)} rows in "
-          f"{time.perf_counter() - start:.3f}s, memory bound {bound} B, "
-          f"peak RSS {_peak_rss_kb()} KB", file=sys.stderr)
+          f"{time.perf_counter() - start:.3f}s (chunks: {chunks['table']} by table, "
+          f"{chunks['converted']} converted whole, {chunks['per row']} per row), "
+          f"memory bound {bound} B, peak RSS {_peak_rss_kb()} KB", file=sys.stderr)
     return EXIT_OK
 
 

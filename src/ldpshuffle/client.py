@@ -12,15 +12,20 @@ per (node, sign) cell of its `SumTree`, so both ends go through one
 `LineTable` per file, the one owner of the rule for formatting lines: a
 cell's line is formatted once, on the first lookup that meets the cell,
 and a cell never looked up is never formatted. The writer takes each
-report as its cell and joins the table's lines of the cells. The reader
-returns the stream's histogram, since once reports are anonymized the
-server needs only their multiset: it reads its input once, a chunk of
-whole lines at a time, and counts each chunk's cells into one vector over
-the tree, so its memory is bounded by d and one chunk, for a file or a
-pipe and for any spelling of the rows. Under a cap of READ_LINES cells
-each line's cell is read off its bytes by numpy arithmetic; a chunk that
-is not its cells' table lines, and every chunk past the cap, is converted
-whole if its lines are canonical and parsed one row at a time if not.
+report as its cell and writes the table's text of the cells
+(`LineTable.text`): where runs of one cell at least halve the lines, as
+in the post-shuffle dump, which is the histogram in cell order, one line
+is looked up per run and repeated its run's length, and otherwise one
+line per report. The reader returns the stream's histogram, since once
+reports are anonymized the server needs only their multiset: it reads
+its input once, a chunk of whole lines at a time, and counts each
+chunk's cells into one vector over the tree, so its memory is bounded by
+d and one chunk, for a file or a pipe and for any spelling of the rows.
+Under a cap of READ_LINES cells each line's cell is read off its bytes by
+numpy arithmetic and the chunk is checked against the table's text of
+those cells, one run at a time in a sorted file; a chunk that is not that
+text, and every chunk past the cap, is converted whole if its lines are
+canonical and parsed one row at a time if not.
 
 The scalar per-client protocol (`client_update`) and its exact transcript
 oracles are test references in `tests/reference/client.py`; the bulk
@@ -30,6 +35,7 @@ emitter `kernels.emit_reports` is what a mode-none simulation runs.
 import io
 import itertools
 import json
+import operator
 import os
 import re
 
@@ -59,8 +65,10 @@ _CANONICAL_LINES = re.compile(
 # (d <= 2^13) reads a 300,000-report file at d = 2^12 in 52 ms against
 # 78 ms, but raises its RSS by 3.2 MB against 1.9 MB (5.6 against 2.9 MB
 # at d = 2^13), and reads 300 reports at d = 2^13 in 10.1 against 9.4 ms
-# (the `estimate` read sweep of BENCH_30.json), so the cap stays.
-WRITE_ROWS = 1 << 14
+# (the `estimate` read sweep of BENCH_30.json), so the cap stays. Writes of
+# 2^13 reports raise the report-io op's peak RSS by about 0.4 MB less than
+# writes of 2^14, and are no slower one line per report (BENCH_35.json).
+WRITE_ROWS = 1 << 13
 READ_BYTES = 1 << 16
 READ_LINES = 1 << 13
 # The value of each byte as a digit (0 for any other byte), and 10 for a
@@ -77,7 +85,7 @@ class LineTable:
     each formatted once, on the first lookup that meets its cell:
     `table[cells]` is the object array of the given cells' lines. What
     `write_report_arrays` looks reports up in, and what the reader checks
-    each chunk against."""
+    each chunk against, both through `text`."""
 
     def __init__(self, tree):
         self._tree = tree
@@ -85,23 +93,38 @@ class LineTable:
         self._known = np.zeros(tree.counts.size, dtype=bool)
 
     def __getitem__(self, cells):
-        fresh = np.flatnonzero(np.bincount(cells[~self._known[cells]]))
-        # WRITE_ROWS cells at a time, so that only the lines outlive their values
-        for lo in range(0, len(fresh), WRITE_ROWS):
-            part = fresh[lo:lo + WRITE_ROWS]
-            self._lines[part] = [REPORT_LINE % row
-                                 for row in zip(*(a.tolist() for a in self._tree.reports(part)))]
-        self._known[fresh] = True
+        if not self._known.all():  # else every line is formatted already
+            fresh = np.flatnonzero(np.bincount(cells[~self._known[cells]]))
+            # WRITE_ROWS cells at a time, so that only the lines outlive their values
+            for lo in range(0, len(fresh), WRITE_ROWS):
+                part = fresh[lo:lo + WRITE_ROWS]
+                self._lines[part] = [REPORT_LINE % row for row
+                                     in zip(*(a.tolist() for a in self._tree.reports(part)))]
+            self._known[fresh] = True
         return self._lines[cells]
+
+    def text(self, cells):
+        """The joined lines of cells. Where runs of one cell at least halve
+        the lines, one line is looked up per run and repeated its run's
+        length; otherwise one line is looked up per cell. Both give the same
+        text, so the rule picks only the speed."""
+        change = cells[1:] != cells[:-1]
+        if 2 * (np.count_nonzero(change) + 1) > len(cells):  # more runs than half the lines
+            return "".join(self[cells].tolist())
+        ends = np.flatnonzero(np.concatenate((change, [True]))) + 1  # each run's end
+        lengths = ends - np.concatenate(([0], ends[:-1]))
+        return "".join(map(operator.mul, self[cells[ends - 1]].tolist(), lengths.tolist()))
 
 
 def write_report_arrays(path, cells, lines):
     """Append reports held as an array of their (node, sign) cells to a file
     as JSON lines, the line of each from lines, the file's `LineTable`,
-    and no client identifier, WRITE_ROWS reports at a time."""
+    and no client identifier, WRITE_ROWS reports at a time. Each piece is
+    the table's text of its cells (`LineTable.text`), one lookup per run
+    of one cell where runs at least halve its reports, as in cell order."""
     with open_output(path, "a") as fh:
         for lo in range(0, len(cells), WRITE_ROWS):
-            fh.write("".join(lines[cells[lo:lo + WRITE_ROWS]].tolist()))
+            fh.write(lines.text(cells[lo:lo + WRITE_ROWS]))
 
 
 def open_input(path, mode="r"):
@@ -149,7 +172,7 @@ def json_lines(fh, start=1):
         yield lineno, value
 
 
-def read_reports(path, d):
+def read_reports(path, d, chunks=None):
     """Read a JSON-lines report stream over horizon d as its histogram:
     (counts, h, t, u), int64 arrays holding each distinct report (h[i],
     t[i], u[i]) of the input once, with the count counts[i] >= 1 of its
@@ -171,8 +194,11 @@ def read_reports(path, d):
     reader that accepts a chunk takes it. When the tree has at most
     READ_LINES cells, each line's cell is computed from the bytes at the
     canonical line's fixed offsets (`_cells`), and the chunk is taken only
-    if it equals, byte for byte, the lines of those cells in the writer's
-    own `LineTable`: a line is taken only if it is a cell's own line.
+    if it equals, byte for byte, the text of those cells in the writer's
+    own `LineTable`: a line is taken only if it is a cell's own line. The
+    text is built one run at a time where runs of one cell at least halve
+    the chunk's lines, as in a file in cell order, so a run that crosses
+    chunk cuts is checked in each chunk it reaches.
     Otherwise a chunk of canonical lines (`REPORT_LINE`) is converted whole
     with array operations (`_convert`), and any other chunk goes one row at
     a time through `parse_rows`, its lines numbered as a text file's (a
@@ -180,23 +206,25 @@ def read_reports(path, d):
     tree (`_check_tree`). Which path a chunk takes depends on d and on the
     chunk's own lines, never on earlier ones. A syntax error is raised when
     it is met; the first report that addresses no node is raised once the
-    input is read.
+    input is read. A dict passed as chunks receives the count of chunks
+    each reader took: "table", "converted" (whole) and "per row".
     """
     tree = SumTree(d)
     counts = tree.counts.ravel()  # one int64 count per (node, sign) cell
     lines = LineTable(tree) if tree.counts.size <= READ_LINES else None
     read = 0  # the lines read, all of them before the chunk
     stray = None  # the ParseError of the first report that addresses no node
+    took = dict.fromkeys(("table", "converted", "per row"), 0)  # chunks by reader
     with open_input(path, "rb") as fh:
         for chunk in _chunks(fh):
             cells = None
             if lines is not None and chunk.endswith(b"\n"):
                 cells = _cells(chunk, tree)
             # the cells hold only if their lines are the chunk, byte for byte
-            if cells is not None and "".join(lines[cells].tolist()).encode() != chunk:
+            if cells is not None and lines.text(cells).encode() != chunk:
                 cells = None
             if cells is None:
-                columns, line, taken = _columns(chunk, read + 1)
+                columns, line, taken, reader = _columns(chunk, read + 1)
                 if stray is None:
                     try:
                         _check_tree(columns, d, line)
@@ -204,10 +232,13 @@ def read_reports(path, d):
                     except ParseError as exc:
                         stray = exc  # raised unless a later line has bad syntax
             else:
-                taken = len(cells)
+                taken, reader = len(cells), "table"
             if stray is None:
                 np.add.at(counts, cells, 1)
             read += taken
+            took[reader] += 1
+    if chunks is not None:
+        chunks.update(took)
     if stray is not None:
         raise stray
     cells = np.flatnonzero(counts)
@@ -271,17 +302,18 @@ def _convert(chunk):
 
 def _columns(chunk, first):
     """The (h, t, u) columns of chunk, a run of whole lines whose first is
-    line first, with the line of each row as a function of its index and
-    the count of lines: converted whole if every line is canonical, and
-    otherwise one row at a time."""
+    line first, with the line of each row as a function of its index, the
+    count of lines and the reader that took it: converted whole
+    ("converted") if every line is canonical, and otherwise one row at a
+    time ("per row")."""
     columns = _convert(chunk)
     if columns is not None:
-        return columns, lambda row: first + row, len(columns[0])
+        return columns, lambda row: first + row, len(columns[0]), "converted"
     text = io.StringIO(chunk.decode("utf-8", "replace"), newline=None)
     # the lines json_lines numbers, counted as it takes them, blank or not
     taken = itertools.count()
     columns, lines = parse_rows(json_lines((line for line, _ in zip(text, taken)), first))
-    return columns, lines.__getitem__, next(taken)
+    return columns, lines.__getitem__, next(taken), "per row"
 
 
 def _check_tree(columns, d, line):

@@ -382,12 +382,19 @@ def _draw_counts(signal_t, signal_v, levels, truth_prob, d, stream):
 def _write_sorted(path, tree, rows):
     """Append the reports in tree to path in (node, sign) cell order, rows at
     a time, through one `LineTable`, first looked up at every cell that
-    holds a report, so that their lines are formatted in one batch."""
-    ends = tree.counts.ravel().cumsum()  # per node: its -1 reports, then its +1
+    holds a report, so that their lines are formatted in one batch. Each
+    write's cells come from the histogram with no search per report: each
+    non-empty cell repeated as many times as its reports fall in the
+    write. They are runs of one cell, which the writer joins one line per
+    run (`LineTable.text`)."""
+    counts = tree.counts.ravel()  # per node: its -1 reports, then its +1
+    cell_ids = np.flatnonzero(counts)
+    ends = counts[cell_ids].cumsum()
     lines = LineTable(tree)
-    lines[np.flatnonzero(tree.counts.ravel())]  # the lookup formats them all at once
+    lines[cell_ids]  # the lookup formats them all at once
     for lo in range(0, ends[-1], rows):
-        cells = ends.searchsorted(np.arange(lo, min(lo + rows, ends[-1])), "right")
+        # each cell's reports that fall in [lo, lo + rows)
+        cells = np.repeat(cell_ids, np.diff(np.clip(ends, lo, lo + rows), prepend=lo))
         write_report_arrays(path, cells, lines)
 
 

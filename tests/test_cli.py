@@ -595,9 +595,41 @@ class TestPinnedBytes:
                                        "--k", "3", "--epsilon", "1.0", "--truth", str(truth)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ESTIMATES["post-shuffle"]
-        assert re.fullmatch(r"estimate: 1236 reports read as 62 rows in \d+\.\d{3}s, "
+        # its one chunk is taken by the table, or past the cap converted whole
+        took = "0 by table, 1" if read_lines == 4 else "1 by table, 0"
+        assert re.fullmatch(r"estimate: 1236 reports read as 62 rows in \d+\.\d{3}s "
+                            r"\(chunks: %s converted whole, 0 per row\), "
                             r"memory bound %d B, peak RSS \d+ KB\n"
-                            % harness._estimate_bytes(16), err)
+                            % (took, harness._estimate_bytes(16)), err)
+
+    @pytest.mark.parametrize("spelling,took", [
+        ("dump", "{} by table, 0 converted whole, 0 per row"),
+        ("crlf", "0 by table, 0 converted whole, {} per row"),
+        ("past the cap", "0 by table, {} converted whole, 0 per row")])
+    def test_estimate_names_the_reader_of_each_chunk(self, capsys, monkeypatch, tmp_path,
+                                                      spelling, took):
+        # every chunk of a post-shuffle dump is taken by the table; the dump
+        # re-spelled with \r\n goes per row, and past a cap of 4 cells its
+        # chunks are converted whole; the CSV is the same
+        reports = tmp_path / "reports.jsonl"
+        code, _, _ = _run(capsys, ["simulate", "--n", "2000", "--d", "64", "--k", "3",
+                                   "--epsilon", "1.0", "--seed", "7",
+                                   "--shuffle-mode", "post-shuffle",
+                                   "--reports-path", str(reports),
+                                   "--output", str(tmp_path / "run.json")])
+        assert code == 0
+        argv = ["estimate", "--reports", str(reports), "--d", "64", "--k", "3",
+                "--epsilon", "1.0"]
+        code, want, _ = _run(capsys, argv)
+        if spelling == "crlf":
+            reports.write_bytes(reports.read_bytes().replace(b"\n", b"\r\n"))
+        elif spelling == "past the cap":
+            monkeypatch.setattr(client_mod, "READ_LINES", 4)
+        with open(reports, "rb") as fh:
+            chunks = sum(1 for _ in client_mod._chunks(fh))
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and out == want and chunks > 4
+        assert "(chunks: %s)" % took.format(chunks) in err
 
 
 def _change_rows(n, d):

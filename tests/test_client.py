@@ -416,6 +416,66 @@ class TestLineTable:
         assert len(formatted) == len(set(formatted))
         assert set(formatted) == occur
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 6).flatmap(lambda e: st.tuples(
+               st.just(1 << e), st.lists(st.integers(0, 4 * (1 << e) - 3), min_size=1,
+                                         max_size=60))),
+           st.sampled_from(["random", "sorted", "constant"]))
+    @example((4, [5]), "random")
+    @example((4, [5, 5, 6, 6]), "random")  # two runs of four lines: one line per run
+    @example((4, [5, 5, 6, 7]), "random")  # three runs of four lines: one line per cell
+    @example((1, [0, 1, 1, 1, 1, 1]), "random")
+    def test_text_is_the_join_of_the_cells_lines(self, tree_cells, order):
+        d, cells = tree_cells
+        cells = np.array(cells, dtype=np.int64)
+        if order == "sorted":
+            cells = np.sort(cells)
+        elif order == "constant":
+            cells[:] = cells[0]
+        tree = SumTree(d)
+        assert LineTable(tree).text(cells) == "".join(LineTable(tree)[cells].tolist())
+
+    @pytest.mark.parametrize("runs", range(1, 9))
+    def test_text_looks_up_one_line_per_run_where_runs_halve_the_lines(self, runs):
+        # eight lines in the given number of runs: up to four runs, one line
+        # is looked up per run, and past four one per line
+        cells = np.repeat(np.arange(runs), np.diff(np.linspace(0, 8, runs + 1).astype(int)))
+        looked, lookup = [], LineTable.__getitem__
+        with mock.patch.object(LineTable, "__getitem__",
+                               lambda self, at: looked.append(len(at)) or lookup(self, at)):
+            text = LineTable(SumTree(4)).text(cells)
+        assert len(cells) == 8 and looked == ([runs] if 2 * runs <= 8 else [8])
+        assert text == "".join(LineTable(SumTree(4))[cells].tolist())
+
+    def test_a_cell_order_dump_read_in_small_chunks_gives_the_trees_counts(
+            self, tmp_path, monkeypatch):
+        # runs of one cell cross the 64-byte chunk cuts; every chunk is still
+        # taken by the table and counted exactly
+        tree = SumTree(16)
+        tree.counts = np.random.default_rng(8).integers(0, 40, tree.counts.shape)
+        tree.counts[3] = 0  # a node with no report
+        path = tmp_path / "reports.jsonl"
+        harness._write_sorted(path, tree, 100)
+        monkeypatch.setattr(client_mod, "READ_BYTES", 64)
+        took = {}
+        counts, h, t, u = read_reports(path, 16, took)
+        cells = tree.cells(h, t, u)
+        assert np.array_equal(cells, np.flatnonzero(tree.counts.ravel()))
+        assert np.array_equal(counts, tree.counts.ravel()[cells])
+        assert took["table"] > 100 and took["converted"] == took["per row"] == 0
+
+    def test_one_run_across_many_chunks_is_counted_once_per_line(self, tmp_path, monkeypatch):
+        # d = 1: one node, so the dump of 5000 +1 reports is one run
+        tree = SumTree(1)
+        tree.counts = np.array([[0, 5000]])
+        path = tmp_path / "reports.jsonl"
+        harness._write_sorted(path, tree, 1 << 16)
+        assert path.read_bytes() == b'{"h": 1, "t": 1, "u": 1}\n' * 5000
+        monkeypatch.setattr(client_mod, "READ_BYTES", 1000)
+        took = {}
+        assert [c.tolist() for c in read_reports(path, 1, took)] == [[5000], [1], [1], [1]]
+        assert took == {"table": 125, "converted": 0, "per row": 0}
+
 
 # JSON values of the kinds a corrupt line can hold. Rows are drawn as report
 # rows, change-vector rows and arbitrary objects, so that the field checks
